@@ -46,7 +46,6 @@ from .algebra import (
     ModuleRep,
     ResolutionReport,
     build_algebra,
-    cross_field_anomalies,
     minimal_resolution,
     module_of,
     projective_cover,
@@ -105,7 +104,6 @@ __all__ = [
     "check_tilting_sanity",
     "compatibility_graph",
     "compose_nonzero",
-    "cross_field_anomalies",
     "cyclically_between",
     "enumerate_indecomposables",
     "enumerate_tilting",

@@ -11,8 +11,7 @@ Conventions, fixed once and used everywhere:
 - Modules are the right modules Hom(T, c): the component at t_j is
   Hom(t_j, c), and a basis morphism t_i -> t_j acts by precomposition,
   carrying the t_j-component into the t_i-component.
-- All linear algebra is exact; rationals are the default field, a prime
-  field is available for cross-checking ranks.
+- All linear algebra is exact, over the rationals.
 
 The projective at t_j is Hom(T, t_j) itself, so its dimension vector is
 the j-th column of the Cartan matrix and every component is at most
@@ -22,12 +21,13 @@ one-dimensional.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import ContractError, InvariantError
 from .hom import calculator_for
-from .linalg import DEFAULT_PRIME, Mat, PrimeField, QQ, kernel_basis, rank, rref, solve_many
-from .model import IndObj, ModelParams, enumerate_indecomposables, shift
+from .linalg import ONE, ZERO, Mat, kernel_basis, rank, rref, solve_many
+from .model import IndObj, ModelParams
 from .tilting import TiltingObject
 
 
@@ -136,11 +136,10 @@ class ModuleRep:
     component); identities act as identity matrices implicitly.
     """
 
-    def __init__(self, algebra, dims, actions, field=QQ, check=True):
+    def __init__(self, algebra, dims, actions, check=True):
         self.algebra = algebra
         self.dims = tuple(dims)
         self.actions = dict(actions)
-        self.field = field
         if check:
             self.check_representation()
 
@@ -165,7 +164,7 @@ class ModuleRep:
         components, so most pairs are of that kind; the others are
         multiplied out.
         """
-        alg, field, dims = self.algebra, self.field, self.dims
+        alg, dims = self.algebra, self.dims
         for i, j in alg.arrows:
             a = self.actions.get((i, j))
             if a is None or (a.nrows, a.ncols) != (dims[i], dims[j]):
@@ -176,12 +175,12 @@ class ModuleRep:
             i, k = p[0], q[1]
             if not (dims[i] and dims[k]):
                 continue  # an empty composite, settled by the shapes
-            got = self.action(p).mul(self.action(q), field)
+            got = self.action(p).mul(self.action(q))
             coeff = alg.mult[(p, q)]
             if coeff == 0:
                 ok = got.is_zero()
             elif i == k:
-                ok = got == Mat.identity(dims[i], field)
+                ok = got == Mat.identity(dims[i])
             else:
                 ok = got == self.action((i, k))
             if not ok:
@@ -190,7 +189,7 @@ class ModuleRep:
                 )
 
 
-def module_of(c: IndObj, algebra: AlgebraPresentation, field=QQ, check=True) -> ModuleRep:
+def module_of(c: IndObj, algebra: AlgebraPresentation, check=True) -> ModuleRep:
     """The right module Hom(T, c); zero exactly when c is a translate of T."""
     calc = calculator_for(algebra.params)
     ts = algebra.summands
@@ -199,13 +198,13 @@ def module_of(c: IndObj, algebra: AlgebraPresentation, field=QQ, check=True) -> 
     for i, j in algebra.arrows:
         if dims[i] and dims[j]:
             entry = calc.compose_nonzero((ts[i], ts[j]), (ts[j], c))
-            actions[(i, j)] = Mat.from_int_rows([[entry]], 1, field)
+            actions[(i, j)] = Mat.from_int_rows([[entry]], 1)
         else:
-            actions[(i, j)] = Mat.zeros(dims[i], dims[j], field)
-    return ModuleRep(algebra, dims, actions, field, check=check)
+            actions[(i, j)] = Mat.zeros(dims[i], dims[j])
+    return ModuleRep(algebra, dims, actions, check=check)
 
 
-def projective_module(multiplicities, algebra, field=QQ):
+def projective_module(multiplicities, algebra):
     """Direct sum of projectives with the given multiplicities.
 
     Returns (module, layouts) where layouts[k] lists the coordinates of
@@ -232,16 +231,16 @@ def projective_module(multiplicities, algebra, field=QQ):
             # Hom(t_j, t_a) is nonzero; otherwise this row is zero
             rows.append(
                 [
-                    field.from_int(algebra.mult[((i, j), (j, a))])
+                    Fraction(algebra.mult[((i, j), (j, a))])
                     if (a2, cp2) == (a, cp)
-                    else field.zero
+                    else ZERO
                     for a2, cp2 in layouts[j]
                 ]
             )
-        actions[(i, j)] = Mat.from_rows(rows, dims[j]) if rows else Mat.zeros(0, dims[j], field)
+        actions[(i, j)] = Mat.from_rows(rows, dims[j]) if rows else Mat.zeros(0, dims[j])
     # representation property holds by associativity of mult, asserted at
     # algebra construction; re-checking here would dominate resolutions
-    module = ModuleRep(algebra, dims, actions, field, check=False)
+    module = ModuleRep(algebra, dims, actions, check=False)
     return module, layouts
 
 
@@ -261,7 +260,7 @@ def projective_cover(module: ModuleRep) -> CoverResult:
     span lift a basis of the top.  Each lift at component a generates one
     copy of the projective at t_a, mapped in by precomposition.
     """
-    alg, field = module.algebra, module.field
+    alg = module.algebra
     r = alg.r
     lifts = []
     for i in range(r):
@@ -275,15 +274,15 @@ def projective_cover(module: ModuleRep) -> CoverResult:
         pivot_set = set(pivots)
         lifts.append(tuple(c for c in range(module.dims[i]) if c not in pivot_set))
     multiplicities = tuple(len(lifts[i]) for i in range(r))
-    projective, layouts = projective_module(multiplicities, alg, field)
+    projective, layouts = projective_module(multiplicities, alg)
     matrices = {}
     for k in range(r):
         cols = []
         for a, cp in layouts[k]:
             coord = lifts[a][cp]
             if k == a:
-                vec = [field.zero] * module.dims[k]
-                vec[coord] = field.one
+                vec = [ZERO] * module.dims[k]
+                vec[coord] = ONE
             else:
                 act = module.action((k, a))
                 vec = [act.rows[row][coord] for row in range(module.dims[k])]
@@ -303,13 +302,13 @@ def kernel_module(projective: ModuleRep, cover_matrices):
     induced actions are found by solving against that basis, so the
     syzygy is itself a ModuleRep with verified representation property.
     """
-    alg, field = projective.algebra, projective.field
+    alg = projective.algebra
     r = alg.r
     bases = []
     inclusions = {}
     for k in range(r):
         # a zero-dimensional component contributes no kernel vectors
-        vecs = kernel_basis(cover_matrices[k], field) if projective.dims[k] else []
+        vecs = kernel_basis(cover_matrices[k]) if projective.dims[k] else []
         bases.append(vecs)
         inclusions[k] = Mat(
             projective.dims[k],
@@ -323,16 +322,16 @@ def kernel_module(projective: ModuleRep, cover_matrices):
     actions = {}
     for i, j in alg.arrows:
         if dims[i] == 0 or dims[j] == 0:
-            actions[(i, j)] = Mat.zeros(dims[i], dims[j], field)
+            actions[(i, j)] = Mat.zeros(dims[i], dims[j])
             continue
-        mapped = projective.action((i, j)).mul(inclusions[j], field)
-        sol = solve_many(inclusions[i], mapped, field)
+        mapped = projective.action((i, j)).mul(inclusions[j])
+        sol = solve_many(inclusions[i], mapped)
         if sol is None:
             raise InvariantError(
                 "kernel of a cover map is not closed under the action"
             )
         actions[(i, j)] = sol
-    kernel = ModuleRep(alg, dims, actions, field, check=True)
+    kernel = ModuleRep(alg, dims, actions, check=True)
     return kernel, inclusions
 
 
@@ -361,7 +360,6 @@ class ResolutionReport:
     multiplicities: tuple[tuple[int, ...], ...]
     maps: tuple
     layouts: tuple
-    field: object
     tail_kernel_dims: tuple[int, ...] = ()
 
     @property
@@ -405,7 +403,7 @@ class ResolutionReport:
             if ranks[0] != dims[0]:
                 violations.append(f"cover not surjective at component {k}")
             for s in range(stages - 1):
-                if not mats[s].mul(mats[s + 1], self.field).is_zero():
+                if not mats[s].mul(mats[s + 1]).is_zero():
                     violations.append(
                         f"composite of stages {s + 1} and {s} nonzero at component {k}"
                     )
@@ -442,7 +440,6 @@ class ResolutionReport:
 def minimal_resolution(
     c: IndObj,
     algebra: AlgebraPresentation,
-    field=QQ,
     verify: bool = True,
 ) -> ResolutionReport:
     """Minimal bounded presentation of Hom(T, c) by iterated covers.
@@ -459,7 +456,7 @@ def minimal_resolution(
     it and relies on the independent cross-route check instead.
     """
     params = algebra.params
-    module = module_of(c, algebra, field, check=False)
+    module = module_of(c, algebra, check=False)
     if module.is_zero():
         raise ContractError(
             f"Hom(T, {c}) = 0: {c} is a translate of a summand, no resolution"
@@ -477,7 +474,7 @@ def minimal_resolution(
             stage_map = dict(cover.matrices)
         else:
             stage_map = {
-                k: inclusion[k].mul(cover.matrices[k], field)
+                k: inclusion[k].mul(cover.matrices[k])
                 for k in cover.matrices
             }
         maps.append(stage_map)
@@ -494,7 +491,6 @@ def minimal_resolution(
         tuple(multiplicities),
         tuple(maps),
         tuple(layouts),
-        field,
         tail_kernel,
     )
     if verify:
@@ -504,24 +500,3 @@ def minimal_resolution(
                 f"presentation of {c} fails verification: " + "; ".join(violations)
             )
     return report
-
-
-def cross_field_anomalies(tilting, params, prime: int = DEFAULT_PRIME):
-    """Objects whose resolution multiplicities differ over QQ and GF(p).
-
-    Rank disagreements between the two fields would mean the rational
-    computation silently hit torsion; the expected result is an empty
-    list.
-    """
-    gf = PrimeField(prime)
-    algebra = build_algebra(tilting, params)
-    shifted = {shift(t, 1, params) for t in tilting.summands}
-    anomalies = []
-    for c in enumerate_indecomposables(params):
-        if c in shifted:
-            continue
-        over_q = minimal_resolution(c, algebra, QQ, verify=False).multiplicities
-        over_p = minimal_resolution(c, algebra, gf, verify=False).multiplicities
-        if over_q != over_p:
-            anomalies.append((c, over_q, over_p))
-    return anomalies

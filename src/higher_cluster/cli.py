@@ -276,7 +276,7 @@ def _cmd_collisions(args) -> int:
         tiltings = (validate_tilting(parse_family(args.tilting), params),)
     else:
         tiltings = enumerate_tilting(params)
-    results = [verify_mod.find_collisions(t, params) for t in tiltings]
+    results = [verify_mod.find_collisions(index_table(t, params)) for t in tiltings]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "collisions",
@@ -335,7 +335,6 @@ def _cmd_verify(args) -> int:
         tilting_scope=args.tilting_scope or file_conf.get("tilting_scope", "all"),
         explicit_tilting=(explicit,) if explicit else None,
         cap=args.cap if args.cap is not None else int(file_conf.get("cap", 500)),
-        workers=args.workers if args.workers is not None else int(file_conf.get("workers", 1)),
     )
     report = verify_mod.run(config)
     payload = report.to_payload()
@@ -379,21 +378,18 @@ def _replay_witness(w: dict):
     )
     check = w["check"]
     if check in ("injectivity", "collisions"):
-        from .index import index_of, index_via_system
-
-        a, b = (tuple(v) for v in w["pair"])
-        ia, ib = (
-            index_of(a, tilting, params),
-            index_of(b, tilting, params),
-        )
-        sa, sb = (
-            index_via_system(a, tilting, params),
-            index_via_system(b, tilting, params),
-        )
-        return ia == ib, {
-            "pair": [list(a), list(b)],
-            "via_resolution": [list(ia), list(ib)],
-            "via_system": [list(sa), list(sb)],
+        # rebuild the check's double-route table and its witnesses
+        pair = w["pair"]
+        table = index_table(tilting, params)
+        rows = {row.obj: row for row in table.rows}
+        if not all(tuple(v) in rows for v in pair):
+            raise InvalidInputError(f"witness pair {pair} is not two objects here")
+        a, b = (rows[tuple(v)] for v in pair)
+        witnesses = verify_mod.collision_witnesses(table, check)
+        return any(sorted(x["pair"]) == sorted(pair) for x in witnesses), {
+            "pair": [list(a.obj), list(b.obj)],
+            "via_resolution": [list(a.via_resolution), list(b.via_resolution)],
+            "via_system": [list(a.via_system), list(b.via_system)],
         }
     if check == "dimension-formula":
         from .index import index_of
@@ -569,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv", "table"), default="json")
     p.add_argument("--out")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None, help="concurrent cases (default 1)")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("replay", help="re-run one failing instance from a witness file")

@@ -15,8 +15,7 @@ predecessor.  The chain version is the one that generalises: a nonzero
 morphism x -> y factors through z iff some chain labelling admits a
 labelling z_0, ..., z_d with z_i on the clockwise arc from x_i to y_i.
 
-Results are memoised per ModelParams; tables only ever grow, and writes
-are plain dict stores, so sharing a calculator between threads is safe.
+Results are memoised per ModelParams; tables only ever grow.
 """
 
 from __future__ import annotations
@@ -130,10 +129,7 @@ class HomCalculator:
         """
         if self.hom_dim(x, y) == 0:
             return 0
-        for z in sorted(set(through)):
-            if self.factors_through(x, y, z):
-                return 1
-        return 0
+        return 1 if any(self.factors_through(x, y, z) for z in through) else 0
 
     def quotient_hom_dim(self, x: IndObj, y: IndObj, modulo) -> int:
         """Dimension of Hom(x, y) after killing everything through add(modulo)."""

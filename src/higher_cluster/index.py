@@ -99,13 +99,15 @@ def _system_for(tilting: TiltingObject, params: ModelParams) -> _System:
     objects = enumerate_indecomposables(params)
     ts = tilting.summands
     g_rows = tuple(tuple(calc.hom_dim(t, x) for t in ts) for x in objects)
-    if rank(Mat.from_int_rows(g_rows, len(ts))) != len(ts):
-        raise InvariantError(
-            f"hom matrix of tilting object {ts} is rank deficient"
-        )
     positions = tuple(objects.index(t) for t in ts)
+    # a nonsingular square block of rows of G already proves that G has
+    # full column rank; the rank itself only names the failure
     square_inv = adjugate([g_rows[p] for p in positions])
     if square_inv is None:
+        if rank(Mat.from_int_rows(g_rows, len(ts))) != len(ts):
+            raise InvariantError(
+                f"hom matrix of tilting object {ts} is rank deficient"
+            )
         raise InvariantError(
             f"Cartan system of tilting object {ts} is singular over the rationals"
         )

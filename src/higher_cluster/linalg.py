@@ -1,9 +1,9 @@
-"""Exact dense linear algebra over the rationals or a prime field.
+"""Exact dense linear algebra over the rationals.
 
 Deliberately small and dependency-free.  Matrices carry their shape
 explicitly (zero-dimensional components are everywhere in the module
 machinery, so shapes must never be inferred from row data), entries are
-field elements supporting +, -, *, /, and no function mutates its input.
+`fractions.Fraction`s, and no function mutates its input.
 `adjugate` is the one integer-only routine: it inverts a square integer
 matrix without leaving Z, as an adjugate over a determinant.
 """
@@ -14,75 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-class RationalField:
-    """Exact rationals; the contract default for every computation."""
-
-    name = "QQ"
-    # Fraction is immutable, so every matrix may share these two
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def from_int(self, k):
-        return Fraction(k)
-
-
-class FpElement:
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        self.value = value % p
-        self.p = p
-
-    def __add__(self, other):
-        return FpElement(self.value + other.value, self.p)
-
-    def __sub__(self, other):
-        return FpElement(self.value - other.value, self.p)
-
-    def __mul__(self, other):
-        return FpElement(self.value * other.value, self.p)
-
-    def __truediv__(self, other):
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return FpElement(self.value * pow(other.value, self.p - 2, self.p), self.p)
-
-    def __neg__(self):
-        return FpElement(-self.value, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, FpElement) and self.value == other.value and self.p == other.p
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.p})"
-
-
-class PrimeField:
-    """GF(p) for a prime p; the fast option for rank experiments."""
-
-    def __init__(self, p):
-        if p < 2:
-            raise ValueError(f"not a usable modulus: {p}")
-        self.p = p
-        self.name = f"GF({p})"
-        # no operation mutates an FpElement, so these are shared too
-        self.zero = FpElement(0, p)
-        self.one = FpElement(1, p)
-
-    def from_int(self, k):
-        return FpElement(k, self.p)
-
-
-QQ = RationalField()
-
-# large enough that desk-scale 0/1 matrices never hit accidental torsion
-DEFAULT_PRIME = 32003
+# Fraction is immutable, so every matrix may share these two
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -101,42 +35,37 @@ class Mat:
         return Mat(len(rows), ncols, rows)
 
     @staticmethod
-    def from_int_rows(rows, ncols, field=QQ):
-        return Mat.from_rows(
-            [[field.from_int(v) for v in r] for r in rows], ncols
-        )
+    def from_int_rows(rows, ncols):
+        return Mat.from_rows([[Fraction(v) for v in r] for r in rows], ncols)
 
     @staticmethod
-    def zeros(nrows, ncols, field=QQ):
+    def zeros(nrows, ncols):
         # rows may share one tuple: neither it nor its entries ever change
-        row = (field.zero,) * ncols
+        row = (ZERO,) * ncols
         return Mat(nrows, ncols, (row,) * nrows)
 
     @staticmethod
-    def identity(k, field=QQ):
-        z, o = field.zero, field.one
-        return Mat(k, k, tuple(tuple(o if i == j else z for j in range(k)) for i in range(k)))
+    def identity(k):
+        return Mat(k, k, tuple(tuple(ONE if i == j else ZERO for j in range(k)) for i in range(k)))
 
-    def mul(self, other: "Mat", field=QQ) -> "Mat":
+    def mul(self, other: "Mat") -> "Mat":
         assert self.ncols == other.nrows
-        z = field.zero
         out = []
         for i in range(self.nrows):
             row = []
             for j in range(other.ncols):
-                s = z
+                s = ZERO
                 for k in range(self.ncols):
                     s = s + self.rows[i][k] * other.rows[k][j]
                 row.append(s)
             out.append(tuple(row))
         return Mat(self.nrows, other.ncols, tuple(out))
 
-    def mul_vec(self, vec, field=QQ):
+    def mul_vec(self, vec):
         assert len(vec) == self.ncols
-        z = field.zero
         out = []
         for i in range(self.nrows):
-            s = z
+            s = ZERO
             for k in range(self.ncols):
                 s = s + self.rows[i][k] * vec[k]
             out.append(s)
@@ -188,22 +117,22 @@ def rank(m: Mat) -> int:
     return len(rref(m)[1])
 
 
-def kernel_basis(m: Mat, field=QQ):
+def kernel_basis(m: Mat):
     """Basis of the right null space, one vector per free column, in column order."""
     reduced, pivots = rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.ncols) if c not in pivot_set]
     basis = []
     for f in free:
-        vec = [field.zero] * m.ncols
-        vec[f] = field.one
+        vec = [ZERO] * m.ncols
+        vec[f] = ONE
         for i, p in enumerate(pivots):
             vec[p] = -reduced.rows[i][f]
         basis.append(tuple(vec))
     return basis
 
 
-def solve_many(a: Mat, b: Mat, field=QQ):
+def solve_many(a: Mat, b: Mat):
     """Solve a X = b columnwise; free variables are set to zero.
 
     Returns the solution Mat, or None if any column is inconsistent.
@@ -214,7 +143,7 @@ def solve_many(a: Mat, b: Mat, field=QQ):
         return None
     cols = []
     for j in range(b.ncols):
-        vec = [field.zero] * a.ncols
+        vec = [ZERO] * a.ncols
         for i, p in enumerate(pivots):
             vec[p] = reduced.rows[i][a.ncols + j]
         cols.append(vec)
@@ -223,14 +152,14 @@ def solve_many(a: Mat, b: Mat, field=QQ):
     )
 
 
-def inverse(m: Mat, field=QQ):
+def inverse(m: Mat):
     """Inverse of a square matrix, or None if singular.
 
     Singularity falls out of solve_many: the identity block has full rank,
     so a rank-deficient m forces a pivot into the augmented part.
     """
     assert m.nrows == m.ncols
-    return solve_many(m, Mat.identity(m.nrows, field), field)
+    return solve_many(m, Mat.identity(m.nrows))
 
 
 def adjugate(rows):

@@ -75,14 +75,6 @@ def cyclically_between(a: int, b: int, c: int, params: ModelParams) -> bool:
     return (b - a) % N <= (c - a) % N
 
 
-def cyclically_between_strict(a: int, b: int, c: int, params: ModelParams) -> bool:
-    """Walking clockwise from a, is b met strictly before c?"""
-    for v in (a, b, c):
-        _check_vertex(v, params)
-    N = params.N
-    return (b - a) % N < (c - a) % N
-
-
 def shift(obj: IndObj, steps: int, params: ModelParams) -> IndObj:
     """Apply the translation steps times (negative steps invert it).
 

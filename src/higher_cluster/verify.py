@@ -15,12 +15,11 @@ code.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError, ResourceCapError, TiltingError
 from .hom import calculator_for
-from .index import algebra_for, index_of, index_table
+from .index import IndexTable, algebra_for, index_of, index_table
 from .model import ModelParams, enumerate_indecomposables, shift
 from .tilting import TiltingObject, enumerate_tilting, maximal_families, validate_tilting
 
@@ -313,13 +312,13 @@ def check_disjointness(tilting: TiltingObject, params: ModelParams) -> CheckResu
     )
 
 
-def _collision_witnesses(tilting: TiltingObject, params: ModelParams, check: str):
-    table = index_table(tilting, params, route="both")
+def collision_witnesses(table: IndexTable, check: str) -> tuple:
+    """One witness per unordered pair of objects sharing an index in table."""
     return tuple(
         _witness(
             check,
-            params,
-            tilting,
+            table.params,
+            table.tilting,
             pair=[list(a) for a in pair],
             index=list(vec),
         )
@@ -327,37 +326,37 @@ def _collision_witnesses(tilting: TiltingObject, params: ModelParams, check: str
     )
 
 
-def check_injectivity(tilting: TiltingObject, params: ModelParams) -> CheckResult:
+def _collision_status(params: ModelParams, witnesses) -> str:
+    if not witnesses:
+        return PASS
+    return FAIL if params.d % 2 else FINDINGS
+
+
+def check_injectivity(table: IndexTable) -> CheckResult:
     """The index table is injective; collisions fail only at odd d."""
-    witnesses = _collision_witnesses(tilting, params, "injectivity")
-    if witnesses:
-        status = FAIL if params.d % 2 else FINDINGS
-    else:
-        status = PASS
+    params = table.params
+    witnesses = collision_witnesses(table, "injectivity")
     return CheckResult(
         "injectivity",
         params.n,
         params.d,
-        tilting.summands,
-        status,
+        table.tilting.summands,
+        _collision_status(params, witnesses),
         witnesses,
-        {"objects": len(enumerate_indecomposables(params))},
+        {"objects": len(table.rows)},
     )
 
 
-def find_collisions(tilting: TiltingObject, params: ModelParams) -> CheckResult:
+def find_collisions(table: IndexTable) -> CheckResult:
     """All unordered pairs with equal index; the expected positive at even d."""
-    witnesses = _collision_witnesses(tilting, params, "collisions")
-    if witnesses:
-        status = FAIL if params.d % 2 else FINDINGS
-    else:
-        status = PASS
+    params = table.params
+    witnesses = collision_witnesses(table, "collisions")
     return CheckResult(
         "collisions",
         params.n,
         params.d,
-        tilting.summands,
-        status,
+        table.tilting.summands,
+        _collision_status(params, witnesses),
         witnesses,
         {"collision_count": len(witnesses)},
     )
@@ -370,7 +369,6 @@ class SweepConfig:
     tilting_scope: str = "all"  # "all" or "first:K"
     explicit_tilting: tuple | None = None  # tuple of summand tuples
     cap: int = 500
-    workers: int = 1
 
     def to_payload(self) -> dict:
         return {
@@ -381,7 +379,8 @@ class SweepConfig:
             if self.explicit_tilting
             else None,
             "cap": self.cap,
-            "workers": self.workers,
+            # verify runs serially; the schema-1 payload (and its pinned bytes) keeps this key
+            "workers": 1,
         }
 
 
@@ -450,26 +449,32 @@ def _run_case(config: SweepConfig, case):
         ("serre", lambda t: check_serre(params, t)),
         ("dimension-formula", lambda t: check_dimension_formula(t, params)),
         ("disjointness", lambda t: check_disjointness(t, params)),
-        ("injectivity", lambda t: check_injectivity(t, params)),
-        ("collisions", lambda t: find_collisions(t, params)),
     ]
     for name, fn in per_tilting:
         if name in config.checks:
             for t in tiltings:
                 results.append(fn(t))
+    # both collision checks read the same double-route table, built once
+    per_table = [
+        fn
+        for name, fn in (
+            ("injectivity", check_injectivity),
+            ("collisions", find_collisions),
+        )
+        if name in config.checks
+    ]
+    if per_table:
+        tables = [index_table(t, params, route="both") for t in tiltings]
+        for fn in per_table:
+            results.extend(fn(table) for table in tables)
     return results
 
 
 def run(config: SweepConfig) -> VerificationReport:
-    """Run the configured sweep; assembly order never depends on timing."""
+    """Run the configured sweep, one case after another."""
     for name in config.checks:
         if name not in CHECK_NAMES:
             raise InvalidInputError(f"unknown check {name!r}")
     start = time.perf_counter()
-    if config.workers > 1 and len(config.cases) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            per_case = list(pool.map(lambda c: _run_case(config, c), config.cases))
-    else:
-        per_case = [_run_case(config, case) for case in config.cases]
-    results = tuple(res for case_results in per_case for res in case_results)
+    results = tuple(res for case in config.cases for res in _run_case(config, case))
     return VerificationReport(config, results, time.perf_counter() - start)

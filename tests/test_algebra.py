@@ -13,7 +13,6 @@ import pytest
 from higher_cluster.algebra import (
     ModuleRep,
     build_algebra,
-    cross_field_anomalies,
     minimal_resolution,
     module_of,
     projective_cover,
@@ -21,7 +20,7 @@ from higher_cluster.algebra import (
 )
 from higher_cluster.errors import ContractError, InvariantError
 from higher_cluster.index import index_via_system
-from higher_cluster.linalg import Mat, PrimeField, QQ
+from higher_cluster.linalg import Mat
 from higher_cluster.model import ModelParams, enumerate_indecomposables, shift
 from higher_cluster.tilting import TiltingObject, enumerate_tilting
 
@@ -230,18 +229,10 @@ def test_presentations_verify_everywhere(n, d):
 
 
 def test_presentation_over_prime_field_matches():
-    alg_q = build_algebra(CYCLE31, P31)
-    gf = PrimeField(7)
-    res = minimal_resolution((1, 4), alg_q, gf)
+    alg = build_algebra(CYCLE31, P31)
+    res = minimal_resolution((1, 4), alg)
     assert res.multiplicities == ((1, 0, 0), (0, 0, 1))
     assert res.verify() == []
-
-
-@pytest.mark.parametrize(
-    "params,tilting", [(P21, T21), (P31, CYCLE31), (P22, FAN22)]
-)
-def test_no_cross_field_anomalies(params, tilting):
-    assert cross_field_anomalies(tilting, params) == []
 
 
 def test_connecting_maps_are_radical_valued():

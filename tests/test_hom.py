@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from higher_cluster import (
     shift,
 )
 from higher_cluster.hom import calculator_for
+from higher_cluster.tilting import enumerate_tilting
 from oracles import hom_oracle
 
 P21 = ModelParams(2, 1)
@@ -125,6 +128,27 @@ def test_ideal_monotone_in_family():
             assert through_all == 1  # x itself is in the family
             for z in objs:
                 assert ideal_hom_dim(x, y, (z,), p) <= through_all
+
+
+@pytest.mark.parametrize("n,d", [(3, 1), (2, 2)])
+def test_ideal_hom_ignores_order_and_repeats_in_the_family(n, d):
+    # factoring through a family is an existence test over its members
+    p = ModelParams(n, d)
+    calc = calculator_for(p)
+    objs = enumerate_indecomposables(p)
+    rng = random.Random(n * 10 + d)
+    for tilting in enumerate_tilting(p):
+        family = [shift(t, 1, p) for t in tilting.summands]
+        shuffled = family * 2
+        rng.shuffle(shuffled)
+        for x in objs:
+            for y in objs:
+                single = max(
+                    (calc.ideal_hom_dim(x, y, (z,)) for z in family), default=0
+                )
+                assert calc.ideal_hom_dim(x, y, tuple(family)) == single
+                assert calc.ideal_hom_dim(x, y, tuple(reversed(family))) == single
+                assert calc.ideal_hom_dim(x, y, tuple(shuffled)) == single
 
 
 def test_compose_nonzero_examples():

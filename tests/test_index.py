@@ -179,3 +179,16 @@ def test_system_route_refuses_a_singular_square(monkeypatch):
     monkeypatch.setattr(index, "adjugate", lambda rows: None)
     with pytest.raises(InvariantError, match="singular over the rationals"):
         index_via_system((1, 4), tilting, P21)
+
+
+def test_system_route_needs_no_rank_for_a_nonsingular_square(monkeypatch):
+    # a nonsingular square block of rows of G proves full column rank, so
+    # the rank only runs to name a refusal
+    def no_rank(m):
+        raise AssertionError("rank computed for a nonsingular system")
+
+    monkeypatch.setattr(index, "_systems", {})
+    monkeypatch.setattr(index, "rank", no_rank)
+    table = index_table(FAN22, P22, route="both")
+    assert all(row.verified for row in table.rows)
+    assert len(table.rows) == len(enumerate_indecomposables(P22))

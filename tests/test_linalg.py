@@ -6,10 +6,7 @@ import sympy
 
 from higher_cluster.hom import calculator_for
 from higher_cluster.linalg import (
-    DEFAULT_PRIME,
     Mat,
-    PrimeField,
-    QQ,
     adjugate,
     inverse,
     kernel_basis,
@@ -27,28 +24,6 @@ def random_int_mat(rng, nrows, ncols, lo=-4, hi=4):
 
 def to_sympy(rows):
     return sympy.Matrix(rows)
-
-
-def test_field_basics():
-    assert QQ.zero == Fraction(0)
-    assert QQ.one == Fraction(1)
-    assert QQ.from_int(-3) == Fraction(-3)
-    gf = PrimeField(7)
-    assert gf.from_int(10) == gf.from_int(3)
-    assert (gf.from_int(3) / gf.from_int(5)) * gf.from_int(5) == gf.from_int(3)
-    assert not gf.zero
-    assert gf.one
-
-
-def test_prime_field_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        PrimeField(1)
-
-
-def test_division_by_zero_in_prime_field():
-    gf = PrimeField(5)
-    with pytest.raises(ZeroDivisionError):
-        gf.one / gf.zero
 
 
 def test_mat_constructors_and_shape():
@@ -97,7 +72,7 @@ def test_kernel_basis_against_sympy():
         r, c = rng.randint(1, 5), rng.randint(1, 6)
         rows = random_int_mat(rng, r, c)
         m = Mat.from_int_rows(rows, c)
-        basis = kernel_basis(m, QQ)
+        basis = kernel_basis(m)
         assert len(basis) == c - to_sympy(rows).rank()
         for vec in basis:
             assert all(v == Fraction(0) for v in m.mul_vec(list(vec)))
@@ -106,11 +81,11 @@ def test_kernel_basis_against_sympy():
 def test_solve_many_consistent_and_inconsistent():
     a = Mat.from_int_rows([[1, 0], [0, 1], [1, 1]], 2)
     b = Mat.from_int_rows([[1], [2], [3]], 1)
-    sol = solve_many(a, b, QQ)
+    sol = solve_many(a, b)
     assert sol is not None
     assert a.mul(sol) == b
     bad = Mat.from_int_rows([[1], [2], [4]], 1)
-    assert solve_many(a, bad, QQ) is None
+    assert solve_many(a, bad) is None
 
 
 def test_inverse_against_sympy_and_singular():
@@ -131,17 +106,6 @@ def test_inverse_against_sympy_and_singular():
             list(row) for row in inv.rows
         ]
         checked += 1
-
-
-def test_prime_field_rank_matches_rational_rank_for_small_entries():
-    rng = random.Random(31)
-    gf = PrimeField(DEFAULT_PRIME)
-    for _ in range(20):
-        r, c = rng.randint(1, 5), rng.randint(1, 5)
-        rows = random_int_mat(rng, r, c, lo=0, hi=1)
-        over_q = Mat.from_int_rows(rows, c)
-        over_p = Mat.from_int_rows(rows, c, gf)
-        assert rank(over_q) == rank(over_p)
 
 
 def test_hstack_and_column():

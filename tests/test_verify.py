@@ -2,9 +2,11 @@
 
 import pytest
 
+from higher_cluster import verify
 from higher_cluster.errors import InvalidInputError, ResourceCapError
+from higher_cluster.index import index_table
 from higher_cluster.model import ModelParams
-from higher_cluster.tilting import TiltingObject
+from higher_cluster.tilting import TiltingObject, enumerate_tilting
 from higher_cluster.verify import (
     ANOMALY,
     CHECK_NAMES,
@@ -62,7 +64,7 @@ def test_even_d_reports_findings_not_failures():
 
 
 def test_collision_witnesses_are_replayable():
-    res = find_collisions(FAN22, P22)
+    res = find_collisions(index_table(FAN22, P22))
     assert res.status == FINDINGS
     assert len(res.witnesses) == 3
     for w in res.witnesses:
@@ -170,14 +172,26 @@ def test_cap_stops_oversized_cases():
     assert exc.value.cap == 10
 
 
-def test_workers_do_not_change_the_results():
-    # the config echo honestly records the worker count, so compare the
-    # computed parts of the payload
-    cases = ((2, 1), (1, 2))
-    one = run(SweepConfig(cases=cases, workers=1)).to_payload()
-    two = run(SweepConfig(cases=cases, workers=2)).to_payload()
-    assert one["results"] == two["results"]
-    assert one["summary"] == two["summary"]
+def test_collision_checks_share_one_table_per_tilting(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return index_table(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "index_table", counted)
+    both = ("injectivity", "collisions")
+    payload = run(SweepConfig(cases=((2, 2),), checks=both)).to_payload()
+    assert len(calls) == len(enumerate_tilting(P22))
+    alone = [
+        run(SweepConfig(cases=((2, 2),), checks=(name,))).to_payload()
+        for name in both
+    ]
+    assert payload["results"] == alone[0]["results"] + alone[1]["results"]
+    assert payload["summary"] == {
+        key: alone[0]["summary"][key] + alone[1]["summary"][key]
+        for key in payload["summary"]
+    }
 
 
 def test_payload_shape():
@@ -187,4 +201,5 @@ def test_payload_shape():
     assert payload["command"] == "verify"
     assert "elapsed" not in payload
     assert payload["config"]["cases"] == [[1, 1]]
+    assert payload["config"]["workers"] == 1  # schema 1 keeps the key
     assert payload["summary"][PASS] == len(payload["results"])
