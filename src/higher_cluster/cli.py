@@ -32,6 +32,7 @@ from .index import index_table
 from .model import ModelParams, canonical_object, enumerate_indecomposables, shift
 from .tilting import (
     TiltingObject,
+    bit_ids,
     compatibility_graph,
     enumerate_tilting,
     expected_tilting_size,
@@ -43,6 +44,7 @@ from . import verify as verify_mod
 SCHEMA_VERSION = 1
 OUTDIR_ENV = "HIGHER_CLUSTER_OUTDIR"
 CHECKS = verify_mod.CHECK_NAMES
+CONFIG_KEYS = ("cases", "n", "d", "checks", "tilting", "tilting_scope", "cap")
 
 
 def parse_object(text: str):
@@ -104,12 +106,16 @@ def _render_table(columns, rows) -> str:
 
 
 def _render(payload, columns, rows, fmt: str) -> str:
+    """Render payload as JSON, or the rows as csv/table.
+
+    rows is a zero-argument callable, so JSON output never builds them.
+    """
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
-        return _render_csv(columns, rows)
+        return _render_csv(columns, rows())
     if fmt == "table":
-        return _render_table(columns, rows)
+        return _render_table(columns, rows())
     raise InvalidInputError(f"unknown format {fmt!r}")
 
 
@@ -136,7 +142,9 @@ def _cmd_enumerate(args) -> int:
         "count": len(objects),
         "objects": [list(t) for t in objects],
     }
-    rows = [[i, _fmt_obj(t)] for i, t in enumerate(objects)]
+    def rows():
+        return [[i, _fmt_obj(t)] for i, t in enumerate(objects)]
+
     _emit(_render(payload, ["position", "object"], rows, args.format), args.out)
     return 0
 
@@ -166,7 +174,9 @@ def _cmd_hom(args) -> int:
             "family": [list(t) for t in (through or modulo)] if (through or modulo) else None,
             "dim": dim,
         }
-        rows = [[_fmt_obj(source), _fmt_obj(target), kind, dim]]
+        def rows():
+            return [[_fmt_obj(source), _fmt_obj(target), kind, dim]]
+
         _emit(_render(payload, ["source", "target", "kind", "dim"], rows, args.format), args.out)
         return 0
     if args.through or args.modulo:
@@ -184,7 +194,9 @@ def _cmd_hom(args) -> int:
             {"source": list(x), "target": list(y), "dim": dim} for x, y, dim in entries
         ],
     }
-    rows = [[_fmt_obj(x), _fmt_obj(y), dim] for x, y, dim in entries]
+    def rows():
+        return [[_fmt_obj(x), _fmt_obj(y), dim] for x, y, dim in entries]
+
     _emit(_render(payload, ["source", "target", "dim"], rows, args.format), args.out)
     return 0
 
@@ -203,9 +215,12 @@ def _cmd_tilting(args) -> int:
         "tilting": [[list(t) for t in obj.summands] for obj in tiltings],
         "anomalies": [[list(t) for t in fam] for fam in anomalies],
     }
-    rows = [
-        [i, "|".join(_fmt_obj(t) for t in obj.summands)] for i, obj in enumerate(tiltings)
-    ]
+    def rows():
+        return [
+            [i, "|".join(_fmt_obj(t) for t in obj.summands)]
+            for i, obj in enumerate(tiltings)
+        ]
+
     code = 3 if anomalies else 0
     _emit(_render(payload, ["position", "summands"], rows, args.format), args.out)
     return code
@@ -247,16 +262,18 @@ def _cmd_index(args) -> int:
             for row in table.rows
         ],
     }
-    rows = [
-        [
-            _fmt_obj(row.obj),
-            _fmt_vec(row.index),
-            _fmt_vec(row.via_resolution) if row.via_resolution is not None else "-",
-            _fmt_vec(row.via_system) if row.via_system is not None else "-",
-            row.verified,
+    def rows():
+        return [
+            [
+                _fmt_obj(row.obj),
+                _fmt_vec(row.index),
+                _fmt_vec(row.via_resolution) if row.via_resolution is not None else "-",
+                _fmt_vec(row.via_system) if row.via_system is not None else "-",
+                row.verified,
+            ]
+            for row in table.rows
         ]
-        for row in table.rows
-    ]
+
     _emit(
         _render(
             payload,
@@ -284,18 +301,18 @@ def _cmd_collisions(args) -> int:
         "d": params.d,
         "results": [r.to_payload() for r in results],
     }
-    rows = []
-    for res in results:
-        label = "|".join(_fmt_obj(t) for t in res.tilting)
-        for w in res.witnesses:
-            rows.append(
-                [
-                    label,
-                    _fmt_obj(w["pair"][0]),
-                    _fmt_obj(w["pair"][1]),
-                    _fmt_vec(w["index"]),
-                ]
-            )
+    def rows():
+        return [
+            [
+                "|".join(_fmt_obj(t) for t in res.tilting),
+                _fmt_obj(w["pair"][0]),
+                _fmt_obj(w["pair"][1]),
+                _fmt_vec(w["index"]),
+            ]
+            for res in results
+            for w in res.witnesses
+        ]
+
     _emit(
         _render(payload, ["tilting", "object_a", "object_b", "index"], rows, args.format),
         args.out,
@@ -310,6 +327,17 @@ def _cmd_verify(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             file_conf = json.load(fh)
+        if not isinstance(file_conf, dict):
+            raise InvalidInputError(
+                f"config file {args.config} must hold a JSON object, "
+                f"not {type(file_conf).__name__}"
+            )
+        unknown = sorted(set(file_conf) - set(CONFIG_KEYS))
+        if unknown:
+            raise InvalidInputError(
+                f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+                f"accepted: {', '.join(CONFIG_KEYS)}"
+            )
     if args.n is not None and args.d is not None:
         cases = ((args.n, args.d),)
     elif "cases" in file_conf:
@@ -338,17 +366,19 @@ def _cmd_verify(args) -> int:
     )
     report = verify_mod.run(config)
     payload = report.to_payload()
-    rows = [
-        [
-            r.n,
-            r.d,
-            r.check,
-            "|".join(_fmt_obj(t) for t in r.tilting) if r.tilting else "-",
-            r.status,
-            len(r.witnesses),
+    def rows():
+        return [
+            [
+                r.n,
+                r.d,
+                r.check,
+                "|".join(_fmt_obj(t) for t in r.tilting) if r.tilting else "-",
+                r.status,
+                len(r.witnesses),
+            ]
+            for r in report.results
         ]
-        for r in report.results
-    ]
+
     _emit(
         _render(
             payload,
@@ -487,9 +517,8 @@ def _cmd_export_graph(args) -> int:
     for obj in graph.objects:
         lines.append(f'  {node_id(obj)} [label="{_fmt_obj(obj)}"];')
     for i, obj in enumerate(graph.objects):
-        for j in sorted(graph.neighbors[i]):
-            if j > i:
-                lines.append(f"  {node_id(obj)} -- {node_id(graph.objects[j])};")
+        for j in bit_ids(graph.neighbors[i] & -(2 << i)):
+            lines.append(f"  {node_id(obj)} -- {node_id(graph.objects[j])};")
     lines.append("}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

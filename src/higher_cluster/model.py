@@ -92,10 +92,11 @@ def is_admissible(candidate, params: ModelParams) -> bool:
     never raises.
     """
     try:
-        values = sorted(set(candidate))
+        items = list(candidate)
+        values = sorted(set(items))
     except TypeError:
         return False
-    if len(values) != params.object_size:
+    if len(items) != params.object_size or len(values) != len(items):
         return False
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= params.N:

@@ -12,7 +12,7 @@ larger than C(n+d-1, d) would falsify the model; none has ever appeared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import TiltingError
@@ -50,49 +50,80 @@ def expected_tilting_size(params: ModelParams) -> int:
 
 @dataclass(frozen=True)
 class CompatibilityGraph:
-    """Vertices in enumeration order; neighbours as index sets."""
+    """Vertices in enumeration order; neighbourhoods as int bitmasks.
+
+    Bit j of neighbors[i] is set when objects i and j do not intertwine.
+    Enumeration order is lexicographic, so ids ascend with the objects.
+    """
 
     objects: tuple[IndObj, ...]
-    neighbors: tuple[frozenset, ...]
+    neighbors: tuple[int, ...]
+    ids: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ids", {obj: i for i, obj in enumerate(self.objects)})
 
     def edge_count(self) -> int:
-        return sum(len(nb) for nb in self.neighbors) // 2
+        return sum(nb.bit_count() for nb in self.neighbors) // 2
+
+
+def bit_ids(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @lru_cache(maxsize=None)
 def compatibility_graph(params: ModelParams) -> CompatibilityGraph:
     objects = enumerate_indecomposables(params)
     m = len(objects)
-    neighbors = [set() for _ in range(m)]
+    neighbors = [0] * m
     for i in range(m):
+        x = objects[i]
         for j in range(i + 1, m):
-            if not intertwines(objects[i], objects[j], params):
-                neighbors[i].add(j)
-                neighbors[j].add(i)
-    return CompatibilityGraph(objects, tuple(frozenset(nb) for nb in neighbors))
+            if not intertwines(x, objects[j], params):
+                neighbors[i] |= 1 << j
+                neighbors[j] |= 1 << i
+    return CompatibilityGraph(objects, tuple(neighbors))
 
 
 def _maximal_cliques(neighbors):
-    """Bron-Kerbosch with pivoting; canonical order throughout."""
-    cliques = []
+    """Bron-Kerbosch with pivoting on the bitmask neighbourhoods.
+
+    Returns every maximal clique as a sorted tuple of ids, in sorted order.
+    """
+    found = []
 
     def expand(clique, candidates, excluded):
-        if not candidates and not excluded:
-            cliques.append(tuple(sorted(clique)))
+        if not candidates:
+            if not excluded:
+                found.append(tuple(sorted(clique)))
             return
         # pivot on the vertex covering most candidates; ties to the
-        # smallest index keep the recursion deterministic
-        pivot = max(
-            sorted(candidates | excluded),
-            key=lambda u: len(candidates & neighbors[u]),
-        )
-        for v in sorted(candidates - neighbors[pivot]):
-            expand(clique + [v], candidates & neighbors[v], excluded & neighbors[v])
-            candidates = candidates - {v}
-            excluded = excluded | {v}
+        # smallest id keep the recursion deterministic
+        best = -1
+        rest = candidates | excluded
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            cover = (candidates & neighbors[u]).bit_count()
+            if cover > best:
+                pivot, best = u, cover
+            rest ^= low
+        branch = candidates & ~neighbors[pivot]
+        while branch:
+            low = branch & -branch
+            v = low.bit_length() - 1
+            expand(clique + (v,), candidates & neighbors[v], excluded & neighbors[v])
+            candidates ^= low
+            excluded |= low
+            branch ^= low
 
-    expand([], set(range(len(neighbors))), set())
-    return sorted(cliques)
+    expand((), (1 << len(neighbors)) - 1, 0)
+    found.sort()
+    return found
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +140,7 @@ def maximal_families(params: ModelParams):
     tilting = []
     anomalies = []
     for clique in _maximal_cliques(graph.neighbors):
-        family = tuple(graph.objects[i] for i in clique)
+        family = tuple(map(graph.objects.__getitem__, clique))
         if len(family) == size:
             tilting.append(TiltingObject(family))
         else:
@@ -141,26 +172,31 @@ def validate_tilting(candidate, params: ModelParams) -> TiltingObject:
             (len(summands), expected),
             f"got {len(summands)} distinct summands, expected {expected}",
         )
-    for i, s in enumerate(summands):
-        for t in summands[i + 1:]:
-            if intertwines(s, t, params):
-                raise TiltingError(
-                    "intertwining-pair", (s, t), f"summands {s} and {t} intertwine"
-                )
+    graph = compatibility_graph(params)
+    objects, neighbors = graph.objects, graph.neighbors
+    ids = [graph.ids[t] for t in summands]  # ascending, like summands
+    family = sum(1 << i for i in ids)
+    for i in ids:
+        # the first later summand outside the neighbourhood of summand i
+        clash = family & ~neighbors[i] & -(2 << i)
+        if clash:
+            s, t = objects[i], objects[(clash & -clash).bit_length() - 1]
+            raise TiltingError(
+                "intertwining-pair", (s, t), f"summands {s} and {t} intertwine"
+            )
     calc = calculator_for(params)
+    shifted = [shift(t, 1, params) for t in summands]
     for s in summands:
-        for t in summands:
-            if calc.hom_dim(s, shift(t, 1, params)) != 0:
+        for t, t1 in zip(summands, shifted):
+            if calc.hom_dim(s, t1) != 0:
                 raise TiltingError(
                     "hom-to-shift",
                     (s, t),
                     f"Hom({s}, translate of {t}) is nonzero",
                 )
-    present = set(summands)
-    for obj in enumerate_indecomposables(params):
-        if obj in present:
-            continue
-        if all(not intertwines(obj, s, params) for s in summands):
+    for k in bit_ids(((1 << len(objects)) - 1) & ~family):
+        if neighbors[k] & family == family:
+            obj = objects[k]
             raise TiltingError(
                 "not-maximal", obj, f"family extends by {obj} without intertwining"
             )

@@ -90,3 +90,38 @@ def maximal_cliques_simple(neighbors):
 
     grow(frozenset(), set(vertices))
     return sorted(found)
+
+
+def validate_tilting_oracle(candidate, n, d, expected=None):
+    """Loop-based reference for validating a tilting object.
+
+    Runs the five checks in order -- admissibility of each summand, size,
+    pairwise intertwining, Hom(s, translate of t), maximality -- and returns
+    (reason, witness) for the first failure, or (None, summands) when the
+    candidate passes.  expected overrides the tilting size C(n+d-1, d).
+    """
+    N = cycle_size(n, d)
+    objects = brute_force_objects(n, d)
+    summands = tuple(sorted(set(tuple(sorted(t)) for t in candidate)))
+    for t in summands:
+        if t not in objects:
+            return "non-admissible-summand", t
+    if expected is None:
+        expected = comb(n + d - 1, d)
+    if len(summands) != expected:
+        return "size-mismatch", (len(summands), expected)
+    for i, s in enumerate(summands):
+        for t in summands[i + 1:]:
+            if intertwines_oracle(s, t, N):
+                return "intertwining-pair", (s, t)
+    for s in summands:
+        for t in summands:
+            translate = tuple(sorted((v - 2) % N + 1 for v in t))
+            if hom_oracle(s, translate, n, d):
+                return "hom-to-shift", (s, t)
+    for obj in objects:
+        if obj in summands:
+            continue
+        if not any(intertwines_oracle(obj, s, N) for s in summands):
+            return "not-maximal", obj
+    return None, summands

@@ -228,13 +228,6 @@ def test_presentations_verify_everywhere(n, d):
             assert res.index_vector() == index_via_system(c, tilting, params)
 
 
-def test_presentation_over_prime_field_matches():
-    alg = build_algebra(CYCLE31, P31)
-    res = minimal_resolution((1, 4), alg)
-    assert res.multiplicities == ((1, 0, 0), (0, 0, 1))
-    assert res.verify() == []
-
-
 def test_connecting_maps_are_radical_valued():
     alg = build_algebra(FAN22, P22)
     shifted = {shift(t, 1, P22) for t in FAN22.summands}

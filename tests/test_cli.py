@@ -13,6 +13,8 @@ import pytest
 
 from higher_cluster.cli import main, parse_family, parse_object
 
+from oracles import brute_force_objects, cycle_size, intertwines_oracle
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -256,6 +258,50 @@ def test_verify_config_file_and_flag_override(capsys, tmp_path):
     assert payload["config"]["checks"] == ["serre", "associativity"]
 
 
+def test_verify_config_must_be_an_object(capsys, tmp_path):
+    conf = tmp_path / "list.json"
+    conf.write_text("[1, 2]")
+    code, out, err = run_cli(
+        capsys, "verify", "--config", str(conf), "--n", "1", "--d", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "must hold a JSON object, not list" in err
+    assert "Traceback" not in err
+
+
+def test_verify_config_rejects_unknown_keys(capsys, tmp_path):
+    conf = tmp_path / "typo.json"
+    conf.write_text(
+        json.dumps({"n": 1, "d": 1, "checkz": "serre", "workers": 4})
+    )
+    code, out, err = run_cli(capsys, "verify", "--config", str(conf))
+    assert code == 2
+    assert out == ""
+    assert "unknown config key(s) 'checkz', 'workers'" in err
+    assert "accepted: cases, n, d, checks, tilting, tilting_scope, cap" in err
+
+
+def test_verify_config_accepts_every_documented_key(capsys, tmp_path):
+    conf = tmp_path / "full.json"
+    conf.write_text(
+        json.dumps(
+            {
+                "cases": [[2, 2]],
+                "n": 2,
+                "d": 2,
+                "checks": ["tilting-sanity"],
+                "tilting": "1,3,5;1,3,6;1,4,6",
+                "tilting_scope": "first:1",
+                "cap": 50,
+            }
+        )
+    )
+    code, out, _ = run_cli(capsys, "verify", "--config", str(conf))
+    assert code == 0
+    assert json.loads(out)["config"]["cap"] == 50
+
+
 def test_verify_needs_some_case(capsys):
     code, _, err = run_cli(capsys, "verify", "--checks", "serre")
     assert code == 2
@@ -353,6 +399,32 @@ def test_export_graph_dot(capsys):
     )
     code, out, _ = run_cli(capsys, "export-graph", "--n", "2", "--d", "1")
     assert sum(1 for line in out.splitlines() if " -- " in line) == 5
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2)])
+def test_export_graph_matches_oracle_rendering(capsys, n, d):
+    N = cycle_size(n, d)
+    objects = brute_force_objects(n, d)
+
+    def node(obj):
+        return "v" + "_".join(map(str, obj))
+
+    lines = [
+        "graph compatibility {",
+        f'  label="compatibility graph, n={n}, d={d}";',
+        "  node [shape=ellipse];",
+    ]
+    lines += [f'  {node(x)} [label="{{{",".join(map(str, x))}}}"];' for x in objects]
+    lines += [
+        f"  {node(x)} -- {node(y)};"
+        for i, x in enumerate(objects)
+        for y in objects[i + 1:]
+        if not intertwines_oracle(x, y, N)
+    ]
+    lines.append("}")
+    code, out, _ = run_cli(capsys, "export-graph", "--n", str(n), "--d", str(d))
+    assert code == 0
+    assert out == "\n".join(lines) + "\n"
 
 
 def test_out_file_and_outdir_env(capsys, tmp_path, monkeypatch):

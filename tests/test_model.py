@@ -101,6 +101,12 @@ def test_is_admissible_examples():
     assert not is_admissible((1, 3, 3), p)
     assert not is_admissible((0, 3, 5), p)
     assert not is_admissible("135", p)
+    # a repeated member is malformed even when the distinct members
+    # would make an admissible set
+    assert not is_admissible((1, 1, 3), ModelParams(2, 1))
+    assert not is_admissible((1, 3, 5, 5), p)
+    assert not is_admissible(iter((1, 1, 3)), ModelParams(2, 1))
+    assert is_admissible(iter((5, 1, 3)), p)
 
 
 def test_admissibility_is_shift_invariant():

@@ -4,11 +4,13 @@ import math
 
 import pytest
 
+from higher_cluster import tilting as tilting_mod
 from higher_cluster.errors import TiltingError
-from higher_cluster.hom import hom_dim
+from higher_cluster.hom import HomCalculator, hom_dim
 from higher_cluster.model import ModelParams, enumerate_indecomposables, shift
 from higher_cluster.tilting import (
     TiltingObject,
+    bit_ids,
     compatibility_graph,
     enumerate_tilting,
     expected_tilting_size,
@@ -16,7 +18,21 @@ from higher_cluster.tilting import (
     validate_tilting,
 )
 
-from oracles import catalan, maximal_cliques_simple
+from oracles import (
+    brute_force_objects,
+    catalan,
+    intertwines_oracle,
+    maximal_cliques_simple,
+    validate_tilting_oracle,
+)
+
+
+def oracle_neighbors(objects, N):
+    """Compatibility neighbourhoods as index sets, from the oracle predicate."""
+    return [
+        {j for j, y in enumerate(objects) if j != i and not intertwines_oracle(x, y, N)}
+        for i, x in enumerate(objects)
+    ]
 
 
 def test_expected_size_formula():
@@ -59,11 +75,30 @@ def test_tiltings_2_2_frozen():
     )
 
 
-@pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3)])
+def test_bit_ids_walks_set_bits_lowest_first():
+    assert list(bit_ids(0)) == []
+    assert list(bit_ids(0b101001)) == [0, 3, 5]
+    assert list(bit_ids(1 << 70 | 2)) == [1, 70]
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 6) for d in range(1, 4)])
+def test_graph_bits_match_intertwining_oracle(n, d):
+    params = ModelParams(n, d)
+    g = compatibility_graph(params)
+    assert g.objects == brute_force_objects(n, d)
+    assert g.ids == {obj: i for i, obj in enumerate(g.objects)}
+    expected = oracle_neighbors(g.objects, params.N)
+    assert g.neighbors == tuple(sum(1 << j for j in nb) for nb in expected)
+    assert g.edge_count() == sum(len(nb) for nb in expected) // 2
+
+
+@pytest.mark.parametrize(
+    "n,d", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]
+)
 def test_maximal_cliques_match_unpivoted_search(n, d):
     params = ModelParams(n, d)
     g = compatibility_graph(params)
-    expected = maximal_cliques_simple(g.neighbors)
+    expected = maximal_cliques_simple(oracle_neighbors(g.objects, params.N))
     tiltings, anomalies = maximal_families(params)
     got = sorted(
         tuple(g.objects.index(s) for s in t.summands) for t in tiltings
@@ -141,6 +176,15 @@ def test_validate_rejects_non_admissible_first():
     assert exc.value.witness == (1, 2)
 
 
+def test_validate_rejects_summand_with_repeated_member():
+    # {1, 3} is admissible at (2, 1), but (1, 1, 3) is not an object
+    params = ModelParams(2, 1)
+    with pytest.raises(TiltingError) as exc:
+        validate_tilting([(1, 1, 3), (1, 4)], params)
+    assert exc.value.reason == "non-admissible-summand"
+    assert exc.value.witness == (1, 1, 3)
+
+
 def test_validate_rejects_wrong_size():
     params = ModelParams(2, 1)
     with pytest.raises(TiltingError) as exc:
@@ -184,3 +228,96 @@ def test_fan_tilting_always_present():
         )
         assert len(fan) == expected_tilting_size(params)
         assert TiltingObject(fan) in enumerate_tilting(params)
+
+
+VALIDATION_CASES = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
+
+
+def engine_verdict(candidate, params):
+    """validate_tilting's answer in the oracle's (reason, witness) shape."""
+    try:
+        return None, validate_tilting(candidate, params).summands
+    except TiltingError as err:
+        return err.reason, err.witness
+
+
+def perturbed(summands, objects):
+    """Near misses of a tilting object: for each summand, drop it, swap it
+    for each object outside the family, or replace it by a non-admissible
+    tuple (two adjacent members; a repeated member)."""
+    outside = [obj for obj in objects if obj not in summands]
+    for k, s in enumerate(summands):
+        rest = summands[:k] + summands[k + 1:]
+        yield rest
+        for obj in outside:
+            yield rest + (obj,)
+        yield rest + ((s[0], s[0] + 1) + s[2:],)
+        yield rest + ((s[0],) + s[:-1],)
+
+
+@pytest.mark.parametrize("n,d", VALIDATION_CASES)
+def test_validate_matches_loop_oracle_on_every_tilting(n, d):
+    params = ModelParams(n, d)
+    for tilting in enumerate_tilting(params):
+        assert validate_tilting_oracle(tilting.summands, n, d) == (None, tilting.summands)
+        assert engine_verdict(tilting.summands, params) == (None, tilting.summands)
+
+
+@pytest.mark.parametrize("n,d", VALIDATION_CASES + [(4, 2), (5, 2), (4, 3), (5, 3)])
+def test_validate_matches_loop_oracle_on_every_fan(n, d):
+    params = ModelParams(n, d)
+    objects = enumerate_indecomposables(params)
+    for v in range(1, params.N + 1):
+        fan = tuple(obj for obj in objects if v in obj)
+        verdict = validate_tilting_oracle(fan, n, d)
+        assert verdict == (None, fan)
+        assert engine_verdict(fan, params) == verdict
+
+
+@pytest.mark.parametrize("n,d", VALIDATION_CASES)
+def test_validate_matches_loop_oracle_on_perturbed_candidates(n, d):
+    params = ModelParams(n, d)
+    objects = enumerate_indecomposables(params)
+    reasons = set()
+    for tilting in enumerate_tilting(params):
+        for candidate in perturbed(tilting.summands, objects):
+            verdict = validate_tilting_oracle(candidate, n, d)
+            assert engine_verdict(candidate, params) == verdict, candidate
+            reasons.add(verdict[0])
+    # swaps that are mutations pass; every other swap intertwines
+    assert reasons == {
+        None, "size-mismatch", "intertwining-pair", "non-admissible-summand",
+    }
+
+
+@pytest.mark.parametrize("n,d", VALIDATION_CASES)
+def test_not_maximal_witness_matches_loop_oracle(n, d, monkeypatch):
+    # a pairwise-compatible family of tilting size is always maximal, so
+    # the maximality check is reached by lowering the expected size by
+    # one and dropping a summand
+    params = ModelParams(n, d)
+    size = expected_tilting_size(params)
+    monkeypatch.setattr(tilting_mod, "expected_tilting_size", lambda p: size - 1)
+    for tilting in enumerate_tilting(params):
+        for k in range(size):
+            candidate = tilting.summands[:k] + tilting.summands[k + 1:]
+            verdict = validate_tilting_oracle(candidate, n, d, expected=size - 1)
+            assert verdict[0] == "not-maximal"
+            assert engine_verdict(candidate, params) == verdict
+
+
+def test_hom_to_shift_witness_is_the_first_nonzero_pair(monkeypatch):
+    # Hom(s, translate of t) vanishes exactly when s and t do not
+    # intertwine, so the check is reached by reporting one hom as nonzero
+    params = ModelParams(2, 2)
+    fan = enumerate_tilting(params)[0].summands
+    plain = HomCalculator.hom_dim
+    for s in fan:
+        for t in fan:
+            bad = (s, shift(t, 1, params))
+            monkeypatch.setattr(
+                HomCalculator,
+                "hom_dim",
+                lambda self, x, y, bad=bad: 1 if (x, y) == bad else plain(self, x, y),
+            )
+            assert engine_verdict(fan, params) == ("hom-to-shift", (s, t))
