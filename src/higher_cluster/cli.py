@@ -27,9 +27,9 @@ from .errors import (
     ResourceCapError,
     TiltingError,
 )
-from .hom import HomQuery, calculator_for
+from .hom import calculator_for
 from .index import index_table
-from .model import ModelParams, canonical_object, enumerate_indecomposables, shift
+from .model import ModelParams, canonical_object, enumerate_indecomposables
 from .tilting import (
     TiltingObject,
     bit_ids,
@@ -44,7 +44,30 @@ from . import verify as verify_mod
 SCHEMA_VERSION = 1
 OUTDIR_ENV = "HIGHER_CLUSTER_OUTDIR"
 CHECKS = verify_mod.CHECK_NAMES
-CONFIG_KEYS = ("cases", "n", "d", "checks", "tilting", "tilting_scope", "cap")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# every verify --config key: what its value must be, and the test for it
+CONFIG_KEYS = {
+    "cases": (
+        "a list of [n, d] integer pairs",
+        lambda v: isinstance(v, list)
+        and all(isinstance(c, list) and len(c) == 2 and all(map(_is_int, c)) for c in v),
+    ),
+    "n": ("an integer", _is_int),
+    "d": ("an integer", _is_int),
+    "checks": (
+        "a string or a list of strings",
+        lambda v: isinstance(v, str)
+        or (isinstance(v, list) and all(isinstance(c, str) for c in v)),
+    ),
+    "tilting": ("a string", lambda v: isinstance(v, str)),
+    "tilting_scope": ("a string", lambda v: isinstance(v, str)),
+    "cap": ("an integer", _is_int),
+}
 
 
 def parse_object(text: str):
@@ -160,8 +183,14 @@ def _cmd_hom(args) -> int:
         target = canonical_object(parse_object(args.target), params)
         through = parse_family(args.through) if args.through else None
         modulo = parse_family(args.modulo) if args.modulo else None
-        query = HomQuery(source, target, through=through, modulo=modulo)
-        dim = query.evaluate(params)
+        if through is not None and modulo is not None:
+            raise InvalidInputError("a hom query takes --through or --modulo, not both")
+        if through is not None:
+            dim = calc.ideal_hom_dim(source, target, through)
+        elif modulo is not None:
+            dim = calc.quotient_hom_dim(source, target, modulo)
+        else:
+            dim = calc.hom_dim(source, target)
         kind = "through" if through else ("modulo" if modulo else "plain")
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -338,12 +367,18 @@ def _cmd_verify(args) -> int:
                 f"unknown config key(s) {', '.join(map(repr, unknown))}; "
                 f"accepted: {', '.join(CONFIG_KEYS)}"
             )
+        for key, value in file_conf.items():
+            kind, accepts = CONFIG_KEYS[key]
+            if not accepts(value):
+                raise InvalidInputError(
+                    f"config key {key!r} must be {kind}, got {value!r}"
+                )
     if args.n is not None and args.d is not None:
         cases = ((args.n, args.d),)
     elif "cases" in file_conf:
-        cases = tuple((int(a), int(b)) for a, b in file_conf["cases"])
+        cases = tuple(map(tuple, file_conf["cases"]))
     elif "n" in file_conf and "d" in file_conf:
-        cases = ((int(file_conf["n"]), int(file_conf["d"])),)
+        cases = ((file_conf["n"], file_conf["d"]),)
     else:
         raise InvalidInputError("verify needs --n/--d or a config file with cases")
     checks = args.checks or file_conf.get("checks")
@@ -362,7 +397,7 @@ def _cmd_verify(args) -> int:
         checks=checks,
         tilting_scope=args.tilting_scope or file_conf.get("tilting_scope", "all"),
         explicit_tilting=(explicit,) if explicit else None,
-        cap=args.cap if args.cap is not None else int(file_conf.get("cap", 500)),
+        cap=args.cap if args.cap is not None else file_conf.get("cap", 500),
     )
     report = verify_mod.run(config)
     payload = report.to_payload()
@@ -392,85 +427,6 @@ def _cmd_verify(args) -> int:
     return report.exit_code()
 
 
-def _replay_witness(w: dict):
-    """Re-run the single instance a witness came from.
-
-    Returns (reproduced, details): reproduced means the failure is still
-    there.
-    """
-    params = ModelParams(int(w["n"]), int(w["d"]))
-    calc = calculator_for(params)
-    tilting = (
-        TiltingObject(tuple(tuple(t) for t in w["tilting"])) if w.get("tilting") else None
-    )
-    shifted = (
-        tuple(shift(t, 1, params) for t in tilting.summands) if tilting else None
-    )
-    check = w["check"]
-    if check in ("injectivity", "collisions"):
-        # rebuild the check's double-route table and its witnesses
-        pair = w["pair"]
-        table = index_table(tilting, params)
-        rows = {row.obj: row for row in table.rows}
-        if not all(tuple(v) in rows for v in pair):
-            raise InvalidInputError(f"witness pair {pair} is not two objects here")
-        a, b = (rows[tuple(v)] for v in pair)
-        witnesses = verify_mod.collision_witnesses(table, check)
-        return any(sorted(x["pair"]) == sorted(pair) for x in witnesses), {
-            "pair": [list(a.obj), list(b.obj)],
-            "via_resolution": [list(a.via_resolution), list(b.via_resolution)],
-            "via_system": [list(a.via_system), list(b.via_system)],
-        }
-    if check == "dimension-formula":
-        from .index import index_of
-
-        c, x = tuple(w["c"]), tuple(w["x"])
-        sign = -1 if params.d % 2 else 1
-        ind = index_of(c, tilting, params)
-        rhs = sum(a * calc.hom_dim(t, x) for a, t in zip(ind, tilting.summands))
-        quot = calc.quotient_hom_dim(c, x, shifted)
-        ideal_form = quot + sign * calc.ideal_hom_dim(c, shift(x, 1, params), shifted)
-        quotient_form = quot + sign * calc.quotient_hom_dim(x, shift(c, 1, params), shifted)
-        return ideal_form != rhs or quotient_form != rhs, {
-            "ideal_form": ideal_form,
-            "quotient_form": quotient_form,
-            "resolution_side": rhs,
-        }
-    if check == "serre":
-        if w["kind"] == "hom-symmetry":
-            x, y = tuple(w["x"]), tuple(w["y"])
-            lhs = calc.hom_dim(x, y)
-            rhs = calc.hom_dim(y, shift(x, 2, params))
-        else:
-            c, x = tuple(w["c"]), tuple(w["x"])
-            lhs = calc.ideal_hom_dim(c, shift(x, 1, params), shifted)
-            rhs = calc.quotient_hom_dim(x, shift(c, 1, params), shifted)
-        return lhs != rhs, {"lhs": lhs, "rhs": rhs}
-    if check == "disjointness":
-        c, x = tuple(w["c"]), tuple(w["x"])
-        first = calc.quotient_hom_dim(c, x, shifted)
-        second = calc.quotient_hom_dim(x, shift(c, 1, params), shifted)
-        return first != 0 and second != 0, {
-            "quotient_cx": first,
-            "quotient_x_shift_c": second,
-        }
-    if check == "associativity":
-        wobj, x, y, z = (tuple(v) for v in w["chain"])
-        gf = calc.compose_nonzero((wobj, x), (x, y))
-        hg = calc.compose_nonzero((x, y), (y, z))
-        left = gf and calc.compose_nonzero((wobj, y), (y, z))
-        right = hg and calc.compose_nonzero((wobj, x), (x, z))
-        return left != right, {"left": left, "right": right}
-    if check == "tilting-sanity":
-        family = tuple(tuple(t) for t in (w.get("family") or w["tilting"]))
-        try:
-            validate_tilting(family, params)
-        except TiltingError as err:
-            return True, {"reason": err.reason, "detail": str(err)}
-        return False, {"reason": None}
-    raise InvalidInputError(f"no replay handler for check {w['check']!r}")
-
-
 def _cmd_replay(args) -> int:
     with open(args.witness, encoding="utf-8") as fh:
         blob = json.load(fh)
@@ -491,7 +447,7 @@ def _cmd_replay(args) -> int:
             f"--select {args.select} out of range, file has {len(witnesses)} witnesses"
         )
     w = witnesses[args.select]
-    reproduced, details = _replay_witness(w)
+    reproduced, details = verify_mod.replay(w)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "replay",

@@ -20,9 +20,7 @@ Results are memoised per ModelParams; tables only ever grow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ContractError, InvalidInputError
+from .errors import ContractError
 from .model import IndObj, ModelParams, intertwines, shift
 
 
@@ -160,45 +158,3 @@ def calculator_for(params: ModelParams) -> HomCalculator:
     if calc is None:
         calc = _calculators.setdefault(params, HomCalculator(params))
     return calc
-
-
-def hom_dim(x, y, params):
-    return calculator_for(params).hom_dim(x, y)
-
-
-def factors_through(x, y, z, params):
-    return calculator_for(params).factors_through(x, y, z)
-
-
-def ideal_hom_dim(x, y, through, params):
-    return calculator_for(params).ideal_hom_dim(x, y, through)
-
-
-def quotient_hom_dim(x, y, modulo, params):
-    return calculator_for(params).quotient_hom_dim(x, y, modulo)
-
-
-def compose_nonzero(f, g, params):
-    return calculator_for(params).compose_nonzero(f, g)
-
-
-@dataclass(frozen=True)
-class HomQuery:
-    """One hom question: plain, through a family, or modulo a family."""
-
-    source: IndObj
-    target: IndObj
-    through: tuple | None = None
-    modulo: tuple | None = None
-
-    def __post_init__(self):
-        if self.through is not None and self.modulo is not None:
-            raise InvalidInputError("a HomQuery takes through or modulo, not both")
-
-    def evaluate(self, params: ModelParams) -> int:
-        calc = calculator_for(params)
-        if self.through is not None:
-            return calc.ideal_hom_dim(self.source, self.target, self.through)
-        if self.modulo is not None:
-            return calc.quotient_hom_dim(self.source, self.target, self.modulo)
-        return calc.hom_dim(self.source, self.target)

@@ -60,7 +60,6 @@ def index_of(
     tilting: TiltingObject,
     params: ModelParams,
     algebra=None,
-    verify_resolution: bool = False,
 ) -> IndexVector:
     """Index of c via the resolution route."""
     if not is_admissible(c, params):
@@ -74,7 +73,7 @@ def index_of(
         return tuple(vec)
     if algebra is None:
         algebra = algebra_for(tilting, params)
-    report = minimal_resolution(c, algebra, verify=verify_resolution)
+    report = minimal_resolution(c, algebra, verify=False)
     return report.index_vector()
 
 
@@ -235,12 +234,3 @@ def index_table(
             )
         rows.append(IndexRow(c, via_res, via_sys))
     return IndexTable(params, tilting, tuple(rows))
-
-
-def index_of_direct_sum(objects, tilting: TiltingObject, params: ModelParams) -> IndexVector:
-    """Indices are additive on direct sums; summands may repeat."""
-    total = [0] * len(tilting.summands)
-    for c in objects:
-        for i, v in enumerate(index_of(c, tilting, params)):
-            total[i] += v
-    return tuple(total)

@@ -61,16 +61,6 @@ class Mat:
             out.append(tuple(row))
         return Mat(self.nrows, other.ncols, tuple(out))
 
-    def mul_vec(self, vec):
-        assert len(vec) == self.ncols
-        out = []
-        for i in range(self.nrows):
-            s = ZERO
-            for k in range(self.ncols):
-                s = s + self.rows[i][k] * vec[k]
-            out.append(s)
-        return tuple(out)
-
     def column(self, j):
         return tuple(self.rows[i][j] for i in range(self.nrows))
 

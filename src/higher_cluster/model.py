@@ -45,36 +45,6 @@ class ModelParams:
         return self.d + 1
 
 
-def _check_vertex(v, params: ModelParams):
-    if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= params.N:
-        raise InvalidInputError(f"vertex {v!r} out of range 1..{params.N}")
-
-
-def predecessor(v: int, params: ModelParams) -> int:
-    """One step anticlockwise; wraps 1 -> N."""
-    _check_vertex(v, params)
-    return (v - 2) % params.N + 1
-
-
-def successor(v: int, params: ModelParams) -> int:
-    """One step clockwise; wraps N -> 1."""
-    _check_vertex(v, params)
-    return v % params.N + 1
-
-
-def cyclically_between(a: int, b: int, c: int, params: ModelParams) -> bool:
-    """Walking clockwise from a, is b met no later than c?
-
-    Offsets from the basepoint a turn every cyclic-order question into an
-    integer comparison: b lies on the clockwise arc from a to c (endpoints
-    included) iff (b - a) mod N <= (c - a) mod N.
-    """
-    for v in (a, b, c):
-        _check_vertex(v, params)
-    N = params.N
-    return (b - a) % N <= (c - a) % N
-
-
 def shift(obj: IndObj, steps: int, params: ModelParams) -> IndObj:
     """Apply the translation steps times (negative steps invert it).
 

@@ -2,8 +2,8 @@
 
 Each check returns a CheckResult whose witnesses are machine-readable and
 self-contained: a witness carries the check name, the parameters, the
-tilting object and the failing instance, which is exactly what the replay
-command needs to re-run that one instance.
+tilting object and the failing instance, which is exactly what replay()
+needs to re-run that one instance through the evaluator the check used.
 
 Status semantics: "pass" and "fail" mean what they say; "findings" marks
 expected positives that must not fail a run (collisions at even d are the
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .errors import InvalidInputError, ResourceCapError, TiltingError
 from .hom import calculator_for
 from .index import IndexTable, algebra_for, index_of, index_table
-from .model import ModelParams, enumerate_indecomposables, shift
+from .model import ModelParams, canonical_object, enumerate_indecomposables, shift
 from .tilting import TiltingObject, enumerate_tilting, maximal_families, validate_tilting
 
 PASS = "pass"
@@ -68,6 +68,163 @@ def _witness(check, params, tilting, **instance):
     return w
 
 
+def _field(witness: dict, key: str, kind=None):
+    if key not in witness:
+        raise InvalidInputError(f"witness has no {key!r}")
+    value = witness[key]
+    if kind is not None and not isinstance(value, kind):
+        raise InvalidInputError(
+            f"witness {key!r} must be a {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+def _object(witness: dict, key: str, params: ModelParams):
+    return canonical_object(_field(witness, key, list), params)
+
+
+def _objects(witness: dict, key: str, count: int, params: ModelParams) -> tuple:
+    value = _field(witness, key, list)
+    if len(value) != count or not all(isinstance(v, list) for v in value):
+        raise InvalidInputError(
+            f"witness {key!r} must be a list of {count} objects, got {value!r}"
+        )
+    return tuple(canonical_object(v, params) for v in value)
+
+
+def _family(witness: dict, key: str) -> list:
+    """A candidate family: a list of vertex lists, admissible or not."""
+    value = _field(witness, key, list)
+    if not all(
+        isinstance(t, list)
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in t)
+        for t in value
+    ):
+        raise InvalidInputError(f"witness {key!r} must be a list of vertex lists, got {value!r}")
+    return value
+
+
+def replay(witness) -> tuple[bool, dict]:
+    """Re-run the one check instance a witness names.
+
+    Returns (reproduced, details): reproduced means the failure is still
+    there, and details are the instance's value fields as computed now.
+    The witness is decoded once: ModelParams from n and d, every object
+    through canonical_object, the tilting object through
+    validate_tilting.  A missing or ill-typed key, a non-object, or a
+    family that is not a tilting object is an InvalidInputError.
+    """
+    if not isinstance(witness, dict):
+        raise InvalidInputError(f"a witness is a JSON object, not {witness!r}")
+    check = _field(witness, "check", str)
+    if check not in CHECK_NAMES:
+        raise InvalidInputError(f"no replay handler for check {check!r}")
+    params = ModelParams(_field(witness, "n"), _field(witness, "d"))
+    if check == "tilting-sanity":
+        # validation is the check itself here: a refusal is the failure
+        key = "family" if witness.get("family") else "tilting"
+        return _tilting_sanity(params, _family(witness, key))
+    calc = calculator_for(params)
+    if check == "associativity":
+        return _associativity(calc, *_objects(witness, "chain", 4, params))
+    if check == "serre":
+        kind = _field(witness, "kind", str)
+        if kind == "hom-symmetry":
+            x, y = _object(witness, "x", params), _object(witness, "y", params)
+            return _hom_symmetry(calc, x, y)
+        if kind != "ideal-quotient-duality":
+            raise InvalidInputError(f"unknown serre witness kind {kind!r}")
+    try:
+        tilting = validate_tilting(_family(witness, "tilting"), params)
+    except TiltingError as err:
+        raise InvalidInputError(
+            f"witness tilting is not a tilting object ({err.reason}): {err}"
+        ) from None
+    if check in ("injectivity", "collisions"):
+        pair = _objects(witness, "pair", 2, params)
+        # rebuild the check's double-route table and its witnesses
+        table = index_table(tilting, params)
+        rows = {row.obj: row for row in table.rows}
+        a, b = (rows[obj] for obj in pair)
+        reproduced = any(
+            sorted(w["pair"]) == sorted(map(list, pair))
+            for w in collision_witnesses(table, check)
+        )
+        return reproduced, {
+            "pair": [list(a.obj), list(b.obj)],
+            "via_resolution": [list(a.via_resolution), list(b.via_resolution)],
+            "via_system": [list(a.via_system), list(b.via_system)],
+        }
+    shifted = tuple(shift(t, 1, params) for t in tilting.summands)
+    c, x = _object(witness, "c", params), _object(witness, "x", params)
+    if check == "serre":
+        return _ideal_quotient_duality(calc, shifted, c, x)
+    if check == "disjointness":
+        return _disjointness(calc, shifted, c, x)
+    index = index_of(c, tilting, params)
+    return _dimension_formula(calc, tilting.summands, shifted, index, c, x)
+
+
+# One evaluator per kind of check instance.  Each returns (failed,
+# values): values are the witness's value fields, failed says whether
+# they falsify the instance.  The sweeps below and replay() both call
+# them, so a replayed witness re-runs the very check that wrote it.
+
+
+def _tilting_sanity(params, family):
+    try:
+        validate_tilting(family, params)
+    except TiltingError as err:
+        return True, {"reason": err.reason, "detail": str(err)}
+    return False, {"reason": None}
+
+
+def _associativity(calc, w, x, y, z):
+    """Both bracketings of the basis morphisms w -> x -> y -> z."""
+    left = calc.compose_nonzero((w, x), (x, y)) and calc.compose_nonzero((w, y), (y, z))
+    right = calc.compose_nonzero((x, y), (y, z)) and calc.compose_nonzero((w, x), (x, z))
+    return left != right, {"left": left, "right": right}
+
+
+def _hom_symmetry(calc, x, y):
+    lhs = calc.hom_dim(x, y)
+    rhs = calc.hom_dim(y, shift(x, 2, calc.params))
+    return lhs != rhs, {"lhs": lhs, "rhs": rhs}
+
+
+def _ideal_quotient_duality(calc, shifted, c, x):
+    params = calc.params
+    lhs = calc.ideal_hom_dim(c, shift(x, 1, params), shifted)
+    rhs = calc.quotient_hom_dim(x, shift(c, 1, params), shifted)
+    return lhs != rhs, {"lhs": lhs, "rhs": rhs}
+
+
+def _dimension_formula(calc, summands, shifted, index, c, x):
+    """Both forms of the identity at (c, x); index is the index of c."""
+    params = calc.params
+    sign = -1 if params.d % 2 else 1
+    rhs = sum(a * calc.hom_dim(t, x) for a, t in zip(index, summands))
+    quot_cx = calc.quotient_hom_dim(c, x, shifted)
+    ideal_form = quot_cx + sign * calc.ideal_hom_dim(c, shift(x, 1, params), shifted)
+    quotient_form = quot_cx + sign * calc.quotient_hom_dim(
+        x, shift(c, 1, params), shifted
+    )
+    return ideal_form != rhs or quotient_form != rhs, {
+        "ideal_form": ideal_form,
+        "quotient_form": quotient_form,
+        "resolution_side": rhs,
+    }
+
+
+def _disjointness(calc, shifted, c, x):
+    first = calc.quotient_hom_dim(c, x, shifted)
+    second = calc.quotient_hom_dim(x, shift(c, 1, calc.params), shifted)
+    return first != 0 and second != 0, {
+        "quotient_cx": first,
+        "quotient_x_shift_c": second,
+    }
+
+
 def check_tilting_sanity(params: ModelParams, tiltings=None) -> CheckResult:
     """Validate every tilting object and surface odd-size maximal cliques."""
     enumerated, anomalies = maximal_families(params)
@@ -75,18 +232,10 @@ def check_tilting_sanity(params: ModelParams, tiltings=None) -> CheckResult:
         tiltings = enumerated
     witnesses = []
     for t in tiltings:
-        try:
-            validate_tilting(t.summands, params)
-        except TiltingError as err:
+        failed, values = _tilting_sanity(params, t.summands)
+        if failed:
             witnesses.append(
-                _witness(
-                    "tilting-sanity",
-                    params,
-                    t,
-                    kind="invalid",
-                    reason=err.reason,
-                    detail=str(err),
-                )
+                _witness("tilting-sanity", params, t, kind="invalid", **values)
             )
     status = FAIL if witnesses else PASS
     for family in anomalies:
@@ -127,21 +276,17 @@ def check_associativity(params: ModelParams) -> CheckResult:
         targets.setdefault(x, []).append(y)
     for w, x in nonzero_pairs:
         for y in targets.get(x, ()):
-            gf = calc.compose_nonzero((w, x), (x, y))
             for z in targets.get(y, ()):
                 triples += 1
-                hg = calc.compose_nonzero((x, y), (y, z))
-                left = gf and calc.compose_nonzero((w, y), (y, z))
-                right = hg and calc.compose_nonzero((w, x), (x, z))
-                if left != right:
+                failed, values = _associativity(calc, w, x, y, z)
+                if failed:
                     witnesses.append(
                         _witness(
                             "associativity",
                             params,
                             None,
                             chain=[list(w), list(x), list(y), list(z)],
-                            left=left,
-                            right=right,
+                            **values,
                         )
                     )
     return CheckResult(
@@ -170,9 +315,8 @@ def check_serre(params: ModelParams, tilting: TiltingObject | None = None) -> Ch
     for x in objects:
         for y in objects:
             pairs += 1
-            lhs = calc.hom_dim(x, y)
-            rhs = calc.hom_dim(y, shift(x, 2, params))
-            if lhs != rhs:
+            failed, values = _hom_symmetry(calc, x, y)
+            if failed:
                 witnesses.append(
                     _witness(
                         "serre",
@@ -181,8 +325,7 @@ def check_serre(params: ModelParams, tilting: TiltingObject | None = None) -> Ch
                         kind="hom-symmetry",
                         x=list(x),
                         y=list(y),
-                        lhs=lhs,
-                        rhs=rhs,
+                        **values,
                     )
                 )
     if tilting is not None:
@@ -190,9 +333,8 @@ def check_serre(params: ModelParams, tilting: TiltingObject | None = None) -> Ch
         for c in objects:
             for x in objects:
                 pairs += 1
-                lhs = calc.ideal_hom_dim(c, shift(x, 1, params), shifted)
-                rhs = calc.quotient_hom_dim(x, shift(c, 1, params), shifted)
-                if lhs != rhs:
+                failed, values = _ideal_quotient_duality(calc, shifted, c, x)
+                if failed:
                     witnesses.append(
                         _witness(
                             "serre",
@@ -201,8 +343,7 @@ def check_serre(params: ModelParams, tilting: TiltingObject | None = None) -> Ch
                             kind="ideal-quotient-duality",
                             c=list(c),
                             x=list(x),
-                            lhs=lhs,
-                            rhs=rhs,
+                            **values,
                         )
                     )
     return CheckResult(
@@ -229,7 +370,6 @@ def check_dimension_formula(tilting: TiltingObject, params: ModelParams) -> Chec
     objects = enumerate_indecomposables(params)
     ts = tilting.summands
     shifted = tuple(shift(t, 1, params) for t in ts)
-    sign = -1 if params.d % 2 else 1
     algebra = algebra_for(tilting, params)
     witnesses = []
     pairs = 0
@@ -237,15 +377,8 @@ def check_dimension_formula(tilting: TiltingObject, params: ModelParams) -> Chec
         ind = index_of(c, tilting, params, algebra=algebra)
         for x in objects:
             pairs += 1
-            rhs = sum(a * calc.hom_dim(t, x) for a, t in zip(ind, ts))
-            quot_cx = calc.quotient_hom_dim(c, x, shifted)
-            ideal_form = quot_cx + sign * calc.ideal_hom_dim(
-                c, shift(x, 1, params), shifted
-            )
-            quotient_form = quot_cx + sign * calc.quotient_hom_dim(
-                x, shift(c, 1, params), shifted
-            )
-            if ideal_form != rhs or quotient_form != rhs:
+            failed, values = _dimension_formula(calc, ts, shifted, ind, c, x)
+            if failed:
                 witnesses.append(
                     _witness(
                         "dimension-formula",
@@ -253,9 +386,7 @@ def check_dimension_formula(tilting: TiltingObject, params: ModelParams) -> Chec
                         tilting,
                         c=list(c),
                         x=list(x),
-                        ideal_form=ideal_form,
-                        quotient_form=quotient_form,
-                        resolution_side=rhs,
+                        **values,
                     )
                 )
     return CheckResult(
@@ -281,11 +412,12 @@ def check_disjointness(tilting: TiltingObject, params: ModelParams) -> CheckResu
     witnesses = []
     for c in objects:
         for x in objects:
-            first = calc.quotient_hom_dim(c, x, shifted)
-            if first == 0:
+            # an instance with quotient_cx = 0 cannot fail; most pairs
+            # are such, so skip them before computing the second term
+            if calc.quotient_hom_dim(c, x, shifted) == 0:
                 continue
-            second = calc.quotient_hom_dim(x, shift(c, 1, params), shifted)
-            if second != 0:
+            failed, values = _disjointness(calc, shifted, c, x)
+            if failed:
                 witnesses.append(
                     _witness(
                         "disjointness",
@@ -293,8 +425,7 @@ def check_disjointness(tilting: TiltingObject, params: ModelParams) -> CheckResu
                         tilting,
                         c=list(c),
                         x=list(x),
-                        quotient_cx=first,
-                        quotient_x_shift_c=second,
+                        **values,
                     )
                 )
     if witnesses:
@@ -415,18 +546,26 @@ class VerificationReport:
         }
 
 
+def _scope_limit(scope) -> int | None:
+    """None for "all", K for "first:K"; K must be a positive integer."""
+    if scope == "all":
+        return None
+    if isinstance(scope, str) and scope.startswith("first:"):
+        count = scope[len("first:"):]
+        if count.isascii() and count.isdigit() and int(count) > 0:
+            return int(count)
+    raise InvalidInputError(
+        f"tilting scope must be 'all' or 'first:K' with K a positive integer, "
+        f"got {scope!r}"
+    )
+
+
 def _scope_tiltings(config: SweepConfig, params: ModelParams):
     if config.explicit_tilting is not None:
         return tuple(
             validate_tilting(t, params) for t in config.explicit_tilting
         )
-    scope = config.tilting_scope
-    all_tiltings = enumerate_tilting(params)
-    if scope == "all":
-        return all_tiltings
-    if scope.startswith("first:"):
-        return all_tiltings[: int(scope.split(":", 1)[1])]
-    raise InvalidInputError(f"unknown tilting scope {scope!r}")
+    return enumerate_tilting(params)[: _scope_limit(config.tilting_scope)]
 
 
 def _run_case(config: SweepConfig, case):
@@ -475,6 +614,7 @@ def run(config: SweepConfig) -> VerificationReport:
     for name in config.checks:
         if name not in CHECK_NAMES:
             raise InvalidInputError(f"unknown check {name!r}")
+    _scope_limit(config.tilting_scope)
     start = time.perf_counter()
     results = tuple(res for case in config.cases for res in _run_case(config, case))
     return VerificationReport(config, results, time.perf_counter() - start)

@@ -4,10 +4,12 @@ Everything here runs in-process; one smoke test exercises the installed
 console script to make sure packaging wired it up.
 """
 
+import hashlib
 import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -384,6 +386,110 @@ def test_replay_bad_files(capsys, tmp_path):
     empty.write_text("[]")
     code, _, err = run_cli(capsys, "replay", "--witness", str(empty))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "witness, message",
+    [
+        (
+            {"check": "serre", "n": 2, "d": 2, "tilting": None,
+             "kind": "hom-symmetry", "x": [1, 2, 3], "y": [1, 3, 5]},
+            "(1, 2, 3) is not an admissible 3-subset of 1..7",
+        ),
+        (
+            {"check": "injectivity", "n": 2, "d": 2, "tilting": None,
+             "pair": [[1, 3, 5], [2, 4, 7]]},
+            "witness 'tilting' must be a list, got None",
+        ),
+        (
+            {"check": "serre", "n": 2, "d": 2, "tilting": None,
+             "x": [1, 3, 5], "y": [1, 3, 5]},
+            "witness has no 'kind'",
+        ),
+        (
+            {"check": "dimension-formula", "n": 2, "d": 2,
+             "tilting": [[1, 3, 5], [1, 3, 7]], "c": [1, 3, 5], "x": [1, 3, 5]},
+            "witness tilting is not a tilting object (non-admissible-summand)",
+        ),
+        (
+            {"check": "dimension-formula", "n": 2, "d": 2,
+             "tilting": [[1, 3, 5], [1, 3, 6]], "c": [1, 3, 5], "x": [1, 3, 5]},
+            "witness tilting is not a tilting object (size-mismatch)",
+        ),
+    ],
+)
+def test_replay_malformed_witness_is_usage_error(capsys, tmp_path, witness, message):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps(witness))
+    code, out, err = run_cli(capsys, "replay", "--witness", str(wfile))
+    assert code == 2
+    assert out == ""
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+
+
+REPLAY_GOLDEN = json.loads(
+    (Path(__file__).with_name("replay_golden.json")).read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 3)])
+def test_replay_bytes_of_every_verify_witness(capsys, tmp_path, n, d):
+    """replay_golden.json holds, for witness i of `verify --n N --d D`,
+    the exit code and the SHA-256 of the stdout of `replay --select i`,
+    as printed when replay still had its own formulas in cli.py."""
+    report = tmp_path / "report.json"
+    run_cli(capsys, "verify", "--n", str(n), "--d", str(d), "--out", str(report))
+    got = []
+    for i in range(len(REPLAY_GOLDEN[f"{n},{d}"])):
+        code, out, _ = run_cli(
+            capsys, "replay", "--witness", str(report), "--select", str(i)
+        )
+        got.append([code, hashlib.sha256(out.encode()).hexdigest()])
+    assert got == REPLAY_GOLDEN[f"{n},{d}"]
+    code, _, err = run_cli(
+        capsys, "replay", "--witness", str(report), "--select", str(len(got))
+    )
+    assert code == 2 and "out of range" in err
+
+
+@pytest.mark.parametrize(
+    "scope", ["first:x", "first:-1", "first:0", "last:3"]
+)
+def test_verify_tilting_scope_must_be_all_or_first_k(capsys, scope):
+    code, out, err = run_cli(
+        capsys, "verify", "--n", "2", "--d", "2", "--checks", "serre",
+        "--tilting-scope", scope,
+    )
+    assert code == 2
+    assert out == ""
+    assert "with K a positive integer" in err
+
+
+@pytest.mark.parametrize(
+    "conf, message",
+    [
+        ({"cases": [[1]]}, "'cases' must be a list of [n, d] integer pairs, got [[1]]"),
+        ({"cases": [[2, "1"]]}, "'cases' must be a list of [n, d] integer pairs"),
+        ({"cases": [2, 1]}, "'cases' must be a list of [n, d] integer pairs"),
+        ({"cases": {"n": 2}}, "'cases' must be a list of [n, d] integer pairs"),
+        ({"n": "2", "d": 1}, "'n' must be an integer, got '2'"),
+        ({"n": 2, "d": 1.5}, "'d' must be an integer, got 1.5"),
+        ({"n": 2, "d": True}, "'d' must be an integer, got True"),
+        ({"n": 2, "d": 1, "cap": "500"}, "'cap' must be an integer, got '500'"),
+        ({"n": 2, "d": 1, "checks": 5}, "'checks' must be a string or a list of strings"),
+        ({"n": 2, "d": 1, "tilting_scope": 3}, "'tilting_scope' must be a string"),
+        ({"n": 2, "d": 1, "tilting_scope": "first:-1"}, "with K a positive integer"),
+    ],
+)
+def test_verify_config_refuses_ill_typed_values(capsys, tmp_path, conf, message):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    code, out, err = run_cli(capsys, "verify", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_export_graph_dot(capsys):

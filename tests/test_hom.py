@@ -4,47 +4,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higher_cluster import (
-    ContractError,
-    HomQuery,
-    InvalidInputError,
-    ModelParams,
-    compose_nonzero,
-    enumerate_indecomposables,
-    factors_through,
-    hom_dim,
-    ideal_hom_dim,
-    quotient_hom_dim,
-    shift,
-)
+from higher_cluster.errors import ContractError
 from higher_cluster.hom import calculator_for
+from higher_cluster.model import ModelParams, enumerate_indecomposables, shift
 from higher_cluster.tilting import enumerate_tilting
 from oracles import hom_oracle
 
 P21 = ModelParams(2, 1)
 P22 = ModelParams(2, 2)
+C21 = calculator_for(P21)
+C22 = calculator_for(P22)
 
 
 def test_hom_dim_examples():
-    assert hom_dim((1, 3), (1, 4), P21) == 1
-    assert hom_dim((1, 3), (2, 4), P21) == 0
-    assert hom_dim((1, 3, 5), (1, 3, 5), P22) == 1
+    assert C21.hom_dim((1, 3), (1, 4)) == 1
+    assert C21.hom_dim((1, 3), (2, 4)) == 0
+    assert C22.hom_dim((1, 3, 5), (1, 3, 5)) == 1
 
 
 def test_hom_dim_identity_everywhere():
     for n, d in [(2, 1), (2, 2), (3, 1)]:
         p = ModelParams(n, d)
+        calc = calculator_for(p)
         for x in enumerate_indecomposables(p):
-            assert hom_dim(x, x, p) == 1
+            assert calc.hom_dim(x, x) == 1
 
 
 @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (3, 1), (2, 2), (1, 3)])
 def test_hom_dim_matches_independent_oracle(n, d):
     p = ModelParams(n, d)
+    calc = calculator_for(p)
     objs = enumerate_indecomposables(p)
     for x in objs:
         for y in objs:
-            assert hom_dim(x, y, p) == hom_oracle(x, y, n, d)
+            assert calc.hom_dim(x, y) == hom_oracle(x, y, n, d)
 
 
 @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (1, 3), (2, 3), (4, 2), (3, 3), (4, 3), (1, 2), (1, 4)])
@@ -60,74 +53,78 @@ def test_both_hom_characterizations_agree(n, d):
 def test_serre_symmetry_small():
     for n, d in [(2, 1), (2, 2), (3, 1), (1, 3)]:
         p = ModelParams(n, d)
+        calc = calculator_for(p)
         objs = enumerate_indecomposables(p)
         for x in objs:
             for y in objs:
-                assert hom_dim(x, y, p) == hom_dim(y, shift(x, 2, p), p)
+                assert calc.hom_dim(x, y) == calc.hom_dim(y, shift(x, 2, p))
 
 
 def test_factors_through_examples():
-    assert factors_through((1, 3), (1, 4), (1, 3), P21)
-    assert factors_through((1, 3), (1, 4), (1, 4), P21)
-    assert not factors_through((1, 3), (1, 4), (2, 5), P21)
+    assert C21.factors_through((1, 3), (1, 4), (1, 3))
+    assert C21.factors_through((1, 3), (1, 4), (1, 4))
+    assert not C21.factors_through((1, 3), (1, 4), (2, 5))
 
 
 def test_factors_through_requires_nonzero_map():
     with pytest.raises(ContractError):
-        factors_through((1, 3), (2, 4), (1, 4), P21)
+        C21.factors_through((1, 3), (2, 4), (1, 4))
 
 
 def test_factoring_respects_hom_composition():
     """Factoring through z with nonzero hom on both legs must compose."""
     for p in (P21, P22):
+        calc = calculator_for(p)
         objs = enumerate_indecomposables(p)
         for x in objs:
             for y in objs:
-                if hom_dim(x, y, p) != 1:
+                if calc.hom_dim(x, y) != 1:
                     continue
                 for z in objs:
-                    if factors_through(x, y, z, p):
-                        assert hom_dim(x, z, p) == 1
-                        assert hom_dim(z, y, p) == 1
-                        assert compose_nonzero((x, z), (z, y), p) == 1
+                    if calc.factors_through(x, y, z):
+                        assert calc.hom_dim(x, z) == 1
+                        assert calc.hom_dim(z, y) == 1
+                        assert calc.compose_nonzero((x, z), (z, y)) == 1
 
 
 def test_ideal_hom_examples():
-    assert ideal_hom_dim((1, 3), (1, 4), ((1, 3),), P21) == 1
-    assert ideal_hom_dim((1, 3), (1, 4), (), P21) == 0
-    assert ideal_hom_dim((2, 4), (2, 5), ((1, 3),), P21) == 0
+    assert C21.ideal_hom_dim((1, 3), (1, 4), ((1, 3),)) == 1
+    assert C21.ideal_hom_dim((1, 3), (1, 4), ()) == 0
+    assert C21.ideal_hom_dim((2, 4), (2, 5), ((1, 3),)) == 0
 
 
 def test_quotient_hom_examples():
-    assert quotient_hom_dim((2, 4), (2, 4), ((2, 5), (3, 5)), P21) == 1
+    assert C21.quotient_hom_dim((2, 4), (2, 4), ((2, 5), (3, 5))) == 1
     sigma_t = tuple(shift(t, 1, P22) for t in ((1, 3, 5), (1, 3, 6), (1, 4, 6)))
-    assert quotient_hom_dim((1, 3, 5), (2, 4, 7), sigma_t, P22) == 0
-    assert quotient_hom_dim((1, 3), (1, 4), (), P21) == hom_dim((1, 3), (1, 4), P21)
+    assert C22.quotient_hom_dim((1, 3, 5), (2, 4, 7), sigma_t) == 0
+    assert C21.quotient_hom_dim((1, 3), (1, 4), ()) == C21.hom_dim((1, 3), (1, 4))
 
 
 def test_quotient_plus_ideal_is_hom():
     p = P22
+    calc = calculator_for(p)
     objs = enumerate_indecomposables(p)
     family = ((2, 4, 6), (3, 5, 7))
     for x in objs:
         for y in objs:
-            q = quotient_hom_dim(x, y, family, p)
-            i = ideal_hom_dim(x, y, family, p)
-            assert q + i == hom_dim(x, y, p)
+            q = calc.quotient_hom_dim(x, y, family)
+            i = calc.ideal_hom_dim(x, y, family)
+            assert q + i == calc.hom_dim(x, y)
             assert q in (0, 1) and i in (0, 1)
 
 
 def test_ideal_monotone_in_family():
     p = P21
+    calc = calculator_for(p)
     objs = enumerate_indecomposables(p)
     for x in objs:
         for y in objs:
-            if hom_dim(x, y, p) != 1:
+            if calc.hom_dim(x, y) != 1:
                 continue
-            through_all = ideal_hom_dim(x, y, objs, p)
+            through_all = calc.ideal_hom_dim(x, y, objs)
             assert through_all == 1  # x itself is in the family
             for z in objs:
-                assert ideal_hom_dim(x, y, (z,), p) <= through_all
+                assert calc.ideal_hom_dim(x, y, (z,)) <= through_all
 
 
 @pytest.mark.parametrize("n,d", [(3, 1), (2, 2)])
@@ -152,44 +149,37 @@ def test_ideal_hom_ignores_order_and_repeats_in_the_family(n, d):
 
 
 def test_compose_nonzero_examples():
-    assert compose_nonzero(((1, 3), (1, 3)), ((1, 3), (1, 4)), P21) == 1
-    assert compose_nonzero(((1, 3), (1, 4)), ((1, 4), (2, 4)), P21) == 0
+    assert C21.compose_nonzero(((1, 3), (1, 3)), ((1, 3), (1, 4))) == 1
+    assert C21.compose_nonzero(((1, 3), (1, 4)), ((1, 4), (2, 4))) == 0
 
 
 def test_compose_nonzero_contracts():
     with pytest.raises(ContractError):
-        compose_nonzero(((1, 3), (2, 4)), ((2, 4), (2, 5)), P21)
+        C21.compose_nonzero(((1, 3), (2, 4)), ((2, 4), (2, 5)))
     with pytest.raises(ContractError):
-        compose_nonzero(((1, 3), (1, 4)), ((2, 4), (2, 5)), P21)
+        C21.compose_nonzero(((1, 3), (1, 4)), ((2, 4), (2, 5)))
 
 
 def test_identity_is_neutral_for_composition():
     p = P21
+    calc = calculator_for(p)
     objs = enumerate_indecomposables(p)
     for x in objs:
         for y in objs:
-            if hom_dim(x, y, p) == 1:
-                assert compose_nonzero((x, x), (x, y), p) == 1
-                assert compose_nonzero((x, y), (y, y), p) == 1
-
-
-def test_hom_query_dispatch():
-    q = HomQuery((1, 3), (1, 4))
-    assert q.evaluate(P21) == 1
-    assert HomQuery((1, 3), (1, 4), through=((2, 5),)).evaluate(P21) == 0
-    assert HomQuery((1, 3), (1, 4), modulo=((2, 5),)).evaluate(P21) == 1
-    with pytest.raises(InvalidInputError):
-        HomQuery((1, 3), (1, 4), through=((1, 3),), modulo=((1, 4),))
+            if calc.hom_dim(x, y) == 1:
+                assert calc.compose_nonzero((x, x), (x, y)) == 1
+                assert calc.compose_nonzero((x, y), (y, y)) == 1
 
 
 def test_hom_shift_invariance():
     p = P22
+    calc = calculator_for(p)
     objs = enumerate_indecomposables(p)
     for x in objs:
         for y in objs:
-            expected = hom_dim(x, y, p)
+            expected = calc.hom_dim(x, y)
             for k in (1, 2, 3):
-                assert hom_dim(shift(x, k, p), shift(y, k, p), p) == expected
+                assert calc.hom_dim(shift(x, k, p), shift(y, k, p)) == expected
 
 
 @st.composite
@@ -205,11 +195,13 @@ def object_pair(draw):
 @settings(max_examples=150, deadline=None)
 def test_serre_symmetry_property(pxy):
     p, x, y = pxy
-    assert hom_dim(x, y, p) == hom_dim(y, shift(x, 2, p), p)
+    calc = calculator_for(p)
+    assert calc.hom_dim(x, y) == calc.hom_dim(y, shift(x, 2, p))
 
 
 @given(object_pair())
 @settings(max_examples=150, deadline=None)
 def test_hom_agrees_with_oracle_property(pxy):
     p, x, y = pxy
-    assert hom_dim(x, y, p) == hom_oracle(x, y, p.n, p.d)
+    calc = calculator_for(p)
+    assert calc.hom_dim(x, y) == hom_oracle(x, y, p.n, p.d)

@@ -6,7 +6,6 @@ from higher_cluster import index
 from higher_cluster.errors import InvalidInputError, InvariantError
 from higher_cluster.index import (
     index_of,
-    index_of_direct_sum,
     index_table,
     index_via_system,
 )
@@ -108,13 +107,6 @@ def test_routes_agree_everywhere(n, d):
     for tilting in enumerate_tilting(params):
         table = index_table(tilting, params, route="both")
         assert len(table.rows) == len(enumerate_indecomposables(params))
-
-
-def test_direct_sum_is_componentwise_sum():
-    parts = [(1, 3), (2, 4), (2, 4), (2, 5)]
-    total = index_of_direct_sum(parts, T21, P21)
-    assert total == (1 - 1 - 1 - 1, 0 + 1 + 1 + 0) == (-2, 2)
-    assert index_of_direct_sum([], T21, P21) == (0, 0)
 
 
 def test_index_is_shift_equivariant_at_2_2():

@@ -75,7 +75,7 @@ def test_kernel_basis_against_sympy():
         basis = kernel_basis(m)
         assert len(basis) == c - to_sympy(rows).rank()
         for vec in basis:
-            assert all(v == Fraction(0) for v in m.mul_vec(list(vec)))
+            assert m.mul(Mat.from_rows([[v] for v in vec], 1)).is_zero()
 
 
 def test_solve_many_consistent_and_inconsistent():

@@ -2,17 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higher_cluster import (
-    InvalidInputError,
+from higher_cluster.errors import InvalidInputError
+from higher_cluster.model import (
     ModelParams,
     canonical_object,
-    cyclically_between,
     enumerate_indecomposables,
     intertwines,
     is_admissible,
-    predecessor,
     shift,
-    successor,
 )
 from oracles import brute_force_objects, count_formula, intertwines_oracle
 
@@ -37,45 +34,13 @@ def test_params_reject_non_integers():
         ModelParams(True, 1)
 
 
-def test_predecessor_examples():
-    p = ModelParams(2, 2)
-    assert predecessor(3, p) == 2
-    assert predecessor(1, p) == 7
-    assert predecessor(predecessor(1, p), p) == 6
-
-
-def test_successor_inverts_predecessor():
-    p = ModelParams(3, 2)
-    for v in range(1, p.N + 1):
-        assert successor(predecessor(v, p), p) == v
-        assert predecessor(successor(v, p), p) == v
-
-
 def test_vertex_range_is_checked():
-    p = ModelParams(2, 1)
-    with pytest.raises(InvalidInputError):
-        predecessor(0, p)
-    with pytest.raises(InvalidInputError):
-        successor(6, p)
-    with pytest.raises(InvalidInputError):
-        predecessor(True, p)
-
-
-def test_cyclically_between_examples():
     p = ModelParams(2, 1)  # N = 5
-    assert cyclically_between(1, 2, 3, p)
-    assert cyclically_between(4, 5, 2, p)
-    assert not cyclically_between(4, 2, 5, p)
-
-
-def test_cyclically_between_walk_oracle():
-    p = ModelParams(2, 2)
-    for a in range(1, p.N + 1):
-        walk = [(a + k - 1) % p.N + 1 for k in range(p.N)]
-        for b in range(1, p.N + 1):
-            for c in range(1, p.N + 1):
-                expected = walk.index(b) <= walk.index(c)
-                assert cyclically_between(a, b, c, p) == expected
+    for bad in ((0, 3), (3, 6), (True, 3), (1.0, 3)):
+        assert not is_admissible(bad, p)
+        with pytest.raises(InvalidInputError):
+            canonical_object(bad, p)
+    assert canonical_object((5, 2), p) == (2, 5)
 
 
 def test_shift_paper_direction():

@@ -6,7 +6,7 @@ import pytest
 
 from higher_cluster import tilting as tilting_mod
 from higher_cluster.errors import TiltingError
-from higher_cluster.hom import HomCalculator, hom_dim
+from higher_cluster.hom import HomCalculator, calculator_for
 from higher_cluster.model import ModelParams, enumerate_indecomposables, shift
 from higher_cluster.tilting import (
     TiltingObject,
@@ -142,10 +142,11 @@ def test_anomaly_census_3_3():
 @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_no_hom_to_shifted_summand(n, d):
     params = ModelParams(n, d)
+    calc = calculator_for(params)
     for tilting in enumerate_tilting(params):
         for s in tilting.summands:
             for t in tilting.summands:
-                assert hom_dim(s, shift(t, 1, params), params) == 0
+                assert calc.hom_dim(s, shift(t, 1, params)) == 0
 
 
 def test_tilting_object_sorts_and_positions():
@@ -207,8 +208,9 @@ def test_single_objects_are_rigid():
     # pure defence: a right-size pairwise-compatible family passes both
     for n, d in [(2, 1), (4, 1), (2, 2), (3, 2), (2, 3)]:
         params = ModelParams(n, d)
+        calc = calculator_for(params)
         for t in enumerate_indecomposables(params):
-            assert hom_dim(t, shift(t, 1, params), params) == 0
+            assert calc.hom_dim(t, shift(t, 1, params)) == 0
 
 
 def test_every_enumerated_tilting_validates():

@@ -1,11 +1,14 @@
 """The check battery and sweep runner."""
 
+import json
+
 import pytest
 
-from higher_cluster import verify
+from higher_cluster import hom, index, verify
 from higher_cluster.errors import InvalidInputError, ResourceCapError
+from higher_cluster.hom import HomCalculator
 from higher_cluster.index import index_table
-from higher_cluster.model import ModelParams
+from higher_cluster.model import ModelParams, shift
 from higher_cluster.tilting import TiltingObject, enumerate_tilting
 from higher_cluster.verify import (
     ANOMALY,
@@ -21,12 +24,14 @@ from higher_cluster.verify import (
     check_serre,
     check_tilting_sanity,
     find_collisions,
+    replay,
     run,
 )
 
 P21 = ModelParams(2, 1)
 T21 = TiltingObject(((1, 3), (1, 4)))
 P22 = ModelParams(2, 2)
+P31 = ModelParams(3, 1)
 FAN22 = TiltingObject(((1, 3, 5), (1, 3, 6), (1, 4, 6)))
 
 
@@ -161,8 +166,9 @@ def test_explicit_tilting_scope():
 def test_unknown_check_and_scope_are_input_errors():
     with pytest.raises(InvalidInputError):
         run(SweepConfig(cases=((2, 1),), checks=("injectivity", "speed")))
-    with pytest.raises(InvalidInputError):
-        run(SweepConfig(cases=((2, 1),), tilting_scope="last:3"))
+    for scope in ("last:3", "first:x", "first:-1", "first:0", "first:", "first: 3"):
+        with pytest.raises(InvalidInputError):
+            run(SweepConfig(cases=((2, 1),), tilting_scope=scope))
 
 
 def test_cap_stops_oversized_cases():
@@ -203,3 +209,106 @@ def test_payload_shape():
     assert payload["config"]["cases"] == [[1, 1]]
     assert payload["config"]["workers"] == 1  # schema 1 keeps the key
     assert payload["summary"][PASS] == len(payload["results"])
+
+
+# Replay re-runs the instance evaluators of the sweep.  Each test below
+# forces a failure by patching one HomCalculator method, then requires
+# every witness of the sweep to replay as reproduced, with details equal
+# to the witness's value fields.  The hom, algebra and index-system
+# caches are swapped for empty ones, so no patched value outlives a test.
+
+
+@pytest.fixture
+def private_caches(monkeypatch):
+    monkeypatch.setattr(hom, "_calculators", {})
+    monkeypatch.setattr(index, "_algebras", {})
+    monkeypatch.setattr(index, "_systems", {})
+
+
+def _flip(monkeypatch, method, at):
+    """HomCalculator.method answers 1 - its value on the arguments at."""
+    original = getattr(HomCalculator, method)
+
+    def flipped(self, *args):
+        value = original(self, *args)
+        return 1 - value if args == at else value
+
+    monkeypatch.setattr(HomCalculator, method, flipped)
+
+
+def _assert_replays(result, fields):
+    assert result.status == FAIL
+    assert result.witnesses
+    for w in result.witnesses:
+        reproduced, details = replay(json.loads(json.dumps(w)))
+        assert reproduced
+        assert details == {key: w[key] for key in fields}
+
+
+def _shifted(tilting, params):
+    return tuple(shift(t, 1, params) for t in tilting.summands)
+
+
+def test_replay_reruns_associativity(monkeypatch, private_caches):
+    _flip(monkeypatch, "compose_nonzero", (((1, 3), (1, 3)), ((1, 3), (1, 4))))
+    _assert_replays(check_associativity(P31), ("left", "right"))
+
+
+def test_replay_reruns_hom_symmetry(monkeypatch, private_caches):
+    _flip(monkeypatch, "hom_dim", ((1, 3), (2, 4)))
+    res = check_serre(P21)
+    assert {w["kind"] for w in res.witnesses} == {"hom-symmetry"}
+    _assert_replays(res, ("lhs", "rhs"))
+
+
+def test_replay_reruns_ideal_quotient_duality(monkeypatch, private_caches):
+    c, x = (1, 3, 5), (2, 4, 7)
+    _flip(
+        monkeypatch,
+        "quotient_hom_dim",
+        (x, shift(c, 1, P22), _shifted(FAN22, P22)),
+    )
+    res = check_serre(P22, FAN22)
+    assert [(w["kind"], w["c"], w["x"]) for w in res.witnesses] == [
+        ("ideal-quotient-duality", list(c), list(x))
+    ]
+    _assert_replays(res, ("lhs", "rhs"))
+
+
+def test_replay_reruns_dimension_formula(monkeypatch, private_caches):
+    _flip(monkeypatch, "quotient_hom_dim", ((2, 4), (2, 5), _shifted(T21, P21)))
+    res = check_dimension_formula(T21, P21)
+    # the flipped value is quot(c, x) at ((2,4), (2,5)) and the quotient
+    # term quot(x, translate(c)) at ((1,3), (2,4))
+    assert [(w["c"], w["x"]) for w in res.witnesses] == [
+        ([1, 3], [2, 4]),
+        ([2, 4], [2, 5]),
+    ]
+    _assert_replays(res, ("ideal_form", "quotient_form", "resolution_side"))
+
+
+def test_replay_reruns_disjointness(monkeypatch, private_caches):
+    monkeypatch.setattr(HomCalculator, "quotient_hom_dim", lambda self, x, y, m: 1)
+    res = check_disjointness(T21, P21)
+    assert len(res.witnesses) == res.stats["pairs"]
+    _assert_replays(res, ("quotient_cx", "quotient_x_shift_c"))
+
+
+@pytest.mark.parametrize(
+    "witness, message",
+    [
+        ([1, 2], "a witness is a JSON object"),
+        ({"n": 2, "d": 2}, "witness has no 'check'"),
+        ({"check": "speed", "n": 2, "d": 2}, "no replay handler"),
+        ({"check": "serre", "n": "2", "d": 2}, "n must be a positive integer"),
+        ({"check": "serre", "n": 2, "d": 2, "kind": "other"}, "unknown serre witness kind"),
+        ({"check": "associativity", "n": 2, "d": 1, "chain": [[1, 3]]}, "list of 4 objects"),
+        ({"check": "serre", "n": 2, "d": 2, "kind": "hom-symmetry", "x": 7}, "'x' must be a list"),
+        ({"check": "tilting-sanity", "n": 2, "d": 2, "tilting": [["a"]]}, "list of vertex lists"),
+        ({"check": "disjointness", "n": 2, "d": 1, "tilting": [[1, 3], [1, 4]], "c": [1, 3]}, "witness has no 'x'"),
+        ({"check": "collisions", "n": 2, "d": 1, "tilting": [[1, 3], [1, 4]], "pair": [[1, 3], [1, 2]]}, "not an admissible"),
+    ],
+)
+def test_replay_refuses_malformed_witnesses(witness, message):
+    with pytest.raises(InvalidInputError, match=message):
+        replay(witness)
