@@ -172,6 +172,16 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _hom_family(text, flag, params):
+    """The objects of a --through or --modulo family; None when not given."""
+    if text is None:
+        return None
+    family = parse_family(text)
+    if not family:
+        raise InvalidInputError(f"{flag} names no object: {text!r}")
+    return tuple(canonical_object(t, params) for t in family)
+
+
 def _cmd_hom(args) -> int:
     params = _params(args)
     _check_cap(params, args.cap)
@@ -181,8 +191,8 @@ def _cmd_hom(args) -> int:
     if args.source is not None:
         source = canonical_object(parse_object(args.source), params)
         target = canonical_object(parse_object(args.target), params)
-        through = parse_family(args.through) if args.through else None
-        modulo = parse_family(args.modulo) if args.modulo else None
+        through = _hom_family(args.through, "--through", params)
+        modulo = _hom_family(args.modulo, "--modulo", params)
         if through is not None and modulo is not None:
             raise InvalidInputError("a hom query takes --through or --modulo, not both")
         if through is not None:
@@ -208,7 +218,7 @@ def _cmd_hom(args) -> int:
 
         _emit(_render(payload, ["source", "target", "kind", "dim"], rows, args.format), args.out)
         return 0
-    if args.through or args.modulo:
+    if args.through is not None or args.modulo is not None:
         raise InvalidInputError("--through/--modulo need --source and --target")
     objects = enumerate_indecomposables(params)
     entries = [

@@ -1,27 +1,42 @@
-"""Hom-space dimensions, factorisation, and composition.
+"""Hom-space dimensions, factorisation, and composition, as bitsets.
 
 Every hom space between indecomposables is zero- or one-dimensional, so a
 dimension is a plain int in {0, 1}, and once a basis morphism is fixed in
 each nonzero hom space, composition is a 0/1 structure constant.
 
-Two characterisations of a nonzero hom space are implemented and must
-agree: the fast one, Hom(x, y) = K iff x intertwines the d-fold inverse
-translate of y, and the labelling chain
+Objects are numbered in enumerate_indecomposables order, the ids of the
+compatibility graph, and both tables of a HomCalculator are int bitmasks
+over those ids, filled lazily one source row at a time:
 
-    x_0 <= y_0 <= x_1^{--} < x_1 <= y_1 <= ... < x_d <= y_d <= x_0^{--}
+- hom_row(x): bit y is set iff Hom(x, y) = K.  That holds iff x
+  intertwines the d-fold inverse translate of y, i.e. y is the translate
+  of an object with one member strictly inside each gap of x; the row is
+  built by listing those objects.
+- factor_row(x): entry y is the mask of the z through which the nonzero
+  morphism x -> y factors, and 0 when Hom(x, y) = 0.  It is read off the
+  labelling chain
 
-read clockwise from the basepoint x_0, where ^{--} is the double
-predecessor.  The chain version is the one that generalises: a nonzero
-morphism x -> y factors through z iff some chain labelling admits a
-labelling z_0, ..., z_d with z_i on the clockwise arc from x_i to y_i.
+      x_0 <= y_0 <= x_1^{--} < x_1 <= y_1 <= ... < x_d <= y_d <= x_0^{--}
 
-Results are memoised per ModelParams; tables only ever grow.
+  read clockwise from the basepoint x_0, where ^{--} is the double
+  predecessor: x -> y factors through z iff some chain labelling admits a
+  labelling z_0, ..., z_d with z_i on the clockwise arc from x_i to y_i,
+  so the z of one labelling are the product of its arcs.
+
+A family is a mask as well, so "x -> y factors through add(F)" is one
+AND of factor_row(x)[y] with the mask of F.  The labelling chain also
+decides Hom(x, y) != 0 on its own (hom_dim_via_chain); the two
+characterisations must agree.  Tables only ever grow: per ModelParams
+with m objects, at most m hom rows and m^2 factor masks of m bits each.
 """
 
 from __future__ import annotations
 
-from .errors import ContractError
-from .model import IndObj, ModelParams, intertwines, shift
+from functools import cached_property
+from itertools import product
+
+from .errors import ContractError, InvalidInputError
+from .model import IndObj, ModelParams, enumerate_indecomposables, shift
 
 
 def _rotations(obj: IndObj):
@@ -52,102 +67,144 @@ def _mixed_chain_holds(x, y, N: int) -> bool:
     return True
 
 
+def _chain_labellings(x: IndObj, y: IndObj, N: int):
+    """All rotation pairs of (x, y) satisfying the mixed chain."""
+    return [
+        (xr, yr)
+        for xr in _rotations(x)
+        for yr in _rotations(y)
+        if _mixed_chain_holds(xr, yr, N)
+    ]
+
+
+def _arc(a: int, b: int, N: int):
+    """The vertices on the clockwise arc from a to b, both included."""
+    return [(a - 1 + k) % N + 1 for k in range((b - a) % N + 1)]
+
+
 class HomCalculator:
-    """Memoised hom/factorisation tables for one choice of (n, d)."""
+    """Lazily filled hom and factorisation bitsets for one choice of (n, d)."""
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self._hom = {}
-        self._labellings = {}
-        self._factors = {}
+        self.objects = enumerate_indecomposables(params)
+        self.ids = {obj: i for i, obj in enumerate(self.objects)}
+        self._hom_rows = [None] * len(self.objects)
+        self._factor_rows = [None] * len(self.objects)
+
+    def id_of(self, obj) -> int:
+        """The id of an object; anything else is an InvalidInputError."""
+        try:
+            return self.ids[obj]
+        except (KeyError, TypeError):
+            raise InvalidInputError(
+                f"{obj!r} is not an indecomposable object at "
+                f"(n, d) = ({self.params.n}, {self.params.d})"
+            ) from None
+
+    def family_mask(self, family) -> int:
+        """The mask of a family of objects; each member must be an object."""
+        mask = 0
+        for obj in family:
+            mask |= 1 << self.id_of(obj)
+        return mask
+
+    @cached_property
+    def translate(self) -> tuple[int, ...]:
+        """translate[i] is the id of the translate shift(object i, 1)."""
+        return tuple(self.ids[shift(x, 1, self.params)] for x in self.objects)
+
+    def translated_mask(self, family) -> int:
+        """The mask of the translates shift(t, 1) of a family of objects."""
+        translate = self.translate
+        mask = 0
+        for obj in family:
+            mask |= 1 << translate[self.id_of(obj)]
+        return mask
+
+    def hom_row(self, i: int) -> int:
+        """Bit j is set iff Hom(object i, object j) = K."""
+        row = self._hom_rows[i]
+        if row is None:
+            N, ids = self.params.N, self.ids
+            x = self.objects[i]
+            # one member strictly inside each gap (a, b) of x, moved one
+            # step back: the members run over a, ..., b - 2
+            gaps = [range(a, a + (b - a - 1) % N) for a, b in zip(x, x[1:] + x[:1])]
+            row = 0
+            for pick in product(*gaps):
+                row |= 1 << ids[tuple(sorted((v - 1) % N + 1 for v in pick))]
+            self._hom_rows[i] = row
+        return row
+
+    def factor_row(self, i: int) -> list[int]:
+        """Entry j: the mask of the z through which object i -> object j factors."""
+        row = self._factor_rows[i]
+        if row is None:
+            N, ids, objects = self.params.N, self.ids, self.objects
+            x = objects[i]
+            row = [0] * len(objects)
+            targets = self.hom_row(i)
+            while targets:
+                low = targets & -targets
+                j = low.bit_length() - 1
+                targets ^= low
+                mask = 0
+                for xr, yr in _chain_labellings(x, objects[j], N):
+                    arcs = [_arc(a, b, N) for a, b in zip(xr, yr)]
+                    for z in product(*arcs):
+                        k = ids.get(tuple(sorted(z)))
+                        if k is not None:
+                            mask |= 1 << k
+                row[j] = mask
+            self._factor_rows[i] = row
+        return row
 
     def hom_dim(self, x: IndObj, y: IndObj) -> int:
-        key = (x, y)
-        val = self._hom.get(key)
-        if val is None:
-            val = 1 if intertwines(x, shift(y, -1, self.params), self.params) else 0
-            self._hom[key] = val
-        return val
-
-    def chain_labellings(self, x: IndObj, y: IndObj):
-        """All rotation pairs of (x, y) satisfying the mixed chain."""
-        key = (x, y)
-        labs = self._labellings.get(key)
-        if labs is None:
-            N = self.params.N
-            labs = tuple(
-                (xr, yr)
-                for xr in _rotations(x)
-                for yr in _rotations(y)
-                if _mixed_chain_holds(xr, yr, N)
-            )
-            self._labellings[key] = labs
-        return labs
+        return self.hom_row(self.id_of(x)) >> self.id_of(y) & 1
 
     def hom_dim_via_chain(self, x: IndObj, y: IndObj) -> int:
         """Slow characterisation; must agree with hom_dim on every pair."""
-        return 1 if self.chain_labellings(x, y) else 0
-
-    def factors_through(self, x: IndObj, y: IndObj, z: IndObj) -> bool:
-        """Does the nonzero morphism x -> y factor through z?
-
-        Only rotations of z can satisfy the arc conditions: the chain
-        forces the arcs [x_i, y_i] to be pairwise disjoint and in cyclic
-        order, so any successful labelling of z lists it in cyclic order.
-        """
-        if self.hom_dim(x, y) != 1:
-            raise ContractError(
-                f"factors_through needs a nonzero morphism, but Hom{(x, y)} = 0"
-            )
-        key = (x, y, z)
-        val = self._factors.get(key)
-        if val is None:
-            N = self.params.N
-            val = False
-            for xr, yr in self.chain_labellings(x, y):
-                for zr in _rotations(z):
-                    if all(
-                        (zi - xi) % N <= (yi - xi) % N
-                        for xi, zi, yi in zip(xr, zr, yr)
-                    ):
-                        val = True
-                        break
-                if val:
-                    break
-            self._factors[key] = val
-        return val
+        self.id_of(x)  # both must be objects
+        self.id_of(y)
+        return 1 if _chain_labellings(x, y, self.params.N) else 0
 
     def ideal_hom_dim(self, x: IndObj, y: IndObj, through) -> int:
         """Dimension of the morphisms x -> y factoring through add(through).
 
-        A sum of composites through members of the family lives in a hom
-        space of dimension at most one, so it is nonzero iff some single
-        composite already is: factoring through the family reduces to
-        factoring through one member.
+        through is a family of objects or its family_mask.  A sum of
+        composites through members of the family lives in a hom space of
+        dimension at most one, so it is nonzero iff some single composite
+        already is: factoring through the family reduces to factoring
+        through one member, one AND over the family's mask.
         """
-        if self.hom_dim(x, y) == 0:
-            return 0
-        return 1 if any(self.factors_through(x, y, z) for z in through) else 0
+        if not isinstance(through, int):
+            through = self.family_mask(through)
+        return 1 if self.factor_row(self.id_of(x))[self.id_of(y)] & through else 0
 
     def quotient_hom_dim(self, x: IndObj, y: IndObj, modulo) -> int:
         """Dimension of Hom(x, y) after killing everything through add(modulo)."""
-        return self.hom_dim(x, y) - self.ideal_hom_dim(x, y, modulo)
+        if not isinstance(modulo, int):
+            modulo = self.family_mask(modulo)
+        i, j = self.id_of(x), self.id_of(y)
+        if self.factor_row(i)[j] & modulo:
+            return 0
+        return self.hom_row(i) >> j & 1
 
     def compose_nonzero(self, f, g) -> int:
         """Structure constant of the composite of basis morphisms f then g.
 
         f = (x, y) and g = (y, z) name nonzero basis morphisms; the result
         is 1 iff Hom(x, z) is nonzero and carries the composite, i.e. the
-        composite is again the basis morphism rather than zero.
+        morphism x -> z factors through y.
         """
         (x, y1), (y2, z) = f, g
         if y1 != y2:
             raise ContractError(f"cannot compose {f} with {g}: middle objects differ")
-        if self.hom_dim(x, y1) != 1 or self.hom_dim(y2, z) != 1:
+        i, j, k = self.id_of(x), self.id_of(y1), self.id_of(z)
+        if not (self.hom_row(i) >> j & 1 and self.hom_row(j) >> k & 1):
             raise ContractError(f"compose_nonzero needs nonzero morphisms {f} and {g}")
-        if self.hom_dim(x, z) != 1:
-            return 0
-        return 1 if self.factors_through(x, z, y1) else 0
+        return self.factor_row(i)[k] >> j & 1
 
 
 _calculators: dict[ModelParams, HomCalculator] = {}

@@ -81,8 +81,8 @@ class _System(NamedTuple):
     """Everything index_via_system needs that does not depend on c."""
 
     objects: tuple  # every indecomposable x, one row each
-    shifted_objects: tuple  # shift(x, 1), row by row
-    shifted: tuple  # the translated summands
+    translate: tuple  # the id of shift(x, 1), row by row
+    shifted_mask: int  # the mask of the translated summands
     g_rows: tuple  # G[x, j] = dim Hom(t_j, x)
     positions: tuple  # the rows of the summands: the square subsystem
     adj: tuple  # adjugate of the square subsystem
@@ -95,10 +95,12 @@ def _system_for(tilting: TiltingObject, params: ModelParams) -> _System:
     if data is not None:
         return data
     calc = calculator_for(params)
-    objects = enumerate_indecomposables(params)
     ts = tilting.summands
-    g_rows = tuple(tuple(calc.hom_dim(t, x) for t in ts) for x in objects)
-    positions = tuple(objects.index(t) for t in ts)
+    positions = tuple(calc.id_of(t) for t in ts)
+    t_rows = [calc.hom_row(p) for p in positions]
+    g_rows = tuple(
+        tuple(row >> x & 1 for row in t_rows) for x in range(len(calc.objects))
+    )
     # a nonsingular square block of rows of G already proves that G has
     # full column rank; the rank itself only names the failure
     square_inv = adjugate([g_rows[p] for p in positions])
@@ -112,9 +114,9 @@ def _system_for(tilting: TiltingObject, params: ModelParams) -> _System:
         )
     adj, det = square_inv
     data = _System(
-        objects,
-        tuple(shift(x, 1, params) for x in objects),
-        tuple(shift(t, 1, params) for t in ts),
+        calc.objects,
+        calc.translate,
+        calc.translated_mask(ts),
         g_rows,
         positions,
         adj,
@@ -136,12 +138,16 @@ def index_via_system(
         raise InvalidInputError(f"{c!r} is not an indecomposable object here")
     calc = calculator_for(params)
     system = _system_for(tilting, params)
-    shifted, det = system.shifted, system.det
+    shifted, det = system.shifted_mask, system.det
     sign = -1 if params.d % 2 else 1
+    # b[x] = dim of Hom(c, x) modulo add(shifted) plus sign times the dim
+    # of Hom(c, shift(x, 1)) through add(shifted): two bit tests per row
+    cid = calc.id_of(tuple(sorted(c)))
+    hom, factors = calc.hom_row(cid), calc.factor_row(cid)
     b = [
-        calc.quotient_hom_dim(c, x, shifted)
-        + sign * calc.ideal_hom_dim(c, x1, shifted)
-        for x, x1 in zip(system.objects, system.shifted_objects)
+        (hom >> x & 1) - (factors[x] & shifted != 0)
+        + sign * (factors[x1] & shifted != 0)
+        for x, x1 in enumerate(system.translate)
     ]
     b_square = [b[p] for p in system.positions]
     scaled = [sum(map(mul, row, b_square)) for row in system.adj]

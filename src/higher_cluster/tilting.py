@@ -185,15 +185,17 @@ def validate_tilting(candidate, params: ModelParams) -> TiltingObject:
                 "intertwining-pair", (s, t), f"summands {s} and {t} intertwine"
             )
     calc = calculator_for(params)
-    shifted = [shift(t, 1, params) for t in summands]
-    for s in summands:
-        for t, t1 in zip(summands, shifted):
-            if calc.hom_dim(s, t1) != 0:
-                raise TiltingError(
-                    "hom-to-shift",
-                    (s, t),
-                    f"Hom({s}, translate of {t}) is nonzero",
-                )
+    translate = calc.translate
+    shifted = calc.translated_mask(summands)
+    for i in ids:
+        hits = calc.hom_row(i) & shifted
+        if hits:
+            # the witness is the first t in summand order
+            j = next(j for j in ids if hits >> translate[j] & 1)
+            s, t = objects[i], objects[j]
+            raise TiltingError(
+                "hom-to-shift", (s, t), f"Hom({s}, translate of {t}) is nonzero"
+            )
     for k in bit_ids(((1 << len(objects)) - 1) & ~family):
         if neighbors[k] & family == family:
             obj = objects[k]

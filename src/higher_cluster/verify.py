@@ -155,7 +155,7 @@ def replay(witness) -> tuple[bool, dict]:
             "via_resolution": [list(a.via_resolution), list(b.via_resolution)],
             "via_system": [list(a.via_system), list(b.via_system)],
         }
-    shifted = tuple(shift(t, 1, params) for t in tilting.summands)
+    shifted = calc.translated_mask(tilting.summands)
     c, x = _object(witness, "c", params), _object(witness, "x", params)
     if check == "serre":
         return _ideal_quotient_duality(calc, shifted, c, x)
@@ -203,7 +203,7 @@ def _dimension_formula(calc, summands, shifted, index, c, x):
     """Both forms of the identity at (c, x); index is the index of c."""
     params = calc.params
     sign = -1 if params.d % 2 else 1
-    rhs = sum(a * calc.hom_dim(t, x) for a, t in zip(index, summands))
+    rhs = sum(a * calc.hom_dim(t, x) for a, t in zip(index, summands) if a)
     quot_cx = calc.quotient_hom_dim(c, x, shifted)
     ideal_form = quot_cx + sign * calc.ideal_hom_dim(c, shift(x, 1, params), shifted)
     quotient_form = quot_cx + sign * calc.quotient_hom_dim(
@@ -329,7 +329,7 @@ def check_serre(params: ModelParams, tilting: TiltingObject | None = None) -> Ch
                     )
                 )
     if tilting is not None:
-        shifted = tuple(shift(t, 1, params) for t in tilting.summands)
+        shifted = calc.translated_mask(tilting.summands)
         for c in objects:
             for x in objects:
                 pairs += 1
@@ -369,7 +369,7 @@ def check_dimension_formula(tilting: TiltingObject, params: ModelParams) -> Chec
     calc = calculator_for(params)
     objects = enumerate_indecomposables(params)
     ts = tilting.summands
-    shifted = tuple(shift(t, 1, params) for t in ts)
+    shifted = calc.translated_mask(ts)
     algebra = algebra_for(tilting, params)
     witnesses = []
     pairs = 0
@@ -408,7 +408,7 @@ def check_disjointness(tilting: TiltingObject, params: ModelParams) -> CheckResu
     """
     calc = calculator_for(params)
     objects = enumerate_indecomposables(params)
-    shifted = tuple(shift(t, 1, params) for t in tilting.summands)
+    shifted = calc.translated_mask(tilting.summands)
     witnesses = []
     for c in objects:
         for x in objects:

@@ -125,3 +125,43 @@ def validate_tilting_oracle(candidate, n, d, expected=None):
         if not any(intertwines_oracle(obj, s, N) for s in summands):
             return "not-maximal", obj
     return None, summands
+
+
+def _mixed_chain_oracle(xs, ys, N):
+    """x_0 <= y_0 <= x_1^{--} < x_1 <= y_1 <= ... < x_d <= y_d <= x_0^{--},
+    as offsets clockwise from x_0; ^{--} is two steps anticlockwise."""
+    base = xs[0]
+    steps = [(0, "<=")]  # (offset, relation to the previous entry)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        if i:
+            steps.append(((xi - 2 - base) % N, "<="))
+            steps.append(((xi - base) % N, "<"))
+        steps.append(((yi - base) % N, "<="))
+    steps.append((N - 2, "<="))
+    for (a, _), (b, rel) in zip(steps, steps[1:]):
+        if (rel == "<" and not a < b) or (rel == "<=" and not a <= b):
+            return False
+    return True
+
+
+def factors_through_oracle(x, y, z, n, d):
+    """Does the nonzero morphism x -> y factor through z?
+
+    The rotation loop: some chain labelling of (x, y) and some rotation
+    of z put every z_i on the clockwise arc from x_i to y_i.  Refuses a
+    pair with no chain labelling, i.e. a zero hom space.
+    """
+    N = cycle_size(n, d)
+    labellings = [
+        (xs, ys)
+        for xs in rotations(tuple(x))
+        for ys in rotations(tuple(y))
+        if _mixed_chain_oracle(xs, ys, N)
+    ]
+    if not labellings:
+        raise ValueError(f"Hom{(x, y)} = 0: nothing to factor")
+    return any(
+        all((zi - xi) % N <= (yi - xi) % N for xi, zi, yi in zip(xs, zs, ys))
+        for xs, ys in labellings
+        for zs in rotations(tuple(z))
+    )

@@ -123,6 +123,41 @@ def test_hom_usage_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--through", "--modulo"])
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        (";", "names no object"),
+        ("", "names no object"),
+        ("1,2", "(1, 2) is not an admissible"),
+        ("1,4;2,3", "(2, 3) is not an admissible"),
+        ("1,3,5", "(1, 3, 5) is not an admissible"),
+    ],
+)
+def test_hom_refuses_empty_or_non_object_families(capsys, flag, family, message):
+    # dim 0 "through nothing" was printed as kind plain where Hom is 1
+    code, out, err = run_cli(
+        capsys,
+        "hom", "--n", "2", "--d", "1",
+        "--source", "1,3", "--target", "1,4", flag, family,
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_hom_family_members_are_echoed_in_canonical_form(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "hom", "--n", "2", "--d", "1", "--format", "json",
+        "--source", "1,3", "--target", "1,4", "--through", "2,5;3,1",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["family"] == [[2, 5], [1, 3]]
+    assert (payload["kind"], payload["dim"]) == ("through", 1)
+
+
 def test_tilting_exit_codes(capsys):
     code, out, _ = run_cli(
         capsys, "tilting", "--n", "2", "--d", "2", "--format", "json"

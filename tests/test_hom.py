@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higher_cluster.errors import ContractError
+from higher_cluster.errors import ContractError, InvalidInputError
 from higher_cluster.hom import calculator_for
 from higher_cluster.model import ModelParams, enumerate_indecomposables, shift
 from higher_cluster.tilting import enumerate_tilting
-from oracles import hom_oracle
+from oracles import factors_through_oracle, hom_oracle
 
 P21 = ModelParams(2, 1)
 P22 = ModelParams(2, 2)
@@ -61,14 +61,18 @@ def test_serre_symmetry_small():
 
 
 def test_factors_through_examples():
-    assert C21.factors_through((1, 3), (1, 4), (1, 3))
-    assert C21.factors_through((1, 3), (1, 4), (1, 4))
-    assert not C21.factors_through((1, 3), (1, 4), (2, 5))
+    for z, expected in (((1, 3), True), ((1, 4), True), ((2, 5), False)):
+        assert factors_through_oracle((1, 3), (1, 4), z, 2, 1) is expected
+        assert C21.ideal_hom_dim((1, 3), (1, 4), (z,)) == int(expected)
 
 
 def test_factors_through_requires_nonzero_map():
-    with pytest.raises(ContractError):
-        C21.factors_through((1, 3), (2, 4), (1, 4))
+    # the oracle refuses a zero hom space; the table holds no factor there
+    with pytest.raises(ValueError):
+        factors_through_oracle((1, 3), (2, 4), (1, 4), 2, 1)
+    objs = enumerate_indecomposables(P21)
+    assert C21.ideal_hom_dim((1, 3), (2, 4), objs) == 0
+    assert C21.factor_row(C21.id_of((1, 3)))[C21.id_of((2, 4))] == 0
 
 
 def test_factoring_respects_hom_composition():
@@ -81,10 +85,88 @@ def test_factoring_respects_hom_composition():
                 if calc.hom_dim(x, y) != 1:
                     continue
                 for z in objs:
-                    if calc.factors_through(x, y, z):
+                    if calc.ideal_hom_dim(x, y, (z,)):
                         assert calc.hom_dim(x, z) == 1
                         assert calc.hom_dim(z, y) == 1
                         assert calc.compose_nonzero((x, z), (z, y)) == 1
+
+
+SMALL_CASES = [(n, d) for n in range(1, 5) for d in range(1, 4)]
+
+
+@pytest.mark.parametrize("n,d", SMALL_CASES)
+def test_factor_table_matches_rotation_oracle(n, d):
+    # every pair and triple: the factor mask of x -> y holds z exactly
+    # when the rotation loop finds a labelling; zero maps hold nothing
+    p = ModelParams(n, d)
+    calc = calculator_for(p)
+    objs = enumerate_indecomposables(p)
+    for i, x in enumerate(objs):
+        row = calc.factor_row(i)
+        for j, y in enumerate(objs):
+            if not hom_oracle(x, y, n, d):
+                assert row[j] == 0
+                continue
+            expected = sum(
+                1 << k
+                for k, z in enumerate(objs)
+                if factors_through_oracle(x, y, z, n, d)
+            )
+            assert row[j] == expected, (x, y)
+
+
+@pytest.mark.parametrize("n,d", SMALL_CASES)
+def test_compose_nonzero_matches_rotation_oracle(n, d):
+    # the composite x -> y -> z is the basis morphism iff x -> z is
+    # nonzero and factors through y
+    p = ModelParams(n, d)
+    calc = calculator_for(p)
+    objs = enumerate_indecomposables(p)
+    targets = {x: [y for y in objs if hom_oracle(x, y, n, d)] for x in objs}
+    for x in objs:
+        for y in targets[x]:
+            for z in targets[y]:
+                expected = hom_oracle(x, z, n, d) and factors_through_oracle(
+                    x, z, y, n, d
+                )
+                assert calc.compose_nonzero((x, y), (y, z)) == int(expected)
+
+
+@st.composite
+def object_pair_and_family(draw):
+    n, d = draw(st.sampled_from([(5, 2), (5, 3), (4, 4)]))
+    p = ModelParams(n, d)
+    objs = enumerate_indecomposables(p)
+    x = draw(st.sampled_from(objs))
+    # bias towards nonzero maps and towards members with nonzero hom on
+    # both legs, the only ones a map can factor through
+    targets = [y for y in objs if hom_oracle(x, y, n, d)]
+    y = draw(st.sampled_from(objs) | st.sampled_from(targets))
+    between = [
+        z for z in objs if hom_oracle(x, z, n, d) and hom_oracle(z, y, n, d)
+    ]
+    members = st.sampled_from(objs)
+    if between:
+        members |= st.sampled_from(between)
+    family = draw(st.lists(members, max_size=8))
+    return p, x, y, family
+
+
+@given(object_pair_and_family())
+@settings(max_examples=200, deadline=None)
+def test_ideal_and_quotient_match_oracle_on_random_families(case):
+    p, x, y, family = case
+    calc = calculator_for(p)
+    hom = hom_oracle(x, y, p.n, p.d)
+    ideal = int(hom == 1 and any(
+        factors_through_oracle(x, y, z, p.n, p.d) for z in family
+    ))
+    for f in (family, family[::-1], family * 2):
+        assert calc.ideal_hom_dim(x, y, f) == ideal
+        assert calc.quotient_hom_dim(x, y, f) == hom - ideal
+        mask = calc.family_mask(f)
+        assert calc.ideal_hom_dim(x, y, mask) == ideal
+        assert calc.quotient_hom_dim(x, y, mask) == hom - ideal
 
 
 def test_ideal_hom_examples():
@@ -146,6 +228,38 @@ def test_ideal_hom_ignores_order_and_repeats_in_the_family(n, d):
                 assert calc.ideal_hom_dim(x, y, tuple(family)) == single
                 assert calc.ideal_hom_dim(x, y, tuple(reversed(family))) == single
                 assert calc.ideal_hom_dim(x, y, tuple(shuffled)) == single
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (3, 1), [1, 3], (1, 3, 5), "13", None])
+def test_non_objects_are_typed_errors(bad):
+    # never a KeyError from the id map: every query names the non-object
+    good = (1, 3)
+    queries = [
+        lambda: C21.hom_dim(bad, good),
+        lambda: C21.hom_dim(good, bad),
+        lambda: C21.hom_dim_via_chain(good, bad),
+        lambda: C21.ideal_hom_dim(bad, good, ()),
+        lambda: C21.ideal_hom_dim(good, (1, 4), (good, bad)),
+        lambda: C21.quotient_hom_dim(good, bad, ()),
+        lambda: C21.quotient_hom_dim(good, (1, 4), (bad,)),
+        lambda: C21.compose_nonzero((good, good), (good, bad)),
+        lambda: C21.family_mask([good, bad]),
+        lambda: C21.translated_mask([good, bad]),
+    ]
+    for query in queries:
+        with pytest.raises(InvalidInputError, match="not an indecomposable object"):
+            query()
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (2, 3)])
+def test_translated_mask_is_the_mask_of_the_translates(n, d):
+    p = ModelParams(n, d)
+    calc = calculator_for(p)
+    for tilting in enumerate_tilting(p):
+        family = tilting.summands
+        expected = calc.family_mask(shift(t, 1, p) for t in family)
+        assert calc.translated_mask(family) == expected
+        assert expected.bit_count() == len(family)
 
 
 def test_compose_nonzero_examples():

@@ -310,16 +310,22 @@ def test_not_maximal_witness_matches_loop_oracle(n, d, monkeypatch):
 
 def test_hom_to_shift_witness_is_the_first_nonzero_pair(monkeypatch):
     # Hom(s, translate of t) vanishes exactly when s and t do not
-    # intertwine, so the check is reached by reporting one hom as nonzero
+    # intertwine, so the check is reached by setting hom bits by hand:
+    # for (s, t) and every later pair in summand order, the bit of the
+    # translate of t in the hom row of s; the witness must be (s, t)
     params = ModelParams(2, 2)
     fan = enumerate_tilting(params)[0].summands
-    plain = HomCalculator.hom_dim
-    for s in fan:
-        for t in fan:
-            bad = (s, shift(t, 1, params))
+    ids = calculator_for(params).ids
+    plain = HomCalculator.hom_row
+    for a, s in enumerate(fan):
+        for b, t in enumerate(fan):
+            bits = sum(1 << ids[shift(u, 1, params)] for u in fan[b:])
+            rows = {ids[r] for r in fan[a:]}
             monkeypatch.setattr(
                 HomCalculator,
-                "hom_dim",
-                lambda self, x, y, bad=bad: 1 if (x, y) == bad else plain(self, x, y),
+                "hom_row",
+                lambda self, k, rows=rows, bits=bits: (
+                    plain(self, k) | (bits if k in rows else 0)
+                ),
             )
             assert engine_verdict(fan, params) == ("hom-to-shift", (s, t))

@@ -246,7 +246,8 @@ def _assert_replays(result, fields):
 
 
 def _shifted(tilting, params):
-    return tuple(shift(t, 1, params) for t in tilting.summands)
+    """The translated summands as the sweeps pass them: one family mask."""
+    return hom.calculator_for(params).translated_mask(tilting.summands)
 
 
 def test_replay_reruns_associativity(monkeypatch, private_caches):
