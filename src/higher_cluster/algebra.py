@@ -11,7 +11,13 @@ Conventions, fixed once and used everywhere:
 - Modules are the right modules Hom(T, c): the component at t_j is
   Hom(t_j, c), and a basis morphism t_i -> t_j acts by precomposition,
   carrying the t_j-component into the t_i-component.
-- All linear algebra is exact, over the rationals.
+- All linear algebra is exact and stays in the integers.  Hom(T, c) and
+  every direct sum of projectives are coordinate representations whose
+  arrows are partial matchings of coordinates, read from the Cartan
+  matrix and the multiplication table.  A syzygy is held as primitive
+  integer kernel vectors inside the projective it sits in, so arrows act
+  on it by that projective's own matchings and no induced action is
+  ever solved.
 
 The projective at t_j is Hom(T, t_j) itself, so its dimension vector is
 the j-th column of the Cartan matrix and every component is at most
@@ -21,12 +27,12 @@ one-dimensional.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .errors import ContractError, InvariantError
 from .hom import calculator_for
-from .linalg import ONE, ZERO, Mat, kernel_basis, rank, rref, solve_many
+from .linalg import eliminate, kernel, rank
 from .model import IndObj, ModelParams
 from .tilting import TiltingObject
 
@@ -128,80 +134,96 @@ def _assert_associative(algebra: AlgebraPresentation):
                     )
 
 
-class ModuleRep:
-    """A finite-dimensional right module, one vector space per summand.
+@dataclass(frozen=True, eq=False)
+class CoordRep:
+    """A right module on coordinates, every arrow acting by a partial matching.
 
-    actions maps every non-identity basis pair (i, j) to a Mat of shape
-    dims[i] x dims[j] (the arrow acts by precomposition, into the source
-    component); identities act as identity matrices implicitly.
+    Component k has dims[k] coordinates.  arrows[(i, j)] lists the pairs
+    (y, x) along which the arrow (i, j) carries coordinate y of component
+    j to coordinate x of component i with coefficient 1; it sends every
+    other coordinate to zero.  Hom(T, c) and every direct sum of
+    projectives have this form.  A submodule is held as integer vectors
+    per component, and arrows act on those by the matchings.
     """
 
-    def __init__(self, algebra, dims, actions, check=True):
-        self.algebra = algebra
-        self.dims = tuple(dims)
-        self.actions = dict(actions)
-        if check:
-            self.check_representation()
+    algebra: AlgebraPresentation
+    dims: tuple[int, ...]
+    arrows: dict
 
-    def action(self, pair) -> Mat:
-        return self.actions[pair]
+    def act(self, pair, vec) -> list:
+        """The arrow pair applied to a vector of component pair[1]."""
+        out = [0] * self.dims[pair[0]]
+        for y, x in self.arrows[pair]:
+            out[x] = vec[y]
+        return out
 
-    def total_dim(self) -> int:
-        return sum(self.dims)
+    def units(self):
+        """The coordinate vectors of every component: the whole module."""
+        return tuple(
+            tuple(tuple(int(x == y) for x in range(n)) for y in range(n))
+            for n in self.dims
+        )
 
-    def is_zero(self) -> bool:
-        return self.total_dim() == 0
+    def check_representation(self, vectors):
+        """Composites of arrows must act as the multiplication table says,
+        zero composites included, on every vector of vectors[k].
 
-    def check_representation(self):
-        """Composites of action maps must match the multiplication table,
-        zero composites included.
-
-        Every arrow's action is first checked to be a dims[i] x dims[j]
-        matrix.  That settles each composable pair whose outer component
-        i or k is zero-dimensional: the composite and what it must equal
-        (zero, the identity on component i, or the action of (i, k)) are
-        then one and the same empty matrix.  Syzygies live on few
-        components, so most pairs are of that kind; the others are
-        multiplied out.
+        Every arrow that acts on a given vector is first checked to be a
+        partial matching of the coordinates of its two components.  A
+        composable pair whose outer component i or k holds no vector is
+        then skipped: on the whole module the composite and what it must
+        equal (zero, the identity on component i, or the action of
+        (i, k)) are one and the same empty map, and on a submodule
+        closure under the arrows, checked apart, makes both zero.
         """
         alg, dims = self.algebra, self.dims
         for i, j in alg.arrows:
-            a = self.actions.get((i, j))
-            if a is None or (a.nrows, a.ncols) != (dims[i], dims[j]):
+            pairs = self.arrows.get((i, j))
+            if vectors[j] and (pairs is None or not _is_matching(pairs, dims[j], dims[i])):
                 raise InvariantError(
-                    f"arrow {(i, j)} does not act as a {dims[i]} x {dims[j]} matrix"
+                    f"arrow {(i, j)} does not match {dims[j]} coordinates into {dims[i]}"
                 )
         for p, q in alg.composable:
             i, k = p[0], q[1]
-            if not (dims[i] and dims[k]):
-                continue  # an empty composite, settled by the shapes
-            got = self.action(p).mul(self.action(q))
+            if not (vectors[i] and vectors[k]):
+                continue
             coeff = alg.mult[(p, q)]
-            if coeff == 0:
-                ok = got.is_zero()
-            elif i == k:
-                ok = got == Mat.identity(dims[i])
-            else:
-                ok = got == self.action((i, k))
-            if not ok:
-                raise InvariantError(
-                    f"representation property fails composing {p} then {q}"
-                )
+            for vec in vectors[k]:
+                got = self.act(p, self.act(q, vec))
+                if coeff == 0:
+                    ok = not any(got)
+                elif i == k:
+                    ok = got == list(vec)
+                else:
+                    ok = got == self.act((i, k), vec)
+                if not ok:
+                    raise InvariantError(
+                        f"representation property fails composing {p} then {q}"
+                    )
 
 
-def module_of(c: IndObj, algebra: AlgebraPresentation, check=True) -> ModuleRep:
+def _is_matching(pairs, sources, targets) -> bool:
+    ys = {y for y, _ in pairs}
+    xs = {x for _, x in pairs}
+    return (
+        len(ys) == len(xs) == len(pairs)
+        and all(0 <= y < sources for y in ys)
+        and all(0 <= x < targets for x in xs)
+    )
+
+
+def module_of(c: IndObj, algebra: AlgebraPresentation) -> CoordRep:
     """The right module Hom(T, c); zero exactly when c is a translate of T."""
     calc = calculator_for(algebra.params)
     ts = algebra.summands
-    dims = [calc.hom_dim(t, c) for t in ts]
-    actions = {}
-    for i, j in algebra.arrows:
-        if dims[i] and dims[j]:
-            entry = calc.compose_nonzero((ts[i], ts[j]), (ts[j], c))
-            actions[(i, j)] = Mat.from_int_rows([[entry]], 1)
-        else:
-            actions[(i, j)] = Mat.zeros(dims[i], dims[j])
-    return ModuleRep(algebra, dims, actions, check=check)
+    dims = tuple(calc.hom_dim(t, c) for t in ts)
+    arrows = {
+        (i, j): ((0, 0),)
+        if dims[i] and dims[j] and calc.compose_nonzero((ts[i], ts[j]), (ts[j], c))
+        else ()
+        for i, j in algebra.arrows
+    }
+    return CoordRep(algebra, dims, arrows)
 
 
 def projective_module(multiplicities, algebra):
@@ -210,129 +232,101 @@ def projective_module(multiplicities, algebra):
     Returns (module, layouts) where layouts[k] lists the coordinates of
     component k as (summand a, copy) pairs: copy cp of the projective at
     t_a contributes one coordinate to component k iff Cartan[k][a] = 1.
+    The arrow (i, j) carries (a, cp) at j to (a, cp) at i exactly when
+    the composite t_i -> t_j -> t_a is nonzero.
     """
-    r = algebra.r
-    cartan = algebra.cartan
+    cartan, mult = algebra.cartan, algebra.mult
+    support = [a for a, m in enumerate(multiplicities) if m]
     layouts = tuple(
         tuple(
             (a, cp)
-            for a in range(r)
+            for a in support
             if cartan[k][a] == 1
             for cp in range(multiplicities[a])
         )
-        for k in range(r)
+        for k in range(algebra.r)
     )
-    dims = tuple(len(lay) for lay in layouts)
-    actions = {}
-    for i, j in algebra.arrows:
-        rows = []
-        for a, cp in layouts[i]:
-            # the (a, cp) column exists in component j only when
-            # Hom(t_j, t_a) is nonzero; otherwise this row is zero
-            rows.append(
-                [
-                    Fraction(algebra.mult[((i, j), (j, a))])
-                    if (a2, cp2) == (a, cp)
-                    else ZERO
-                    for a2, cp2 in layouts[j]
-                ]
-            )
-        actions[(i, j)] = Mat.from_rows(rows, dims[j]) if rows else Mat.zeros(0, dims[j])
-    # representation property holds by associativity of mult, asserted at
-    # algebra construction; re-checking here would dominate resolutions
-    module = ModuleRep(algebra, dims, actions, check=False)
-    return module, layouts
+    where = [{coord: x for x, coord in enumerate(lay)} for lay in layouts]
+    arrows = {
+        (i, j): tuple(
+            (y, where[i][coord])
+            for y, coord in enumerate(layouts[j])
+            if mult[((i, j), (j, coord[0]))]
+        )
+        for i, j in algebra.arrows
+    }
+    # the representation property holds by associativity of mult,
+    # asserted at algebra construction
+    return CoordRep(algebra, tuple(map(len, layouts)), arrows), layouts
 
 
-@dataclass
-class CoverResult:
-    multiplicities: tuple[int, ...]
-    matrices: dict  # component k -> Mat of shape M.dims[k] x P.dims[k]
-    projective: ModuleRep
-    layouts: tuple
+def _transpose(cols, nrows):
+    return tuple(zip(*cols)) if cols else ((),) * nrows
 
 
-def projective_cover(module: ModuleRep) -> CoverResult:
-    """Projective cover built from a basis of the top.
+def projective_cover(module: CoordRep, vectors):
+    """Projective cover of the submodule spanned by vectors[k] at each k.
 
-    The radical part of component i is the span of all incoming action
-    images; standard basis vectors at the non-pivot coordinates of that
-    span lift a basis of the top.  Each lift at component a generates one
-    copy of the projective at t_a, mapped in by precomposition.
+    The radical at component i is the span of the images of the arrows
+    from i.  One elimination of [those images | vectors[i], last first]
+    keeps the vectors outside the radical plus the span of the later
+    ones: they lift a basis of the top, at the positions of the non-pivot
+    columns of the radical in vector coordinates.  Each lift at component a
+    generates one copy of the projective at t_a, and the cover sends the
+    coordinate (a, cp) of component k to the arrow (k, a) applied to
+    lift cp, in the coordinates of the module.
+
+    Returns (multiplicities, layouts, projective, matrices) with
+    matrices[k] the cover at component k as int rows, module.dims[k] by
+    projective.dims[k].
     """
     alg = module.algebra
-    r = alg.r
     lifts = []
-    for i in range(r):
-        if not module.dims[i]:
-            lifts.append(())  # an empty component has no top to lift
-            continue
-        gen_rows = []
-        for p in alg.arrows_from[i]:
-            gen_rows.extend(zip(*module.action(p).rows))  # the columns
-        _, pivots = rref(Mat.from_rows(gen_rows, module.dims[i]))
-        pivot_set = set(pivots)
-        lifts.append(tuple(c for c in range(module.dims[i]) if c not in pivot_set))
-    multiplicities = tuple(len(lifts[i]) for i in range(r))
+    for i, own in enumerate(vectors):
+        images = [
+            w
+            for p in alg.arrows_from[i]
+            for u in vectors[p[1]]
+            if any(w := module.act(p, u))
+        ] if own else []
+        if images:
+            cols = images + list(own[::-1])
+            _, pivots, _, _ = eliminate(_transpose(cols, module.dims[i]), len(cols))
+            own = [cols[c] for c in reversed(pivots) if c >= len(images)]
+        lifts.append(own)
+    multiplicities = tuple(map(len, lifts))
     projective, layouts = projective_module(multiplicities, alg)
-    matrices = {}
-    for k in range(r):
-        cols = []
-        for a, cp in layouts[k]:
-            coord = lifts[a][cp]
-            if k == a:
-                vec = [ZERO] * module.dims[k]
-                vec[coord] = ONE
-            else:
-                act = module.action((k, a))
-                vec = [act.rows[row][coord] for row in range(module.dims[k])]
-            cols.append(vec)
-        matrices[k] = Mat(
+    matrices = tuple(
+        _transpose(
+            [
+                lifts[a][cp] if k == a else module.act((k, a), lifts[a][cp])
+                for a, cp in layouts[k]
+            ],
             module.dims[k],
-            len(cols),
-            tuple(tuple(col[row] for col in cols) for row in range(module.dims[k])),
         )
-    return CoverResult(multiplicities, matrices, projective, layouts)
+        for k in range(alg.r)
+    )
+    return multiplicities, layouts, projective, matrices
 
 
-def kernel_module(projective: ModuleRep, cover_matrices):
-    """Kernel of a cover map as a module, with its inclusion matrices.
+def syzygy(projective: CoordRep, matrices):
+    """Kernel of a cover map, as primitive integer vectors in its projective.
 
-    The kernel basis at each component is an explicit solution basis; the
-    induced actions are found by solving against that basis, so the
-    syzygy is itself a ModuleRep with verified representation property.
+    Arrows act on the kernel by the projective's own matchings, so no
+    induced action is solved; closure under every arrow and the
+    representation property are checked on every kernel vector.
     """
-    alg = projective.algebra
-    r = alg.r
-    bases = []
-    inclusions = {}
-    for k in range(r):
-        # a zero-dimensional component contributes no kernel vectors
-        vecs = kernel_basis(cover_matrices[k]) if projective.dims[k] else []
-        bases.append(vecs)
-        inclusions[k] = Mat(
-            projective.dims[k],
-            len(vecs),
-            tuple(
-                tuple(vecs[j][row] for j in range(len(vecs)))
-                for row in range(projective.dims[k])
-            ),
-        )
-    dims = tuple(len(b) for b in bases)
-    actions = {}
-    for i, j in alg.arrows:
-        if dims[i] == 0 or dims[j] == 0:
-            actions[(i, j)] = Mat.zeros(dims[i], dims[j])
-            continue
-        mapped = projective.action((i, j)).mul(inclusions[j])
-        sol = solve_many(inclusions[i], mapped)
-        if sol is None:
-            raise InvariantError(
-                "kernel of a cover map is not closed under the action"
-            )
-        actions[(i, j)] = sol
-    kernel = ModuleRep(alg, dims, actions, check=True)
-    return kernel, inclusions
+    vectors = tuple(kernel(m, n) for m, n in zip(matrices, projective.dims))
+    projective.check_representation(vectors)
+    for i, j in projective.algebra.arrows:
+        pairs = projective.arrows[(i, j)]
+        for vec in vectors[j]:
+            # the image lies in the kernel at component i
+            if any(sum(row[x] * vec[y] for y, x in pairs) for row in matrices[i]):
+                raise InvariantError(
+                    "kernel of a cover map is not closed under the action"
+                )
+    return vectors
 
 
 @dataclass
@@ -341,7 +335,7 @@ class ResolutionReport:
 
     multiplicities[s] is the multiplicity vector of P_s over the summand
     basis; maps[0] maps P_0 onto M and maps[s] for s >= 1 is the
-    connecting map P_s -> P_{s-1}, all stored per component.
+    connecting map P_s -> P_{s-1}, all stored per component as int rows.
 
     The sequence is exact at M and at every interior stage, and each P_s
     covers the kernel it maps onto, so the presentation is minimal.  The
@@ -403,7 +397,9 @@ class ResolutionReport:
             if ranks[0] != dims[0]:
                 violations.append(f"cover not surjective at component {k}")
             for s in range(stages - 1):
-                if not mats[s].mul(mats[s + 1]).is_zero():
+                if any(
+                    sum(map(mul, row, col)) for row in mats[s] for col in zip(*mats[s + 1])
+                ):
                     violations.append(
                         f"composite of stages {s + 1} and {s} nonzero at component {k}"
                     )
@@ -420,7 +416,7 @@ class ResolutionReport:
                 lay = self.layouts[s - 1][a]
                 m = self.maps[s][a]
                 for row, (a2, _) in enumerate(lay):
-                    if a2 == a and any(m.rows[row]):
+                    if a2 == a and any(m[row]):
                         violations.append(
                             f"connecting map {s} not radical-valued at summand {a}"
                         )
@@ -451,47 +447,42 @@ def minimal_resolution(
     recorded as tail_kernel_dims rather than resolved further, since only
     the first d + 1 terms carry index information and some endomorphism
     algebras (oriented cycles among summands) admit no finite resolution
-    at all.  With verify=True (the default) the full exactness and
-    minimality report runs before returning; the sweep machinery disables
-    it and relies on the independent cross-route check instead.
+    at all.  Each syzygy stays inside the projective it sits in, so every
+    connecting map comes out in that projective's coordinates.  With
+    verify=True (the default) the full exactness and minimality report
+    runs before returning; the sweep machinery disables it and relies on
+    the independent cross-route check instead.
     """
-    params = algebra.params
-    module = module_of(c, algebra, check=False)
-    if module.is_zero():
+    module = module_of(c, algebra)
+    if not any(module.dims):
         raise ContractError(
             f"Hom(T, {c}) = 0: {c} is a translate of a summand, no resolution"
         )
+    module_dims = module.dims
+    vectors = module.units()
+    # with the representation property on the vectors it lifts, each
+    # cover is a module map; syzygy checks it on every kernel vector
+    module.check_representation(vectors)
     multiplicities = []
     maps = []
     layouts = []
-    current = module
-    inclusion = None
     while True:
-        cover = projective_cover(current)
-        multiplicities.append(cover.multiplicities)
-        layouts.append(cover.layouts)
-        if inclusion is None:
-            stage_map = dict(cover.matrices)
-        else:
-            stage_map = {
-                k: inclusion[k].mul(cover.matrices[k])
-                for k in cover.matrices
-            }
-        maps.append(stage_map)
-        kernel, incl = kernel_module(cover.projective, cover.matrices)
-        if kernel.is_zero() or len(multiplicities) > params.d:
-            tail_kernel = kernel.dims
+        mults, lay, projective, matrices = projective_cover(module, vectors)
+        multiplicities.append(mults)
+        layouts.append(lay)
+        maps.append(matrices)
+        vectors = syzygy(projective, matrices)
+        if not any(vectors) or len(multiplicities) > algebra.params.d:
             break
-        current = kernel
-        inclusion = incl
+        module = projective
     report = ResolutionReport(
         algebra,
         c,
-        module.dims,
+        module_dims,
         tuple(multiplicities),
         tuple(maps),
         tuple(layouts),
-        tail_kernel,
+        tuple(map(len, vectors)),
     )
     if verify:
         violations = report.verify()

@@ -10,12 +10,16 @@ summand order.  Two independent computation routes are implemented:
   there and carries no resolution);
 - the system route: solve G a = b where G[x, j] = dim Hom(t_j, x) over
   every indecomposable x and b packs the quotient and ideal hom
-  dimensions relative to the translated tilting object.  It never
-  leaves the integers: the square subsystem on the summand rows is
-  inverted once per tilting object as an integer adjugate over its
-  determinant (fraction-free elimination), each candidate is an integer
+  dimensions relative to the translated tilting object.  The square
+  subsystem on the summand rows is inverted once per tilting object as
+  an integer adjugate over its determinant, each candidate is an integer
   dot product that must divide exactly by the determinant, and every
   row of G a = b must then hold as an integer identity.
+
+Neither route leaves the integers; both run on the one fraction-free
+elimination of `linalg`, which also gives the integer rank that names a
+refusal of a singular system.  `Fraction` only prints a non-integral
+solution in its refusal message.
 
 Verification mode runs both on every object and treats any disagreement
 as a hard failure, never a warning.
@@ -31,7 +35,7 @@ from typing import NamedTuple
 from .algebra import build_algebra, minimal_resolution
 from .errors import InvalidInputError, InvariantError
 from .hom import calculator_for
-from .linalg import Mat, adjugate, rank
+from .linalg import adjugate, rank
 from .model import (
     IndObj,
     ModelParams,
@@ -105,7 +109,7 @@ def _system_for(tilting: TiltingObject, params: ModelParams) -> _System:
     # full column rank; the rank itself only names the failure
     square_inv = adjugate([g_rows[p] for p in positions])
     if square_inv is None:
-        if rank(Mat.from_int_rows(g_rows, len(ts))) != len(ts):
+        if rank(g_rows) != len(ts):
             raise InvariantError(
                 f"hom matrix of tilting object {ts} is rank deficient"
             )

@@ -22,7 +22,6 @@ from .model import (
     ModelParams,
     enumerate_indecomposables,
     intertwines,
-    is_admissible,
     shift,
 )
 
@@ -160,8 +159,13 @@ def validate_tilting(candidate, params: ModelParams) -> TiltingObject:
     hom-to-shift, not-maximal.
     """
     summands = tuple(sorted(set(tuple(sorted(t)) for t in candidate)))
+    graph = compatibility_graph(params)
     for t in summands:
-        if not is_admissible(t, params):
+        # the id map holds exactly the admissible sorted tuples, but
+        # True == 1 and 1.0 == 1 hash alike, so members are type-checked
+        if t not in graph.ids or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in t
+        ):
             raise TiltingError(
                 "non-admissible-summand", t, f"summand {t} is not admissible"
             )
@@ -172,7 +176,6 @@ def validate_tilting(candidate, params: ModelParams) -> TiltingObject:
             (len(summands), expected),
             f"got {len(summands)} distinct summands, expected {expected}",
         )
-    graph = compatibility_graph(params)
     objects, neighbors = graph.objects, graph.neighbors
     ids = [graph.ids[t] for t in summands]  # ascending, like summands
     family = sum(1 << i for i in ids)

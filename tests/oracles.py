@@ -1,10 +1,13 @@
 """Independent oracles the tests compare the engine against.
 
 Everything here is deliberately naive: brute-force filters, literal
-walk-the-circle predicates, unpivoted clique search.  None of it shares
-code with the package.
+walk-the-circle predicates, unpivoted clique search, and linear algebra
+over the rationals with `fractions.Fraction`.  None of it shares code
+with the package; the Fraction resolution takes an endomorphism algebra
+built by the package as its input data.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -104,7 +107,10 @@ def validate_tilting_oracle(candidate, n, d, expected=None):
     objects = brute_force_objects(n, d)
     summands = tuple(sorted(set(tuple(sorted(t)) for t in candidate)))
     for t in summands:
-        if t not in objects:
+        # a float or bool member compares equal to the int it stands for
+        if t not in objects or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in t
+        ):
             return "non-admissible-summand", t
     if expected is None:
         expected = comb(n + d - 1, d)
@@ -165,3 +171,289 @@ def factors_through_oracle(x, y, z, n, d):
         for xs, ys in labellings
         for zs in rotations(tuple(z))
     )
+
+
+# --- exact dense linear algebra over Q --------------------------------------
+
+# Fraction is immutable, so every matrix may share these two
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+@dataclass(frozen=True)
+class Mat:
+    """Immutable matrix with explicit shape; rows is a tuple of row tuples."""
+
+    nrows: int
+    ncols: int
+    rows: tuple
+
+    @staticmethod
+    def from_rows(rows, ncols):
+        rows = tuple(tuple(r) for r in rows)
+        for r in rows:
+            assert len(r) == ncols
+        return Mat(len(rows), ncols, rows)
+
+    @staticmethod
+    def from_int_rows(rows, ncols):
+        return Mat.from_rows([[Fraction(v) for v in r] for r in rows], ncols)
+
+    @staticmethod
+    def zeros(nrows, ncols):
+        row = (ZERO,) * ncols
+        return Mat(nrows, ncols, (row,) * nrows)
+
+    @staticmethod
+    def identity(k):
+        return Mat(k, k, tuple(tuple(ONE if i == j else ZERO for j in range(k)) for i in range(k)))
+
+    def mul(self, other: "Mat") -> "Mat":
+        assert self.ncols == other.nrows
+        out = []
+        for i in range(self.nrows):
+            row = []
+            for j in range(other.ncols):
+                s = ZERO
+                for k in range(self.ncols):
+                    s = s + self.rows[i][k] * other.rows[k][j]
+                row.append(s)
+            out.append(tuple(row))
+        return Mat(self.nrows, other.ncols, tuple(out))
+
+    def column(self, j):
+        return tuple(self.rows[i][j] for i in range(self.nrows))
+
+    def hstack(self, other: "Mat") -> "Mat":
+        assert self.nrows == other.nrows
+        return Mat(
+            self.nrows,
+            self.ncols + other.ncols,
+            tuple(a + b for a, b in zip(self.rows, other.rows)),
+        )
+
+    def is_zero(self) -> bool:
+        return all(not v for row in self.rows for v in row)
+
+
+def rref(m: Mat):
+    """Reduced row echelon form; returns (Mat, pivot column tuple)."""
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    pr = 0
+    for pc in range(m.ncols):
+        pivot_row = None
+        for r in range(pr, m.nrows):
+            if rows[r][pc]:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        piv = rows[pr][pc]
+        rows[pr] = [v / piv for v in rows[pr]]
+        for r in range(m.nrows):
+            if r != pr and rows[r][pc]:
+                factor = rows[r][pc]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == m.nrows:
+            break
+    return Mat(m.nrows, m.ncols, tuple(tuple(r) for r in rows)), tuple(pivots)
+
+
+def rank(m: Mat) -> int:
+    return len(rref(m)[1])
+
+
+def kernel_basis(m: Mat):
+    """Basis of the right null space, one vector per free column, in column order."""
+    reduced, pivots = rref(m)
+    pivot_set = set(pivots)
+    free = [c for c in range(m.ncols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        vec = [ZERO] * m.ncols
+        vec[f] = ONE
+        for i, p in enumerate(pivots):
+            vec[p] = -reduced.rows[i][f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def solve_many(a: Mat, b: Mat):
+    """Solve a X = b columnwise; free variables are set to zero.
+
+    Returns the solution Mat, or None if any column is inconsistent.
+    """
+    assert a.nrows == b.nrows
+    reduced, pivots = rref(a.hstack(b))
+    if any(p >= a.ncols for p in pivots):
+        return None
+    cols = []
+    for j in range(b.ncols):
+        vec = [ZERO] * a.ncols
+        for i, p in enumerate(pivots):
+            vec[p] = reduced.rows[i][a.ncols + j]
+        cols.append(vec)
+    return Mat(
+        a.ncols, b.ncols, tuple(tuple(cols[j][i] for j in range(b.ncols)) for i in range(a.ncols))
+    )
+
+
+def inverse(m: Mat):
+    """Inverse of a square matrix, or None if singular."""
+    assert m.nrows == m.ncols
+    return solve_many(m, Mat.identity(m.nrows))
+
+
+# --- minimal resolutions with Fraction modules -------------------------------
+
+
+class ModuleRep:
+    """A right module, one vector space per summand, with a Mat per arrow.
+
+    actions maps every non-identity basis pair (i, j) to a Mat of shape
+    dims[i] x dims[j]; identities act as identity matrices implicitly.
+    """
+
+    def __init__(self, algebra, dims, actions, check=True):
+        self.algebra = algebra
+        self.dims = tuple(dims)
+        self.actions = dict(actions)
+        if check:
+            self.check_representation()
+
+    def is_zero(self):
+        return not any(self.dims)
+
+    def check_representation(self):
+        alg, dims = self.algebra, self.dims
+        for p in alg.arrows:
+            assert (self.actions[p].nrows, self.actions[p].ncols) == (dims[p[0]], dims[p[1]])
+        for p, q in alg.composable:
+            i, k = p[0], q[1]
+            got = self.actions[p].mul(self.actions[q])
+            coeff = alg.mult[(p, q)]
+            if coeff == 0:
+                want = Mat.zeros(dims[i], dims[k])
+            elif i == k:
+                want = Mat.identity(dims[i])
+            else:
+                want = self.actions[(i, k)]
+            if got != want:
+                raise AssertionError(f"representation property fails composing {p} then {q}")
+
+
+def fraction_module_of(c, algebra):
+    """Hom(T, c) from the hom oracles: precomposition by each arrow."""
+    n, d = algebra.params.n, algebra.params.d
+    ts = algebra.summands
+    dims = [hom_oracle(t, c, n, d) for t in ts]
+    actions = {}
+    for i, j in algebra.arrows:
+        entry = dims[i] and dims[j] and factors_through_oracle(ts[i], c, ts[j], n, d)
+        actions[(i, j)] = Mat.from_int_rows([[int(entry)] * dims[j]] * dims[i], dims[j])
+    return ModuleRep(algebra, dims, actions)
+
+
+def fraction_projective(multiplicities, algebra):
+    r, cartan = algebra.r, algebra.cartan
+    layouts = tuple(
+        tuple((a, cp) for a in range(r) if cartan[k][a] == 1 for cp in range(multiplicities[a]))
+        for k in range(r)
+    )
+    dims = tuple(len(lay) for lay in layouts)
+    actions = {}
+    for i, j in algebra.arrows:
+        rows = [
+            [
+                Fraction(algebra.mult[((i, j), (j, a))]) if (a2, cp2) == (a, cp) else ZERO
+                for a2, cp2 in layouts[j]
+            ]
+            for a, cp in layouts[i]
+        ]
+        actions[(i, j)] = Mat.from_rows(rows, dims[j])
+    return ModuleRep(algebra, dims, actions, check=False), layouts
+
+
+def fraction_cover(module):
+    """Lifts at the non-pivot coordinates of the span of the arrow images."""
+    alg = module.algebra
+    lifts = []
+    for i in range(alg.r):
+        gen_rows = []
+        for p in alg.arrows_from[i]:
+            gen_rows.extend(zip(*module.actions[p].rows))
+        _, pivots = rref(Mat.from_rows(gen_rows, module.dims[i]))
+        lifts.append(tuple(c for c in range(module.dims[i]) if c not in pivots))
+    multiplicities = tuple(len(lift) for lift in lifts)
+    projective, layouts = fraction_projective(multiplicities, alg)
+    matrices = {}
+    for k in range(alg.r):
+        cols = []
+        for a, cp in layouts[k]:
+            coord = lifts[a][cp]
+            if k == a:
+                cols.append([ONE if row == coord else ZERO for row in range(module.dims[k])])
+            else:
+                cols.append(list(module.actions[(k, a)].column(coord)))
+        matrices[k] = Mat.from_rows(
+            [[col[row] for col in cols] for row in range(module.dims[k])], len(cols)
+        )
+    return multiplicities, layouts, projective, matrices
+
+
+def fraction_kernel(projective, matrices):
+    """Kernel module of a cover, with induced actions solved on its basis."""
+    alg = projective.algebra
+    inclusions = {}
+    for k in range(alg.r):
+        vecs = kernel_basis(matrices[k])
+        inclusions[k] = Mat.from_rows(
+            [[v[row] for v in vecs] for row in range(projective.dims[k])], len(vecs)
+        )
+    dims = tuple(inclusions[k].ncols for k in range(alg.r))
+    actions = {}
+    for i, j in alg.arrows:
+        mapped = projective.actions[(i, j)].mul(inclusions[j])
+        sol = solve_many(inclusions[i], mapped)
+        assert sol is not None, "kernel of a cover map is not closed under the action"
+        actions[(i, j)] = sol
+    return ModuleRep(alg, dims, actions), inclusions
+
+
+@dataclass
+class FractionResolution:
+    multiplicities: tuple
+    maps: tuple  # per stage, component k -> Mat in the previous term's coordinates
+    tail_kernel_dims: tuple
+
+    @property
+    def length(self):
+        return len(self.multiplicities) - 1
+
+    def index_vector(self):
+        return tuple(
+            sum((-1) ** s * mult[a] for s, mult in enumerate(self.multiplicities))
+            for a in range(len(self.multiplicities[0]))
+        )
+
+
+def fraction_resolution(c, algebra):
+    """Minimal bounded presentation of Hom(T, c) over Q: iterated covers,
+    each syzygy a module of its own, at most d + 1 projective terms."""
+    module = fraction_module_of(c, algebra)
+    assert not module.is_zero()
+    multiplicities, maps = [], []
+    inclusion = None
+    while True:
+        mults, _, projective, matrices = fraction_cover(module)
+        multiplicities.append(mults)
+        maps.append({
+            k: m if inclusion is None else inclusion[k].mul(m) for k, m in matrices.items()
+        })
+        module, inclusion = fraction_kernel(projective, matrices)
+        if module.is_zero() or len(multiplicities) > algebra.params.d:
+            return FractionResolution(tuple(multiplicities), tuple(maps), module.dims)

@@ -1,29 +1,117 @@
+"""The integer elimination against the Fraction oracle and sympy.
+
+`higher_cluster.linalg` is one fraction-free elimination with the rank,
+the kernel and the adjugate read off it.  The Fraction matrices of
+`tests/oracles.py` are the reference it is compared with, and they are
+themselves checked against sympy here.
+"""
+
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from higher_cluster.hom import calculator_for
-from higher_cluster.linalg import (
-    Mat,
-    adjugate,
-    inverse,
-    kernel_basis,
-    rank,
-    rref,
-    solve_many,
-)
+from higher_cluster.linalg import adjugate, eliminate, kernel, rank
 from higher_cluster.model import ModelParams
 from higher_cluster.tilting import enumerate_tilting
+
+from oracles import Mat, inverse, kernel_basis, rref, solve_many
+from oracles import rank as fraction_rank
 
 
 def random_int_mat(rng, nrows, ncols, lo=-4, hi=4):
     return [[rng.randint(lo, hi) for _ in range(ncols)] for _ in range(nrows)]
 
 
-def to_sympy(rows):
-    return sympy.Matrix(rows)
+def to_sympy(rows, ncols):
+    return sympy.Matrix(rows) if rows else sympy.zeros(0, ncols)
+
+
+@st.composite
+def int_matrices(draw, max_rows=6, max_cols=7, square=False):
+    """Integer matrices of every shape down to zero rows or zero columns.
+
+    Some columns are then zeroed and some replaced by integer combinations
+    of earlier ones, so the elimination has columns to skip, and some rows
+    by combinations of earlier rows, so the rank drops.
+    """
+    nrows = draw(st.integers(0, max_rows))
+    ncols = nrows if square else draw(st.integers(0, max_cols))
+    entries = st.integers(-3, 3)
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    for c in range(ncols):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "combine")))
+        if kind == "zero":
+            for row in rows:
+                row[c] = 0
+        elif kind == "combine" and c:
+            a, b = draw(st.integers(0, c - 1)), draw(st.integers(0, c - 1))
+            f, g = draw(entries), draw(entries)
+            for row in rows:
+                row[c] = f * row[a] + g * row[b]
+    for r in range(1, nrows):
+        if draw(st.booleans()):
+            a, f = draw(st.integers(0, r - 1)), draw(entries)
+            rows[r] = [f * v for v in rows[a]]
+    return rows, ncols
+
+
+@given(int_matrices())
+@settings(max_examples=300, deadline=None)
+def test_elimination_matches_fraction_oracle_and_sympy(case):
+    rows, ncols = case
+    reduced, pivots, last, _ = eliminate(rows, ncols)
+    oracle_reduced, oracle_pivots = rref(Mat.from_int_rows(rows, ncols))
+    assert tuple(pivots) == oracle_pivots
+    assert rank(rows) == len(pivots) == fraction_rank(Mat.from_int_rows(rows, ncols))
+    assert len(pivots) == to_sympy(rows, ncols).rank()
+    # every pivot row is the last pivot times the reduced Fraction row
+    # (so each pivot row holds last at its own pivot column and zero at
+    # the others); every row below the pivot rows is zero
+    for i, row in enumerate(reduced):
+        if i < len(pivots):
+            assert [Fraction(v, last) for v in row] == list(oracle_reduced.rows[i])
+        else:
+            assert not any(row)
+
+
+@given(int_matrices())
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_fraction_oracle_and_sympy(case):
+    rows, ncols = case
+    basis = kernel(rows, ncols)
+    oracle = kernel_basis(Mat.from_int_rows(rows, ncols))
+    nullspace = to_sympy(rows, ncols).nullspace()
+    assert len(basis) == len(oracle) == len(nullspace)
+    pivots = set(rref(Mat.from_int_rows(rows, ncols))[1])
+    free = [c for c in range(ncols) if c not in pivots]
+    for f, vec, ref in zip(free, basis, oracle):
+        assert all(type(v) is int for v in vec)
+        assert gcd(*vec) == 1
+        assert all(sum(a * v for a, v in zip(row, vec)) == 0 for row in rows)
+        # one vector per free column: a positive multiple of the Fraction one
+        assert ref[f] == 1 and vec[f] > 0
+        assert [vec[f] * v for v in ref] == list(vec)
+    if basis:
+        # the same space as sympy's null space: stacking adds no rank
+        both = sympy.Matrix([list(v) for v in basis] + [list(v) for v in nullspace])
+        assert both.rank() == len(basis)
+
+
+def test_kernel_of_shapes_without_rows_or_columns():
+    assert kernel([], 0) == []
+    assert kernel([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert kernel([(), ()], 0) == []
+    assert kernel([[0, 0, 0]], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert kernel([[2, 4, 6]], 3) == [(-2, 1, 0), (-3, 0, 1)]
+    assert kernel([[0, 2, 3]], 3) == [(1, 0, 0), (0, -3, 2)]
+    assert rank([]) == 0
+    assert rank([(), ()]) == 0
 
 
 def test_mat_constructors_and_shape():
@@ -41,7 +129,7 @@ def test_mat_mul_against_sympy():
         r, k, c = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
         a_rows, b_rows = random_int_mat(rng, r, k), random_int_mat(rng, k, c)
         got = Mat.from_int_rows(a_rows, k).mul(Mat.from_int_rows(b_rows, c))
-        expected = to_sympy(a_rows) * to_sympy(b_rows)
+        expected = sympy.Matrix(a_rows) * sympy.Matrix(b_rows)
         assert [[int(v) for v in row] for row in got.rows] == expected.tolist()
 
 
@@ -50,7 +138,9 @@ def test_rank_against_sympy():
     for _ in range(40):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         rows = random_int_mat(rng, r, c)
-        assert rank(Mat.from_int_rows(rows, c)) == to_sympy(rows).rank()
+        expected = sympy.Matrix(rows).rank()
+        assert rank(rows) == expected
+        assert fraction_rank(Mat.from_int_rows(rows, c)) == expected
 
 
 def test_rref_is_reduced():
@@ -73,7 +163,7 @@ def test_kernel_basis_against_sympy():
         rows = random_int_mat(rng, r, c)
         m = Mat.from_int_rows(rows, c)
         basis = kernel_basis(m)
-        assert len(basis) == c - to_sympy(rows).rank()
+        assert len(basis) == c - sympy.Matrix(rows).rank()
         for vec in basis:
             assert m.mul(Mat.from_rows([[v] for v in vec], 1)).is_zero()
 
@@ -94,7 +184,7 @@ def test_inverse_against_sympy_and_singular():
     while checked < 20:
         k = rng.randint(1, 5)
         rows = random_int_mat(rng, k, k)
-        s = to_sympy(rows)
+        s = sympy.Matrix(rows)
         m = Mat.from_int_rows(rows, k)
         if s.det() == 0:
             assert inverse(m) is None
@@ -129,7 +219,7 @@ def _check_adjugate(rows, with_sympy=True):
         list(row) for row in fraction_inv.rows
     ]
     if with_sympy:
-        s = to_sympy(rows)
+        s = to_sympy(rows, k)
         assert det == s.det()
         assert [list(row) for row in adj] == (det * s.inv()).tolist()
     return det
@@ -146,12 +236,19 @@ def test_adjugate_against_fraction_inverse_and_sympy():
         if k > 1 and rng.random() < 0.15:
             rows[-1] = [-2 * v for v in rows[0]]  # singular
         det = _check_adjugate(rows)
-        assert (det == 0) == (to_sympy(rows).det() == 0)
+        assert (det == 0) == (sympy.Matrix(rows).det() == 0)
         seen["singular"] += det == 0
         seen["negative"] += det < 0
         seen["swap"] += det != 0 and rows[0][0] == 0
         seen["non-integral"] += abs(det) > 1
     assert all(count >= 10 for count in seen.values()), seen
+
+
+@given(int_matrices(square=True))
+@settings(max_examples=200, deadline=None)
+def test_adjugate_on_generated_squares(case):
+    rows, _ = case
+    _check_adjugate(rows)
 
 
 def test_adjugate_fixed_cases():

@@ -246,7 +246,8 @@ def engine_verdict(candidate, params):
 def perturbed(summands, objects):
     """Near misses of a tilting object: for each summand, drop it, swap it
     for each object outside the family, or replace it by a non-admissible
-    tuple (two adjacent members; a repeated member)."""
+    tuple (two adjacent members; a repeated member; a member that equals
+    and hashes like the int but is a float or a bool)."""
     outside = [obj for obj in objects if obj not in summands]
     for k, s in enumerate(summands):
         rest = summands[:k] + summands[k + 1:]
@@ -255,6 +256,9 @@ def perturbed(summands, objects):
             yield rest + (obj,)
         yield rest + ((s[0], s[0] + 1) + s[2:],)
         yield rest + ((s[0],) + s[:-1],)
+        yield rest + ((float(s[0]),) + s[1:],)
+        if s[0] == 1:
+            yield rest + ((True,) + s[1:],)
 
 
 @pytest.mark.parametrize("n,d", VALIDATION_CASES)
@@ -280,16 +284,20 @@ def test_validate_matches_loop_oracle_on_every_fan(n, d):
 def test_validate_matches_loop_oracle_on_perturbed_candidates(n, d):
     params = ModelParams(n, d)
     objects = enumerate_indecomposables(params)
-    reasons = set()
+    reasons, witnesses = set(), set()
     for tilting in enumerate_tilting(params):
         for candidate in perturbed(tilting.summands, objects):
             verdict = validate_tilting_oracle(candidate, n, d)
             assert engine_verdict(candidate, params) == verdict, candidate
             reasons.add(verdict[0])
+            if verdict[0] == "non-admissible-summand":
+                witnesses.add(type(verdict[1][0]))
     # swaps that are mutations pass; every other swap intertwines
     assert reasons == {
         None, "size-mismatch", "intertwining-pair", "non-admissible-summand",
     }
+    # (True, 3) and (1.0, 3) are keys of the id map at (2, 1), like (1, 3)
+    assert witnesses == {int, float, bool}
 
 
 @pytest.mark.parametrize("n,d", VALIDATION_CASES)
