@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from json.encoder import INFINITY, encode_basestring_ascii
 
 from .errors import (
     ContractError,
@@ -128,13 +129,87 @@ def _render_table(columns, rows) -> str:
     return "\n".join(out) + "\n"
 
 
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == INFINITY:
+        return "Infinity"
+    if value == -INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def render_json(value) -> str:
+    """The text json.dumps prints for value with sorted keys and an indent
+    of 2, byte for byte.
+
+    CPython encodes indented JSON with its pure-Python encoder, one
+    generator token at a time; this builds the same text by str.join.
+    Payloads share the model's object tuples, so each tuple of ints is
+    rendered once per nesting depth and its text reused.  The memo lives
+    for this call only.  It is keyed on the tuple's identity, not its
+    value: True == 1 == 1.0 and they hash alike, so a value key would
+    print (True, 3) as [1, 3].  Each entry holds its tuple, so no id is
+    reused while the memo lives.  Dict keys must be str, as every
+    payload's are; any other key is a TypeError.
+    """
+    memo = {}
+
+    def render(v, depth):
+        if isinstance(v, (list, tuple)):
+            if not v:
+                return "[]"
+            if type(v) is tuple:
+                key = (id(v), depth)
+                hit = memo.get(key)
+                if hit is not None:
+                    return hit[1]
+                if all(type(x) is int for x in v):
+                    text = _block("[", map(int.__repr__, v), "]", depth)
+                    memo[key] = (v, text)
+                    return text
+            return _block("[", [render(x, depth + 1) for x in v], "]", depth)
+        if isinstance(v, dict):
+            if not v:
+                return "{}"
+            return _block(
+                "{",
+                [
+                    encode_basestring_ascii(k) + ": " + render(x, depth + 1)
+                    for k, x in sorted(v.items())
+                ],
+                "}",
+                depth,
+            )
+        if isinstance(v, str):
+            return encode_basestring_ascii(v)
+        if v is None:
+            return "null"
+        if v is True:
+            return "true"
+        if v is False:
+            return "false"
+        if isinstance(v, int):
+            return int.__repr__(v)
+        if isinstance(v, float):
+            return _float_text(v)
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+    return render(value, 0)
+
+
+def _block(open_, items, close, depth) -> str:
+    inner = "\n" + "  " * (depth + 1)
+    return open_ + inner + ("," + inner).join(items) + "\n" + "  " * depth + close
+
+
 def _render(payload, columns, rows, fmt: str) -> str:
     """Render payload as JSON, or the rows as csv/table.
 
     rows is a zero-argument callable, so JSON output never builds them.
     """
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return render_json(payload) + "\n"
     if fmt == "csv":
         return _render_csv(columns, rows())
     if fmt == "table":
@@ -163,7 +238,7 @@ def _cmd_enumerate(args) -> int:
         "d": params.d,
         "cycle_size": params.N,
         "count": len(objects),
-        "objects": [list(t) for t in objects],
+        "objects": objects,
     }
     def rows():
         return [[i, _fmt_obj(t)] for i, t in enumerate(objects)]
@@ -207,10 +282,10 @@ def _cmd_hom(args) -> int:
             "command": "hom",
             "n": params.n,
             "d": params.d,
-            "source": list(source),
-            "target": list(target),
+            "source": source,
+            "target": target,
             "kind": kind,
-            "family": [list(t) for t in (through or modulo)] if (through or modulo) else None,
+            "family": through or modulo,
             "dim": dim,
         }
         def rows():
@@ -230,7 +305,7 @@ def _cmd_hom(args) -> int:
         "n": params.n,
         "d": params.d,
         "rows": [
-            {"source": list(x), "target": list(y), "dim": dim} for x, y, dim in entries
+            {"source": x, "target": y, "dim": dim} for x, y, dim in entries
         ],
     }
     def rows():
@@ -251,8 +326,8 @@ def _cmd_tilting(args) -> int:
         "d": params.d,
         "expected_size": expected_tilting_size(params),
         "count": len(tiltings),
-        "tilting": [[list(t) for t in obj.summands] for obj in tiltings],
-        "anomalies": [[list(t) for t in fam] for fam in anomalies],
+        "tilting": [obj.summands for obj in tiltings],
+        "anomalies": anomalies,
     }
     def rows():
         return [
@@ -285,17 +360,13 @@ def _cmd_index(args) -> int:
         "n": params.n,
         "d": params.d,
         "route": args.route,
-        "tilting": [list(t) for t in tilting.summands],
+        "tilting": tilting.summands,
         "rows": [
             {
-                "object": list(row.obj),
-                "index": list(row.index),
-                "via_resolution": list(row.via_resolution)
-                if row.via_resolution is not None
-                else None,
-                "via_system": list(row.via_system)
-                if row.via_system is not None
-                else None,
+                "object": row.obj,
+                "index": row.index,
+                "via_resolution": row.via_resolution,
+                "via_system": row.via_system,
                 "verified": row.verified,
             }
             for row in table.rows
@@ -465,7 +536,7 @@ def _cmd_replay(args) -> int:
         "reproduced": reproduced,
         "details": details,
     }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(render_json(payload) + "\n", args.out)
     return 1 if reproduced else 0
 
 

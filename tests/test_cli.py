@@ -12,8 +12,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from higher_cluster.cli import main, parse_family, parse_object
+from higher_cluster.cli import main, parse_family, parse_object, render_json
 
 from oracles import brute_force_objects, cycle_size, intertwines_oracle
 
@@ -66,6 +68,55 @@ def test_enumerate_csv_rendering(capsys):
     )
     assert code == 0
     assert out == 'position,object\n0,"{1,3}"\n1,"{2,4}"\n'
+
+
+# strings biased towards what JSON must escape
+json_text = st.text() | st.text(alphabet='"\\/\x00\x08\x1f\x7f\u00e9\u2603\U0001d11e a\n\t')
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(allow_nan=True, allow_infinity=True),
+    json_text,
+)
+# equal as values, distinct in type: (True, 3) == (1, 3) == (1.0, 3)
+mixed_tuples = st.lists(st.sampled_from([True, False, 1, 0, 1.0, 0.0, 3])).map(tuple)
+int_tuples = st.lists(st.integers()).map(tuple)
+json_values = st.recursive(
+    json_scalars | int_tuples | mixed_tuples,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(json_text, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@st.composite
+def shared_tuples(draw):
+    """One tuple placed at several depths, beside equal tuples of other
+    identity and other member types."""
+    t = draw(int_tuples | mixed_tuples)
+    twins = [tuple(list(t)), tuple(map(bool, t)), tuple(map(float, t))]
+    return [t, [t, {"k": t, "twins": twins}], (t, draw(json_values)), t, *twins]
+
+
+@given(json_values | shared_tuples())
+@settings(max_examples=300, deadline=None)
+def test_render_json_matches_json_dumps(value):
+    assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_render_json_tells_true_from_one():
+    value = [(1, 3), (True, 3), (1.0, 3), [(1, 3), (True, 3)], {"a": (1, 3), "b": (True, 3)}]
+    assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_render_json_refuses_what_json_refuses():
+    with pytest.raises(TypeError):
+        render_json({"x": {1, 2}})
 
 
 def test_output_is_byte_deterministic(capsys):
@@ -486,6 +537,33 @@ def test_replay_bytes_of_every_verify_witness(capsys, tmp_path, n, d):
         capsys, "replay", "--witness", str(report), "--select", str(len(got))
     )
     assert code == 2 and "out of range" in err
+
+
+CLI_GOLDEN = json.loads(
+    (Path(__file__).with_name("cli_golden.json")).read_text(encoding="utf-8")
+)
+
+# replay echoes the keys it does not read, so this witness carries every
+# kind of JSON scalar through the renderer
+EXTRA_KEYS_WITNESS = {
+    "check": "serre", "n": 2, "d": 1, "tilting": None, "kind": "hom-symmetry",
+    "x": [1, 3], "y": [1, 4],
+    "note": "café ☃ \U0001d11e \"quoted\"\t\x01 back\\slash",
+    "weight": 0.1, "scale": -2.5e-300, "missing": float("nan"),
+    "bounds": [float("inf"), float("-inf"), -0.0, 10**20, -7, True, None, {}, []],
+}
+
+
+@pytest.mark.parametrize("command", list(CLI_GOLDEN))
+def test_json_bytes_match_golden(capsys, tmp_path, command):
+    """cli_golden.json holds the exit code and the SHA-256 of stdout of each
+    command, as printed by json.dumps(payload, indent=2, sort_keys=True);
+    {witness} stands for a file holding EXTRA_KEYS_WITNESS."""
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(EXTRA_KEYS_WITNESS), encoding="utf-8")
+    argv = command.replace("{witness}", str(witness)).split()
+    code, out, _ = run_cli(capsys, *argv)
+    assert [code, hashlib.sha256(out.encode()).hexdigest()] == CLI_GOLDEN[command]
 
 
 @pytest.mark.parametrize(
