@@ -68,6 +68,14 @@ class AlgebraPresentation:
         """Every arrow pair (p, q) with p ending where q starts."""
         return tuple((p, q) for p in self.arrows for q in self.arrows_from[p[1]])
 
+    @cached_property
+    def composable_by_ends(self):
+        """composable grouped by outer pair: (i, k) -> the (p, q) from i to k."""
+        groups = {}
+        for p, q in self.composable:
+            groups.setdefault((p[0], q[1]), []).append((p, q))
+        return {ends: tuple(g) for ends, g in groups.items()}
+
     def dim(self) -> int:
         return len(self.basis)
 
@@ -141,9 +149,11 @@ class CoordRep:
     Component k has dims[k] coordinates.  arrows[(i, j)] lists the pairs
     (y, x) along which the arrow (i, j) carries coordinate y of component
     j to coordinate x of component i with coefficient 1; it sends every
-    other coordinate to zero.  Hom(T, c) and every direct sum of
-    projectives have this form.  A submodule is held as integer vectors
-    per component, and arrows act on those by the matchings.
+    other coordinate to zero.  An arrow into an empty component i may be
+    left out of arrows: it is the empty matching.  Hom(T, c) and every
+    direct sum of projectives have this form.  A submodule is held as
+    integer vectors per component, and arrows act on those by the
+    matchings.
     """
 
     algebra: AlgebraPresentation
@@ -153,7 +163,7 @@ class CoordRep:
     def act(self, pair, vec) -> list:
         """The arrow pair applied to a vector of component pair[1]."""
         out = [0] * self.dims[pair[0]]
-        for y, x in self.arrows[pair]:
+        for y, x in self.arrows.get(pair, ()):
             out[x] = vec[y]
         return out
 
@@ -169,37 +179,40 @@ class CoordRep:
         zero composites included, on every vector of vectors[k].
 
         Every arrow that acts on a given vector is first checked to be a
-        partial matching of the coordinates of its two components.  A
-        composable pair whose outer component i or k holds no vector is
-        then skipped: on the whole module the composite and what it must
+        partial matching of the coordinates of its two components.  Only
+        the composable pairs whose outer components i and k both hold
+        vectors are then walked, grouped by that outer pair.  The others
+        are skipped: on the whole module the composite and what it must
         equal (zero, the identity on component i, or the action of
         (i, k)) are one and the same empty map, and on a submodule
         closure under the arrows, checked apart, makes both zero.
         """
         alg, dims = self.algebra, self.dims
         for i, j in alg.arrows:
-            pairs = self.arrows.get((i, j))
+            # a left-out arrow into an empty component is the empty matching
+            pairs = self.arrows.get((i, j), None if dims[i] else ())
             if vectors[j] and (pairs is None or not _is_matching(pairs, dims[j], dims[i])):
                 raise InvariantError(
                     f"arrow {(i, j)} does not match {dims[j]} coordinates into {dims[i]}"
                 )
-        for p, q in alg.composable:
-            i, k = p[0], q[1]
-            if not (vectors[i] and vectors[k]):
-                continue
-            coeff = alg.mult[(p, q)]
-            for vec in vectors[k]:
-                got = self.act(p, self.act(q, vec))
-                if coeff == 0:
-                    ok = not any(got)
-                elif i == k:
-                    ok = got == list(vec)
-                else:
-                    ok = got == self.act((i, k), vec)
-                if not ok:
-                    raise InvariantError(
-                        f"representation property fails composing {p} then {q}"
-                    )
+        populated = [k for k, vecs in enumerate(vectors) if vecs]
+        by_ends = alg.composable_by_ends
+        for i in populated:
+            for k in populated:
+                for p, q in by_ends.get((i, k), ()):
+                    coeff = alg.mult[(p, q)]
+                    for vec in vectors[k]:
+                        got = self.act(p, self.act(q, vec))
+                        if coeff == 0:
+                            ok = not any(got)
+                        elif i == k:
+                            ok = got == list(vec)
+                        else:
+                            ok = got == self.act((i, k), vec)
+                        if not ok:
+                            raise InvariantError(
+                                f"representation property fails composing {p} then {q}"
+                            )
 
 
 def _is_matching(pairs, sources, targets) -> bool:
@@ -233,7 +246,9 @@ def projective_module(multiplicities, algebra):
     component k as (summand a, copy) pairs: copy cp of the projective at
     t_a contributes one coordinate to component k iff Cartan[k][a] = 1.
     The arrow (i, j) carries (a, cp) at j to (a, cp) at i exactly when
-    the composite t_i -> t_j -> t_a is nonzero.
+    the composite t_i -> t_j -> t_a is nonzero.  Then t_i -> t_a is
+    nonzero too, so (a, cp) is a coordinate at i: an arrow into an empty
+    component i has the empty matching and is left out.
     """
     cartan, mult = algebra.cartan, algebra.mult
     support = [a for a, m in enumerate(multiplicities) if m]
@@ -254,6 +269,7 @@ def projective_module(multiplicities, algebra):
             if mult[((i, j), (j, coord[0]))]
         )
         for i, j in algebra.arrows
+        if layouts[i]
     }
     # the representation property holds by associativity of mult,
     # asserted at algebra construction
@@ -318,8 +334,7 @@ def syzygy(projective: CoordRep, matrices):
     """
     vectors = tuple(kernel(m, n) for m, n in zip(matrices, projective.dims))
     projective.check_representation(vectors)
-    for i, j in projective.algebra.arrows:
-        pairs = projective.arrows[(i, j)]
+    for (i, j), pairs in projective.arrows.items():
         for vec in vectors[j]:
             # the image lies in the kernel at component i
             if any(sum(row[x] * vec[y] for y, x in pairs) for row in matrices[i]):

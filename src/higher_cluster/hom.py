@@ -160,8 +160,43 @@ class HomCalculator:
             self._factor_rows[i] = row
         return row
 
+    # The id-level queries: every formula of the tables lives here once,
+    # and the object-level methods below only map their objects to ids.
+
+    def hom(self, i: int, j: int) -> int:
+        """dim Hom(object i, object j)."""
+        return self.hom_row(i) >> j & 1
+
+    def ideal(self, i: int, j: int, mask: int) -> int:
+        """Dimension of the morphisms i -> j factoring through the family mask.
+
+        A sum of composites through members of the family lives in a hom
+        space of dimension at most one, so it is nonzero iff some single
+        composite already is: factoring through the family reduces to
+        factoring through one member, one AND over the family's mask.
+        """
+        return 1 if self.factor_row(i)[j] & mask else 0
+
+    def quotient(self, i: int, j: int, mask: int) -> int:
+        """Dimension of Hom(i, j) after killing everything through the mask."""
+        if self.factor_row(i)[j] & mask:
+            return 0
+        return self.hom_row(i) >> j & 1
+
+    def composes(self, i: int, j: int, k: int) -> int:
+        """Structure constant of the basis morphisms i -> j then j -> k.
+
+        The result is 1 iff Hom(i, k) is nonzero and carries the
+        composite, i.e. the morphism i -> k factors through j.
+        """
+        if not (self.hom_row(i) >> j & 1 and self.hom_row(j) >> k & 1):
+            objects = self.objects
+            f, g = (objects[i], objects[j]), (objects[j], objects[k])
+            raise ContractError(f"compose_nonzero needs nonzero morphisms {f} and {g}")
+        return self.factor_row(i)[k] >> j & 1
+
     def hom_dim(self, x: IndObj, y: IndObj) -> int:
-        return self.hom_row(self.id_of(x)) >> self.id_of(y) & 1
+        return self.hom(self.id_of(x), self.id_of(y))
 
     def hom_dim_via_chain(self, x: IndObj, y: IndObj) -> int:
         """Slow characterisation; must agree with hom_dim on every pair."""
@@ -172,39 +207,27 @@ class HomCalculator:
     def ideal_hom_dim(self, x: IndObj, y: IndObj, through) -> int:
         """Dimension of the morphisms x -> y factoring through add(through).
 
-        through is a family of objects or its family_mask.  A sum of
-        composites through members of the family lives in a hom space of
-        dimension at most one, so it is nonzero iff some single composite
-        already is: factoring through the family reduces to factoring
-        through one member, one AND over the family's mask.
+        through is a family of objects or its family_mask.
         """
         if not isinstance(through, int):
             through = self.family_mask(through)
-        return 1 if self.factor_row(self.id_of(x))[self.id_of(y)] & through else 0
+        return self.ideal(self.id_of(x), self.id_of(y), through)
 
     def quotient_hom_dim(self, x: IndObj, y: IndObj, modulo) -> int:
         """Dimension of Hom(x, y) after killing everything through add(modulo)."""
         if not isinstance(modulo, int):
             modulo = self.family_mask(modulo)
-        i, j = self.id_of(x), self.id_of(y)
-        if self.factor_row(i)[j] & modulo:
-            return 0
-        return self.hom_row(i) >> j & 1
+        return self.quotient(self.id_of(x), self.id_of(y), modulo)
 
     def compose_nonzero(self, f, g) -> int:
         """Structure constant of the composite of basis morphisms f then g.
 
-        f = (x, y) and g = (y, z) name nonzero basis morphisms; the result
-        is 1 iff Hom(x, z) is nonzero and carries the composite, i.e. the
-        morphism x -> z factors through y.
+        f = (x, y) and g = (y, z) name nonzero basis morphisms; see composes.
         """
         (x, y1), (y2, z) = f, g
         if y1 != y2:
             raise ContractError(f"cannot compose {f} with {g}: middle objects differ")
-        i, j, k = self.id_of(x), self.id_of(y1), self.id_of(z)
-        if not (self.hom_row(i) >> j & 1 and self.hom_row(j) >> k & 1):
-            raise ContractError(f"compose_nonzero needs nonzero morphisms {f} and {g}")
-        return self.factor_row(i)[k] >> j & 1
+        return self.composes(self.id_of(x), self.id_of(y1), self.id_of(z))
 
 
 _calculators: dict[ModelParams, HomCalculator] = {}

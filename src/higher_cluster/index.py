@@ -59,15 +59,21 @@ def algebra_for(tilting: TiltingObject, params: ModelParams):
     return alg
 
 
+def _canonical(c, params: ModelParams) -> IndObj:
+    """The sorted form of an admissible tuple, the one both routes read."""
+    if not is_admissible(c, params):
+        raise InvalidInputError(f"{c!r} is not an indecomposable object here")
+    return tuple(sorted(c))
+
+
 def index_of(
     c: IndObj,
     tilting: TiltingObject,
     params: ModelParams,
     algebra=None,
 ) -> IndexVector:
-    """Index of c via the resolution route."""
-    if not is_admissible(c, params):
-        raise InvalidInputError(f"{c!r} is not an indecomposable object here")
+    """Index of c via the resolution route; c in any member order."""
+    c = _canonical(c, params)
     back = shift(c, -1, params)
     if back in tilting.summands:
         # translate of a summand: Hom(T, c) = 0 and the index is the
@@ -138,15 +144,14 @@ def index_via_system(
     subsystem on the summand rows determines the candidate, and every
     remaining row must agree, integrally, or the model is broken.
     """
-    if not is_admissible(c, params):
-        raise InvalidInputError(f"{c!r} is not an indecomposable object here")
+    c = _canonical(c, params)
     calc = calculator_for(params)
     system = _system_for(tilting, params)
     shifted, det = system.shifted_mask, system.det
     sign = -1 if params.d % 2 else 1
     # b[x] = dim of Hom(c, x) modulo add(shifted) plus sign times the dim
     # of Hom(c, shift(x, 1)) through add(shifted): two bit tests per row
-    cid = calc.id_of(tuple(sorted(c)))
+    cid = calc.id_of(c)
     hom, factors = calc.hom_row(cid), calc.factor_row(cid)
     b = [
         (hom >> x & 1) - (factors[x] & shifted != 0)

@@ -189,7 +189,9 @@ def validate_tilting(candidate, params: ModelParams) -> TiltingObject:
             )
     calc = calculator_for(params)
     translate = calc.translate
-    shifted = calc.translated_mask(summands)
+    shifted = 0
+    for i in ids:
+        shifted |= 1 << translate[i]
     for i in ids:
         hits = calc.hom_row(i) & shifted
         if hits:
@@ -199,10 +201,14 @@ def validate_tilting(candidate, params: ModelParams) -> TiltingObject:
             raise TiltingError(
                 "hom-to-shift", (s, t), f"Hom({s}, translate of {t}) is nonzero"
             )
-    for k in bit_ids(((1 << len(objects)) - 1) & ~family):
-        if neighbors[k] & family == family:
-            obj = objects[k]
-            raise TiltingError(
-                "not-maximal", obj, f"family extends by {obj} without intertwining"
-            )
+    # the objects compatible with every summand; no object neighbours
+    # itself, so these lie outside the family, and the first is the witness
+    extensions = -1
+    for i in ids:
+        extensions &= neighbors[i]
+    if extensions:
+        obj = objects[(extensions & -extensions).bit_length() - 1]
+        raise TiltingError(
+            "not-maximal", obj, f"family extends by {obj} without intertwining"
+        )
     return TiltingObject(summands)

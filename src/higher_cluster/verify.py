@@ -20,8 +20,14 @@ from dataclasses import dataclass, field
 from .errors import InvalidInputError, ResourceCapError, TiltingError
 from .hom import calculator_for
 from .index import IndexTable, algebra_for, index_of, index_table
-from .model import ModelParams, canonical_object, enumerate_indecomposables, shift
-from .tilting import TiltingObject, enumerate_tilting, maximal_families, validate_tilting
+from .model import ModelParams, canonical_object, enumerate_indecomposables
+from .tilting import (
+    TiltingObject,
+    bit_ids,
+    enumerate_tilting,
+    maximal_families,
+    validate_tilting,
+)
 
 PASS = "pass"
 FAIL = "fail"
@@ -110,8 +116,8 @@ def replay(witness) -> tuple[bool, dict]:
     Returns (reproduced, details): reproduced means the failure is still
     there, and details are the instance's value fields as computed now.
     The witness is decoded once: ModelParams from n and d, every object
-    through canonical_object, the tilting object through
-    validate_tilting.  A missing or ill-typed key, a non-object, or a
+    through canonical_object and then to its id, the tilting object
+    through validate_tilting.  A missing or ill-typed key, a non-object, or a
     family that is not a tilting object is an InvalidInputError.
     """
     if not isinstance(witness, dict):
@@ -126,12 +132,13 @@ def replay(witness) -> tuple[bool, dict]:
         return _tilting_sanity(params, _family(witness, key))
     calc = calculator_for(params)
     if check == "associativity":
-        return _associativity(calc, *_objects(witness, "chain", 4, params))
+        chain = _objects(witness, "chain", 4, params)
+        return _associativity(calc, *map(calc.id_of, chain))
     if check == "serre":
         kind = _field(witness, "kind", str)
         if kind == "hom-symmetry":
             x, y = _object(witness, "x", params), _object(witness, "y", params)
-            return _hom_symmetry(calc, x, y)
+            return _hom_symmetry(calc, calc.id_of(x), calc.id_of(y))
         if kind != "ideal-quotient-duality":
             raise InvalidInputError(f"unknown serre witness kind {kind!r}")
     try:
@@ -157,18 +164,22 @@ def replay(witness) -> tuple[bool, dict]:
         }
     shifted = calc.translated_mask(tilting.summands)
     c, x = _object(witness, "c", params), _object(witness, "x", params)
+    cid, xid = calc.id_of(c), calc.id_of(x)
     if check == "serre":
-        return _ideal_quotient_duality(calc, shifted, c, x)
+        return _ideal_quotient_duality(calc, shifted, cid, xid)
     if check == "disjointness":
-        return _disjointness(calc, shifted, c, x)
+        return _disjointness(calc, shifted, cid, xid)
     index = index_of(c, tilting, params)
-    return _dimension_formula(calc, tilting.summands, shifted, index, c, x)
+    summands = tuple(map(calc.id_of, tilting.summands))
+    return _dimension_formula(calc, summands, shifted, index, cid, xid)
 
 
 # One evaluator per kind of check instance.  Each returns (failed,
 # values): values are the witness's value fields, failed says whether
 # they falsify the instance.  The sweeps below and replay() both call
 # them, so a replayed witness re-runs the very check that wrote it.
+# Objects are ids of the HomCalculator, a family is its mask, and the
+# translate of object i is calc.translate[i].
 
 
 def _tilting_sanity(params, family):
@@ -181,34 +192,34 @@ def _tilting_sanity(params, family):
 
 def _associativity(calc, w, x, y, z):
     """Both bracketings of the basis morphisms w -> x -> y -> z."""
-    left = calc.compose_nonzero((w, x), (x, y)) and calc.compose_nonzero((w, y), (y, z))
-    right = calc.compose_nonzero((x, y), (y, z)) and calc.compose_nonzero((w, x), (x, z))
+    composes = calc.composes
+    left = composes(w, x, y) and composes(w, y, z)
+    right = composes(x, y, z) and composes(w, x, z)
     return left != right, {"left": left, "right": right}
 
 
 def _hom_symmetry(calc, x, y):
-    lhs = calc.hom_dim(x, y)
-    rhs = calc.hom_dim(y, shift(x, 2, calc.params))
+    translate = calc.translate
+    lhs = calc.hom(x, y)
+    rhs = calc.hom(y, translate[translate[x]])
     return lhs != rhs, {"lhs": lhs, "rhs": rhs}
 
 
 def _ideal_quotient_duality(calc, shifted, c, x):
-    params = calc.params
-    lhs = calc.ideal_hom_dim(c, shift(x, 1, params), shifted)
-    rhs = calc.quotient_hom_dim(x, shift(c, 1, params), shifted)
+    translate = calc.translate
+    lhs = calc.ideal(c, translate[x], shifted)
+    rhs = calc.quotient(x, translate[c], shifted)
     return lhs != rhs, {"lhs": lhs, "rhs": rhs}
 
 
 def _dimension_formula(calc, summands, shifted, index, c, x):
     """Both forms of the identity at (c, x); index is the index of c."""
-    params = calc.params
-    sign = -1 if params.d % 2 else 1
-    rhs = sum(a * calc.hom_dim(t, x) for a, t in zip(index, summands) if a)
-    quot_cx = calc.quotient_hom_dim(c, x, shifted)
-    ideal_form = quot_cx + sign * calc.ideal_hom_dim(c, shift(x, 1, params), shifted)
-    quotient_form = quot_cx + sign * calc.quotient_hom_dim(
-        x, shift(c, 1, params), shifted
-    )
+    translate = calc.translate
+    sign = -1 if calc.params.d % 2 else 1
+    rhs = sum(a * calc.hom(t, x) for a, t in zip(index, summands) if a)
+    quot_cx = calc.quotient(c, x, shifted)
+    ideal_form = quot_cx + sign * calc.ideal(c, translate[x], shifted)
+    quotient_form = quot_cx + sign * calc.quotient(x, translate[c], shifted)
     return ideal_form != rhs or quotient_form != rhs, {
         "ideal_form": ideal_form,
         "quotient_form": quotient_form,
@@ -217,8 +228,8 @@ def _dimension_formula(calc, summands, shifted, index, c, x):
 
 
 def _disjointness(calc, shifted, c, x):
-    first = calc.quotient_hom_dim(c, x, shifted)
-    second = calc.quotient_hom_dim(x, shift(c, 1, calc.params), shifted)
+    first = calc.quotient(c, x, shifted)
+    second = calc.quotient(x, calc.translate[c], shifted)
     return first != 0 and second != 0, {
         "quotient_cx": first,
         "quotient_x_shift_c": second,
@@ -265,30 +276,26 @@ def check_tilting_sanity(params: ModelParams, tiltings=None) -> CheckResult:
 def check_associativity(params: ModelParams) -> CheckResult:
     """Both bracketings agree on every composable triple of basis morphisms."""
     calc = calculator_for(params)
-    objects = enumerate_indecomposables(params)
+    objects = calc.objects
     witnesses = []
     triples = 0
-    nonzero_pairs = [
-        (x, y) for x in objects for y in objects if calc.hom_dim(x, y) == 1
-    ]
-    targets = {}
-    for x, y in nonzero_pairs:
-        targets.setdefault(x, []).append(y)
-    for w, x in nonzero_pairs:
-        for y in targets.get(x, ()):
-            for z in targets.get(y, ()):
-                triples += 1
-                failed, values = _associativity(calc, w, x, y, z)
-                if failed:
-                    witnesses.append(
-                        _witness(
-                            "associativity",
-                            params,
-                            None,
-                            chain=[list(w), list(x), list(y), list(z)],
-                            **values,
+    targets = [tuple(bit_ids(calc.hom_row(i))) for i in range(len(objects))]
+    for w, w_targets in enumerate(targets):
+        for x in w_targets:
+            for y in targets[x]:
+                for z in targets[y]:
+                    triples += 1
+                    failed, values = _associativity(calc, w, x, y, z)
+                    if failed:
+                        witnesses.append(
+                            _witness(
+                                "associativity",
+                                params,
+                                None,
+                                chain=[list(objects[i]) for i in (w, x, y, z)],
+                                **values,
+                            )
                         )
-                    )
     return CheckResult(
         "associativity",
         params.n,
@@ -309,11 +316,12 @@ def check_serre(params: ModelParams, tilting: TiltingObject | None = None) -> Ch
     x -> translate(c) modulo them, dimension for dimension.
     """
     calc = calculator_for(params)
-    objects = enumerate_indecomposables(params)
+    objects = calc.objects
+    ids = range(len(objects))
     witnesses = []
     pairs = 0
-    for x in objects:
-        for y in objects:
+    for x in ids:
+        for y in ids:
             pairs += 1
             failed, values = _hom_symmetry(calc, x, y)
             if failed:
@@ -323,15 +331,15 @@ def check_serre(params: ModelParams, tilting: TiltingObject | None = None) -> Ch
                         params,
                         None,
                         kind="hom-symmetry",
-                        x=list(x),
-                        y=list(y),
+                        x=list(objects[x]),
+                        y=list(objects[y]),
                         **values,
                     )
                 )
     if tilting is not None:
         shifted = calc.translated_mask(tilting.summands)
-        for c in objects:
-            for x in objects:
+        for c in ids:
+            for x in ids:
                 pairs += 1
                 failed, values = _ideal_quotient_duality(calc, shifted, c, x)
                 if failed:
@@ -341,8 +349,8 @@ def check_serre(params: ModelParams, tilting: TiltingObject | None = None) -> Ch
                             params,
                             tilting,
                             kind="ideal-quotient-duality",
-                            c=list(c),
-                            x=list(x),
+                            c=list(objects[c]),
+                            x=list(objects[x]),
                             **values,
                         )
                     )
@@ -367,25 +375,27 @@ def check_dimension_formula(tilting: TiltingObject, params: ModelParams) -> Chec
     give the same number.
     """
     calc = calculator_for(params)
-    objects = enumerate_indecomposables(params)
+    objects = calc.objects
+    ids = range(len(objects))
     ts = tilting.summands
+    summands = tuple(map(calc.id_of, ts))
     shifted = calc.translated_mask(ts)
     algebra = algebra_for(tilting, params)
     witnesses = []
     pairs = 0
-    for c in objects:
-        ind = index_of(c, tilting, params, algebra=algebra)
-        for x in objects:
+    for c in ids:
+        ind = index_of(objects[c], tilting, params, algebra=algebra)
+        for x in ids:
             pairs += 1
-            failed, values = _dimension_formula(calc, ts, shifted, ind, c, x)
+            failed, values = _dimension_formula(calc, summands, shifted, ind, c, x)
             if failed:
                 witnesses.append(
                     _witness(
                         "dimension-formula",
                         params,
                         tilting,
-                        c=list(c),
-                        x=list(x),
+                        c=list(objects[c]),
+                        x=list(objects[x]),
                         **values,
                     )
                 )
@@ -407,14 +417,15 @@ def check_disjointness(tilting: TiltingObject, params: ModelParams) -> CheckResu
     at even d the sweep only reports what it finds.
     """
     calc = calculator_for(params)
-    objects = enumerate_indecomposables(params)
+    objects = calc.objects
+    ids = range(len(objects))
     shifted = calc.translated_mask(tilting.summands)
     witnesses = []
-    for c in objects:
-        for x in objects:
+    for c in ids:
+        for x in ids:
             # an instance with quotient_cx = 0 cannot fail; most pairs
             # are such, so skip them before computing the second term
-            if calc.quotient_hom_dim(c, x, shifted) == 0:
+            if calc.quotient(c, x, shifted) == 0:
                 continue
             failed, values = _disjointness(calc, shifted, c, x)
             if failed:
@@ -423,8 +434,8 @@ def check_disjointness(tilting: TiltingObject, params: ModelParams) -> CheckResu
                         "disjointness",
                         params,
                         tilting,
-                        c=list(c),
-                        x=list(x),
+                        c=list(objects[c]),
+                        x=list(objects[x]),
                         **values,
                     )
                 )

@@ -183,6 +183,44 @@ def test_arrow_views_match_brute_force(n, d):
         assert alg.arrows is alg.arrows  # computed once, not per access
 
 
+@pytest.mark.parametrize("n,d", SMALL_GRID)
+def test_composable_by_ends_groups_composable(n, d):
+    params = ModelParams(n, d)
+    for tilting in enumerate_tilting(params):
+        alg = build_algebra(tilting, params)
+        ends = {(p[0], q[1]) for p, q in alg.composable}
+        assert alg.composable_by_ends == {
+            (i, k): tuple(
+                (p, q) for p, q in alg.composable if (p[0], q[1]) == (i, k)
+            )
+            for i, k in ends
+        }
+
+
+@pytest.mark.parametrize("n,d", SMALL_GRID)
+def test_projective_module_leaves_out_only_empty_matchings(n, d):
+    # every arrow's matching, built over all arrows as the docstring says;
+    # the ones left out must be empty and sit at an empty component
+    params = ModelParams(n, d)
+    rng = random.Random(10)
+    for tilting in enumerate_tilting(params):
+        alg = build_algebra(tilting, params)
+        r = alg.r
+        vectors = [tuple(int(a == b) for b in range(r)) for a in range(r)]
+        vectors += [(1,) * r] + [tuple(rng.randrange(3) for _ in range(r)) for _ in range(4)]
+        for mults in vectors:
+            proj, layouts = projective_module(mults, alg)
+            for i, j in alg.arrows:
+                full = tuple(
+                    (y, layouts[i].index(coord))
+                    for y, coord in enumerate(layouts[j])
+                    if alg.mult[((i, j), (j, coord[0]))]
+                )
+                assert proj.arrows.get((i, j), ()) == full
+                assert ((i, j) in proj.arrows) == bool(layouts[i])
+            proj.check_representation(proj.units())
+
+
 def test_projective_module_layouts():
     alg = build_algebra(T21, P21)
     proj, layouts = projective_module((1, 0), alg)

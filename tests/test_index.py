@@ -1,5 +1,7 @@
 """Index vectors: closed forms, route agreement, and the even-d collisions."""
 
+from itertools import permutations
+
 import pytest
 
 from higher_cluster import index
@@ -68,6 +70,20 @@ def test_index_rejects_non_object():
         index_of((1, 2), T21, P21)
     with pytest.raises(InvalidInputError):
         index_via_system((1, 2), T21, P21)
+
+
+@pytest.mark.parametrize("n,d", [(3, 1), (2, 2), (3, 3)])
+def test_index_reads_any_member_order(n, d):
+    # an admissible tuple in any order names the object its sorted form names
+    params = ModelParams(n, d)
+    tiltings = enumerate_tilting(params)
+    for tilting in (tiltings[0], tiltings[-1]):
+        for c in enumerate_indecomposables(params):
+            want = index_of(c, tilting, params)
+            assert index_via_system(c, tilting, params) == want
+            for perm in permutations(c):
+                assert index_of(perm, tilting, params) == want, perm
+                assert index_via_system(perm, tilting, params) == want, perm
 
 
 def test_collisions_2_2_are_summand_translate_pairs():

@@ -212,7 +212,7 @@ def test_payload_shape():
 
 
 # Replay re-runs the instance evaluators of the sweep.  Each test below
-# forces a failure by patching one HomCalculator method, then requires
+# forces a failure by patching one id-level HomCalculator query, then requires
 # every witness of the sweep to replay as reproduced, with details equal
 # to the witness's value fields.  The hom, algebra and index-system
 # caches are swapped for empty ones, so no patched value outlives a test.
@@ -250,13 +250,18 @@ def _shifted(tilting, params):
     return hom.calculator_for(params).translated_mask(tilting.summands)
 
 
+def _ids(params, *objects):
+    """The ids of objects, as the sweeps pass them to the queries."""
+    return tuple(map(hom.calculator_for(params).id_of, objects))
+
+
 def test_replay_reruns_associativity(monkeypatch, private_caches):
-    _flip(monkeypatch, "compose_nonzero", (((1, 3), (1, 3)), ((1, 3), (1, 4))))
+    _flip(monkeypatch, "composes", _ids(P31, (1, 3), (1, 3), (1, 4)))
     _assert_replays(check_associativity(P31), ("left", "right"))
 
 
 def test_replay_reruns_hom_symmetry(monkeypatch, private_caches):
-    _flip(monkeypatch, "hom_dim", ((1, 3), (2, 4)))
+    _flip(monkeypatch, "hom", _ids(P21, (1, 3), (2, 4)))
     res = check_serre(P21)
     assert {w["kind"] for w in res.witnesses} == {"hom-symmetry"}
     _assert_replays(res, ("lhs", "rhs"))
@@ -266,8 +271,8 @@ def test_replay_reruns_ideal_quotient_duality(monkeypatch, private_caches):
     c, x = (1, 3, 5), (2, 4, 7)
     _flip(
         monkeypatch,
-        "quotient_hom_dim",
-        (x, shift(c, 1, P22), _shifted(FAN22, P22)),
+        "quotient",
+        (*_ids(P22, x, shift(c, 1, P22)), _shifted(FAN22, P22)),
     )
     res = check_serre(P22, FAN22)
     assert [(w["kind"], w["c"], w["x"]) for w in res.witnesses] == [
@@ -277,7 +282,7 @@ def test_replay_reruns_ideal_quotient_duality(monkeypatch, private_caches):
 
 
 def test_replay_reruns_dimension_formula(monkeypatch, private_caches):
-    _flip(monkeypatch, "quotient_hom_dim", ((2, 4), (2, 5), _shifted(T21, P21)))
+    _flip(monkeypatch, "quotient", (*_ids(P21, (2, 4), (2, 5)), _shifted(T21, P21)))
     res = check_dimension_formula(T21, P21)
     # the flipped value is quot(c, x) at ((2,4), (2,5)) and the quotient
     # term quot(x, translate(c)) at ((1,3), (2,4))
@@ -289,7 +294,7 @@ def test_replay_reruns_dimension_formula(monkeypatch, private_caches):
 
 
 def test_replay_reruns_disjointness(monkeypatch, private_caches):
-    monkeypatch.setattr(HomCalculator, "quotient_hom_dim", lambda self, x, y, m: 1)
+    monkeypatch.setattr(HomCalculator, "quotient", lambda self, i, j, mask: 1)
     res = check_disjointness(T21, P21)
     assert len(res.witnesses) == res.stats["pairs"]
     _assert_replays(res, ("quotient_cx", "quotient_x_shift_c"))
