@@ -41,6 +41,7 @@ from .tilting import TiltingObject
 class AlgebraPresentation:
     params: ModelParams
     summands: tuple[IndObj, ...]
+    ids: tuple[int, ...]  # the summands' object ids
     basis: tuple[tuple[int, int], ...]
     mult: dict
     cartan: tuple[tuple[int, ...], ...]
@@ -93,9 +94,8 @@ def build_algebra(tilting: TiltingObject, params: ModelParams) -> AlgebraPresent
     calc = calculator_for(params)
     ts = tilting.summands
     r = len(ts)
-    cartan = tuple(
-        tuple(calc.hom_dim(ts[i], ts[j]) for j in range(r)) for i in range(r)
-    )
+    ids = tuple(map(calc.id_of, ts))
+    cartan = tuple(tuple(calc.hom(i, j) for j in ids) for i in ids)
     for i in range(r):
         if cartan[i][i] != 1:
             raise InvariantError(f"endomorphism space of {ts[i]} is not K")
@@ -107,8 +107,8 @@ def build_algebra(tilting: TiltingObject, params: ModelParams) -> AlgebraPresent
     for p in basis:
         i, j = p
         for q in basis_from[j]:
-            mult[(p, q)] = calc.compose_nonzero((ts[i], ts[j]), (ts[j], ts[q[1]]))
-    algebra = AlgebraPresentation(params, ts, basis, mult, cartan)
+            mult[(p, q)] = calc.composes(ids[i], ids[j], ids[q[1]])
+    algebra = AlgebraPresentation(params, ts, ids, basis, mult, cartan)
     _assert_units(algebra)
     _assert_associative(algebra)
     return algebra
@@ -228,11 +228,12 @@ def _is_matching(pairs, sources, targets) -> bool:
 def module_of(c: IndObj, algebra: AlgebraPresentation) -> CoordRep:
     """The right module Hom(T, c); zero exactly when c is a translate of T."""
     calc = calculator_for(algebra.params)
-    ts = algebra.summands
-    dims = tuple(calc.hom_dim(t, c) for t in ts)
+    k = calc.id_of(c)
+    ids = algebra.ids
+    dims = tuple(calc.hom(t, k) for t in ids)
     arrows = {
         (i, j): ((0, 0),)
-        if dims[i] and dims[j] and calc.compose_nonzero((ts[i], ts[j]), (ts[j], c))
+        if dims[i] and dims[j] and calc.composes(ids[i], ids[j], k)
         else ()
         for i, j in algebra.arrows
     }

@@ -39,6 +39,7 @@ from .tilting import (
     expected_tilting_size,
     maximal_families,
     validate_tilting,
+    vertex_fan,
 )
 from . import verify as verify_mod
 
@@ -343,10 +344,8 @@ def _cmd_tilting(args) -> int:
 def _pick_tilting(args, params: ModelParams) -> TiltingObject:
     if args.tilting:
         return validate_tilting(parse_family(args.tilting), params)
-    tiltings = enumerate_tilting(params)
-    if not tiltings:
-        raise InvalidInputError("no tilting object exists at these parameters")
-    return tiltings[0]
+    # the vertex-1 fan is enumerate_tilting(params)[0], found without search
+    return validate_tilting(vertex_fan(params), params)
 
 
 def _cmd_index(args) -> int:

@@ -7,6 +7,17 @@ converse fails once d >= 3: the graph has maximal cliques strictly
 smaller than the tilting size, e.g. three of them at (n, d) = (2, 3).
 Those are surfaced as anomalies rather than silently dropped.  A clique
 larger than C(n+d-1, d) would falsify the model; none has ever appeared.
+
+Two enumerations, one per need.  maximal_families lists every maximal
+clique by Bron-Kerbosch, anomalies included.  enumerate_tilting lists
+only the tilting objects, by mutation: a breadth-first search from the
+vertex-1 fan that exchanges one summand at a time.  Oppermann and Thomas
+(Higher-dimensional cluster combinatorics and representation theory,
+JEMS 2012) identify the tilting objects with the triangulations of the
+cyclic polytope C(n+2d+1, 2d) and mutation with bistellar flips, and
+Rambau (Triangulations of cyclic polytopes and higher Bruhat orders,
+Mathematika 1997) shows the flip graph is connected, so the search
+reaches every tilting object.
 """
 
 from __future__ import annotations
@@ -14,8 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
-from .errors import TiltingError
+from .errors import InvariantError, TiltingError
 from .hom import calculator_for
 from .model import (
     IndObj,
@@ -147,8 +159,87 @@ def maximal_families(params: ModelParams):
     return tuple(tilting), tuple(anomalies)
 
 
+def vertex_fan(params: ModelParams) -> tuple[IndObj, ...]:
+    """The vertex-1 fan: every object containing vertex 1, a tilting object.
+
+    Enumeration is lexicographic, so these are the first objects, ids 0
+    to r - 1.  There are r = C(n+d-1, d) of them: their other d members
+    are pairwise non-adjacent vertices of the path 3, ..., N - 1.
+    """
+    return enumerate_indecomposables(params)[: expected_tilting_size(params)]
+
+
+def _tilting_masks(neighbors, start, size):
+    """Every family reached from start by exchange steps, breadth first.
+
+    Families are int masks over ids.  An exchange step replaces summand t
+    of T by an object u outside T compatible with all of T without t.
+    With pre[k] and suf[k] the ANDs of the neighbourhoods of the summands
+    before and from position k, those u are the bits of
+    pre[k] & suf[k + 1] & ~T, so each step costs O(r) ANDs.
+
+    Raises InvariantError unless start is a clique of the given size and
+    every family reached is maximal, i.e. its all-summand AND is 0: an
+    extension would be a clique above tilting size.  Returns the families
+    as sorted tuples of ids, in sorted order, as _maximal_cliques does.
+    """
+    members = list(bit_ids(start))
+    if len(members) != size or any(
+        start & ~neighbors[i] & ~(1 << i) for i in members
+    ):
+        raise InvariantError(f"the start family is not a clique of size {size}")
+    everything = (1 << len(neighbors)) - 1
+    seen = {start}
+    order = [start]
+    found = []
+    for family in order:  # grows while it is walked: a queue
+        ids = tuple(bit_ids(family))
+        found.append(ids)
+        pre = [everything]
+        for i in ids:
+            pre.append(pre[-1] & neighbors[i])
+        if pre[-1]:
+            raise InvariantError(
+                f"the family {list(ids)} extends by object "
+                f"{(pre[-1] & -pre[-1]).bit_length() - 1}"
+            )
+        suf = everything
+        for k in range(size - 1, -1, -1):
+            i = ids[k]
+            swaps = pre[k] & suf & ~family
+            suf &= neighbors[i]
+            rest = family ^ (1 << i)
+            while swaps:
+                low = swaps & -swaps
+                swaps ^= low
+                mutated = rest | low
+                if mutated not in seen:
+                    seen.add(mutated)
+                    order.append(mutated)
+    found.sort()
+    return found
+
+
+@lru_cache(maxsize=None)
 def enumerate_tilting(params: ModelParams) -> tuple[TiltingObject, ...]:
-    return maximal_families(params)[0]
+    """Every tilting object, in the order of their sorted id tuples.
+
+    A breadth-first search over mutations from the vertex-1 fan, which
+    Oppermann-Thomas (JEMS 2012) and Rambau (Mathematika 1997) show
+    reaches every tilting object (see the module docstring).  It never
+    lists the anomalies, which can outnumber the tilting objects seven to
+    one (23100 against 3278 at (4, 3)).  The order is maximal_families'
+    clique order, so the result equals maximal_families(params)[0].
+    """
+    graph = compatibility_graph(params)
+    start = sum(1 << graph.ids[t] for t in vertex_fan(params))
+    objects = graph.objects
+    return tuple(
+        TiltingObject(tuple(map(objects.__getitem__, family)))
+        for family in _tilting_masks(
+            graph.neighbors, start, expected_tilting_size(params)
+        )
+    )
 
 
 def validate_tilting(candidate, params: ModelParams) -> TiltingObject:
@@ -160,11 +251,13 @@ def validate_tilting(candidate, params: ModelParams) -> TiltingObject:
     """
     summands = tuple(sorted(set(tuple(sorted(t)) for t in candidate)))
     graph = compatibility_graph(params)
+    # the id map holds exactly the admissible sorted tuples, but True == 1
+    # and 1.0 == 1 hash alike, so members are type-checked: all in one pass
+    # when they are plain ints, else summand by summand
+    plain = set(map(type, chain.from_iterable(summands))) <= {int}
     for t in summands:
-        # the id map holds exactly the admissible sorted tuples, but
-        # True == 1 and 1.0 == 1 hash alike, so members are type-checked
-        if t not in graph.ids or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in t
+        if t not in graph.ids or not (
+            plain or all(isinstance(v, int) and not isinstance(v, bool) for v in t)
         ):
             raise TiltingError(
                 "non-admissible-summand", t, f"summand {t} is not admissible"

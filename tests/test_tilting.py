@@ -1,21 +1,24 @@
 """Tilting enumeration against brute-force clique search and counting formulas."""
 
+import json
 import math
 
 import pytest
 
 from higher_cluster import tilting as tilting_mod
-from higher_cluster.errors import TiltingError
+from higher_cluster.errors import InvariantError, TiltingError
 from higher_cluster.hom import HomCalculator, calculator_for
 from higher_cluster.model import ModelParams, enumerate_indecomposables, shift
 from higher_cluster.tilting import (
     TiltingObject,
+    _tilting_masks,
     bit_ids,
     compatibility_graph,
     enumerate_tilting,
     expected_tilting_size,
     maximal_families,
     validate_tilting,
+    vertex_fan,
 )
 
 from oracles import (
@@ -222,14 +225,65 @@ def test_every_enumerated_tilting_validates():
 
 def test_fan_tilting_always_present():
     # all objects through a fixed vertex form a tilting object: sharing a
-    # vertex rules out intertwining, and the count matches C(n+d-1, d)
-    for n, d in [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3)]:
+    # vertex rules out intertwining, and the count matches C(n+d-1, d);
+    # the fan at vertex 1 comes first, and the mutation search starts there
+    for n, d in [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3), (4, 3)]:
         params = ModelParams(n, d)
         fan = tuple(
             obj for obj in enumerate_indecomposables(params) if 1 in obj
         )
         assert len(fan) == expected_tilting_size(params)
         assert TiltingObject(fan) in enumerate_tilting(params)
+        assert vertex_fan(params) == fan == enumerate_tilting(params)[0].summands
+
+
+# the criterion-2 cases, more d = 1 and d = 2, the d = 5 case with most
+# anomalies, and the corner r = 1; the mutation search reaching every
+# tilting object that Bron-Kerbosch lists is its connectivity check
+@pytest.mark.parametrize(
+    "n,d",
+    [
+        (2, 1), (3, 1), (4, 1), (5, 1), (2, 3), (3, 3), (4, 3), (2, 5),
+        (6, 1), (7, 1), (3, 5), (5, 2), (6, 2), (1, 1),
+    ],
+)
+def test_mutation_search_matches_bron_kerbosch(n, d):
+    params = ModelParams(n, d)
+    assert enumerate_tilting(params) == maximal_families(params)[0]
+
+
+def test_tilting_masks_refuses_a_start_that_is_no_tilting_clique():
+    params = ModelParams(3, 1)
+    neighbors = compatibility_graph(params).neighbors
+    size = expected_tilting_size(params)
+    fan = (1 << size) - 1
+    assert _tilting_masks(neighbors, fan, size)[0] == tuple(range(size))
+    with pytest.raises(InvariantError, match="not a clique of size 4"):
+        _tilting_masks(neighbors, fan, size + 1)
+    # (1, 3), (1, 5) and (2, 4): the first and last intertwine
+    with pytest.raises(InvariantError, match="not a clique"):
+        _tilting_masks(neighbors, 0b1101, size)
+
+
+def test_tilting_masks_refuses_a_family_that_extends():
+    # at (3, 1) the fan at vertex 6, ids 5, 7 and 8, is a tilting object;
+    # declaring (2, 4), id 3, compatible with its summand (3, 6), id 7,
+    # makes ids 3, 5, 7 and 8 a clique above tilting size.  The start
+    # cannot extend, as (2, 4) intertwines (1, 3), so the search must
+    # reach a triangle of that clique and find its fourth vertex
+    params = ModelParams(3, 1)
+    graph = compatibility_graph(params)
+    assert [graph.objects[i] for i in (3, 5, 7, 8)] == [(2, 4), (2, 6), (3, 6), (4, 6)]
+    neighbors = list(graph.neighbors)
+    assert not neighbors[3] >> 7 & 1 and not neighbors[3] & 1
+    neighbors[3] |= 1 << 7
+    neighbors[7] |= 1 << 3
+    with pytest.raises(InvariantError, match="extends by object") as exc:
+        _tilting_masks(neighbors, 0b111, 3)
+    family, _, extra = str(exc.value).removeprefix("the family ").partition(
+        " extends by object "
+    )
+    assert {*json.loads(family), int(extra)} == {3, 5, 7, 8}
 
 
 VALIDATION_CASES = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
@@ -307,8 +361,9 @@ def test_not_maximal_witness_matches_loop_oracle(n, d, monkeypatch):
     # one and dropping a summand
     params = ModelParams(n, d)
     size = expected_tilting_size(params)
+    tiltings = enumerate_tilting(params)  # before the size is lowered
     monkeypatch.setattr(tilting_mod, "expected_tilting_size", lambda p: size - 1)
-    for tilting in enumerate_tilting(params):
+    for tilting in tiltings:
         for k in range(size):
             candidate = tilting.summands[:k] + tilting.summands[k + 1:]
             verdict = validate_tilting_oracle(candidate, n, d, expected=size - 1)

@@ -200,6 +200,31 @@ def test_collision_checks_share_one_table_per_tilting(monkeypatch):
     }
 
 
+def test_scope_reads_the_census_when_tilting_sanity_runs(monkeypatch):
+    # tilting-sanity lists every maximal clique anyway, so the sweep takes
+    # its tilting objects from there and never runs the mutation search
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return enumerate_tilting(params)
+
+    monkeypatch.setattr(verify, "enumerate_tilting", counted)
+    case = (3, 3)
+    both = verify._run_case(
+        SweepConfig(cases=(case,), checks=("tilting-sanity", "serre"), tilting_scope="first:5"),
+        case,
+    )
+    assert calls == []
+    alone = verify._run_case(
+        SweepConfig(cases=(case,), checks=("serre",), tilting_scope="first:5"), case
+    )
+    assert calls == [ModelParams(*case)]
+    assert both[0].check == "tilting-sanity"
+    scoped = [t.summands for t in enumerate_tilting(ModelParams(*case))[:5]]
+    assert [r.tilting for r in both[1:]] == [r.tilting for r in alone] == scoped
+
+
 def test_payload_shape():
     report = run(SweepConfig(cases=((1, 1),), checks=("injectivity",)))
     payload = report.to_payload()
