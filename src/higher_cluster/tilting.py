@@ -10,14 +10,18 @@ larger than C(n+d-1, d) would falsify the model; none has ever appeared.
 
 Two enumerations, one per need.  maximal_families lists every maximal
 clique by Bron-Kerbosch, anomalies included.  enumerate_tilting lists
-only the tilting objects, by mutation: a breadth-first search from the
-vertex-1 fan that exchanges one summand at a time.  Oppermann and Thomas
+only the tilting objects.  From d = 3 on it finds them by mutation: a
+breadth-first search from the vertex-1 fan that exchanges one summand
+at a time, and never meets an anomaly.  Oppermann and Thomas
 (Higher-dimensional cluster combinatorics and representation theory,
 JEMS 2012) identify the tilting objects with the triangulations of the
 cyclic polytope C(n+2d+1, 2d) and mutation with bistellar flips, and
 Rambau (Triangulations of cyclic polytopes and higher Bruhat orders,
 Mathematika 1997) shows the flip graph is connected, so the search
-reaches every tilting object.
+reaches every tilting object.  At d <= 2, where no anomaly has ever
+appeared, Bron-Kerbosch is the faster of the two and enumerate_tilting
+takes its tilting objects.  Either way one tuple of
+tilting objects per ModelParams is kept, shared by both functions.
 """
 
 from __future__ import annotations
@@ -137,6 +141,11 @@ def _maximal_cliques(neighbors):
     return found
 
 
+# enumerate_tilting's results; maximal_families files its tilting objects
+# here too, so both hand out the same tuple whichever ran first
+_tiltings: dict[ModelParams, tuple[TiltingObject, ...]] = {}
+
+
 @lru_cache(maxsize=None)
 def maximal_families(params: ModelParams):
     """(tilting objects, anomalies): all maximal cliques, split by size.
@@ -156,7 +165,7 @@ def maximal_families(params: ModelParams):
             tilting.append(TiltingObject(family))
         else:
             anomalies.append(family)
-    return tuple(tilting), tuple(anomalies)
+    return _tiltings.setdefault(params, tuple(tilting)), tuple(anomalies)
 
 
 def vertex_fan(params: ModelParams) -> tuple[IndObj, ...]:
@@ -220,17 +229,8 @@ def _tilting_masks(neighbors, start, size):
     return found
 
 
-@lru_cache(maxsize=None)
-def enumerate_tilting(params: ModelParams) -> tuple[TiltingObject, ...]:
-    """Every tilting object, in the order of their sorted id tuples.
-
-    A breadth-first search over mutations from the vertex-1 fan, which
-    Oppermann-Thomas (JEMS 2012) and Rambau (Mathematika 1997) show
-    reaches every tilting object (see the module docstring).  It never
-    lists the anomalies, which can outnumber the tilting objects seven to
-    one (23100 against 3278 at (4, 3)).  The order is maximal_families'
-    clique order, so the result equals maximal_families(params)[0].
-    """
+def _tilting_by_mutation(params: ModelParams) -> tuple[TiltingObject, ...]:
+    """Every tilting object, by the mutation search from the vertex-1 fan."""
     graph = compatibility_graph(params)
     start = sum(1 << graph.ids[t] for t in vertex_fan(params))
     objects = graph.objects
@@ -240,6 +240,29 @@ def enumerate_tilting(params: ModelParams) -> tuple[TiltingObject, ...]:
             graph.neighbors, start, expected_tilting_size(params)
         )
     )
+
+
+def enumerate_tilting(params: ModelParams) -> tuple[TiltingObject, ...]:
+    """Every tilting object, in the order of their sorted id tuples.
+
+    From d = 3 on, a breadth-first search over mutations from the
+    vertex-1 fan, which Oppermann-Thomas (JEMS 2012) and Rambau
+    (Mathematika 1997) show reaches every tilting object (see the module
+    docstring).  It never lists the anomalies, which can outnumber the
+    tilting objects seven to one (23100 against 3278 at (4, 3)).  At
+    d <= 2, where no anomaly has ever appeared, Bron-Kerbosch is faster,
+    so the tilting objects of maximal_families are taken; they are also
+    taken whenever maximal_families has already run.  Both orders are the
+    clique order, so the result always equals maximal_families(params)[0].
+    Cached per ModelParams, never evicted.
+    """
+    found = _tiltings.get(params)
+    if found is None:
+        if params.d <= 2:
+            found = maximal_families(params)[0]  # files it in _tiltings
+        else:
+            found = _tiltings[params] = _tilting_by_mutation(params)
+    return found
 
 
 def validate_tilting(candidate, params: ModelParams) -> TiltingObject:

@@ -576,13 +576,7 @@ def _scope_tiltings(config: SweepConfig, params: ModelParams):
         return tuple(
             validate_tilting(t, params) for t in config.explicit_tilting
         )
-    if "tilting-sanity" in config.checks:
-        # that check lists every maximal clique anyway; its tilting objects
-        # are enumerate_tilting's, in the same order
-        tiltings = maximal_families(params)[0]
-    else:
-        tiltings = enumerate_tilting(params)
-    return tiltings[: _scope_limit(config.tilting_scope)]
+    return enumerate_tilting(params)[: _scope_limit(config.tilting_scope)]
 
 
 def _run_case(config: SweepConfig, case):
@@ -591,14 +585,14 @@ def _run_case(config: SweepConfig, case):
     count = len(enumerate_indecomposables(params))
     if count > config.cap:
         raise ResourceCapError(count, config.cap)
-    tiltings = _scope_tiltings(config, params)
+    explicit = config.explicit_tilting is not None
+    tiltings = _scope_tiltings(config, params) if explicit else None
     results = []
     if "tilting-sanity" in config.checks:
-        results.append(
-            check_tilting_sanity(
-                params, tiltings if config.explicit_tilting else None
-            )
-        )
+        # first: its census fills enumerate_tilting's cache on the way
+        results.append(check_tilting_sanity(params, tiltings or None))
+    if not explicit:
+        tiltings = _scope_tiltings(config, params)
     if "associativity" in config.checks:
         results.append(check_associativity(params))
     per_tilting = [

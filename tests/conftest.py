@@ -3,8 +3,13 @@
 Each acceptance test records its verdict here; the terminal summary then
 prints one line per criterion, visible regardless of pytest's capture
 settings.  Criteria recorded from several tests merge: any failing part
-makes the whole criterion report FAIL.
+makes the whole criterion report FAIL.  The fixture fresh_tilting_caches
+empties the tilting caches for one test.
 """
+
+import functools
+
+import pytest
 
 ACCEPTANCE = {}
 
@@ -28,3 +33,28 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if details:
             line += f" -- {details}"
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def fresh_tilting_caches(monkeypatch):
+    """Empty tilting caches for one test; returns the mutation searches run.
+
+    The shared tuple store and maximal_families' cache are replaced for
+    the test (the module-level caches are restored after it), and every
+    call of the mutation search is recorded by its ModelParams.
+    """
+    from higher_cluster import tilting, verify
+
+    searched = []
+    search = tilting._tilting_by_mutation
+
+    def counted(params):
+        searched.append(params)
+        return search(params)
+
+    families = functools.lru_cache(maxsize=None)(tilting.maximal_families.__wrapped__)
+    monkeypatch.setattr(tilting, "_tilting_by_mutation", counted)
+    monkeypatch.setattr(tilting, "_tiltings", {})
+    monkeypatch.setattr(tilting, "maximal_families", families)
+    monkeypatch.setattr(verify, "maximal_families", families)
+    return searched

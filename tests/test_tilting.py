@@ -247,9 +247,31 @@ def test_fan_tilting_always_present():
         (6, 1), (7, 1), (3, 5), (5, 2), (6, 2), (1, 1),
     ],
 )
-def test_mutation_search_matches_bron_kerbosch(n, d):
+def test_mutation_search_matches_bron_kerbosch(n, d, fresh_tilting_caches):
+    # with empty caches the census is Bron-Kerbosch's own, not a tuple the
+    # search filed earlier; they are restored after, so (6, 2) does not
+    # hold its 96,426 tilting objects for the rest of the session
     params = ModelParams(n, d)
-    assert enumerate_tilting(params) == maximal_families(params)[0]
+    tiltings = tilting_mod.maximal_families(params)[0]
+    assert tilting_mod._tilting_by_mutation(params) == tiltings
+    assert enumerate_tilting(params) is tiltings
+
+
+def test_enumerations_share_one_tuple(fresh_tilting_caches):
+    searched = fresh_tilting_caches
+    # at d <= 2 there are no anomalies: the tilting objects come from
+    # Bron-Kerbosch, never from the search
+    flat = ModelParams(3, 2)
+    assert enumerate_tilting(flat) is tilting_mod.maximal_families(flat)[0]
+    # from d = 3 on the search runs once, and the census hands out its tuple
+    steep = ModelParams(3, 3)
+    tiltings = enumerate_tilting(steep)
+    assert tilting_mod.maximal_families(steep)[0] is tiltings
+    assert enumerate_tilting(steep) is tiltings
+    # after the census, enumerate_tilting takes its tilting objects
+    census = tilting_mod.maximal_families(ModelParams(2, 3))
+    assert enumerate_tilting(ModelParams(2, 3)) is census[0]
+    assert searched == [steep]
 
 
 def test_tilting_masks_refuses_a_start_that_is_no_tilting_clique():
@@ -352,6 +374,26 @@ def test_validate_matches_loop_oracle_on_perturbed_candidates(n, d):
     }
     # (True, 3) and (1.0, 3) are keys of the id map at (2, 1), like (1, 3)
     assert witnesses == {int, float, bool}
+
+
+class Vertex(int):
+    """An int subclass other than bool: validation accepts its members."""
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (2, 2), (3, 3)])
+def test_validate_accepts_int_subclass_members(n, d):
+    # members that are not all plain ints take the per-summand type check;
+    # an int subclass passes it, where bool and float members are refused
+    params = ModelParams(n, d)
+    for tilting in enumerate_tilting(params)[:5]:
+        summands = tilting.summands
+        for k in range(len(summands)):
+            candidate = list(summands)
+            candidate[k] = tuple(map(Vertex, summands[k]))
+            assert validate_tilting(candidate, params) == tilting
+            assert validate_tilting_oracle(candidate, n, d) == (None, summands)
+        whole = [tuple(map(Vertex, t)) for t in summands]
+        assert validate_tilting(whole, params) == tilting
 
 
 @pytest.mark.parametrize("n,d", VALIDATION_CASES)

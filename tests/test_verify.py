@@ -5,6 +5,7 @@ import json
 import pytest
 
 from higher_cluster import hom, index, verify
+from higher_cluster import tilting as tilting_mod
 from higher_cluster.errors import InvalidInputError, ResourceCapError
 from higher_cluster.hom import HomCalculator
 from higher_cluster.index import index_table
@@ -200,26 +201,22 @@ def test_collision_checks_share_one_table_per_tilting(monkeypatch):
     }
 
 
-def test_scope_reads_the_census_when_tilting_sanity_runs(monkeypatch):
-    # tilting-sanity lists every maximal clique anyway, so the sweep takes
-    # its tilting objects from there and never runs the mutation search
-    calls = []
-
-    def counted(params):
-        calls.append(params)
-        return enumerate_tilting(params)
-
-    monkeypatch.setattr(verify, "enumerate_tilting", counted)
+def test_tilting_sanity_spares_the_mutation_search(fresh_tilting_caches):
+    # tilting-sanity runs first and lists every maximal clique, which fills
+    # enumerate_tilting's cache, so the sweep never runs the mutation
+    # search; without that check it does, and both scope the same tiltings
+    searched = fresh_tilting_caches
     case = (3, 3)
     both = verify._run_case(
         SweepConfig(cases=(case,), checks=("tilting-sanity", "serre"), tilting_scope="first:5"),
         case,
     )
-    assert calls == []
+    assert searched == []
+    tilting_mod._tiltings.clear()
     alone = verify._run_case(
         SweepConfig(cases=(case,), checks=("serre",), tilting_scope="first:5"), case
     )
-    assert calls == [ModelParams(*case)]
+    assert searched == [ModelParams(*case)]
     assert both[0].check == "tilting-sanity"
     scoped = [t.summands for t in enumerate_tilting(ModelParams(*case))[:5]]
     assert [r.tilting for r in both[1:]] == [r.tilting for r in alone] == scoped
