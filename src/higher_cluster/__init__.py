@@ -3,8 +3,8 @@
 Everything is modelled combinatorially: indecomposable objects are
 admissible subsets of a cyclic vertex set, morphism spaces are zero- or
 one-dimensional and decided by an intertwining test, and indices with
-respect to a tilting object come out of exact rational linear algebra.
-No floats anywhere.
+respect to a tilting object come out of fraction-free integer (Bareiss)
+elimination, by two independent routes.  No floats anywhere.
 
 The package root re-exports the documented entry points, the error
 types and the sweep runner; everything else is imported from its module.

@@ -94,7 +94,7 @@ def build_algebra(tilting: TiltingObject, params: ModelParams) -> AlgebraPresent
     calc = calculator_for(params)
     ts = tilting.summands
     r = len(ts)
-    ids = tuple(map(calc.id_of, ts))
+    ids = tilting.ids(params)
     cartan = tuple(tuple(calc.hom(i, j) for j in ids) for i in ids)
     for i in range(r):
         if cartan[i][i] != 1:
@@ -225,10 +225,12 @@ def _is_matching(pairs, sources, targets) -> bool:
     )
 
 
-def module_of(c: IndObj, algebra: AlgebraPresentation) -> CoordRep:
-    """The right module Hom(T, c); zero exactly when c is a translate of T."""
+def module_of(k: int, algebra: AlgebraPresentation) -> CoordRep:
+    """The right module Hom(T, c) of the object c with id k.
+
+    It is zero exactly when c is a translate of a summand of T.
+    """
     calc = calculator_for(algebra.params)
-    k = calc.id_of(c)
     ids = algebra.ids
     dims = tuple(calc.hom(t, k) for t in ids)
     arrows = {
@@ -450,11 +452,12 @@ class ResolutionReport:
 
 
 def minimal_resolution(
-    c: IndObj,
+    k: int,
     algebra: AlgebraPresentation,
     verify: bool = True,
 ) -> ResolutionReport:
-    """Minimal bounded presentation of Hom(T, c) by iterated covers.
+    """Minimal bounded presentation of Hom(T, c), c the object with id k,
+    by iterated covers.
 
     The module must be nonzero, i.e. c must not be a translate of a
     summand (the index machinery handles that case in closed form).  The
@@ -469,7 +472,8 @@ def minimal_resolution(
     runs before returning; the sweep machinery disables it and relies on
     the independent cross-route check instead.
     """
-    module = module_of(c, algebra)
+    c = calculator_for(algebra.params).objects[k]
+    module = module_of(k, algebra)
     if not any(module.dims):
         raise ContractError(
             f"Hom(T, {c}) = 0: {c} is a translate of a summand, no resolution"

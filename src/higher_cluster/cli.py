@@ -30,7 +30,7 @@ from .errors import (
 )
 from .hom import calculator_for
 from .index import index_table
-from .model import ModelParams, canonical_object, enumerate_indecomposables
+from .model import ModelParams, enumerate_indecomposables, object_id
 from .tilting import (
     TiltingObject,
     bit_ids,
@@ -248,36 +248,42 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _hom_family(text, flag, params):
-    """The objects of a --through or --modulo family; None when not given."""
+def _family_arg(text, flag):
+    """The family a --through, --modulo or --tilting value names, as
+    parsed; None when not given.  A value naming no object is refused."""
     if text is None:
         return None
     family = parse_family(text)
     if not family:
         raise InvalidInputError(f"{flag} names no object: {text!r}")
-    return tuple(canonical_object(t, params) for t in family)
+    return family
 
 
 def _cmd_hom(args) -> int:
     params = _params(args)
     _check_cap(params, args.cap)
     calc = calculator_for(params)
+    objects = calc.objects
     if (args.source is None) != (args.target is None):
         raise InvalidInputError("--source and --target go together")
     if args.source is not None:
-        source = canonical_object(parse_object(args.source), params)
-        target = canonical_object(parse_object(args.target), params)
-        through = _hom_family(args.through, "--through", params)
-        modulo = _hom_family(args.modulo, "--modulo", params)
+        source = object_id(parse_object(args.source), params)
+        target = object_id(parse_object(args.target), params)
+        through = _family_arg(args.through, "--through")
+        modulo = _family_arg(args.modulo, "--modulo")
         if through is not None and modulo is not None:
             raise InvalidInputError("a hom query takes --through or --modulo, not both")
+        family = through or modulo
+        ids = [object_id(t, params) for t in family or ()]
+        mask = sum(1 << i for i in set(ids))
         if through is not None:
-            dim = calc.ideal_hom_dim(source, target, through)
+            dim = calc.ideal(source, target, mask)
         elif modulo is not None:
-            dim = calc.quotient_hom_dim(source, target, modulo)
+            dim = calc.quotient(source, target, mask)
         else:
-            dim = calc.hom_dim(source, target)
+            dim = calc.hom(source, target)
         kind = "through" if through else ("modulo" if modulo else "plain")
+        source, target = objects[source], objects[target]
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": "hom",
@@ -286,7 +292,7 @@ def _cmd_hom(args) -> int:
             "source": source,
             "target": target,
             "kind": kind,
-            "family": through or modulo,
+            "family": family and tuple(objects[i] for i in ids),
             "dim": dim,
         }
         def rows():
@@ -296,10 +302,8 @@ def _cmd_hom(args) -> int:
         return 0
     if args.through is not None or args.modulo is not None:
         raise InvalidInputError("--through/--modulo need --source and --target")
-    objects = enumerate_indecomposables(params)
-    entries = [
-        (x, y, calc.hom_dim(x, y)) for x in objects for y in objects
-    ]
+    ids = range(len(objects))
+    entries = [(objects[i], objects[j], calc.hom(i, j)) for i in ids for j in ids]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "hom",
@@ -342,8 +346,9 @@ def _cmd_tilting(args) -> int:
 
 
 def _pick_tilting(args, params: ModelParams) -> TiltingObject:
-    if args.tilting:
-        return validate_tilting(parse_family(args.tilting), params)
+    family = _family_arg(args.tilting, "--tilting")
+    if family is not None:
+        return validate_tilting(family, params)
     # the vertex-1 fan is enumerate_tilting(params)[0], found without search
     return validate_tilting(vertex_fan(params), params)
 
@@ -398,8 +403,9 @@ def _cmd_index(args) -> int:
 def _cmd_collisions(args) -> int:
     params = _params(args)
     _check_cap(params, args.cap)
-    if args.tilting:
-        tiltings = (validate_tilting(parse_family(args.tilting), params),)
+    family = _family_arg(args.tilting, "--tilting")
+    if family is not None:
+        tiltings = (validate_tilting(family, params),)
     else:
         tiltings = enumerate_tilting(params)
     results = [verify_mod.find_collisions(index_table(t, params)) for t in tiltings]
@@ -470,13 +476,15 @@ def _cmd_verify(args) -> int:
             raise InvalidInputError(
                 f"unknown check {c!r}; pick from {', '.join(verify_mod.CHECK_NAMES)}"
             )
-    tilting_text = args.tilting or file_conf.get("tilting")
-    explicit = parse_family(tilting_text) if tilting_text else None
+    if args.tilting is not None:
+        explicit = _family_arg(args.tilting, "--tilting")
+    else:
+        explicit = _family_arg(file_conf.get("tilting"), "config key 'tilting'")
     config = verify_mod.SweepConfig(
         cases=cases,
         checks=checks,
         tilting_scope=args.tilting_scope or file_conf.get("tilting_scope", "all"),
-        explicit_tilting=(explicit,) if explicit else None,
+        explicit_tilting=(explicit,) if explicit is not None else None,
         cap=args.cap if args.cap is not None else file_conf.get("cap", 500),
     )
     report = verify_mod.run(config)

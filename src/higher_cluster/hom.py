@@ -4,8 +4,8 @@ Every hom space between indecomposables is zero- or one-dimensional, so a
 dimension is a plain int in {0, 1}, and once a basis morphism is fixed in
 each nonzero hom space, composition is a 0/1 structure constant.
 
-Objects are numbered in enumerate_indecomposables order, the ids of the
-compatibility graph, and both tables of a HomCalculator are int bitmasks
+Objects are ids, numbered in enumerate_indecomposables order by
+model.object_ids, and both tables of a HomCalculator are int bitmasks
 over those ids, filled lazily one source row at a time:
 
 - hom_row(x): bit y is set iff Hom(x, y) = K.  That holds iff x
@@ -24,10 +24,13 @@ over those ids, filled lazily one source row at a time:
   so the z of one labelling are the product of its arcs.
 
 A family is a mask as well, so "x -> y factors through add(F)" is one
-AND of factor_row(x)[y] with the mask of F.  The labelling chain also
-decides Hom(x, y) != 0 on its own (hom_dim_via_chain); the two
-characterisations must agree.  Tables only ever grow: per ModelParams
-with m objects, at most m hom rows and m^2 factor masks of m bits each.
+AND of factor_row(x)[y] with the mask of F.  The queries hom, ideal,
+quotient and composes take ids and masks only; objects given as
+vertices are decoded by model.object_id before they get here.  The
+labelling chain also decides Hom(x, y) != 0 on its own, and the tests
+hold the hom rows to that second characterisation.  Tables only ever
+grow: per ModelParams with m objects, at most m hom rows and m^2 factor
+masks of m bits each.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import product
 
-from .errors import ContractError, InvalidInputError
-from .model import IndObj, ModelParams, enumerate_indecomposables, shift
+from .errors import ContractError
+from .model import IndObj, ModelParams, enumerate_indecomposables, object_ids, shift
 
 
 def _rotations(obj: IndObj):
@@ -88,45 +91,28 @@ class HomCalculator:
     def __init__(self, params: ModelParams):
         self.params = params
         self.objects = enumerate_indecomposables(params)
-        self.ids = {obj: i for i, obj in enumerate(self.objects)}
         self._hom_rows = [None] * len(self.objects)
         self._factor_rows = [None] * len(self.objects)
-
-    def id_of(self, obj) -> int:
-        """The id of an object; anything else is an InvalidInputError."""
-        try:
-            return self.ids[obj]
-        except (KeyError, TypeError):
-            raise InvalidInputError(
-                f"{obj!r} is not an indecomposable object at "
-                f"(n, d) = ({self.params.n}, {self.params.d})"
-            ) from None
-
-    def family_mask(self, family) -> int:
-        """The mask of a family of objects; each member must be an object."""
-        mask = 0
-        for obj in family:
-            mask |= 1 << self.id_of(obj)
-        return mask
 
     @cached_property
     def translate(self) -> tuple[int, ...]:
         """translate[i] is the id of the translate shift(object i, 1)."""
-        return tuple(self.ids[shift(x, 1, self.params)] for x in self.objects)
+        ids = object_ids(self.params)
+        return tuple(ids[shift(x, 1, self.params)] for x in self.objects)
 
     def translated_mask(self, family) -> int:
-        """The mask of the translates shift(t, 1) of a family of objects."""
+        """The mask of the translates of the objects with ids in family."""
         translate = self.translate
         mask = 0
-        for obj in family:
-            mask |= 1 << translate[self.id_of(obj)]
+        for i in family:
+            mask |= 1 << translate[i]
         return mask
 
     def hom_row(self, i: int) -> int:
         """Bit j is set iff Hom(object i, object j) = K."""
         row = self._hom_rows[i]
         if row is None:
-            N, ids = self.params.N, self.ids
+            N, ids = self.params.N, object_ids(self.params)
             x = self.objects[i]
             # one member strictly inside each gap (a, b) of x, moved one
             # step back: the members run over a, ..., b - 2
@@ -141,7 +127,7 @@ class HomCalculator:
         """Entry j: the mask of the z through which object i -> object j factors."""
         row = self._factor_rows[i]
         if row is None:
-            N, ids, objects = self.params.N, self.ids, self.objects
+            N, ids, objects = self.params.N, object_ids(self.params), self.objects
             x = objects[i]
             row = [0] * len(objects)
             targets = self.hom_row(i)
@@ -160,8 +146,7 @@ class HomCalculator:
             self._factor_rows[i] = row
         return row
 
-    # The id-level queries: every formula of the tables lives here once,
-    # and the object-level methods below only map their objects to ids.
+    # The queries: every formula of the tables lives here once.
 
     def hom(self, i: int, j: int) -> int:
         """dim Hom(object i, object j)."""
@@ -192,42 +177,8 @@ class HomCalculator:
         if not (self.hom_row(i) >> j & 1 and self.hom_row(j) >> k & 1):
             objects = self.objects
             f, g = (objects[i], objects[j]), (objects[j], objects[k])
-            raise ContractError(f"compose_nonzero needs nonzero morphisms {f} and {g}")
+            raise ContractError(f"composes needs nonzero morphisms {f} and {g}")
         return self.factor_row(i)[k] >> j & 1
-
-    def hom_dim(self, x: IndObj, y: IndObj) -> int:
-        return self.hom(self.id_of(x), self.id_of(y))
-
-    def hom_dim_via_chain(self, x: IndObj, y: IndObj) -> int:
-        """Slow characterisation; must agree with hom_dim on every pair."""
-        self.id_of(x)  # both must be objects
-        self.id_of(y)
-        return 1 if _chain_labellings(x, y, self.params.N) else 0
-
-    def ideal_hom_dim(self, x: IndObj, y: IndObj, through) -> int:
-        """Dimension of the morphisms x -> y factoring through add(through).
-
-        through is a family of objects or its family_mask.
-        """
-        if not isinstance(through, int):
-            through = self.family_mask(through)
-        return self.ideal(self.id_of(x), self.id_of(y), through)
-
-    def quotient_hom_dim(self, x: IndObj, y: IndObj, modulo) -> int:
-        """Dimension of Hom(x, y) after killing everything through add(modulo)."""
-        if not isinstance(modulo, int):
-            modulo = self.family_mask(modulo)
-        return self.quotient(self.id_of(x), self.id_of(y), modulo)
-
-    def compose_nonzero(self, f, g) -> int:
-        """Structure constant of the composite of basis morphisms f then g.
-
-        f = (x, y) and g = (y, z) name nonzero basis morphisms; see composes.
-        """
-        (x, y1), (y2, z) = f, g
-        if y1 != y2:
-            raise ContractError(f"cannot compose {f} with {g}: middle objects differ")
-        return self.composes(self.id_of(x), self.id_of(y1), self.id_of(z))
 
 
 _calculators: dict[ModelParams, HomCalculator] = {}

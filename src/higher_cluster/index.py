@@ -34,15 +34,9 @@ from typing import NamedTuple
 
 from .algebra import build_algebra, minimal_resolution
 from .errors import InvalidInputError, InvariantError
-from .hom import calculator_for
+from .hom import HomCalculator, calculator_for
 from .linalg import adjugate, rank
-from .model import (
-    IndObj,
-    ModelParams,
-    enumerate_indecomposables,
-    is_admissible,
-    shift,
-)
+from .model import IndObj, ModelParams, object_id
 from .tilting import TiltingObject
 
 IndexVector = tuple[int, ...]
@@ -59,13 +53,6 @@ def algebra_for(tilting: TiltingObject, params: ModelParams):
     return alg
 
 
-def _canonical(c, params: ModelParams) -> IndObj:
-    """The sorted form of an admissible tuple, the one both routes read."""
-    if not is_admissible(c, params):
-        raise InvalidInputError(f"{c!r} is not an indecomposable object here")
-    return tuple(sorted(c))
-
-
 def index_of(
     c: IndObj,
     tilting: TiltingObject,
@@ -73,27 +60,30 @@ def index_of(
     algebra=None,
 ) -> IndexVector:
     """Index of c via the resolution route; c in any member order."""
-    c = _canonical(c, params)
-    back = shift(c, -1, params)
-    if back in tilting.summands:
-        # translate of a summand: Hom(T, c) = 0 and the index is the
-        # signed unit vector, sign (-1)^d
-        vec = [0] * len(tilting.summands)
-        vec[tilting.position(back)] = -1 if params.d % 2 else 1
-        return tuple(vec)
+    cid = object_id(c, params)
     if algebra is None:
         algebra = algebra_for(tilting, params)
-    report = minimal_resolution(c, algebra, verify=False)
-    return report.index_vector()
+    return index_by_resolution(cid, algebra)
+
+
+def index_by_resolution(c: int, algebra) -> IndexVector:
+    """The resolution route at the object with id c."""
+    translate = calculator_for(algebra.params).translate
+    for k, t in enumerate(algebra.ids):
+        if translate[t] == c:
+            # translate of a summand: Hom(T, c) = 0 and the index is the
+            # signed unit vector, sign (-1)^d
+            vec = [0] * algebra.r
+            vec[k] = -1 if algebra.params.d % 2 else 1
+            return tuple(vec)
+    return minimal_resolution(c, algebra, verify=False).index_vector()
 
 
 class _System(NamedTuple):
-    """Everything index_via_system needs that does not depend on c."""
+    """Everything the system route needs that does not depend on c."""
 
-    objects: tuple  # every indecomposable x, one row each
-    translate: tuple  # the id of shift(x, 1), row by row
     shifted_mask: int  # the mask of the translated summands
-    g_rows: tuple  # G[x, j] = dim Hom(t_j, x)
+    g_rows: tuple  # G[x, j] = dim Hom(t_j, x), one row per object x
     positions: tuple  # the rows of the summands: the square subsystem
     adj: tuple  # adjugate of the square subsystem
     det: int  # its determinant
@@ -106,7 +96,7 @@ def _system_for(tilting: TiltingObject, params: ModelParams) -> _System:
         return data
     calc = calculator_for(params)
     ts = tilting.summands
-    positions = tuple(calc.id_of(t) for t in ts)
+    positions = tilting.ids(params)
     t_rows = [calc.hom_row(p) for p in positions]
     g_rows = tuple(
         tuple(row >> x & 1 for row in t_rows) for x in range(len(calc.objects))
@@ -123,15 +113,7 @@ def _system_for(tilting: TiltingObject, params: ModelParams) -> _System:
             f"Cartan system of tilting object {ts} is singular over the rationals"
         )
     adj, det = square_inv
-    data = _System(
-        calc.objects,
-        calc.translate,
-        calc.translated_mask(ts),
-        g_rows,
-        positions,
-        adj,
-        det,
-    )
+    data = _System(calc.translated_mask(positions), g_rows, positions, adj, det)
     return _systems.setdefault(key, data)
 
 
@@ -144,19 +126,21 @@ def index_via_system(
     subsystem on the summand rows determines the candidate, and every
     remaining row must agree, integrally, or the model is broken.
     """
-    c = _canonical(c, params)
-    calc = calculator_for(params)
-    system = _system_for(tilting, params)
+    cid = object_id(c, params)
+    return _index_by_system(cid, _system_for(tilting, params), calculator_for(params))
+
+
+def _index_by_system(c: int, system: _System, calc: HomCalculator) -> IndexVector:
+    """The system route at the object with id c."""
     shifted, det = system.shifted_mask, system.det
-    sign = -1 if params.d % 2 else 1
+    sign = -1 if calc.params.d % 2 else 1
     # b[x] = dim of Hom(c, x) modulo add(shifted) plus sign times the dim
     # of Hom(c, shift(x, 1)) through add(shifted): two bit tests per row
-    cid = calc.id_of(c)
-    hom, factors = calc.hom_row(cid), calc.factor_row(cid)
+    hom, factors = calc.hom_row(c), calc.factor_row(c)
     b = [
         (hom >> x & 1) - (factors[x] & shifted != 0)
         + sign * (factors[x1] & shifted != 0)
-        for x, x1 in enumerate(system.translate)
+        for x, x1 in enumerate(calc.translate)
     ]
     b_square = [b[p] for p in system.positions]
     scaled = [sum(map(mul, row, b_square)) for row in system.adj]
@@ -166,13 +150,13 @@ def index_via_system(
         if rem:
             sol = tuple(Fraction(u, det) for u in scaled)
             raise InvariantError(
-                f"index system for {c} has a non-integer solution {sol}"
+                f"index system for {calc.objects[c]} has a non-integer solution {sol}"
             )
         coeffs.append(q)
-    for x, row, target in zip(system.objects, system.g_rows, b):
+    for x, row, target in zip(calc.objects, system.g_rows, b):
         if sum(map(mul, row, coeffs)) != target:
             raise InvariantError(
-                f"index system for {c} is inconsistent at row {x}"
+                f"index system for {calc.objects[c]} is inconsistent at row {x}"
             )
     return tuple(coeffs)
 
@@ -232,20 +216,16 @@ def index_table(
     """
     if route not in ("both", "resolution", "system"):
         raise InvalidInputError(f"unknown route {route!r}")
-    algebra = algebra_for(tilting, params) if route in ("both", "resolution") else None
+    calc = calculator_for(params)
+    algebra = algebra_for(tilting, params) if route != "system" else None
+    system = _system_for(tilting, params) if route != "resolution" else None
     rows = []
-    for c in enumerate_indecomposables(params):
-        via_res = (
-            index_of(c, tilting, params, algebra=algebra)
-            if route in ("both", "resolution")
-            else None
-        )
-        via_sys = (
-            index_via_system(c, tilting, params) if route in ("both", "system") else None
-        )
+    for c, obj in enumerate(calc.objects):
+        via_res = index_by_resolution(c, algebra) if algebra is not None else None
+        via_sys = _index_by_system(c, system, calc) if system is not None else None
         if route == "both" and via_res != via_sys:
             raise InvariantError(
-                f"index routes disagree at {c}: resolution {via_res}, system {via_sys}"
+                f"index routes disagree at {obj}: resolution {via_res}, system {via_sys}"
             )
-        rows.append(IndexRow(c, via_res, via_sys))
+        rows.append(IndexRow(obj, via_res, via_sys))
     return IndexTable(params, tilting, tuple(rows))

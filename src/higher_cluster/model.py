@@ -4,7 +4,9 @@ Everything downstream is driven by the cyclic set V = {1, ..., N} with
 N = n + 2d + 1, thought of as the vertices of an N-gon labelled clockwise.
 An indecomposable object is a (d+1)-subset of V with no two members
 cyclically adjacent; the sorted tuple is the one canonical form, and cyclic
-labellings (rotations) are derived on demand.  One application of the
+labellings (rotations) are derived on demand.  Objects are numbered in
+enumeration order; object_id is the one decoder from vertices to that
+id, and every layer below it works on ids.  One application of the
 translation moves every member one step anticlockwise, i.e. v -> v - 1
 with 1 wrapping to N.
 """
@@ -79,12 +81,26 @@ def is_admissible(candidate, params: ModelParams) -> bool:
 
 def canonical_object(candidate, params: ModelParams) -> IndObj:
     """Sorted-tuple form of an admissible subset; rejects anything else."""
+    try:
+        candidate = tuple(candidate)
+    except TypeError:  # not iterable, so not admissible either
+        pass
     if not is_admissible(candidate, params):
         raise InvalidInputError(
-            f"{tuple(candidate)!r} is not an admissible {params.object_size}-subset "
+            f"{candidate!r} is not an admissible {params.object_size}-subset "
             f"of 1..{params.N}"
         )
     return tuple(sorted(candidate))
+
+
+def object_id(candidate, params: ModelParams) -> int:
+    """The one decoder: the id of an object given as vertices in any order.
+
+    Objects from outside (command-line arguments, replay witnesses, the
+    arguments of library entry points) are decoded here.  Anything not
+    admissible, True or 1.0 members included, is an InvalidInputError.
+    """
+    return object_ids(params)[canonical_object(candidate, params)]
 
 
 @lru_cache(maxsize=None)
@@ -108,6 +124,12 @@ def enumerate_indecomposables(params: ModelParams) -> tuple[IndObj, ...]:
         # the wrap gap pins the largest member to at most N + first - 2
         grow([first], first + 2, min(N, N + first - 2))
     return tuple(found)
+
+
+@lru_cache(maxsize=None)
+def object_ids(params: ModelParams) -> dict[IndObj, int]:
+    """The one object -> id map: ids number the objects in enumeration order."""
+    return {obj: i for i, obj in enumerate(enumerate_indecomposables(params))}
 
 
 def intertwines(x: IndObj, y: IndObj, params: ModelParams) -> bool:

@@ -27,17 +27,18 @@ tilting objects per ModelParams is kept, shared by both functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
-from .errors import InvariantError, TiltingError
+from .errors import InvalidInputError, InvariantError, TiltingError
 from .hom import calculator_for
 from .model import (
     IndObj,
     ModelParams,
     enumerate_indecomposables,
     intertwines,
+    object_id,
+    object_ids,
     shift,
 )
 
@@ -49,8 +50,13 @@ class TiltingObject:
     def __post_init__(self):
         object.__setattr__(self, "summands", tuple(sorted(self.summands)))
 
-    def position(self, t: IndObj) -> int:
-        return self.summands.index(t)
+    def ids(self, params: ModelParams) -> tuple[int, ...]:
+        """The summands' object ids, ascending like the summands.
+
+        Mapped on each call, not stored: a census holds up to 96,426
+        tilting objects, and a second tuple each costs more memory.
+        """
+        return tuple(map(object_ids(params).__getitem__, self.summands))
 
     def shifted(self, steps: int, params: ModelParams) -> "TiltingObject":
         return TiltingObject(tuple(shift(t, steps, params) for t in self.summands))
@@ -68,15 +74,12 @@ class CompatibilityGraph:
     """Vertices in enumeration order; neighbourhoods as int bitmasks.
 
     Bit j of neighbors[i] is set when objects i and j do not intertwine.
-    Enumeration order is lexicographic, so ids ascend with the objects.
+    Vertex i is the object with id i (model.object_ids).  Enumeration
+    order is lexicographic, so ids ascend with the objects.
     """
 
     objects: tuple[IndObj, ...]
     neighbors: tuple[int, ...]
-    ids: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ids", {obj: i for i, obj in enumerate(self.objects)})
 
     def edge_count(self) -> int:
         return sum(nb.bit_count() for nb in self.neighbors) // 2
@@ -232,7 +235,8 @@ def _tilting_masks(neighbors, start, size):
 def _tilting_by_mutation(params: ModelParams) -> tuple[TiltingObject, ...]:
     """Every tilting object, by the mutation search from the vertex-1 fan."""
     graph = compatibility_graph(params)
-    start = sum(1 << graph.ids[t] for t in vertex_fan(params))
+    ids = object_ids(params)
+    start = sum(1 << ids[t] for t in vertex_fan(params))
     objects = graph.objects
     return tuple(
         TiltingObject(tuple(map(objects.__getitem__, family)))
@@ -268,33 +272,52 @@ def enumerate_tilting(params: ModelParams) -> tuple[TiltingObject, ...]:
 def validate_tilting(candidate, params: ModelParams) -> TiltingObject:
     """Check every defining property of a tilting object, or reject.
 
-    Rejections carry a machine-readable reason tag and the offending
-    witness: non-admissible-summand, size-mismatch, intertwining-pair,
-    hom-to-shift, not-maximal.
+    Each summand is decoded by model.object_id, in any member order;
+    repeats collapse.  A summand the decoder refuses is rejected as
+    non-admissible-summand, the witness being its sorted form (the least
+    one when several are refused).  The decoded family then goes through
+    validate_family.  Rejections carry a machine-readable reason tag and
+    the offending witness.
     """
-    summands = tuple(sorted(set(tuple(sorted(t)) for t in candidate)))
-    graph = compatibility_graph(params)
-    # the id map holds exactly the admissible sorted tuples, but True == 1
-    # and 1.0 == 1 hash alike, so members are type-checked: all in one pass
-    # when they are plain ints, else summand by summand
-    plain = set(map(type, chain.from_iterable(summands))) <= {int}
-    for t in summands:
-        if t not in graph.ids or not (
-            plain or all(isinstance(v, int) and not isinstance(v, bool) for v in t)
-        ):
-            raise TiltingError(
-                "non-admissible-summand", t, f"summand {t} is not admissible"
-            )
+    family = 0
+    refused = []
+    for t in candidate:
+        try:
+            family |= 1 << object_id(t, params)
+        except InvalidInputError:
+            try:
+                refused.append(tuple(sorted(t)))
+            except TypeError:  # not iterable, or members that do not compare
+                refused.append(t)
+    if refused:
+        try:
+            t = min(refused)
+        except TypeError:
+            t = refused[0]
+        raise TiltingError("non-admissible-summand", t, f"summand {t} is not admissible")
+    validate_family(family, params)
+    objects = enumerate_indecomposables(params)
+    return TiltingObject(tuple(objects[i] for i in bit_ids(family)))
+
+
+def validate_family(family: int, params: ModelParams) -> None:
+    """The checks of validate_tilting on decoded summands, or reject.
+
+    family is the mask of the summands' ids.  The checks run in order:
+    size-mismatch, intertwining-pair, hom-to-shift, not-maximal; the
+    first failure raises a TiltingError, its witness in object tuples.
+    """
     expected = expected_tilting_size(params)
-    if len(summands) != expected:
+    size = family.bit_count()
+    if size != expected:
         raise TiltingError(
             "size-mismatch",
-            (len(summands), expected),
-            f"got {len(summands)} distinct summands, expected {expected}",
+            (size, expected),
+            f"got {size} distinct summands, expected {expected}",
         )
+    graph = compatibility_graph(params)
     objects, neighbors = graph.objects, graph.neighbors
-    ids = [graph.ids[t] for t in summands]  # ascending, like summands
-    family = sum(1 << i for i in ids)
+    ids = tuple(bit_ids(family))  # ascending, like the summands
     for i in ids:
         # the first later summand outside the neighbourhood of summand i
         clash = family & ~neighbors[i] & -(2 << i)
@@ -305,9 +328,7 @@ def validate_tilting(candidate, params: ModelParams) -> TiltingObject:
             )
     calc = calculator_for(params)
     translate = calc.translate
-    shifted = 0
-    for i in ids:
-        shifted |= 1 << translate[i]
+    shifted = calc.translated_mask(ids)
     for i in ids:
         hits = calc.hom_row(i) & shifted
         if hits:
@@ -327,4 +348,3 @@ def validate_tilting(candidate, params: ModelParams) -> TiltingObject:
         raise TiltingError(
             "not-maximal", obj, f"family extends by {obj} without intertwining"
         )
-    return TiltingObject(summands)

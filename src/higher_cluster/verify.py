@@ -19,13 +19,14 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidInputError, ResourceCapError, TiltingError
 from .hom import calculator_for
-from .index import IndexTable, algebra_for, index_of, index_table
-from .model import ModelParams, canonical_object, enumerate_indecomposables
+from .index import IndexTable, algebra_for, index_by_resolution, index_table
+from .model import ModelParams, enumerate_indecomposables, object_id
 from .tilting import (
     TiltingObject,
     bit_ids,
     enumerate_tilting,
     maximal_families,
+    validate_family,
     validate_tilting,
 )
 
@@ -85,8 +86,8 @@ def _field(witness: dict, key: str, kind=None):
     return value
 
 
-def _object(witness: dict, key: str, params: ModelParams):
-    return canonical_object(_field(witness, key, list), params)
+def _object(witness: dict, key: str, params: ModelParams) -> int:
+    return object_id(_field(witness, key, list), params)
 
 
 def _objects(witness: dict, key: str, count: int, params: ModelParams) -> tuple:
@@ -95,7 +96,7 @@ def _objects(witness: dict, key: str, count: int, params: ModelParams) -> tuple:
         raise InvalidInputError(
             f"witness {key!r} must be a list of {count} objects, got {value!r}"
         )
-    return tuple(canonical_object(v, params) for v in value)
+    return tuple(object_id(v, params) for v in value)
 
 
 def _family(witness: dict, key: str) -> list:
@@ -116,8 +117,8 @@ def replay(witness) -> tuple[bool, dict]:
     Returns (reproduced, details): reproduced means the failure is still
     there, and details are the instance's value fields as computed now.
     The witness is decoded once: ModelParams from n and d, every object
-    through canonical_object and then to its id, the tilting object
-    through validate_tilting.  A missing or ill-typed key, a non-object, or a
+    to its id through model.object_id, the tilting object through
+    validate_tilting.  A missing or ill-typed key, a non-object, or a
     family that is not a tilting object is an InvalidInputError.
     """
     if not isinstance(witness, dict):
@@ -129,16 +130,15 @@ def replay(witness) -> tuple[bool, dict]:
     if check == "tilting-sanity":
         # validation is the check itself here: a refusal is the failure
         key = "family" if witness.get("family") else "tilting"
-        return _tilting_sanity(params, _family(witness, key))
+        return _tilting_sanity(validate_tilting, _family(witness, key), params)
     calc = calculator_for(params)
     if check == "associativity":
-        chain = _objects(witness, "chain", 4, params)
-        return _associativity(calc, *map(calc.id_of, chain))
+        return _associativity(calc, *_objects(witness, "chain", 4, params))
     if check == "serre":
         kind = _field(witness, "kind", str)
         if kind == "hom-symmetry":
             x, y = _object(witness, "x", params), _object(witness, "y", params)
-            return _hom_symmetry(calc, calc.id_of(x), calc.id_of(y))
+            return _hom_symmetry(calc, x, y)
         if kind != "ideal-quotient-duality":
             raise InvalidInputError(f"unknown serre witness kind {kind!r}")
     try:
@@ -148,43 +148,43 @@ def replay(witness) -> tuple[bool, dict]:
             f"witness tilting is not a tilting object ({err.reason}): {err}"
         ) from None
     if check in ("injectivity", "collisions"):
-        pair = _objects(witness, "pair", 2, params)
-        # rebuild the check's double-route table and its witnesses
+        # rebuild the check's double-route table and its witnesses; its
+        # rows are in id order
         table = index_table(tilting, params)
-        rows = {row.obj: row for row in table.rows}
-        a, b = (rows[obj] for obj in pair)
+        a, b = (table.rows[i] for i in _objects(witness, "pair", 2, params))
+        pair = sorted([list(a.obj), list(b.obj)])
         reproduced = any(
-            sorted(w["pair"]) == sorted(map(list, pair))
-            for w in collision_witnesses(table, check)
+            sorted(w["pair"]) == pair for w in collision_witnesses(table, check)
         )
         return reproduced, {
             "pair": [list(a.obj), list(b.obj)],
             "via_resolution": [list(a.via_resolution), list(b.via_resolution)],
             "via_system": [list(a.via_system), list(b.via_system)],
         }
-    shifted = calc.translated_mask(tilting.summands)
+    summands = tilting.ids(params)
+    shifted = calc.translated_mask(summands)
     c, x = _object(witness, "c", params), _object(witness, "x", params)
-    cid, xid = calc.id_of(c), calc.id_of(x)
     if check == "serre":
-        return _ideal_quotient_duality(calc, shifted, cid, xid)
+        return _ideal_quotient_duality(calc, shifted, c, x)
     if check == "disjointness":
-        return _disjointness(calc, shifted, cid, xid)
-    index = index_of(c, tilting, params)
-    summands = tuple(map(calc.id_of, tilting.summands))
-    return _dimension_formula(calc, summands, shifted, index, cid, xid)
+        return _disjointness(calc, shifted, c, x)
+    index = index_by_resolution(c, algebra_for(tilting, params))
+    return _dimension_formula(calc, summands, shifted, index, c, x)
 
 
 # One evaluator per kind of check instance.  Each returns (failed,
 # values): values are the witness's value fields, failed says whether
 # they falsify the instance.  The sweeps below and replay() both call
 # them, so a replayed witness re-runs the very check that wrote it.
-# Objects are ids of the HomCalculator, a family is its mask, and the
-# translate of object i is calc.translate[i].
+# Objects are ids (model.object_ids), a family is the mask of its ids,
+# and the translate of object i is calc.translate[i].
 
 
-def _tilting_sanity(params, family):
+def _tilting_sanity(validate, family, params):
+    """validate is validate_tilting on a family of vertex lists, or
+    validate_family on the mask of decoded summands."""
     try:
-        validate_tilting(family, params)
+        validate(family, params)
     except TiltingError as err:
         return True, {"reason": err.reason, "detail": str(err)}
     return False, {"reason": None}
@@ -243,7 +243,9 @@ def check_tilting_sanity(params: ModelParams, tiltings=None) -> CheckResult:
         tiltings = enumerated
     witnesses = []
     for t in tiltings:
-        failed, values = _tilting_sanity(params, t.summands)
+        # the summands are objects already: map them to ids, no decoding
+        family = sum(1 << i for i in t.ids(params))
+        failed, values = _tilting_sanity(validate_family, family, params)
         if failed:
             witnesses.append(
                 _witness("tilting-sanity", params, t, kind="invalid", **values)
@@ -337,7 +339,7 @@ def check_serre(params: ModelParams, tilting: TiltingObject | None = None) -> Ch
                     )
                 )
     if tilting is not None:
-        shifted = calc.translated_mask(tilting.summands)
+        shifted = calc.translated_mask(tilting.ids(params))
         for c in ids:
             for x in ids:
                 pairs += 1
@@ -377,14 +379,13 @@ def check_dimension_formula(tilting: TiltingObject, params: ModelParams) -> Chec
     calc = calculator_for(params)
     objects = calc.objects
     ids = range(len(objects))
-    ts = tilting.summands
-    summands = tuple(map(calc.id_of, ts))
-    shifted = calc.translated_mask(ts)
     algebra = algebra_for(tilting, params)
+    summands = algebra.ids
+    shifted = calc.translated_mask(summands)
     witnesses = []
     pairs = 0
     for c in ids:
-        ind = index_of(objects[c], tilting, params, algebra=algebra)
+        ind = index_by_resolution(c, algebra)
         for x in ids:
             pairs += 1
             failed, values = _dimension_formula(calc, summands, shifted, ind, c, x)
@@ -403,7 +404,7 @@ def check_dimension_formula(tilting: TiltingObject, params: ModelParams) -> Chec
         "dimension-formula",
         params.n,
         params.d,
-        ts,
+        tilting.summands,
         FAIL if witnesses else PASS,
         tuple(witnesses),
         {"pairs": pairs},
@@ -419,7 +420,7 @@ def check_disjointness(tilting: TiltingObject, params: ModelParams) -> CheckResu
     calc = calculator_for(params)
     objects = calc.objects
     ids = range(len(objects))
-    shifted = calc.translated_mask(tilting.summands)
+    shifted = calc.translated_mask(tilting.ids(params))
     witnesses = []
     for c in ids:
         for x in ids:

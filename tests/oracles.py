@@ -150,6 +150,18 @@ def _mixed_chain_oracle(xs, ys, N):
     return True
 
 
+def hom_dim_via_chain(x, y, n, d):
+    """dim Hom(x, y) from the labelling chain alone: 1 iff some rotation
+    pair of (x, y) satisfies it.  A characterisation independent of the
+    intertwining one that hom_oracle and the hom rows use."""
+    N = cycle_size(n, d)
+    return 1 if any(
+        _mixed_chain_oracle(xs, ys, N)
+        for xs in rotations(tuple(x))
+        for ys in rotations(tuple(y))
+    ) else 0
+
+
 def factors_through_oracle(x, y, z, n, d):
     """Does the nonzero morphism x -> y factor through z?
 

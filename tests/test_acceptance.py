@@ -19,7 +19,12 @@ from oracles import brute_force_objects, catalan, count_formula
 
 from higher_cluster.cli import main
 from higher_cluster.index import index_of, index_table, index_via_system
-from higher_cluster.model import ModelParams, enumerate_indecomposables, shift
+from higher_cluster.model import (
+    ModelParams,
+    enumerate_indecomposables,
+    object_ids,
+    shift,
+)
 from higher_cluster.tilting import (
     TiltingObject,
     enumerate_tilting,
@@ -246,10 +251,11 @@ def test_criterion_8_structural_invariants():
         for n, d in SMALL_GRID:
             params = ModelParams(n, d)
             calc = calculator_for(params)
+            ids = object_ids(params)
             for tilting in enumerate_tilting(params):
                 for s in tilting.summands:
                     for t in tilting.summands:
-                        if calc.hom_dim(s, shift(t, 1, params)) != 0:
+                        if calc.hom(ids[s], ids[shift(t, 1, params)]) != 0:
                             rigid_bad.append((n, d, s, t))
                 algebra = build_algebra(tilting, params)
                 shifted = {shift(t, 1, params) for t in tilting.summands}
@@ -258,7 +264,7 @@ def test_criterion_8_structural_invariants():
                         continue
                     # verify=True re-checks exactness and minimality and
                     # raises on any defect
-                    report = minimal_resolution(c, algebra, verify=True)
+                    report = minimal_resolution(ids[c], algebra, verify=True)
                     resolutions += 1
                     if report.length > d:
                         res_bad.append((n, d, c))

@@ -22,7 +22,12 @@ from higher_cluster.algebra import (
 )
 from higher_cluster.errors import ContractError, InvariantError
 from higher_cluster.index import index_of, index_via_system
-from higher_cluster.model import ModelParams, enumerate_indecomposables, shift
+from higher_cluster.model import (
+    ModelParams,
+    enumerate_indecomposables,
+    object_id,
+    shift,
+)
 from higher_cluster.tilting import TiltingObject, enumerate_tilting
 
 from oracles import fraction_module_of, fraction_resolution
@@ -75,21 +80,21 @@ def test_cycle_cartan_3_1():
 
 def test_module_dims_are_hom_dims():
     alg = build_algebra(T21, P21)
-    assert module_of((2, 4), alg).dims == (0, 1)
-    assert module_of((1, 3), alg).dims == (1, 0)
-    assert module_of((1, 4), alg).dims == (1, 1)
+    assert module_of(object_id((2, 4), P21), alg).dims == (0, 1)
+    assert module_of(object_id((1, 3), P21), alg).dims == (1, 0)
+    assert module_of(object_id((1, 4), P21), alg).dims == (1, 1)
     # the translates of the two summands carry the zero module
-    assert module_of((2, 5), alg).dims == (0, 0)
-    assert module_of((3, 5), alg).dims == (0, 0)
+    assert module_of(object_id((2, 5), P21), alg).dims == (0, 0)
+    assert module_of(object_id((3, 5), P21), alg).dims == (0, 0)
 
 
 def test_module_of_translate_is_zero():
     alg = build_algebra(T21, P21)
     gone = shift((1, 3), 1, P21)
     assert gone == (2, 5)
-    assert not any(module_of(gone, alg).dims)
+    assert not any(module_of(object_id(gone, P21), alg).dims)
     with pytest.raises(ContractError):
-        minimal_resolution(gone, alg)
+        minimal_resolution(object_id(gone, P21), alg)
 
 
 def checked(alg, dims, arrows):
@@ -239,11 +244,11 @@ def test_projective_covers_itself():
     for params, tilting in [(P21, T21), (P31, CYCLE31), (P22, FAN22)]:
         alg = build_algebra(tilting, params)
         for a, t in enumerate(alg.summands):
-            module = module_of(t, alg)
+            module = module_of(object_id(t, params), alg)
             multiplicities, *_ = projective_cover(module, module.units())
             expected = tuple(1 if b == a else 0 for b in range(alg.r))
             assert multiplicities == expected
-            res = minimal_resolution(t, alg)
+            res = minimal_resolution(object_id(t, params), alg)
             assert res.length == 0
             assert res.multiplicities == (expected,)
             assert res.full_resolution
@@ -251,7 +256,8 @@ def test_projective_covers_itself():
 
 def test_resolution_2_1_frozen():
     alg = build_algebra(T21, P21)
-    res = minimal_resolution((2, 4), alg)
+    res = minimal_resolution(object_id((2, 4), P21), alg)
+    assert res.target == (2, 4)
     assert res.multiplicities == ((0, 1), (1, 0))
     assert res.length == 1
     assert res.full_resolution
@@ -265,7 +271,7 @@ def test_cycle_3_1_has_no_finite_resolution():
     # iteration can never terminate; the bounded presentation stops after
     # d + 1 = 2 projective terms and reports the surviving kernel
     alg = build_algebra(CYCLE31, P31)
-    res = minimal_resolution((1, 4), alg)
+    res = minimal_resolution(object_id((1, 4), P31), alg)
     assert res.multiplicities == ((1, 0, 0), (0, 0, 1))
     assert not res.full_resolution
     assert res.tail_kernel_dims == (0, 1, 0)
@@ -276,7 +282,7 @@ def test_cycle_3_1_has_no_finite_resolution():
 
 def test_verify_catches_tampered_tail():
     alg = build_algebra(T21, P21)
-    res = minimal_resolution((2, 4), alg)
+    res = minimal_resolution(object_id((2, 4), P21), alg)
     bad = dataclasses.replace(res, tail_kernel_dims=(1, 0))
     problems = bad.verify()
     assert any("tail map kernel" in v for v in problems)
@@ -293,7 +299,7 @@ def test_presentations_verify_everywhere(n, d):
         for c in objects:
             if c in shifted:
                 continue
-            res = minimal_resolution(c, alg)  # verify=True raises on defect
+            res = minimal_resolution(object_id(c, params), alg)  # verify=True raises on defect
             assert res.length <= d
             assert res.index_vector() == index_via_system(c, tilting, params)
 
@@ -304,7 +310,7 @@ def test_connecting_maps_are_radical_valued():
     for c in enumerate_indecomposables(P22):
         if c in shifted:
             continue
-        res = minimal_resolution(c, alg)
+        res = minimal_resolution(object_id(c, P22), alg)
         for s in range(1, len(res.multiplicities)):
             for a in range(alg.r):
                 lay = res.layouts[s - 1][a]
@@ -331,7 +337,7 @@ def assert_matches_fraction_reference(params, tilting):
         if c in shifted:
             assert not any(fraction_module_of(c, alg).dims)
             continue
-        got = minimal_resolution(c, alg)  # verify=True raises on defect
+        got = minimal_resolution(object_id(c, params), alg)  # verify=True raises on defect
         ref = fraction_resolution(c, alg)
         assert got.multiplicities == ref.multiplicities, c
         assert got.length == ref.length, c

@@ -6,6 +6,7 @@ console script to make sure packaging wired it up.
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -264,6 +265,28 @@ def test_index_rejects_bad_tilting(capsys):
     )
     assert code == 2
     assert "intertwine" in err
+
+
+@pytest.mark.parametrize("command", ["index", "collisions", "verify"])
+@pytest.mark.parametrize("tilting", ["", ";", " ; "])
+def test_empty_tilting_is_refused(capsys, command, tilting):
+    # an explicit --tilting that names no object fell back silently to
+    # the vertex-1 fan (index) or to every tilting object
+    code, out, err = run_cli(
+        capsys, command, "--n", "2", "--d", "1", "--tilting", tilting
+    )
+    assert code == 2
+    assert out == ""
+    assert f"--tilting names no object: {tilting!r}" in err
+
+
+def test_verify_config_with_empty_tilting_is_refused(capsys, tmp_path):
+    conf = tmp_path / "empty.json"
+    conf.write_text(json.dumps({"n": 2, "d": 1, "tilting": ""}))
+    code, out, err = run_cli(capsys, "verify", "--config", str(conf))
+    assert code == 2
+    assert out == ""
+    assert "config key 'tilting' names no object: ''" in err
 
 
 def test_collisions_even_and_odd(capsys):
@@ -703,12 +726,17 @@ def test_installed_console_script():
 
 
 def test_module_entry_point():
+    # the child finds the package in this checkout's src, installed or not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
         [sys.executable, "-m", "higher_cluster", "enumerate", "--n", "1",
          "--d", "1", "--format", "json"],
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 2

@@ -1,14 +1,26 @@
-import random
+"""The id-level hom queries against the tuple oracles.
+
+Objects are ids (model.object_ids) and families are masks of ids; ids()
+maps tuples to ids the way the decoder's callers do.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from higher_cluster.errors import ContractError, InvalidInputError
+from higher_cluster import cli
+from higher_cluster.errors import ContractError, InvalidInputError, TiltingError
 from higher_cluster.hom import calculator_for
-from higher_cluster.model import ModelParams, enumerate_indecomposables, shift
-from higher_cluster.tilting import enumerate_tilting
-from oracles import factors_through_oracle, hom_oracle
+from higher_cluster.index import index_of, index_via_system
+from higher_cluster.model import (
+    ModelParams,
+    enumerate_indecomposables,
+    object_id,
+    object_ids,
+    shift,
+)
+from higher_cluster.tilting import TiltingObject, enumerate_tilting, validate_tilting
+from oracles import factors_through_oracle, hom_dim_via_chain, hom_oracle
 
 P21 = ModelParams(2, 1)
 P22 = ModelParams(2, 2)
@@ -16,79 +28,88 @@ C21 = calculator_for(P21)
 C22 = calculator_for(P22)
 
 
+def ids(params, *objects):
+    """The ids of objects given as sorted tuples."""
+    table = object_ids(params)
+    return [table[x] for x in objects]
+
+
+def mask(params, family):
+    """The mask of a family of objects given as sorted tuples."""
+    return sum(1 << i for i in set(ids(params, *family)))
+
+
 def test_hom_dim_examples():
-    assert C21.hom_dim((1, 3), (1, 4)) == 1
-    assert C21.hom_dim((1, 3), (2, 4)) == 0
-    assert C22.hom_dim((1, 3, 5), (1, 3, 5)) == 1
+    assert C21.hom(*ids(P21, (1, 3), (1, 4))) == 1
+    assert C21.hom(*ids(P21, (1, 3), (2, 4))) == 0
+    assert C22.hom(*ids(P22, (1, 3, 5), (1, 3, 5))) == 1
 
 
 def test_hom_dim_identity_everywhere():
     for n, d in [(2, 1), (2, 2), (3, 1)]:
-        p = ModelParams(n, d)
-        calc = calculator_for(p)
-        for x in enumerate_indecomposables(p):
-            assert calc.hom_dim(x, x) == 1
+        calc = calculator_for(ModelParams(n, d))
+        for i in range(len(calc.objects)):
+            assert calc.hom(i, i) == 1
 
 
 @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (3, 1), (2, 2), (1, 3)])
 def test_hom_dim_matches_independent_oracle(n, d):
-    p = ModelParams(n, d)
-    calc = calculator_for(p)
-    objs = enumerate_indecomposables(p)
-    for x in objs:
-        for y in objs:
-            assert calc.hom_dim(x, y) == hom_oracle(x, y, n, d)
+    calc = calculator_for(ModelParams(n, d))
+    for i, x in enumerate(calc.objects):
+        for j, y in enumerate(calc.objects):
+            assert calc.hom(i, j) == hom_oracle(x, y, n, d)
 
 
 @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (1, 3), (2, 3), (4, 2), (3, 3), (4, 3), (1, 2), (1, 4)])
 def test_both_hom_characterizations_agree(n, d):
-    p = ModelParams(n, d)
-    calc = calculator_for(p)
-    objs = enumerate_indecomposables(p)
-    for x in objs:
-        for y in objs:
-            assert calc.hom_dim(x, y) == calc.hom_dim_via_chain(x, y)
+    calc = calculator_for(ModelParams(n, d))
+    for i, x in enumerate(calc.objects):
+        for j, y in enumerate(calc.objects):
+            assert calc.hom(i, j) == hom_dim_via_chain(x, y, n, d)
 
 
 def test_serre_symmetry_small():
     for n, d in [(2, 1), (2, 2), (3, 1), (1, 3)]:
         p = ModelParams(n, d)
         calc = calculator_for(p)
-        objs = enumerate_indecomposables(p)
-        for x in objs:
-            for y in objs:
-                assert calc.hom_dim(x, y) == calc.hom_dim(y, shift(x, 2, p))
+        table = object_ids(p)
+        for i, x in enumerate(calc.objects):
+            twice = table[shift(x, 2, p)]
+            for j in range(len(calc.objects)):
+                assert calc.hom(i, j) == calc.hom(j, twice)
 
 
 def test_factors_through_examples():
+    x, y = ids(P21, (1, 3), (1, 4))
     for z, expected in (((1, 3), True), ((1, 4), True), ((2, 5), False)):
         assert factors_through_oracle((1, 3), (1, 4), z, 2, 1) is expected
-        assert C21.ideal_hom_dim((1, 3), (1, 4), (z,)) == int(expected)
+        assert C21.ideal(x, y, mask(P21, [z])) == int(expected)
 
 
 def test_factors_through_requires_nonzero_map():
     # the oracle refuses a zero hom space; the table holds no factor there
     with pytest.raises(ValueError):
         factors_through_oracle((1, 3), (2, 4), (1, 4), 2, 1)
-    objs = enumerate_indecomposables(P21)
-    assert C21.ideal_hom_dim((1, 3), (2, 4), objs) == 0
-    assert C21.factor_row(C21.id_of((1, 3)))[C21.id_of((2, 4))] == 0
+    x, y = ids(P21, (1, 3), (2, 4))
+    everything = (1 << len(C21.objects)) - 1
+    assert C21.ideal(x, y, everything) == 0
+    assert C21.factor_row(x)[y] == 0
 
 
 def test_factoring_respects_hom_composition():
     """Factoring through z with nonzero hom on both legs must compose."""
     for p in (P21, P22):
         calc = calculator_for(p)
-        objs = enumerate_indecomposables(p)
+        objs = range(len(calc.objects))
         for x in objs:
             for y in objs:
-                if calc.hom_dim(x, y) != 1:
+                if calc.hom(x, y) != 1:
                     continue
                 for z in objs:
-                    if calc.ideal_hom_dim(x, y, (z,)):
-                        assert calc.hom_dim(x, z) == 1
-                        assert calc.hom_dim(z, y) == 1
-                        assert calc.compose_nonzero((x, z), (z, y)) == 1
+                    if calc.ideal(x, y, 1 << z):
+                        assert calc.hom(x, z) == 1
+                        assert calc.hom(z, y) == 1
+                        assert calc.composes(x, z, y) == 1
 
 
 SMALL_CASES = [(n, d) for n in range(1, 5) for d in range(1, 4)]
@@ -119,17 +140,19 @@ def test_factor_table_matches_rotation_oracle(n, d):
 def test_compose_nonzero_matches_rotation_oracle(n, d):
     # the composite x -> y -> z is the basis morphism iff x -> z is
     # nonzero and factors through y
-    p = ModelParams(n, d)
-    calc = calculator_for(p)
-    objs = enumerate_indecomposables(p)
-    targets = {x: [y for y in objs if hom_oracle(x, y, n, d)] for x in objs}
-    for x in objs:
-        for y in targets[x]:
-            for z in targets[y]:
+    calc = calculator_for(ModelParams(n, d))
+    objs = calc.objects
+    targets = [
+        [j for j, y in enumerate(objs) if hom_oracle(x, y, n, d)] for x in objs
+    ]
+    for i, x in enumerate(objs):
+        for j in targets[i]:
+            for k in targets[j]:
+                z = objs[k]
                 expected = hom_oracle(x, z, n, d) and factors_through_oracle(
-                    x, z, y, n, d
+                    x, z, objs[j], n, d
                 )
-                assert calc.compose_nonzero((x, y), (y, z)) == int(expected)
+                assert calc.composes(i, j, k) == int(expected)
 
 
 @st.composite
@@ -161,94 +184,101 @@ def test_ideal_and_quotient_match_oracle_on_random_families(case):
     ideal = int(hom == 1 and any(
         factors_through_oracle(x, y, z, p.n, p.d) for z in family
     ))
+    i, j = ids(p, x, y)
     for f in (family, family[::-1], family * 2):
-        assert calc.ideal_hom_dim(x, y, f) == ideal
-        assert calc.quotient_hom_dim(x, y, f) == hom - ideal
-        mask = calc.family_mask(f)
-        assert calc.ideal_hom_dim(x, y, mask) == ideal
-        assert calc.quotient_hom_dim(x, y, mask) == hom - ideal
+        assert calc.ideal(i, j, mask(p, f)) == ideal
+        assert calc.quotient(i, j, mask(p, f)) == hom - ideal
 
 
 def test_ideal_hom_examples():
-    assert C21.ideal_hom_dim((1, 3), (1, 4), ((1, 3),)) == 1
-    assert C21.ideal_hom_dim((1, 3), (1, 4), ()) == 0
-    assert C21.ideal_hom_dim((2, 4), (2, 5), ((1, 3),)) == 0
+    assert C21.ideal(*ids(P21, (1, 3), (1, 4)), mask(P21, [(1, 3)])) == 1
+    assert C21.ideal(*ids(P21, (1, 3), (1, 4)), 0) == 0
+    assert C21.ideal(*ids(P21, (2, 4), (2, 5)), mask(P21, [(1, 3)])) == 0
 
 
 def test_quotient_hom_examples():
-    assert C21.quotient_hom_dim((2, 4), (2, 4), ((2, 5), (3, 5))) == 1
-    sigma_t = tuple(shift(t, 1, P22) for t in ((1, 3, 5), (1, 3, 6), (1, 4, 6)))
-    assert C22.quotient_hom_dim((1, 3, 5), (2, 4, 7), sigma_t) == 0
-    assert C21.quotient_hom_dim((1, 3), (1, 4), ()) == C21.hom_dim((1, 3), (1, 4))
+    assert C21.quotient(*ids(P21, (2, 4), (2, 4)), mask(P21, [(2, 5), (3, 5)])) == 1
+    sigma_t = [shift(t, 1, P22) for t in ((1, 3, 5), (1, 3, 6), (1, 4, 6))]
+    assert C22.quotient(*ids(P22, (1, 3, 5), (2, 4, 7)), mask(P22, sigma_t)) == 0
+    x, y = ids(P21, (1, 3), (1, 4))
+    assert C21.quotient(x, y, 0) == C21.hom(x, y)
 
 
 def test_quotient_plus_ideal_is_hom():
-    p = P22
-    calc = calculator_for(p)
-    objs = enumerate_indecomposables(p)
-    family = ((2, 4, 6), (3, 5, 7))
+    calc = C22
+    family = mask(P22, [(2, 4, 6), (3, 5, 7)])
+    objs = range(len(calc.objects))
     for x in objs:
         for y in objs:
-            q = calc.quotient_hom_dim(x, y, family)
-            i = calc.ideal_hom_dim(x, y, family)
-            assert q + i == calc.hom_dim(x, y)
+            q = calc.quotient(x, y, family)
+            i = calc.ideal(x, y, family)
+            assert q + i == calc.hom(x, y)
             assert q in (0, 1) and i in (0, 1)
 
 
 def test_ideal_monotone_in_family():
-    p = P21
-    calc = calculator_for(p)
-    objs = enumerate_indecomposables(p)
+    calc = C21
+    objs = range(len(calc.objects))
+    everything = (1 << len(objs)) - 1
     for x in objs:
         for y in objs:
-            if calc.hom_dim(x, y) != 1:
+            if calc.hom(x, y) != 1:
                 continue
-            through_all = calc.ideal_hom_dim(x, y, objs)
+            through_all = calc.ideal(x, y, everything)
             assert through_all == 1  # x itself is in the family
             for z in objs:
-                assert calc.ideal_hom_dim(x, y, (z,)) <= through_all
+                assert calc.ideal(x, y, 1 << z) <= through_all
 
 
 @pytest.mark.parametrize("n,d", [(3, 1), (2, 2)])
 def test_ideal_hom_ignores_order_and_repeats_in_the_family(n, d):
-    # factoring through a family is an existence test over its members
+    # factoring through a family is an existence test over its members:
+    # the family's mask answers what its best single member answers
     p = ModelParams(n, d)
     calc = calculator_for(p)
-    objs = enumerate_indecomposables(p)
-    rng = random.Random(n * 10 + d)
+    objs = range(len(calc.objects))
     for tilting in enumerate_tilting(p):
-        family = [shift(t, 1, p) for t in tilting.summands]
-        shuffled = family * 2
-        rng.shuffle(shuffled)
+        family = [calc.translate[t] for t in tilting.ids(p)]
+        family_mask = sum(1 << z for z in family)
         for x in objs:
             for y in objs:
-                single = max(
-                    (calc.ideal_hom_dim(x, y, (z,)) for z in family), default=0
-                )
-                assert calc.ideal_hom_dim(x, y, tuple(family)) == single
-                assert calc.ideal_hom_dim(x, y, tuple(reversed(family))) == single
-                assert calc.ideal_hom_dim(x, y, tuple(shuffled)) == single
+                single = max(calc.ideal(x, y, 1 << z) for z in family)
+                assert calc.ideal(x, y, family_mask) == single
 
 
-@pytest.mark.parametrize("bad", [(1, 2), (3, 1), [1, 3], (1, 3, 5), "13", None])
-def test_non_objects_are_typed_errors(bad):
-    # never a KeyError from the id map: every query names the non-object
-    good = (1, 3)
-    queries = [
-        lambda: C21.hom_dim(bad, good),
-        lambda: C21.hom_dim(good, bad),
-        lambda: C21.hom_dim_via_chain(good, bad),
-        lambda: C21.ideal_hom_dim(bad, good, ()),
-        lambda: C21.ideal_hom_dim(good, (1, 4), (good, bad)),
-        lambda: C21.quotient_hom_dim(good, bad, ()),
-        lambda: C21.quotient_hom_dim(good, (1, 4), (bad,)),
-        lambda: C21.compose_nonzero((good, good), (good, bad)),
-        lambda: C21.family_mask([good, bad]),
-        lambda: C21.translated_mask([good, bad]),
+@pytest.mark.parametrize("bad", [(1, 2), (True, 3), (1.0, 3), (1, 3, 5), "13", None, 5])
+def test_non_objects_are_typed_errors(bad, capsys):
+    # every entry point that takes objects decodes them through
+    # model.object_id: a non-object is an InvalidInputError naming it, or
+    # a non-admissible-summand refusal from validate_tilting, never a
+    # TypeError or a KeyError from the id map
+    message = "is not an admissible 2-subset of 1..5"
+    tilting = TiltingObject(((1, 3), (1, 4)))
+    entry_points = [
+        lambda: object_id(bad, P21),
+        lambda: index_of(bad, tilting, P21),
+        lambda: index_via_system(bad, tilting, P21),
     ]
-    for query in queries:
-        with pytest.raises(InvalidInputError, match="not an indecomposable object"):
-            query()
+    for call in entry_points:
+        with pytest.raises(InvalidInputError, match=message):
+            call()
+    with pytest.raises(TiltingError) as exc:
+        validate_tilting([(1, 3), bad], P21)
+    assert exc.value.reason == "non-admissible-summand"
+    # the command line reads vertices as text: what parses as integers
+    # meets the decoder, the rest is refused by the parser
+    if isinstance(bad, (tuple, list)):
+        text = ",".join(map(str, bad))
+    else:
+        text = str(bad)
+    for argv in (
+        ["--source", text, "--target", "1,4"],
+        ["--source", "1,3", "--target", "1,4", "--through", text],
+    ):
+        code = cli.main(["hom", "--n", "2", "--d", "1", *argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert message in err or "cannot parse object" in err
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (2, 3)])
@@ -257,43 +287,45 @@ def test_translated_mask_is_the_mask_of_the_translates(n, d):
     calc = calculator_for(p)
     for tilting in enumerate_tilting(p):
         family = tilting.summands
-        expected = calc.family_mask(shift(t, 1, p) for t in family)
-        assert calc.translated_mask(family) == expected
+        expected = mask(p, [shift(t, 1, p) for t in family])
+        assert calc.translated_mask(tilting.ids(p)) == expected
         assert expected.bit_count() == len(family)
 
 
 def test_compose_nonzero_examples():
-    assert C21.compose_nonzero(((1, 3), (1, 3)), ((1, 3), (1, 4))) == 1
-    assert C21.compose_nonzero(((1, 3), (1, 4)), ((1, 4), (2, 4))) == 0
+    assert C21.composes(*ids(P21, (1, 3), (1, 3), (1, 4))) == 1
+    assert C21.composes(*ids(P21, (1, 3), (1, 4), (2, 4))) == 0
 
 
 def test_compose_nonzero_contracts():
-    with pytest.raises(ContractError):
-        C21.compose_nonzero(((1, 3), (2, 4)), ((2, 4), (2, 5)))
-    with pytest.raises(ContractError):
-        C21.compose_nonzero(((1, 3), (1, 4)), ((2, 4), (2, 5)))
+    # a zero first factor, then a zero second factor
+    with pytest.raises(ContractError, match="needs nonzero morphisms"):
+        C21.composes(*ids(P21, (1, 3), (2, 4), (2, 5)))
+    assert C21.hom(*ids(P21, (1, 3), (1, 4))) == 1
+    assert C21.hom(*ids(P21, (1, 4), (1, 3))) == 0
+    with pytest.raises(ContractError, match="needs nonzero morphisms"):
+        C21.composes(*ids(P21, (1, 3), (1, 4), (1, 3)))
 
 
 def test_identity_is_neutral_for_composition():
-    p = P21
-    calc = calculator_for(p)
-    objs = enumerate_indecomposables(p)
+    calc = C21
+    objs = range(len(calc.objects))
     for x in objs:
         for y in objs:
-            if calc.hom_dim(x, y) == 1:
-                assert calc.compose_nonzero((x, x), (x, y)) == 1
-                assert calc.compose_nonzero((x, y), (y, y)) == 1
+            if calc.hom(x, y) == 1:
+                assert calc.composes(x, x, y) == 1
+                assert calc.composes(x, y, y) == 1
 
 
 def test_hom_shift_invariance():
     p = P22
-    calc = calculator_for(p)
-    objs = enumerate_indecomposables(p)
-    for x in objs:
-        for y in objs:
-            expected = calc.hom_dim(x, y)
+    calc = C22
+    objs = calc.objects
+    for i, x in enumerate(objs):
+        for j, y in enumerate(objs):
+            expected = calc.hom(i, j)
             for k in (1, 2, 3):
-                assert calc.hom_dim(shift(x, k, p), shift(y, k, p)) == expected
+                assert calc.hom(*ids(p, shift(x, k, p), shift(y, k, p))) == expected
 
 
 @st.composite
@@ -310,7 +342,7 @@ def object_pair(draw):
 def test_serre_symmetry_property(pxy):
     p, x, y = pxy
     calc = calculator_for(p)
-    assert calc.hom_dim(x, y) == calc.hom_dim(y, shift(x, 2, p))
+    assert calc.hom(*ids(p, x, y)) == calc.hom(*ids(p, y, shift(x, 2, p)))
 
 
 @given(object_pair())
@@ -318,4 +350,4 @@ def test_serre_symmetry_property(pxy):
 def test_hom_agrees_with_oracle_property(pxy):
     p, x, y = pxy
     calc = calculator_for(p)
-    assert calc.hom_dim(x, y) == hom_oracle(x, y, p.n, p.d)
+    assert calc.hom(*ids(p, x, y)) == hom_oracle(x, y, p.n, p.d)

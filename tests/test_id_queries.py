@@ -3,8 +3,9 @@
 The sweeps of `verify` and their instance evaluators run on object ids:
 hom rows, factor masks and the translate permutation of a HomCalculator.
 The references below recompute every value from object tuples instead,
-through `model.shift`, `hom_dim_via_chain` and `factors_through_oracle`,
-on every pair and every composable triple of objects for n <= 4, d <= 3.
+through `model.shift` and the oracles `hom_dim_via_chain` and
+`factors_through_oracle`, on every pair and every composable triple of
+objects for n <= 4, d <= 3.
 """
 
 from functools import lru_cache
@@ -15,9 +16,9 @@ from higher_cluster import verify
 from higher_cluster.errors import ContractError
 from higher_cluster.hom import calculator_for
 from higher_cluster.index import index_of
-from higher_cluster.model import ModelParams, shift
+from higher_cluster.model import ModelParams, object_ids, shift
 from higher_cluster.tilting import enumerate_tilting
-from oracles import factors_through_oracle
+from oracles import factors_through_oracle, hom_dim_via_chain
 
 GRID = [(n, d) for n in range(1, 5) for d in range(1, 4)]
 
@@ -30,7 +31,7 @@ class TupleReference:
         calc = calculator_for(params)
         self.objects = objects = calc.objects
         self.homs = {
-            (x, y): calc.hom_dim_via_chain(x, y) for x in objects for y in objects
+            (x, y): hom_dim_via_chain(x, y, n, d) for x in objects for y in objects
         }
         # through[x, y]: the z through which the nonzero x -> y factors
         self.through = {
@@ -101,14 +102,14 @@ def reference(n, d):
 def families(ref):
     """Translated summands of a few tilting objects, plus the empty and
     the full family: (tilting, family as tuples, family as a mask)."""
-    calc = calculator_for(ref.params)
+    ids = object_ids(ref.params)
     tiltings = enumerate_tilting(ref.params)
     out = []
     for tilting in dict.fromkeys(tiltings[:2] + tiltings[-1:]):
         family = frozenset(ref.shift(t, 1) for t in tilting.summands)
-        out.append((tilting, family, calc.family_mask(family)))
+        out.append((tilting, family, sum(1 << ids[x] for x in family)))
     for family in (frozenset(), frozenset(ref.objects)):
-        out.append((None, family, calc.family_mask(family)))
+        out.append((None, family, sum(1 << ids[x] for x in family)))
     return out
 
 
@@ -165,7 +166,7 @@ def test_evaluators_match_tuple_reference(n, d):
     for tilting, family, mask in families(ref):
         if tilting is None:
             continue
-        summands = tuple(map(calc.id_of, tilting.summands))
+        summands = tilting.ids(ref.params)
         for c in ids:
             index = index_of(objects[c], tilting, ref.params)
             for x in ids:

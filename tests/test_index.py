@@ -162,7 +162,7 @@ def test_system_route_refuses_a_row_that_fails(monkeypatch):
     assert vec == (0, 1, 0)
 
     def break_row(system):
-        x = next(p for p in range(len(system.objects)) if p not in system.positions)
+        x = next(p for p in range(len(system.g_rows)) if p not in system.positions)
         rows = list(system.g_rows)
         rows[x] = tuple(g + 1 for g in rows[x])
         return system._replace(g_rows=tuple(rows))

@@ -9,6 +9,8 @@ from higher_cluster.model import (
     enumerate_indecomposables,
     intertwines,
     is_admissible,
+    object_id,
+    object_ids,
     shift,
 )
 from oracles import brute_force_objects, count_formula, intertwines_oracle
@@ -86,6 +88,31 @@ def test_canonical_object_sorts_and_rejects():
     assert canonical_object((5, 1, 3), p) == (1, 3, 5)
     with pytest.raises(InvalidInputError):
         canonical_object((1, 2, 4), p)
+
+
+def test_object_ids_number_the_enumeration_once_per_params():
+    p = ModelParams(3, 2)
+    objects = enumerate_indecomposables(p)
+    assert object_ids(p) == {obj: i for i, obj in enumerate(objects)}
+    # one dict per ModelParams, shared by every layer that maps objects
+    assert object_ids(ModelParams(3, 2)) is object_ids(p)
+
+
+def test_object_id_decodes_any_member_order():
+    p = ModelParams(2, 2)
+    want = object_ids(p)[(1, 3, 5)]
+    for given_ in ((1, 3, 5), (5, 1, 3), [3, 5, 1], iter((5, 3, 1))):
+        assert object_id(given_, p) == want
+
+
+@pytest.mark.parametrize("bad", [(1, 2), (True, 3), (1.0, 3), (1, 1, 3), "13", None, 5])
+def test_object_id_refuses_non_objects_by_name(bad):
+    # never a TypeError, even for inputs that are not iterable
+    p = ModelParams(2, 1)
+    with pytest.raises(InvalidInputError, match="is not an admissible 2-subset of 1..5"):
+        object_id(bad, p)
+    with pytest.raises(InvalidInputError, match="is not an admissible 2-subset of 1..5"):
+        canonical_object(bad, p)
 
 
 def test_enumeration_small_case_frozen():

@@ -8,7 +8,12 @@ import pytest
 from higher_cluster import tilting as tilting_mod
 from higher_cluster.errors import InvariantError, TiltingError
 from higher_cluster.hom import HomCalculator, calculator_for
-from higher_cluster.model import ModelParams, enumerate_indecomposables, shift
+from higher_cluster.model import (
+    ModelParams,
+    enumerate_indecomposables,
+    object_ids,
+    shift,
+)
 from higher_cluster.tilting import (
     TiltingObject,
     _tilting_masks,
@@ -17,6 +22,7 @@ from higher_cluster.tilting import (
     enumerate_tilting,
     expected_tilting_size,
     maximal_families,
+    validate_family,
     validate_tilting,
     vertex_fan,
 )
@@ -89,7 +95,7 @@ def test_graph_bits_match_intertwining_oracle(n, d):
     params = ModelParams(n, d)
     g = compatibility_graph(params)
     assert g.objects == brute_force_objects(n, d)
-    assert g.ids == {obj: i for i, obj in enumerate(g.objects)}
+    assert object_ids(params) == {obj: i for i, obj in enumerate(g.objects)}
     expected = oracle_neighbors(g.objects, params.N)
     assert g.neighbors == tuple(sum(1 << j for j in nb) for nb in expected)
     assert g.edge_count() == sum(len(nb) for nb in expected) // 2
@@ -146,16 +152,19 @@ def test_anomaly_census_3_3():
 def test_no_hom_to_shifted_summand(n, d):
     params = ModelParams(n, d)
     calc = calculator_for(params)
+    ids = object_ids(params)
     for tilting in enumerate_tilting(params):
         for s in tilting.summands:
             for t in tilting.summands:
-                assert calc.hom_dim(s, shift(t, 1, params)) == 0
+                assert calc.hom(ids[s], ids[shift(t, 1, params)]) == 0
 
 
 def test_tilting_object_sorts_and_positions():
     t = TiltingObject(((3, 5), (1, 3), (1, 5)))
     assert t.summands == ((1, 3), (1, 5), (3, 5))
-    assert t.position((1, 5)) == 1
+    # the summands' ids in summand order; at (3, 1) the objects run
+    # (1,3) (1,4) (1,5) (2,4) (2,5) (2,6) (3,5) ...
+    assert t.ids(ModelParams(3, 1)) == (0, 2, 6)
     assert len(t) == 3
 
 
@@ -212,8 +221,8 @@ def test_single_objects_are_rigid():
     for n, d in [(2, 1), (4, 1), (2, 2), (3, 2), (2, 3)]:
         params = ModelParams(n, d)
         calc = calculator_for(params)
-        for t in enumerate_indecomposables(params):
-            assert calc.hom_dim(t, shift(t, 1, params)) == 0
+        for i, x in enumerate(calc.objects):
+            assert calc.hom(i, object_ids(params)[shift(x, 1, params)]) == 0
 
 
 def test_every_enumerated_tilting_validates():
@@ -420,7 +429,7 @@ def test_hom_to_shift_witness_is_the_first_nonzero_pair(monkeypatch):
     # translate of t in the hom row of s; the witness must be (s, t)
     params = ModelParams(2, 2)
     fan = enumerate_tilting(params)[0].summands
-    ids = calculator_for(params).ids
+    ids = object_ids(params)
     plain = HomCalculator.hom_row
     for a, s in enumerate(fan):
         for b, t in enumerate(fan):
@@ -434,3 +443,93 @@ def test_hom_to_shift_witness_is_the_first_nonzero_pair(monkeypatch):
                 ),
             )
             assert engine_verdict(fan, params) == ("hom-to-shift", (s, t))
+
+
+FAMILY_CASES = [(2, 3), (3, 2), (4, 1)]
+
+
+def family_verdict(candidate, params):
+    """validate_family's answer on the mask of the candidate's ids, in the
+    oracle's (reason, witness) shape."""
+    ids = object_ids(params)
+    summands = tuple(sorted(set(candidate)))
+    try:
+        validate_family(sum(1 << ids[t] for t in summands), params)
+    except TiltingError as err:
+        return err.reason, err.witness
+    return None, summands
+
+
+def intertwining_swaps(summands, objects, N):
+    """Each summand swapped for each object outside the family that
+    intertwines one of the others; such a swap never yields a tilting
+    object."""
+    for k in range(len(summands)):
+        rest = summands[:k] + summands[k + 1:]
+        for obj in objects:
+            if obj not in summands and any(
+                intertwines_oracle(obj, t, N) for t in rest
+            ):
+                yield rest + (obj,)
+
+
+@pytest.mark.parametrize("n,d", FAMILY_CASES)
+def test_validate_family_matches_loop_oracle(n, d):
+    # the enumerated tilting objects, each with one summand dropped, and
+    # each with one summand swapped for an intertwining object
+    params = ModelParams(n, d)
+    objects = enumerate_indecomposables(params)
+    reasons = set()
+    for tilting in enumerate_tilting(params):
+        summands = tilting.summands
+        candidates = [summands]
+        candidates += [summands[:k] + summands[k + 1:] for k in range(len(summands))]
+        candidates += intertwining_swaps(summands, objects, params.N)
+        for candidate in candidates:
+            verdict = validate_tilting_oracle(candidate, n, d)
+            assert family_verdict(candidate, params) == verdict, candidate
+            assert engine_verdict(candidate, params) == verdict, candidate
+            reasons.add(verdict[0])
+    assert reasons == {None, "size-mismatch", "intertwining-pair"}
+
+
+@pytest.mark.parametrize("n,d", FAMILY_CASES)
+def test_validate_family_not_maximal_matches_loop_oracle(n, d, monkeypatch):
+    # a pairwise-compatible family of tilting size is always maximal: the
+    # check is reached by lowering the expected size by one and dropping
+    # a summand
+    params = ModelParams(n, d)
+    size = expected_tilting_size(params)
+    tiltings = enumerate_tilting(params)  # before the size is lowered
+    monkeypatch.setattr(tilting_mod, "expected_tilting_size", lambda p: size - 1)
+    for tilting in tiltings:
+        for k in range(size):
+            candidate = tilting.summands[:k] + tilting.summands[k + 1:]
+            verdict = validate_tilting_oracle(candidate, n, d, expected=size - 1)
+            assert verdict[0] == "not-maximal"
+            assert family_verdict(candidate, params) == verdict
+            assert engine_verdict(candidate, params) == verdict
+
+
+@pytest.mark.parametrize("n,d", FAMILY_CASES)
+def test_validate_family_hom_to_shift_matches_validate_tilting(n, d, monkeypatch):
+    # Hom(s, translate of t) vanishes exactly when s and t do not
+    # intertwine, so no swap of real objects reaches this check before
+    # intertwining-pair does: a hom bit is set by hand instead, from
+    # summand s to the translate of summand t, in each tilting object
+    params = ModelParams(n, d)
+    ids = object_ids(params)
+    plain = HomCalculator.hom_row
+    for tilting in enumerate_tilting(params)[:5]:
+        summands = tilting.summands
+        s, t = summands[-1], summands[0]
+        bit = 1 << ids[shift(t, 1, params)]
+        monkeypatch.setattr(
+            HomCalculator,
+            "hom_row",
+            lambda self, k, row=ids[s], bit=bit: plain(self, k) | (bit if k == row else 0),
+        )
+        verdict = ("hom-to-shift", (s, t))
+        assert family_verdict(summands, params) == verdict
+        assert engine_verdict(summands, params) == verdict
+        monkeypatch.undo()

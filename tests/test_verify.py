@@ -9,7 +9,7 @@ from higher_cluster import tilting as tilting_mod
 from higher_cluster.errors import InvalidInputError, ResourceCapError
 from higher_cluster.hom import HomCalculator
 from higher_cluster.index import index_table
-from higher_cluster.model import ModelParams, shift
+from higher_cluster.model import ModelParams, object_ids, shift
 from higher_cluster.tilting import TiltingObject, enumerate_tilting
 from higher_cluster.verify import (
     ANOMALY,
@@ -269,12 +269,12 @@ def _assert_replays(result, fields):
 
 def _shifted(tilting, params):
     """The translated summands as the sweeps pass them: one family mask."""
-    return hom.calculator_for(params).translated_mask(tilting.summands)
+    return hom.calculator_for(params).translated_mask(tilting.ids(params))
 
 
 def _ids(params, *objects):
     """The ids of objects, as the sweeps pass them to the queries."""
-    return tuple(map(hom.calculator_for(params).id_of, objects))
+    return tuple(map(object_ids(params).__getitem__, objects))
 
 
 def test_replay_reruns_associativity(monkeypatch, private_caches):
