@@ -467,10 +467,12 @@ def _cmd_verify(args) -> int:
         cases = ((file_conf["n"], file_conf["d"]),)
     else:
         raise InvalidInputError("verify needs --n/--d or a config file with cases")
-    checks = args.checks or file_conf.get("checks")
-    if isinstance(checks, str):
+    # None selects every check; an empty selection is refused by run
+    checks = args.checks if args.checks is not None else file_conf.get("checks")
+    if checks is None:
+        checks = verify_mod.CHECK_NAMES
+    elif isinstance(checks, str):
         checks = tuple(c.strip() for c in checks.split(",") if c.strip())
-    checks = tuple(checks) if checks else verify_mod.CHECK_NAMES
     for c in checks:
         if c not in verify_mod.CHECK_NAMES:
             raise InvalidInputError(
@@ -482,7 +484,7 @@ def _cmd_verify(args) -> int:
         explicit = _family_arg(file_conf.get("tilting"), "config key 'tilting'")
     config = verify_mod.SweepConfig(
         cases=cases,
-        checks=checks,
+        checks=tuple(checks),
         tilting_scope=args.tilting_scope or file_conf.get("tilting_scope", "all"),
         explicit_tilting=(explicit,) if explicit is not None else None,
         cap=args.cap if args.cap is not None else file_conf.get("cap", 500),

@@ -41,16 +41,30 @@ from .tilting import TiltingObject
 
 IndexVector = tuple[int, ...]
 
+# The library entry points index_of, index_via_system and algebra_for
+# keep the algebra and the system of the last few tilting objects they
+# saw, most recent last; index_table builds its own and drops them with
+# the table, so a sweep keeps nothing per tilting object.
+_CACHED_TILTINGS = 4
 _algebras: dict = {}
 _systems: dict = {}
 
 
-def algebra_for(tilting: TiltingObject, params: ModelParams):
+def _recent(cache: dict, tilting: TiltingObject, params: ModelParams, build):
+    """cache's entry for the tilting object, built on a miss; the least
+    recently used entry goes once _CACHED_TILTINGS are held."""
     key = (params, tilting.summands)
-    alg = _algebras.get(key)
-    if alg is None:
-        alg = _algebras.setdefault(key, build_algebra(tilting, params))
-    return alg
+    value = cache.pop(key, None)
+    if value is None:
+        value = build(tilting, params)
+        if len(cache) >= _CACHED_TILTINGS:
+            del cache[next(iter(cache))]
+    cache[key] = value
+    return value
+
+
+def algebra_for(tilting: TiltingObject, params: ModelParams):
+    return _recent(_algebras, tilting, params, build_algebra)
 
 
 def index_of(
@@ -89,11 +103,7 @@ class _System(NamedTuple):
     det: int  # its determinant
 
 
-def _system_for(tilting: TiltingObject, params: ModelParams) -> _System:
-    key = (params, tilting.summands)
-    data = _systems.get(key)
-    if data is not None:
-        return data
+def _build_system(tilting: TiltingObject, params: ModelParams) -> _System:
     calc = calculator_for(params)
     ts = tilting.summands
     positions = tilting.ids(params)
@@ -113,8 +123,7 @@ def _system_for(tilting: TiltingObject, params: ModelParams) -> _System:
             f"Cartan system of tilting object {ts} is singular over the rationals"
         )
     adj, det = square_inv
-    data = _System(calc.translated_mask(positions), g_rows, positions, adj, det)
-    return _systems.setdefault(key, data)
+    return _System(calc.translated_mask(positions), g_rows, positions, adj, det)
 
 
 def index_via_system(
@@ -127,7 +136,8 @@ def index_via_system(
     remaining row must agree, integrally, or the model is broken.
     """
     cid = object_id(c, params)
-    return _index_by_system(cid, _system_for(tilting, params), calculator_for(params))
+    system = _recent(_systems, tilting, params, _build_system)
+    return _index_by_system(cid, system, calculator_for(params))
 
 
 def _index_by_system(c: int, system: _System, calc: HomCalculator) -> IndexVector:
@@ -217,8 +227,9 @@ def index_table(
     if route not in ("both", "resolution", "system"):
         raise InvalidInputError(f"unknown route {route!r}")
     calc = calculator_for(params)
-    algebra = algebra_for(tilting, params) if route != "system" else None
-    system = _system_for(tilting, params) if route != "resolution" else None
+    # built for this table alone and dropped with it
+    algebra = build_algebra(tilting, params) if route != "system" else None
+    system = _build_system(tilting, params) if route != "resolution" else None
     rows = []
     for c, obj in enumerate(calc.objects):
         via_res = index_by_resolution(c, algebra) if algebra is not None else None

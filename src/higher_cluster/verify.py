@@ -44,6 +44,8 @@ CHECK_NAMES = (
     "injectivity",
     "collisions",
 )
+# the checks that read the index table of each tilting object
+TABLE_CHECKS = ("dimension-formula", "injectivity", "collisions")
 
 
 @dataclass
@@ -367,25 +369,26 @@ def check_serre(params: ModelParams, tilting: TiltingObject | None = None) -> Ch
     )
 
 
-def check_dimension_formula(tilting: TiltingObject, params: ModelParams) -> CheckResult:
-    """Alternating hom-count identity against the resolution of c.
+def check_dimension_formula(table: IndexTable) -> CheckResult:
+    """Alternating hom-count identity against the index of c in table.
 
     For every pair (c, x), the quotient dimension at (c, x) plus the
     signed ideal dimension at (c, translate(x)) must equal the alternating
-    sum over the resolution of c of dim Hom(t_i, x); the variant replacing
+    sum over the resolution of c of dim Hom(t_i, x), which is the index of
+    c paired with the hom counts of the summands; the variant replacing
     the ideal term by the quotient dimension at (x, translate(c)) must
-    give the same number.
+    give the same number.  The rows of table are in id order.
     """
+    params, tilting = table.params, table.tilting
     calc = calculator_for(params)
     objects = calc.objects
     ids = range(len(objects))
-    algebra = algebra_for(tilting, params)
-    summands = algebra.ids
+    summands = tilting.ids(params)
     shifted = calc.translated_mask(summands)
     witnesses = []
     pairs = 0
-    for c in ids:
-        ind = index_by_resolution(c, algebra)
+    for c, row in enumerate(table.rows):
+        ind = row.index
         for x in ids:
             pairs += 1
             failed, values = _dimension_formula(calc, summands, shifted, ind, c, x)
@@ -596,33 +599,34 @@ def _run_case(config: SweepConfig, case):
         tiltings = _scope_tiltings(config, params)
     if "associativity" in config.checks:
         results.append(check_associativity(params))
-    per_tilting = [
-        ("serre", lambda t: check_serre(params, t)),
-        ("dimension-formula", lambda t: check_dimension_formula(t, params)),
-        ("disjointness", lambda t: check_disjointness(t, params)),
-    ]
-    for name, fn in per_tilting:
-        if name in config.checks:
-            for t in tiltings:
-                results.append(fn(t))
-    # both collision checks read the same double-route table, built once
-    per_table = [
-        fn
-        for name, fn in (
-            ("injectivity", check_injectivity),
-            ("collisions", find_collisions),
-        )
-        if name in config.checks
-    ]
-    if per_table:
+    # the three index checks read one double-route table per tilting
+    # object, built once
+    tables = ()
+    if any(name in config.checks for name in TABLE_CHECKS):
         tables = [index_table(t, params, route="both") for t in tiltings]
-        for fn in per_table:
-            results.extend(fn(table) for table in tables)
+    per_tilting = [
+        ("serre", lambda t: check_serre(params, t), tiltings),
+        ("dimension-formula", check_dimension_formula, tables),
+        ("disjointness", lambda t: check_disjointness(t, params), tiltings),
+        ("injectivity", check_injectivity, tables),
+        ("collisions", find_collisions, tables),
+    ]
+    for name, fn, inputs in per_tilting:
+        if name in config.checks:
+            results.extend(map(fn, inputs))
     return results
 
 
 def run(config: SweepConfig) -> VerificationReport:
-    """Run the configured sweep, one case after another."""
+    """Run the configured sweep, one case after another.
+
+    An empty selection of cases or checks would pass having checked
+    nothing, so it is refused.
+    """
+    if not config.cases:
+        raise InvalidInputError("'cases' is empty; verify needs at least one case")
+    if not config.checks:
+        raise InvalidInputError("'checks' is empty; verify needs at least one check")
     for name in config.checks:
         if name not in CHECK_NAMES:
             raise InvalidInputError(f"unknown check {name!r}")

@@ -130,7 +130,7 @@ def test_criterion_3_dimension_formula():
         ran = 0
         failed = []
         for params, tilting in _criterion_3_configs():
-            res = check_dimension_formula(tilting, params)
+            res = check_dimension_formula(index_table(tilting, params))
             ran += 1
             if res.status != PASS:
                 failed.append((params.n, params.d, tilting.summands))

@@ -289,6 +289,29 @@ def test_verify_config_with_empty_tilting_is_refused(capsys, tmp_path):
     assert "config key 'tilting' names no object: ''" in err
 
 
+@pytest.mark.parametrize(
+    "flags, conf, message",
+    [
+        (["--n", "2", "--d", "1", "--checks", ""], None, "'checks' is empty"),
+        (["--n", "2", "--d", "1", "--checks", ","], None, "'checks' is empty"),
+        (["--checks", ""], {"n": 2, "d": 1, "checks": "serre"}, "'checks' is empty"),
+        ([], {"n": 2, "d": 1, "checks": []}, "'checks' is empty"),
+        ([], {"n": 2, "d": 1, "checks": ""}, "'checks' is empty"),
+        ([], {"cases": []}, "'cases' is empty"),
+    ],
+)
+def test_verify_refuses_an_empty_selection(capsys, tmp_path, flags, conf, message):
+    # running no case or no check would exit 0 having checked nothing
+    if conf is not None:
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        flags = [*flags, "--config", str(path)]
+    code, out, err = run_cli(capsys, "verify", *flags)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_collisions_even_and_odd(capsys):
     code, out, _ = run_cli(
         capsys,

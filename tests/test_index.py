@@ -1,5 +1,7 @@
 """Index vectors: closed forms, route agreement, and the even-d collisions."""
 
+import gc
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -195,8 +197,46 @@ def test_system_route_needs_no_rank_for_a_nonsingular_square(monkeypatch):
     def no_rank(m):
         raise AssertionError("rank computed for a nonsingular system")
 
-    monkeypatch.setattr(index, "_systems", {})
     monkeypatch.setattr(index, "rank", no_rank)
     table = index_table(FAN22, P22, route="both")
     assert all(row.verified for row in table.rows)
     assert len(table.rows) == len(enumerate_indecomposables(P22))
+
+
+def _kept_after(run, tiltings) -> int:
+    """Bytes still allocated once run has seen each tilting object."""
+    tracemalloc.start()
+    try:
+        for t in tiltings:
+            run(t)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_kept_does_not_grow_with_the_tilting_objects(monkeypatch):
+    # a table builds its algebra and system for itself and drops them; the
+    # library entry points keep those of the last few tilting objects only
+    monkeypatch.setattr(index, "_algebras", {})
+    monkeypatch.setattr(index, "_systems", {})
+    params = ModelParams(3, 3)
+    tiltings = enumerate_tilting(params)
+    c = enumerate_indecomposables(params)[-1]
+
+    def table(t):
+        index_table(t, params)
+
+    def entry_points(t):
+        assert index_of(c, t, params) == index_via_system(c, t, params)
+
+    table(tiltings[0])  # fills the hom tables of params
+    for run, seen in ((table, tiltings[1:21]), (entry_points, tiltings[21:41])):
+        few = _kept_after(run, seen[:5])
+        assert _kept_after(run, seen) <= few + 4096
+    assert len(index._algebras) == len(index._systems) == index._CACHED_TILTINGS
+    # an evicted tilting object is rebuilt and answers as before
+    evicted = tiltings[21]
+    assert (params, evicted.summands) not in index._algebras
+    vec = index_table(evicted, params).mapping()[c]
+    assert index_of(c, evicted, params) == index_via_system(c, evicted, params) == vec

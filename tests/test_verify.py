@@ -6,10 +6,11 @@ import pytest
 
 from higher_cluster import hom, index, verify
 from higher_cluster import tilting as tilting_mod
+from higher_cluster.algebra import minimal_resolution
 from higher_cluster.errors import InvalidInputError, ResourceCapError
 from higher_cluster.hom import HomCalculator
 from higher_cluster.index import index_table
-from higher_cluster.model import ModelParams, object_ids, shift
+from higher_cluster.model import ModelParams, enumerate_indecomposables, object_ids, shift
 from higher_cluster.tilting import TiltingObject, enumerate_tilting
 from higher_cluster.verify import (
     ANOMALY,
@@ -114,7 +115,7 @@ def _failing_result():
 
 
 def test_dimension_formula_direct():
-    res = check_dimension_formula(T21, P21)
+    res = check_dimension_formula(index_table(T21, P21))
     assert res.status == PASS
     assert res.stats["pairs"] == 25
     assert res.tilting == T21.summands
@@ -167,6 +168,11 @@ def test_explicit_tilting_scope():
 def test_unknown_check_and_scope_are_input_errors():
     with pytest.raises(InvalidInputError):
         run(SweepConfig(cases=((2, 1),), checks=("injectivity", "speed")))
+    # an empty selection would pass having checked nothing
+    with pytest.raises(InvalidInputError, match="'checks' is empty"):
+        run(SweepConfig(cases=((2, 1),), checks=()))
+    with pytest.raises(InvalidInputError, match="'cases' is empty"):
+        run(SweepConfig(cases=()))
     for scope in ("last:3", "first:x", "first:-1", "first:0", "first:", "first: 3"):
         with pytest.raises(InvalidInputError):
             run(SweepConfig(cases=((2, 1),), tilting_scope=scope))
@@ -180,25 +186,41 @@ def test_cap_stops_oversized_cases():
 
 
 def test_collision_checks_share_one_table_per_tilting(monkeypatch):
-    calls = []
+    # dimension-formula, injectivity and collisions read one double-route
+    # table per tilting object; it resolves every object once, except the
+    # translates of the summands, whose index is the closed form
+    tables, resolutions = [], []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
+    def counted_table(*args, **kwargs):
+        tables.append(args)
         return index_table(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "index_table", counted)
-    both = ("injectivity", "collisions")
-    payload = run(SweepConfig(cases=((2, 2),), checks=both)).to_payload()
-    assert len(calls) == len(enumerate_tilting(P22))
-    alone = [
-        run(SweepConfig(cases=((2, 2),), checks=(name,))).to_payload()
-        for name in both
-    ]
-    assert payload["results"] == alone[0]["results"] + alone[1]["results"]
-    assert payload["summary"] == {
-        key: alone[0]["summary"][key] + alone[1]["summary"][key]
-        for key in payload["summary"]
-    }
+    def counted_resolution(*args, **kwargs):
+        resolutions.append(args)
+        return minimal_resolution(*args, **kwargs)
+
+    three = verify.TABLE_CHECKS
+    assert three == tuple(name for name in CHECK_NAMES if name in three)
+    for case in ((2, 2), (4, 1)):
+        params = ModelParams(*case)
+        tables.clear()
+        resolutions.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "index_table", counted_table)
+            patch.setattr(index, "minimal_resolution", counted_resolution)
+            payload = run(SweepConfig(cases=(case,), checks=three)).to_payload()
+        tiltings = enumerate_tilting(params)
+        objects = len(enumerate_indecomposables(params))
+        assert len(tables) == len(tiltings)
+        assert len(resolutions) == sum(objects - len(t) for t in tiltings)
+        alone = [
+            run(SweepConfig(cases=(case,), checks=(name,))).to_payload()
+            for name in three
+        ]
+        assert payload["results"] == [r for a in alone for r in a["results"]]
+        assert payload["summary"] == {
+            key: sum(a["summary"][key] for a in alone) for key in payload["summary"]
+        }
 
 
 def test_tilting_sanity_spares_the_mutation_search(fresh_tilting_caches):
@@ -305,7 +327,7 @@ def test_replay_reruns_ideal_quotient_duality(monkeypatch, private_caches):
 
 def test_replay_reruns_dimension_formula(monkeypatch, private_caches):
     _flip(monkeypatch, "quotient", (*_ids(P21, (2, 4), (2, 5)), _shifted(T21, P21)))
-    res = check_dimension_formula(T21, P21)
+    res = check_dimension_formula(index_table(T21, P21))
     # the flipped value is quot(c, x) at ((2,4), (2,5)) and the quotient
     # term quot(x, translate(c)) at ((1,3), (2,4))
     assert [(w["c"], w["x"]) for w in res.witnesses] == [
