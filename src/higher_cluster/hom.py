@@ -6,83 +6,56 @@ each nonzero hom space, composition is a 0/1 structure constant.
 
 Objects are ids, numbered in enumerate_indecomposables order by
 model.object_ids, and both tables of a HomCalculator are int bitmasks
-over those ids, filled lazily one source row at a time:
+over those ids, filled lazily one source row at a time from the arc
+masks of model.arc_masks (entry [a][b]: the objects with a member on
+the clockwise arc a..b).  Read off arcs of the N-gon, as Oppermann and
+Thomas describe these hom spaces (JEMS 2012):
 
-- hom_row(x): bit y is set iff Hom(x, y) = K.  That holds iff x
-  intertwines the d-fold inverse translate of y, i.e. y is the translate
-  of an object with one member strictly inside each gap of x; the row is
-  built by listing those objects.
+- The hom arcs of x = (x_0, ..., x_d) are the d+1 disjoint arcs
+  x_i..x_{i+1}^{--}, where ^{--} is the double predecessor and x_{d+1}
+  is x_0.  Hom(x, y) = K iff y has a member on every hom arc of x (then
+  exactly one, y having d+1 members), so hom_row(x) is the AND over i
+  of the arc masks [x_i][x_{i+1} - 2].
 - factor_row(x): entry y is the mask of the z through which the nonzero
-  morphism x -> y factors, and 0 when Hom(x, y) = 0.  It is read off the
-  labelling chain
+  morphism x -> y factors, and 0 when Hom(x, y) = 0.  With y_i the
+  member of y on the i-th hom arc of x, it is the AND over i of
+  [x_i][y_i]: the objects with one member on each arc x_i..y_i.
+
+Both come from the labelling chain
 
       x_0 <= y_0 <= x_1^{--} < x_1 <= y_1 <= ... < x_d <= y_d <= x_0^{--}
 
-  read clockwise from the basepoint x_0, where ^{--} is the double
-  predecessor: x -> y factors through z iff some chain labelling admits a
-  labelling z_0, ..., z_d with z_i on the clockwise arc from x_i to y_i,
-  so the z of one labelling are the product of its arcs.
+read clockwise from the basepoint x_0: Hom(x, y) = K iff some rotation
+of the labels of x and y satisfies it, and x -> y then factors through
+z iff some satisfying labelling admits a labelling z_0, ..., z_d with
+z_i on the clockwise arc from x_i to y_i.  The chain says exactly that
+each y_i lies on the i-th hom arc of x.  That is a statement about arcs,
+which no rotation of the labels changes, so every satisfying labelling
+pairs each x_i with the same y_i and yields the same disjoint arcs
+x_i..y_i, and the search over labellings collapses to the ANDs above.
+The tests hold both tables to that search (tests/oracles.py).
 
 A family is a mask as well, so "x -> y factors through add(F)" is one
 AND of factor_row(x)[y] with the mask of F.  The queries hom, ideal,
 quotient and composes take ids and masks only; objects given as
-vertices are decoded by model.object_id before they get here.  The
-labelling chain also decides Hom(x, y) != 0 on its own, and the tests
-hold the hom rows to that second characterisation.  Tables only ever
-grow: per ModelParams with m objects, at most m hom rows and m^2 factor
-masks of m bits each.
+vertices are decoded by model.object_id before they get here.  Tables
+only ever grow: per ModelParams with m objects, at most m hom rows and
+m^2 factor masks of m bits each.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 
 from .errors import ContractError
-from .model import IndObj, ModelParams, enumerate_indecomposables, object_ids, shift
-
-
-def _rotations(obj: IndObj):
-    return tuple(obj[i:] + obj[:i] for i in range(len(obj)))
-
-
-def _mixed_chain_holds(x, y, N: int) -> bool:
-    # Offsets from x_0 turn the cyclic chain into monotonicity within one
-    # revolution; <= steps allow equal offsets, < steps do not.
-    base = x[0]
-    size = len(x)
-    cur = 0
-    for i in range(size):
-        oy = (y[i] - base) % N
-        if oy < cur:  # x_i <= y_i
-            return False
-        cur = oy
-        nxt = x[(i + 1) % size]
-        opp = (nxt - 2 - base) % N
-        if opp < cur:  # y_i <= x_{i+1}^{--}  (x_0^{--} closes the chain)
-            return False
-        cur = opp
-        if i + 1 < size:
-            ox = (nxt - base) % N
-            if ox <= cur:  # x_{i+1}^{--} < x_{i+1}
-                return False
-            cur = ox
-    return True
-
-
-def _chain_labellings(x: IndObj, y: IndObj, N: int):
-    """All rotation pairs of (x, y) satisfying the mixed chain."""
-    return [
-        (xr, yr)
-        for xr in _rotations(x)
-        for yr in _rotations(y)
-        if _mixed_chain_holds(xr, yr, N)
-    ]
-
-
-def _arc(a: int, b: int, N: int):
-    """The vertices on the clockwise arc from a to b, both included."""
-    return [(a - 1 + k) % N + 1 for k in range((b - a) % N + 1)]
+from .model import (
+    ModelParams,
+    arc_masks,
+    bit_ids,
+    enumerate_indecomposables,
+    object_ids,
+    shift,
+)
 
 
 class HomCalculator:
@@ -112,14 +85,11 @@ class HomCalculator:
         """Bit j is set iff Hom(object i, object j) = K."""
         row = self._hom_rows[i]
         if row is None:
-            N, ids = self.params.N, object_ids(self.params)
+            N, arcs = self.params.N, arc_masks(self.params)
             x = self.objects[i]
-            # one member strictly inside each gap (a, b) of x, moved one
-            # step back: the members run over a, ..., b - 2
-            gaps = [range(a, a + (b - a - 1) % N) for a, b in zip(x, x[1:] + x[:1])]
-            row = 0
-            for pick in product(*gaps):
-                row |= 1 << ids[tuple(sorted((v - 1) % N + 1 for v in pick))]
+            row = -1
+            for a, b in zip(x, x[1:] + x[:1]):
+                row &= arcs[a][(b - 2) % N]  # the hom arc a..b^{--}
             self._hom_rows[i] = row
         return row
 
@@ -127,21 +97,20 @@ class HomCalculator:
         """Entry j: the mask of the z through which object i -> object j factors."""
         row = self._factor_rows[i]
         if row is None:
-            N, ids, objects = self.params.N, object_ids(self.params), self.objects
+            N, arcs, objects = self.params.N, arc_masks(self.params), self.objects
             x = objects[i]
+            # to_member[v]: the arc mask from the start of v's hom arc to v
+            to_member = [0] * (N + 1)
+            for a, b in zip(x, x[1:] + x[:1]):
+                from_a = arcs[a]
+                for k in range((b - a - 2) % N + 1):
+                    v = (a + k - 1) % N + 1
+                    to_member[v] = from_a[v]
             row = [0] * len(objects)
-            targets = self.hom_row(i)
-            while targets:
-                low = targets & -targets
-                j = low.bit_length() - 1
-                targets ^= low
-                mask = 0
-                for xr, yr in _chain_labellings(x, objects[j], N):
-                    arcs = [_arc(a, b, N) for a, b in zip(xr, yr)]
-                    for z in product(*arcs):
-                        k = ids.get(tuple(sorted(z)))
-                        if k is not None:
-                            mask |= 1 << k
+            for j in bit_ids(self.hom_row(i)):
+                mask = -1
+                for v in objects[j]:
+                    mask &= to_member[v]
                 row[j] = mask
             self._factor_rows[i] = row
         return row

@@ -14,7 +14,9 @@ summand order.  Two independent computation routes are implemented:
   subsystem on the summand rows is inverted once per tilting object as
   an integer adjugate over its determinant, each candidate is an integer
   dot product that must divide exactly by the determinant, and every
-  row of G a = b must then hold as an integer identity.
+  row of G a = b must then hold as an integer identity.  G is kept as
+  the summands' hom rows, so G a is summed sparsely: each nonzero
+  coefficient is added along its summand's hom row.
 
 Neither route leaves the integers; both run on the one fraction-free
 elimination of `linalg`, which also gives the integer rank that names a
@@ -36,7 +38,7 @@ from .algebra import build_algebra, minimal_resolution
 from .errors import InvalidInputError, InvariantError
 from .hom import HomCalculator, calculator_for
 from .linalg import adjugate, rank
-from .model import IndObj, ModelParams, object_id
+from .model import IndObj, ModelParams, bit_ids, object_id
 from .tilting import TiltingObject
 
 IndexVector = tuple[int, ...]
@@ -97,7 +99,7 @@ class _System(NamedTuple):
     """Everything the system route needs that does not depend on c."""
 
     shifted_mask: int  # the mask of the translated summands
-    g_rows: tuple  # G[x, j] = dim Hom(t_j, x), one row per object x
+    t_rows: tuple  # the summands' hom rows: bit x of t_rows[j] is G[x, j]
     positions: tuple  # the rows of the summands: the square subsystem
     adj: tuple  # adjugate of the square subsystem
     det: int  # its determinant
@@ -107,14 +109,12 @@ def _build_system(tilting: TiltingObject, params: ModelParams) -> _System:
     calc = calculator_for(params)
     ts = tilting.summands
     positions = tilting.ids(params)
-    t_rows = [calc.hom_row(p) for p in positions]
-    g_rows = tuple(
-        tuple(row >> x & 1 for row in t_rows) for x in range(len(calc.objects))
-    )
+    t_rows = tuple(calc.hom_row(p) for p in positions)
     # a nonsingular square block of rows of G already proves that G has
     # full column rank; the rank itself only names the failure
-    square_inv = adjugate([g_rows[p] for p in positions])
+    square_inv = adjugate([[row >> p & 1 for row in t_rows] for p in positions])
     if square_inv is None:
+        g_rows = [[row >> x & 1 for row in t_rows] for x in range(len(calc.objects))]
         if rank(g_rows) != len(ts):
             raise InvariantError(
                 f"hom matrix of tilting object {ts} is rank deficient"
@@ -123,7 +123,7 @@ def _build_system(tilting: TiltingObject, params: ModelParams) -> _System:
             f"Cartan system of tilting object {ts} is singular over the rationals"
         )
     adj, det = square_inv
-    return _System(calc.translated_mask(positions), g_rows, positions, adj, det)
+    return _System(calc.translated_mask(positions), t_rows, positions, adj, det)
 
 
 def index_via_system(
@@ -163,11 +163,17 @@ def _index_by_system(c: int, system: _System, calc: HomCalculator) -> IndexVecto
                 f"index system for {calc.objects[c]} has a non-integer solution {sol}"
             )
         coeffs.append(q)
-    for x, row, target in zip(calc.objects, system.g_rows, b):
-        if sum(map(mul, row, coeffs)) != target:
-            raise InvariantError(
-                f"index system for {calc.objects[c]} is inconsistent at row {x}"
-            )
+    # every row of G a = b: subtract G a from b one summand's hom row per
+    # nonzero coefficient, and any entry left over is a failing row
+    for a, row in zip(coeffs, system.t_rows):
+        if a:
+            for x in bit_ids(row):
+                b[x] -= a
+    if any(b):
+        x = next(x for x, left in enumerate(b) if left)
+        raise InvariantError(
+            f"index system for {calc.objects[c]} is inconsistent at row {calc.objects[x]}"
+        )
     return tuple(coeffs)
 
 
@@ -234,9 +240,11 @@ def index_table(
     for c, obj in enumerate(calc.objects):
         via_res = index_by_resolution(c, algebra) if algebra is not None else None
         via_sys = _index_by_system(c, system, calc) if system is not None else None
-        if route == "both" and via_res != via_sys:
-            raise InvariantError(
-                f"index routes disagree at {obj}: resolution {via_res}, system {via_sys}"
-            )
+        if route == "both":
+            if via_res != via_sys:
+                raise InvariantError(
+                    f"index routes disagree at {obj}: resolution {via_res}, system {via_sys}"
+                )
+            via_sys = via_res  # agreed: the row holds one tuple
         rows.append(IndexRow(obj, via_res, via_sys))
     return IndexTable(params, tilting, tuple(rows))

@@ -3,17 +3,19 @@
 Everything downstream is driven by the cyclic set V = {1, ..., N} with
 N = n + 2d + 1, thought of as the vertices of an N-gon labelled clockwise.
 An indecomposable object is a (d+1)-subset of V with no two members
-cyclically adjacent; the sorted tuple is the one canonical form, and cyclic
-labellings (rotations) are derived on demand.  Objects are numbered in
+cyclically adjacent; the sorted tuple is the one canonical form, and no
+code needs its other cyclic labellings (rotations).  Objects are numbered in
 enumeration order; object_id is the one decoder from vertices to that
 id, and every layer below it works on ids.  One application of the
 translation moves every member one step anticlockwise, i.e. v -> v - 1
-with 1 wrapping to N.
+with 1 wrapping to N.  arc_masks is the one table that relates vertices
+to object masks: entry [a][b] holds the objects with a member on the
+clockwise arc a..b, and the hom, factorisation and compatibility tables
+are each d+1 ANDs of its entries per object.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -132,24 +134,41 @@ def object_ids(params: ModelParams) -> dict[IndObj, int]:
     return {obj: i for i, obj in enumerate(enumerate_indecomposables(params))}
 
 
-def intertwines(x: IndObj, y: IndObj, params: ModelParams) -> bool:
-    """Do x and y strictly interleave around the cycle?
+@lru_cache(maxsize=None)
+def arc_masks(params: ModelParams) -> tuple[tuple[int, ...], ...]:
+    """arcs[a][b]: the mask of the objects with a member on the arc a..b.
 
-    Equivalent formulation used here: every cyclic gap between consecutive
-    members of x contains exactly one member of y.  Since both have d+1
-    members this is the same as the alternating strict chain
-    x_0 < y_0 < x_1 < ... < x_d < y_d < x_0, and it is symmetric in x, y.
-    Objects sharing a vertex never intertwine.
+    The arc runs clockwise from vertex a to vertex b, both included, so
+    arcs[a][a] holds the objects containing a and arcs[a][a - 1] all of
+    them.  Rows and columns run over 0..N, index 0 standing for vertex N
+    as well, so a vertex reduced mod N is as good an index as a member:
+    (N+1)^2 entries, N^2 distinct masks of m bits, per ModelParams, never
+    evicted.  The object-level tables are d+1 ANDs of entries: the hom
+    rows and factor masks in hom.py, the compatibility graph in
+    tilting.py.
     """
-    size = params.object_size
-    members = set(x)
-    counts = [0] * size
-    for v in y:
-        if v in members:
-            return False
-        gap = (bisect_left(x, v) - 1) % size
-        counts[gap] += 1
-        if counts[gap] > 1:
-            return False
-    # all d+1 members placed, one per gap
-    return True
+    N = params.N
+    has = [0] * (N + 1)
+    for i, obj in enumerate(enumerate_indecomposables(params)):
+        for v in obj:
+            has[v] |= 1 << i
+    arcs = [None] * (N + 1)
+    for a in range(1, N + 1):
+        row = [0] * (N + 1)
+        mask, v = 0, a
+        for _ in range(N):
+            mask |= has[v]
+            row[v] = mask
+            v = v % N + 1
+        row[0] = row[N]
+        arcs[a] = tuple(row)
+    arcs[0] = arcs[N]
+    return tuple(arcs)
+
+
+def bit_ids(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

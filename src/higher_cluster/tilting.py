@@ -35,8 +35,9 @@ from .hom import calculator_for
 from .model import (
     IndObj,
     ModelParams,
+    arc_masks,
+    bit_ids,
     enumerate_indecomposables,
-    intertwines,
     object_id,
     object_ids,
     shift,
@@ -85,25 +86,24 @@ class CompatibilityGraph:
         return sum(nb.bit_count() for nb in self.neighbors) // 2
 
 
-def bit_ids(mask: int):
-    """The positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @lru_cache(maxsize=None)
 def compatibility_graph(params: ModelParams) -> CompatibilityGraph:
+    """The graph read off the arc masks, without building any hom table.
+
+    y intertwines x iff y has a member strictly inside every gap of x,
+    i.e. on every arc x_i + 1..x_{i+1} - 1: the AND of d+1 arc masks is
+    the set of objects x intertwines, and its complement, minus x itself,
+    is the neighbourhood of x.
+    """
     objects = enumerate_indecomposables(params)
-    m = len(objects)
-    neighbors = [0] * m
-    for i in range(m):
-        x = objects[i]
-        for j in range(i + 1, m):
-            if not intertwines(x, objects[j], params):
-                neighbors[i] |= 1 << j
-                neighbors[j] |= 1 << i
+    N, arcs = params.N, arc_masks(params)
+    everything = (1 << len(objects)) - 1
+    neighbors = []
+    for i, x in enumerate(objects):
+        crossing = everything
+        for a, b in zip(x, x[1:] + x[:1]):
+            crossing &= arcs[(a + 1) % N][(b - 1) % N]
+        neighbors.append(everything & ~crossing & ~(1 << i))
     return CompatibilityGraph(objects, tuple(neighbors))
 
 

@@ -9,7 +9,7 @@ built by the package as its input data.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 
@@ -183,6 +183,34 @@ def factors_through_oracle(x, y, z, n, d):
         for xs, ys in labellings
         for zs in rotations(tuple(z))
     )
+
+
+def factor_row_oracle(x, objects, N):
+    """Every factor mask of x by the product of arcs: entry j is the mask
+    of the z through which x -> objects[j] factors, and 0 for a zero map.
+
+    For every rotation pair of (x, y) satisfying the labelling chain, each
+    vertex tuple of the product of the arcs x_i..y_i that sorts to an
+    object adds that object's bit; ids number objects in list order.
+    """
+    ids = {obj: k for k, obj in enumerate(objects)}
+    row = []
+    for y in objects:
+        mask = 0
+        for xs in rotations(tuple(x)):
+            for ys in rotations(tuple(y)):
+                if not _mixed_chain_oracle(xs, ys, N):
+                    continue
+                arcs = [
+                    [(a - 1 + k) % N + 1 for k in range((b - a) % N + 1)]
+                    for a, b in zip(xs, ys)
+                ]
+                for z in product(*arcs):
+                    k = ids.get(tuple(sorted(z)))
+                    if k is not None:
+                        mask |= 1 << k
+        row.append(mask)
+    return row
 
 
 # --- exact dense linear algebra over Q --------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from higher_cluster import cli
 from higher_cluster.errors import ContractError, InvalidInputError, TiltingError
-from higher_cluster.hom import calculator_for
+from higher_cluster.hom import HomCalculator, calculator_for
 from higher_cluster.index import index_of, index_via_system
 from higher_cluster.model import (
     ModelParams,
@@ -20,7 +20,14 @@ from higher_cluster.model import (
     shift,
 )
 from higher_cluster.tilting import TiltingObject, enumerate_tilting, validate_tilting
-from oracles import factors_through_oracle, hom_dim_via_chain, hom_oracle
+from oracles import (
+    brute_force_objects,
+    cycle_size,
+    factor_row_oracle,
+    factors_through_oracle,
+    hom_dim_via_chain,
+    hom_oracle,
+)
 
 P21 = ModelParams(2, 1)
 P22 = ModelParams(2, 2)
@@ -134,6 +141,31 @@ def test_factor_table_matches_rotation_oracle(n, d):
                 if factors_through_oracle(x, y, z, n, d)
             )
             assert row[j] == expected, (x, y)
+
+
+# the arc-mask tables against the rotation loops where the benchmarks run
+LARGE_CASES = [(5, 3), (4, 4), (6, 2), (3, 5), (5, 2), (8, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("n,d", LARGE_CASES)
+def test_hom_rows_match_chain_oracle_at_large_cases(n, d):
+    calc = HomCalculator(ModelParams(n, d))  # fresh tables, dropped after
+    objs = brute_force_objects(n, d)
+    assert calc.objects == objs
+    for i, x in enumerate(objs):
+        expected = sum(
+            1 << j for j, y in enumerate(objs) if hom_dim_via_chain(x, y, n, d)
+        )
+        assert calc.hom_row(i) == expected, x
+
+
+@pytest.mark.parametrize("n,d", LARGE_CASES)
+def test_factor_tables_match_product_of_arcs_at_large_cases(n, d):
+    calc = HomCalculator(ModelParams(n, d))
+    objs = brute_force_objects(n, d)
+    N = cycle_size(n, d)
+    for i, x in enumerate(objs):
+        assert calc.factor_row(i) == factor_row_oracle(x, objs, N), x
 
 
 @pytest.mark.parametrize("n,d", SMALL_CASES)

@@ -1,6 +1,7 @@
 """Index vectors: closed forms, route agreement, and the even-d collisions."""
 
 import gc
+import re
 import tracemalloc
 from itertools import permutations
 
@@ -141,6 +142,14 @@ def test_index_is_shift_equivariant_at_2_2():
         assert after == tuple(lookup[t] for t in moved.summands)
 
 
+def test_agreed_routes_share_one_tuple():
+    # a double-route row holds the index once both routes agree on it
+    for params, tilting in [(P21, T21), (P22, FAN22)]:
+        for row in index_table(tilting, params).rows:
+            assert row.verified
+            assert row.via_system is row.via_resolution
+
+
 def _tamper_system(monkeypatch, tilting, params, change):
     """Replace the cached system of the tilting object by change(data)."""
     key = (params, tilting.summands)
@@ -156,22 +165,40 @@ def test_system_route_refuses_a_non_integral_solution(monkeypatch):
         index_via_system((1, 3, 6), FAN22, P22)
 
 
+def _flip_rows(rows):
+    """Flip bit x of every summand's hom row for each x in rows: G[x, j]
+    becomes 1 - G[x, j], so row x changes by 1 - 2 G[x, j] on a unit index."""
+    flips = sum(1 << x for x in rows)
+    return lambda system: system._replace(
+        t_rows=tuple(row ^ flips for row in system.t_rows)
+    )
+
+
+# the rows of G outside the square subsystem of FAN22
+OUTSIDE22 = [
+    x for x in range(len(enumerate_indecomposables(P22))) if x not in FAN22.ids(P22)
+]
+
+
 def test_system_route_refuses_a_row_that_fails(monkeypatch):
     # perturb a row outside the square subsystem: the candidate is still
     # integral, but that row no longer holds as an integer identity
     c = (1, 3, 6)
     vec = index_via_system(c, FAN22, P22)
     assert vec == (0, 1, 0)
-
-    def break_row(system):
-        x = next(p for p in range(len(system.g_rows)) if p not in system.positions)
-        rows = list(system.g_rows)
-        rows[x] = tuple(g + 1 for g in rows[x])
-        return system._replace(g_rows=tuple(rows))
-
-    _tamper_system(monkeypatch, FAN22, P22, break_row)
+    _tamper_system(monkeypatch, FAN22, P22, _flip_rows(OUTSIDE22[:1]))
     with pytest.raises(InvariantError, match="inconsistent at row"):
         index_via_system(c, FAN22, P22)
+
+
+@pytest.mark.parametrize("rows", [OUTSIDE22[-1:], OUTSIDE22[1:]], ids=["last", "later"])
+def test_system_route_names_the_first_failing_row(monkeypatch, rows):
+    # the rows before the failing ones hold; the refusal names the first
+    # failing row in object order
+    first = enumerate_indecomposables(P22)[rows[0]]
+    _tamper_system(monkeypatch, FAN22, P22, _flip_rows(rows))
+    with pytest.raises(InvariantError, match=re.escape(f"inconsistent at row {first}")):
+        index_via_system((1, 3, 6), FAN22, P22)
 
 
 def test_system_route_refuses_a_rank_deficient_family():

@@ -5,14 +5,15 @@ from hypothesis import strategies as st
 from higher_cluster.errors import InvalidInputError
 from higher_cluster.model import (
     ModelParams,
+    arc_masks,
     canonical_object,
     enumerate_indecomposables,
-    intertwines,
     is_admissible,
     object_id,
     object_ids,
     shift,
 )
+from higher_cluster.tilting import compatibility_graph
 from oracles import brute_force_objects, count_formula, intertwines_oracle
 
 
@@ -134,11 +135,35 @@ def test_enumeration_d1_diagonal_count():
         assert len(enumerate_indecomposables(ModelParams(n, 1))) == n * (n + 3) // 2
 
 
+@pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (2, 2), (3, 3), (1, 4)])
+def test_arc_masks_hold_the_objects_meeting_each_arc(n, d):
+    p = ModelParams(n, d)
+    N, arcs = p.N, arc_masks(p)
+    objs = brute_force_objects(n, d)
+    assert len(arcs) == N + 1 and all(len(row) == N + 1 for row in arcs)
+    for a in range(N + 1):
+        for b in range(N + 1):
+            start, end = a or N, b or N  # index 0 stands for vertex N
+            arc = {(start - 1 + k) % N + 1 for k in range((end - start) % N + 1)}
+            expected = sum(1 << i for i, x in enumerate(objs) if arc & set(x))
+            assert arcs[a][b] == expected, (a, b)
+
+
+# Intertwining lives in the compatibility graph, read off the arc masks:
+# distinct objects are neighbours iff they do not intertwine.
+
+
+def compatible(x, y, p):
+    """Is there an edge between objects x and y of the compatibility graph?"""
+    ids = object_ids(p)
+    return bool(compatibility_graph(p).neighbors[ids[x]] >> ids[y] & 1)
+
+
 def test_intertwines_examples():
     p1 = ModelParams(2, 1)
-    assert intertwines((1, 4), (3, 5), p1)
-    assert not intertwines((1, 3), (1, 4), p1)
-    assert intertwines((1, 3, 5), (2, 4, 6), ModelParams(2, 2))
+    assert not compatible((1, 4), (3, 5), p1)
+    assert compatible((1, 3), (1, 4), p1)
+    assert not compatible((1, 3, 5), (2, 4, 6), ModelParams(2, 2))
 
 
 @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3)])
@@ -147,16 +172,17 @@ def test_intertwines_matches_rotation_chain_oracle(n, d):
     objs = enumerate_indecomposables(p)
     for x in objs:
         for y in objs:
-            assert intertwines(x, y, p) == intertwines_oracle(x, y, p.N)
+            if x != y:
+                assert compatible(x, y, p) != intertwines_oracle(x, y, p.N)
 
 
 def test_intertwines_symmetric_and_irreflexive():
     p = ModelParams(2, 2)
     objs = enumerate_indecomposables(p)
     for x in objs:
-        assert not intertwines(x, x, p)
+        assert not compatible(x, x, p)
         for y in objs:
-            assert intertwines(x, y, p) == intertwines(y, x, p)
+            assert compatible(x, y, p) == compatible(y, x, p)
 
 
 def test_intertwines_is_shift_invariant():
@@ -164,9 +190,9 @@ def test_intertwines_is_shift_invariant():
     objs = enumerate_indecomposables(p)
     for x in objs:
         for y in objs:
-            expected = intertwines(x, y, p)
+            expected = compatible(x, y, p)
             for k in range(1, p.N):
-                assert intertwines(shift(x, k, p), shift(y, k, p), p) == expected
+                assert compatible(shift(x, k, p), shift(y, k, p), p) == expected
 
 
 @st.composite

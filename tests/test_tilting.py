@@ -90,7 +90,11 @@ def test_bit_ids_walks_set_bits_lowest_first():
     assert list(bit_ids(1 << 70 | 2)) == [1, 70]
 
 
-@pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 6) for d in range(1, 4)])
+@pytest.mark.parametrize(
+    "n,d",
+    [(n, d) for n in range(1, 6) for d in range(1, 4)]
+    + [(4, 4), (6, 2), (3, 5), (8, 1)],
+)
 def test_graph_bits_match_intertwining_oracle(n, d):
     params = ModelParams(n, d)
     g = compatibility_graph(params)
