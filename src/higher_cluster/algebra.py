@@ -34,7 +34,7 @@ from .errors import ContractError, InvariantError
 from .hom import calculator_for
 from .linalg import eliminate, kernel, rank
 from .model import IndObj, ModelParams
-from .tilting import TiltingObject
+from .tilting import TiltingObject, require_case
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +91,11 @@ def _by_source(pairs, r):
 
 def build_algebra(tilting: TiltingObject, params: ModelParams) -> AlgebraPresentation:
     """Basis, Cartan matrix and 0/1 multiplication table of End(T)."""
+    require_case(tilting, params)
     calc = calculator_for(params)
     ts = tilting.summands
     r = len(ts)
-    ids = tilting.ids(params)
+    ids = tilting.ids
     cartan = tuple(tuple(calc.hom(i, j) for j in ids) for i in ids)
     for i in range(r):
         if cartan[i][i] != 1:

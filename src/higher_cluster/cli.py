@@ -30,7 +30,7 @@ from .errors import (
 )
 from .hom import calculator_for
 from .index import index_table
-from .model import ModelParams, enumerate_indecomposables, object_id
+from .model import ModelParams, check_cap, enumerate_indecomposables, object_id
 from .tilting import (
     TiltingObject,
     bit_ids,
@@ -218,19 +218,14 @@ def _render(payload, columns, rows, fmt: str) -> str:
     raise InvalidInputError(f"unknown format {fmt!r}")
 
 
-def _check_cap(params: ModelParams, cap: int) -> None:
-    count = len(enumerate_indecomposables(params))
-    if count > cap:
-        raise ResourceCapError(count, cap)
-
-
 def _params(args) -> ModelParams:
-    return ModelParams(args.n, args.d)
+    params = ModelParams(args.n, args.d)
+    check_cap(params, args.cap)
+    return params
 
 
 def _cmd_enumerate(args) -> int:
     params = _params(args)
-    _check_cap(params, args.cap)
     objects = enumerate_indecomposables(params)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -261,7 +256,6 @@ def _family_arg(text, flag):
 
 def _cmd_hom(args) -> int:
     params = _params(args)
-    _check_cap(params, args.cap)
     calc = calculator_for(params)
     objects = calc.objects
     if (args.source is None) != (args.target is None):
@@ -322,7 +316,6 @@ def _cmd_hom(args) -> int:
 
 def _cmd_tilting(args) -> int:
     params = _params(args)
-    _check_cap(params, args.cap)
     tiltings, anomalies = maximal_families(params)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -355,7 +348,6 @@ def _pick_tilting(args, params: ModelParams) -> TiltingObject:
 
 def _cmd_index(args) -> int:
     params = _params(args)
-    _check_cap(params, args.cap)
     tilting = _pick_tilting(args, params)
     table = index_table(tilting, params, route=args.route)
     payload = {
@@ -402,7 +394,6 @@ def _cmd_index(args) -> int:
 
 def _cmd_collisions(args) -> int:
     params = _params(args)
-    _check_cap(params, args.cap)
     family = _family_arg(args.tilting, "--tilting")
     if family is not None:
         tiltings = (validate_tilting(family, params),)
@@ -551,7 +542,6 @@ def _cmd_replay(args) -> int:
 
 def _cmd_export_graph(args) -> int:
     params = _params(args)
-    _check_cap(params, args.cap)
     graph = compatibility_graph(params)
     lines = [
         "graph compatibility {",

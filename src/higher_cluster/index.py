@@ -39,7 +39,7 @@ from .errors import InvalidInputError, InvariantError
 from .hom import HomCalculator, calculator_for
 from .linalg import adjugate, rank
 from .model import IndObj, ModelParams, bit_ids, object_id
-from .tilting import TiltingObject
+from .tilting import TiltingObject, require_case
 
 IndexVector = tuple[int, ...]
 
@@ -55,13 +55,12 @@ _systems: dict = {}
 def _recent(cache: dict, tilting: TiltingObject, params: ModelParams, build):
     """cache's entry for the tilting object, built on a miss; the least
     recently used entry goes once _CACHED_TILTINGS are held."""
-    key = (params, tilting.summands)
-    value = cache.pop(key, None)
+    value = cache.pop(tilting, None)
     if value is None:
         value = build(tilting, params)
         if len(cache) >= _CACHED_TILTINGS:
             del cache[next(iter(cache))]
-    cache[key] = value
+    cache[tilting] = value
     return value
 
 
@@ -106,21 +105,21 @@ class _System(NamedTuple):
 
 
 def _build_system(tilting: TiltingObject, params: ModelParams) -> _System:
+    require_case(tilting, params)
     calc = calculator_for(params)
-    ts = tilting.summands
-    positions = tilting.ids(params)
+    positions = tilting.ids
     t_rows = tuple(calc.hom_row(p) for p in positions)
     # a nonsingular square block of rows of G already proves that G has
     # full column rank; the rank itself only names the failure
     square_inv = adjugate([[row >> p & 1 for row in t_rows] for p in positions])
     if square_inv is None:
         g_rows = [[row >> x & 1 for row in t_rows] for x in range(len(calc.objects))]
-        if rank(g_rows) != len(ts):
+        if rank(g_rows) != len(positions):
             raise InvariantError(
-                f"hom matrix of tilting object {ts} is rank deficient"
+                f"hom matrix of tilting object {tilting.summands} is rank deficient"
             )
         raise InvariantError(
-            f"Cartan system of tilting object {ts} is singular over the rationals"
+            f"Cartan system of tilting object {tilting.summands} is singular over the rationals"
         )
     adj, det = square_inv
     return _System(calc.translated_mask(positions), t_rows, positions, adj, det)

@@ -16,10 +16,12 @@ are each d+1 ANDs of its entries per object.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceCapError
 
 IndObj = tuple[int, ...]
 
@@ -105,6 +107,23 @@ def object_id(candidate, params: ModelParams) -> int:
     return object_ids(params)[canonical_object(candidate, params)]
 
 
+def expected_tilting_size(params: ModelParams) -> int:
+    return math.comb(params.n + params.d - 1, params.d)
+
+
+def object_count(params: ModelParams) -> int:
+    """m = N C(n+d-1, d) / (d+1), without listing the objects: each vertex
+    lies in C(n+d-1, d) (its fan is a tilting object), each object has d+1."""
+    return params.N * expected_tilting_size(params) // params.object_size
+
+
+def check_cap(params: ModelParams, cap: int) -> None:
+    """Refuse a case with more than cap objects, before anything is built."""
+    count = object_count(params)
+    if count > cap:
+        raise ResourceCapError(count, cap)
+
+
 @lru_cache(maxsize=None)
 def enumerate_indecomposables(params: ModelParams) -> tuple[IndObj, ...]:
     """All indecomposables, in lexicographic order of their sorted tuples."""
@@ -172,3 +191,13 @@ def bit_ids(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def objects_of(mask: int, params: ModelParams) -> tuple[IndObj, ...]:
+    """The objects whose ids are the set bits of mask, in id order; the
+    digits of mask select them in C, with no Python step per set bit."""
+    flags = bin(mask)[:1:-1].encode().translate(_FLAGS)
+    return tuple(compress(enumerate_indecomposables(params), flags))

@@ -20,13 +20,13 @@ Rambau (Triangulations of cyclic polytopes and higher Bruhat orders,
 Mathematika 1997) shows the flip graph is connected, so the search
 reaches every tilting object.  At d <= 2, where no anomaly has ever
 appeared, Bron-Kerbosch is the faster of the two and enumerate_tilting
-takes its tilting objects.  Either way one tuple of
-tilting objects per ModelParams is kept, shared by both functions.
+takes its tilting objects.  Either way one tuple of tilting objects
+(TiltingObject: a ModelParams and the int mask of the summands' ids) per
+ModelParams is kept, shared by both functions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,36 +38,48 @@ from .model import (
     arc_masks,
     bit_ids,
     enumerate_indecomposables,
+    expected_tilting_size,
     object_id,
     object_ids,
+    objects_of,
     shift,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TiltingObject:
-    summands: tuple[IndObj, ...]
+    """Bit i of mask is set when the object with id i is a summand; the
+    summands and their ids are decoded on each read, not stored."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "summands", tuple(sorted(self.summands)))
+    params: ModelParams
+    mask: int
 
-    def ids(self, params: ModelParams) -> tuple[int, ...]:
-        """The summands' object ids, ascending like the summands.
+    @property
+    def summands(self) -> tuple[IndObj, ...]:
+        """The summands as vertex tuples, ascending like their ids."""
+        return objects_of(self.mask, self.params)
 
-        Mapped on each call, not stored: a census holds up to 96,426
-        tilting objects, and a second tuple each costs more memory.
-        """
-        return tuple(map(object_ids(params).__getitem__, self.summands))
+    @property
+    def ids(self) -> tuple[int, ...]:
+        """The summands' object ids, ascending."""
+        return tuple(bit_ids(self.mask))
 
     def shifted(self, steps: int, params: ModelParams) -> "TiltingObject":
-        return TiltingObject(tuple(shift(t, steps, params) for t in self.summands))
+        require_case(self, params)
+        ids = object_ids(params)
+        moved = (ids[shift(t, steps, params)] for t in self.summands)
+        return TiltingObject(params, sum(1 << i for i in moved))
 
     def __len__(self):
-        return len(self.summands)
+        return self.mask.bit_count()
 
 
-def expected_tilting_size(params: ModelParams) -> int:
-    return math.comb(params.n + params.d - 1, params.d)
+def require_case(tilting: TiltingObject, params: ModelParams) -> None:
+    """Refuse a tilting object of another case: its ids mean other objects."""
+    if tilting.params != params:
+        raise InvalidInputError(
+            f"the tilting object belongs to {tilting.params}, not to {params}"
+        )
 
 
 @dataclass(frozen=True)
@@ -107,17 +119,27 @@ def compatibility_graph(params: ModelParams) -> CompatibilityGraph:
     return CompatibilityGraph(objects, tuple(neighbors))
 
 
+def _id_order(families, m):
+    """Masks over m ids in the order of their sorted id tuples, provided
+    no mask contains another (one size, or maximal cliques): then A comes
+    first iff the lowest bit of A ^ B is in A, i.e. iff A with its m bits
+    reversed is the larger number."""
+    width = f"0{m}b"
+    return sorted(families, key=lambda f: int(format(f, width)[::-1], 2), reverse=True)
+
+
 def _maximal_cliques(neighbors):
     """Bron-Kerbosch with pivoting on the bitmask neighbourhoods.
 
-    Returns every maximal clique as a sorted tuple of ids, in sorted order.
+    Returns every maximal clique as an int mask of ids, ordered as their
+    sorted id tuples.
     """
     found = []
 
     def expand(clique, candidates, excluded):
         if not candidates:
             if not excluded:
-                found.append(tuple(sorted(clique)))
+                found.append(clique)
             return
         # pivot on the vertex covering most candidates; ties to the
         # smallest id keep the recursion deterministic
@@ -134,14 +156,13 @@ def _maximal_cliques(neighbors):
         while branch:
             low = branch & -branch
             v = low.bit_length() - 1
-            expand(clique + (v,), candidates & neighbors[v], excluded & neighbors[v])
+            expand(clique | low, candidates & neighbors[v], excluded & neighbors[v])
             candidates ^= low
             excluded |= low
             branch ^= low
 
-    expand((), (1 << len(neighbors)) - 1, 0)
-    found.sort()
-    return found
+    expand(0, (1 << len(neighbors)) - 1, 0)
+    return _id_order(found, len(neighbors))
 
 
 # enumerate_tilting's results; maximal_families files its tilting objects
@@ -163,11 +184,10 @@ def maximal_families(params: ModelParams):
     tilting = []
     anomalies = []
     for clique in _maximal_cliques(graph.neighbors):
-        family = tuple(map(graph.objects.__getitem__, clique))
-        if len(family) == size:
-            tilting.append(TiltingObject(family))
+        if clique.bit_count() == size:
+            tilting.append(TiltingObject(params, clique))
         else:
-            anomalies.append(family)
+            anomalies.append(objects_of(clique, params))
     return _tiltings.setdefault(params, tuple(tilting)), tuple(anomalies)
 
 
@@ -193,20 +213,17 @@ def _tilting_masks(neighbors, start, size):
     Raises InvariantError unless start is a clique of the given size and
     every family reached is maximal, i.e. its all-summand AND is 0: an
     extension would be a clique above tilting size.  Returns the families
-    as sorted tuples of ids, in sorted order, as _maximal_cliques does.
+    as masks, ordered as their sorted id tuples, as _maximal_cliques does.
     """
-    members = list(bit_ids(start))
-    if len(members) != size or any(
-        start & ~neighbors[i] & ~(1 << i) for i in members
+    if start.bit_count() != size or any(
+        start & ~neighbors[i] & ~(1 << i) for i in bit_ids(start)
     ):
         raise InvariantError(f"the start family is not a clique of size {size}")
     everything = (1 << len(neighbors)) - 1
     seen = {start}
     order = [start]
-    found = []
     for family in order:  # grows while it is walked: a queue
         ids = tuple(bit_ids(family))
-        found.append(ids)
         pre = [everything]
         for i in ids:
             pre.append(pre[-1] & neighbors[i])
@@ -228,22 +245,15 @@ def _tilting_masks(neighbors, start, size):
                 if mutated not in seen:
                     seen.add(mutated)
                     order.append(mutated)
-    found.sort()
-    return found
+    return _id_order(order, len(neighbors))
 
 
 def _tilting_by_mutation(params: ModelParams) -> tuple[TiltingObject, ...]:
     """Every tilting object, by the mutation search from the vertex-1 fan."""
-    graph = compatibility_graph(params)
-    ids = object_ids(params)
-    start = sum(1 << ids[t] for t in vertex_fan(params))
-    objects = graph.objects
-    return tuple(
-        TiltingObject(tuple(map(objects.__getitem__, family)))
-        for family in _tilting_masks(
-            graph.neighbors, start, expected_tilting_size(params)
-        )
-    )
+    size = expected_tilting_size(params)
+    fan = (1 << size) - 1  # the vertex-1 fan is ids 0 to size - 1
+    masks = _tilting_masks(compatibility_graph(params).neighbors, fan, size)
+    return tuple(TiltingObject(params, mask) for mask in masks)
 
 
 def enumerate_tilting(params: ModelParams) -> tuple[TiltingObject, ...]:
@@ -296,8 +306,7 @@ def validate_tilting(candidate, params: ModelParams) -> TiltingObject:
             t = refused[0]
         raise TiltingError("non-admissible-summand", t, f"summand {t} is not admissible")
     validate_family(family, params)
-    objects = enumerate_indecomposables(params)
-    return TiltingObject(tuple(objects[i] for i in bit_ids(family)))
+    return TiltingObject(params, family)
 
 
 def validate_family(family: int, params: ModelParams) -> None:

@@ -17,15 +17,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .errors import InvalidInputError, ResourceCapError, TiltingError
+from .errors import InvalidInputError, TiltingError
 from .hom import calculator_for
 from .index import IndexTable, algebra_for, index_by_resolution, index_table
-from .model import ModelParams, enumerate_indecomposables, object_id
+from .model import ModelParams, check_cap, object_id
 from .tilting import (
     TiltingObject,
     bit_ids,
     enumerate_tilting,
     maximal_families,
+    require_case,
     validate_family,
     validate_tilting,
 )
@@ -163,7 +164,7 @@ def replay(witness) -> tuple[bool, dict]:
             "via_resolution": [list(a.via_resolution), list(b.via_resolution)],
             "via_system": [list(a.via_system), list(b.via_system)],
         }
-    summands = tilting.ids(params)
+    summands = tilting.ids
     shifted = calc.translated_mask(summands)
     c, x = _object(witness, "c", params), _object(witness, "x", params)
     if check == "serre":
@@ -184,7 +185,7 @@ def replay(witness) -> tuple[bool, dict]:
 
 def _tilting_sanity(validate, family, params):
     """validate is validate_tilting on a family of vertex lists, or
-    validate_family on the mask of decoded summands."""
+    validate_family on the mask of a TiltingObject."""
     try:
         validate(family, params)
     except TiltingError as err:
@@ -245,9 +246,7 @@ def check_tilting_sanity(params: ModelParams, tiltings=None) -> CheckResult:
         tiltings = enumerated
     witnesses = []
     for t in tiltings:
-        # the summands are objects already: map them to ids, no decoding
-        family = sum(1 << i for i in t.ids(params))
-        failed, values = _tilting_sanity(validate_family, family, params)
+        failed, values = _tilting_sanity(validate_family, t.mask, params)
         if failed:
             witnesses.append(
                 _witness("tilting-sanity", params, t, kind="invalid", **values)
@@ -341,7 +340,8 @@ def check_serre(params: ModelParams, tilting: TiltingObject | None = None) -> Ch
                     )
                 )
     if tilting is not None:
-        shifted = calc.translated_mask(tilting.ids(params))
+        require_case(tilting, params)
+        shifted = calc.translated_mask(tilting.ids)
         for c in ids:
             for x in ids:
                 pairs += 1
@@ -383,7 +383,7 @@ def check_dimension_formula(table: IndexTable) -> CheckResult:
     calc = calculator_for(params)
     objects = calc.objects
     ids = range(len(objects))
-    summands = tilting.ids(params)
+    summands = tilting.ids
     shifted = calc.translated_mask(summands)
     witnesses = []
     pairs = 0
@@ -420,10 +420,11 @@ def check_disjointness(tilting: TiltingObject, params: ModelParams) -> CheckResu
     At odd d a simultaneous nonzero pair falsifies the model and fails;
     at even d the sweep only reports what it finds.
     """
+    require_case(tilting, params)
     calc = calculator_for(params)
     objects = calc.objects
     ids = range(len(objects))
-    shifted = calc.translated_mask(tilting.ids(params))
+    shifted = calc.translated_mask(tilting.ids)
     witnesses = []
     for c in ids:
         for x in ids:
@@ -586,9 +587,7 @@ def _scope_tiltings(config: SweepConfig, params: ModelParams):
 def _run_case(config: SweepConfig, case):
     n, d = case
     params = ModelParams(n, d)
-    count = len(enumerate_indecomposables(params))
-    if count > config.cap:
-        raise ResourceCapError(count, config.cap)
+    check_cap(params, config.cap)
     explicit = config.explicit_tilting is not None
     tiltings = _scope_tiltings(config, params) if explicit else None
     results = []

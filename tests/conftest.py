@@ -4,10 +4,13 @@ Each acceptance test records its verdict here; the terminal summary then
 prints one line per criterion, visible regardless of pytest's capture
 settings.  Criteria recorded from several tests merge: any failing part
 makes the whole criterion report FAIL.  The fixture fresh_tilting_caches
-empties the tilting caches for one test.
+empties the tilting caches for one test, and kept_after measures what a
+run leaves allocated.
 """
 
 import functools
+import gc
+import tracemalloc
 
 import pytest
 
@@ -33,6 +36,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if details:
             line += f" -- {details}"
         terminalreporter.write_line(line)
+
+
+def kept_after(run, inputs) -> int:
+    """Bytes still allocated once run has seen each of the inputs."""
+    tracemalloc.start()
+    try:
+        for x in inputs:
+            run(x)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -26,7 +26,6 @@ from higher_cluster.model import (
     shift,
 )
 from higher_cluster.tilting import (
-    TiltingObject,
     enumerate_tilting,
     maximal_families,
     validate_tilting,
@@ -42,7 +41,7 @@ from higher_cluster.algebra import build_algebra, minimal_resolution
 from higher_cluster.hom import calculator_for
 
 P22 = ModelParams(2, 2)
-FAN22 = TiltingObject(((1, 3, 5), (1, 3, 6), (1, 4, 6)))
+FAN22 = validate_tilting(((1, 3, 5), (1, 3, 6), (1, 4, 6)), P22)
 
 # (n, d) pairs of the injectivity sweep; every d is odd
 SWEEP_CASES = ((2, 1), (3, 1), (4, 1), (5, 1), (2, 3), (3, 3), (4, 3), (2, 5))

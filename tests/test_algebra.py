@@ -28,19 +28,19 @@ from higher_cluster.model import (
     object_id,
     shift,
 )
-from higher_cluster.tilting import TiltingObject, enumerate_tilting
+from higher_cluster.tilting import enumerate_tilting, validate_tilting
 
 from oracles import fraction_module_of, fraction_resolution
 
 P21 = ModelParams(2, 1)
-T21 = TiltingObject(((1, 3), (1, 4)))
+T21 = validate_tilting(((1, 3), (1, 4)), P21)
 
 P31 = ModelParams(3, 1)
-CYCLE31 = TiltingObject(((1, 3), (3, 5), (1, 5)))
-FAN31 = TiltingObject(((1, 3), (1, 4), (1, 5)))
+CYCLE31 = validate_tilting(((1, 3), (3, 5), (1, 5)), P31)
+FAN31 = validate_tilting(((1, 3), (1, 4), (1, 5)), P31)
 
 P22 = ModelParams(2, 2)
-FAN22 = TiltingObject(((1, 3, 5), (1, 3, 6), (1, 4, 6)))
+FAN22 = validate_tilting(((1, 3, 5), (1, 3, 6), (1, 4, 6)), P22)
 
 
 def test_algebra_shape_2_1():
@@ -368,7 +368,7 @@ def test_resolutions_match_fraction_reference_on_a_sample_at_4_3():
 @pytest.mark.parametrize("n,d", [(5, 3), (4, 4)])
 def test_resolutions_match_fraction_reference_on_the_vertex_fan(n, d):
     params = ModelParams(n, d)
-    fan = TiltingObject(tuple(c for c in enumerate_indecomposables(params) if 1 in c))
+    fan = validate_tilting([c for c in enumerate_indecomposables(params) if 1 in c], params)
     assert_matches_fraction_reference(params, fan)
 
 
@@ -378,9 +378,9 @@ def test_lifts_sit_where_the_fraction_reference_puts_them():
     # would pick other lifts for (3, 7, 10) here, the one presentation
     # of about 3500 sampled where the order matters
     params = ModelParams(5, 2)
-    tilting = TiltingObject((
+    tilting = validate_tilting((
         (1, 5, 9), (1, 6, 9), (1, 7, 9), (2, 4, 6), (2, 4, 9), (2, 4, 10),
         (2, 5, 9), (2, 5, 10), (2, 6, 8), (2, 6, 9), (2, 7, 9), (3, 6, 8),
         (3, 6, 9), (4, 6, 8), (4, 6, 9),
-    ))
+    ), params)
     assert_matches_fraction_reference(params, tilting)

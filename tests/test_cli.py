@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from higher_cluster import cli, model
 from higher_cluster.cli import main, parse_family, parse_object, render_json
 
-from oracles import brute_force_objects, cycle_size, intertwines_oracle
+from oracles import brute_force_objects, count_formula, cycle_size, intertwines_oracle
 
 
 def run_cli(capsys, *argv):
@@ -339,6 +340,23 @@ def test_cap_refusal_is_usage_error(capsys):
     )
     assert code == 2
     assert "exceed the cap" in err
+
+
+def test_cap_refuses_a_large_case_without_listing_it(capsys, monkeypatch):
+    # the count is a closed form: 834,900 objects at (20, 6) and about
+    # 2.9e9 at (30, 10), which would not fit in memory, are refused
+    # before any object is built
+    def refuse(params):
+        raise AssertionError(f"the objects of {params} were listed")
+
+    monkeypatch.setattr(model, "enumerate_indecomposables", refuse)
+    monkeypatch.setattr(cli, "enumerate_indecomposables", refuse)
+    code, _, err = run_cli(capsys, "enumerate", "--n", "20", "--d", "6")
+    assert code == 2
+    assert "834900 indecomposables exceed the cap of 500" in err
+    code, _, err = run_cli(capsys, "verify", "--n", "30", "--d", "10")
+    assert code == 2
+    assert f"{count_formula(30, 10)} indecomposables exceed the cap" in err
 
 
 def test_verify_odd_d_passes(capsys):

@@ -19,7 +19,7 @@ from higher_cluster.model import (
     object_ids,
     shift,
 )
-from higher_cluster.tilting import TiltingObject, enumerate_tilting, validate_tilting
+from higher_cluster.tilting import enumerate_tilting, validate_tilting
 from oracles import (
     brute_force_objects,
     cycle_size,
@@ -270,7 +270,7 @@ def test_ideal_hom_ignores_order_and_repeats_in_the_family(n, d):
     calc = calculator_for(p)
     objs = range(len(calc.objects))
     for tilting in enumerate_tilting(p):
-        family = [calc.translate[t] for t in tilting.ids(p)]
+        family = [calc.translate[t] for t in tilting.ids]
         family_mask = sum(1 << z for z in family)
         for x in objs:
             for y in objs:
@@ -285,7 +285,7 @@ def test_non_objects_are_typed_errors(bad, capsys):
     # a non-admissible-summand refusal from validate_tilting, never a
     # TypeError or a KeyError from the id map
     message = "is not an admissible 2-subset of 1..5"
-    tilting = TiltingObject(((1, 3), (1, 4)))
+    tilting = validate_tilting(((1, 3), (1, 4)), P21)
     entry_points = [
         lambda: object_id(bad, P21),
         lambda: index_of(bad, tilting, P21),
@@ -320,7 +320,7 @@ def test_translated_mask_is_the_mask_of_the_translates(n, d):
     for tilting in enumerate_tilting(p):
         family = tilting.summands
         expected = mask(p, [shift(t, 1, p) for t in family])
-        assert calc.translated_mask(tilting.ids(p)) == expected
+        assert calc.translated_mask(tilting.ids) == expected
         assert expected.bit_count() == len(family)
 
 

@@ -166,7 +166,7 @@ def test_evaluators_match_tuple_reference(n, d):
     for tilting, family, mask in families(ref):
         if tilting is None:
             continue
-        summands = tilting.ids(ref.params)
+        summands = tilting.ids
         for c in ids:
             index = index_of(objects[c], tilting, ref.params)
             for x in ids:

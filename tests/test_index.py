@@ -1,11 +1,10 @@
 """Index vectors: closed forms, route agreement, and the even-d collisions."""
 
-import gc
 import re
-import tracemalloc
 from itertools import permutations
 
 import pytest
+from conftest import kept_after
 
 from higher_cluster import index
 from higher_cluster.errors import InvalidInputError, InvariantError
@@ -14,14 +13,15 @@ from higher_cluster.index import (
     index_table,
     index_via_system,
 )
-from higher_cluster.model import ModelParams, enumerate_indecomposables, shift
-from higher_cluster.tilting import TiltingObject, enumerate_tilting
+from higher_cluster.model import ModelParams, enumerate_indecomposables, object_id, shift
+from higher_cluster.tilting import TiltingObject, enumerate_tilting, validate_tilting
+from higher_cluster.verify import check_disjointness, check_serre
 
 P21 = ModelParams(2, 1)
-T21 = TiltingObject(((1, 3), (1, 4)))
+T21 = validate_tilting(((1, 3), (1, 4)), P21)
 
 P22 = ModelParams(2, 2)
-FAN22 = TiltingObject(((1, 3, 5), (1, 3, 6), (1, 4, 6)))
+FAN22 = validate_tilting(((1, 3, 5), (1, 3, 6), (1, 4, 6)), P22)
 
 
 def test_summand_has_unit_index():
@@ -152,9 +152,8 @@ def test_agreed_routes_share_one_tuple():
 
 def _tamper_system(monkeypatch, tilting, params, change):
     """Replace the cached system of the tilting object by change(data)."""
-    key = (params, tilting.summands)
     index_via_system(tilting.summands[0], tilting, params)  # fills the cache
-    monkeypatch.setitem(index._systems, key, change(index._systems[key]))
+    monkeypatch.setitem(index._systems, tilting, change(index._systems[tilting]))
 
 
 def test_system_route_refuses_a_non_integral_solution(monkeypatch):
@@ -176,7 +175,7 @@ def _flip_rows(rows):
 
 # the rows of G outside the square subsystem of FAN22
 OUTSIDE22 = [
-    x for x in range(len(enumerate_indecomposables(P22))) if x not in FAN22.ids(P22)
+    x for x in range(len(enumerate_indecomposables(P22))) if x not in FAN22.ids
 ]
 
 
@@ -202,10 +201,31 @@ def test_system_route_names_the_first_failing_row(monkeypatch, rows):
 
 
 def test_system_route_refuses_a_rank_deficient_family():
-    # a repeated summand repeats a column of G
-    twice = TiltingObject(((1, 3), (1, 3)))
+    # eight distinct objects at (5, 1) whose hom matrix G has rank 7; no
+    # family of distinct objects at (2, 1) to (4, 1) or at (2, 2) has a
+    # rank deficient G, as the full hom matrix is nonsingular there
+    p51 = ModelParams(5, 1)
+    family = [(1, 4), (1, 6), (2, 5), (2, 7), (3, 6), (3, 8), (4, 7), (5, 8)]
+    deficient = TiltingObject(p51, sum(1 << object_id(t, p51) for t in family))
     with pytest.raises(InvariantError, match="rank deficient"):
-        index_via_system((1, 4), twice, P21)
+        index_via_system((1, 3), deficient, p51)
+
+
+def test_a_tilting_object_of_another_case_is_refused():
+    # the ids of T21 name objects of (2, 1); read at (2, 2) they would
+    # name other objects and give a wrong index, so every entry point
+    # that takes a tilting object and a case refuses the pair
+    entry_points = [
+        lambda: index_of((1, 3, 5), T21, P22),
+        lambda: index_via_system((1, 3, 5), T21, P22),
+        lambda: index_table(T21, P22),
+        lambda: check_serre(P22, T21),
+        lambda: check_disjointness(T21, P22),
+        lambda: T21.shifted(1, P22),
+    ]
+    for call in entry_points:
+        with pytest.raises(InvalidInputError, match=r"belongs to ModelParams\(n=2, d=1\)"):
+            call()
 
 
 def test_system_route_refuses_a_singular_square(monkeypatch):
@@ -230,18 +250,6 @@ def test_system_route_needs_no_rank_for_a_nonsingular_square(monkeypatch):
     assert len(table.rows) == len(enumerate_indecomposables(P22))
 
 
-def _kept_after(run, tiltings) -> int:
-    """Bytes still allocated once run has seen each tilting object."""
-    tracemalloc.start()
-    try:
-        for t in tiltings:
-            run(t)
-        gc.collect()
-        return tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-
-
 def test_memory_kept_does_not_grow_with_the_tilting_objects(monkeypatch):
     # a table builds its algebra and system for itself and drops them; the
     # library entry points keep those of the last few tilting objects only
@@ -259,11 +267,11 @@ def test_memory_kept_does_not_grow_with_the_tilting_objects(monkeypatch):
 
     table(tiltings[0])  # fills the hom tables of params
     for run, seen in ((table, tiltings[1:21]), (entry_points, tiltings[21:41])):
-        few = _kept_after(run, seen[:5])
-        assert _kept_after(run, seen) <= few + 4096
+        few = kept_after(run, seen[:5])
+        assert kept_after(run, seen) <= few + 4096
     assert len(index._algebras) == len(index._systems) == index._CACHED_TILTINGS
     # an evicted tilting object is rebuilt and answers as before
     evicted = tiltings[21]
-    assert (params, evicted.summands) not in index._algebras
+    assert evicted not in index._algebras
     vec = index_table(evicted, params).mapping()[c]
     assert index_of(c, evicted, params) == index_via_system(c, evicted, params) == vec

@@ -267,6 +267,6 @@ def test_adjugate_on_every_cartan_square(n, d):
     params = ModelParams(n, d)
     calc = calculator_for(params)
     for tilting in enumerate_tilting(params):
-        ts = tilting.ids(params)
+        ts = tilting.ids
         rows = [[calc.hom(t, x) for t in ts] for x in ts]
         assert _check_adjugate(rows, with_sympy=False) != 0

@@ -9,6 +9,7 @@ from higher_cluster.model import (
     canonical_object,
     enumerate_indecomposables,
     is_admissible,
+    object_count,
     object_id,
     object_ids,
     shift,
@@ -127,7 +128,7 @@ def test_enumeration_matches_brute_force(n, d):
     p = ModelParams(n, d)
     got = enumerate_indecomposables(p)
     assert got == brute_force_objects(n, d)
-    assert len(got) == count_formula(n, d)
+    assert len(got) == count_formula(n, d) == object_count(p)
 
 
 def test_enumeration_d1_diagonal_count():

@@ -4,7 +4,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import kept_after
 from higher_cluster import tilting as tilting_mod
 from higher_cluster.errors import InvariantError, TiltingError
 from higher_cluster.hom import HomCalculator, calculator_for
@@ -15,7 +18,7 @@ from higher_cluster.model import (
     shift,
 )
 from higher_cluster.tilting import (
-    TiltingObject,
+    _id_order,
     _tilting_masks,
     bit_ids,
     compatibility_graph,
@@ -164,11 +167,12 @@ def test_no_hom_to_shifted_summand(n, d):
 
 
 def test_tilting_object_sorts_and_positions():
-    t = TiltingObject(((3, 5), (1, 3), (1, 5)))
+    t = validate_tilting(((3, 5), (1, 3), (1, 5)), ModelParams(3, 1))
     assert t.summands == ((1, 3), (1, 5), (3, 5))
     # the summands' ids in summand order; at (3, 1) the objects run
     # (1,3) (1,4) (1,5) (2,4) (2,5) (2,6) (3,5) ...
-    assert t.ids(ModelParams(3, 1)) == (0, 2, 6)
+    assert t.ids == (0, 2, 6)
+    assert t.mask == 0b1000101
     assert len(t) == 3
 
 
@@ -246,7 +250,7 @@ def test_fan_tilting_always_present():
             obj for obj in enumerate_indecomposables(params) if 1 in obj
         )
         assert len(fan) == expected_tilting_size(params)
-        assert TiltingObject(fan) in enumerate_tilting(params)
+        assert validate_tilting(fan, params) in enumerate_tilting(params)
         assert vertex_fan(params) == fan == enumerate_tilting(params)[0].summands
 
 
@@ -265,9 +269,46 @@ def test_mutation_search_matches_bron_kerbosch(n, d, fresh_tilting_caches):
     # search filed earlier; they are restored after, so (6, 2) does not
     # hold its 96,426 tilting objects for the rest of the session
     params = ModelParams(n, d)
-    tiltings = tilting_mod.maximal_families(params)[0]
+    tiltings, anomalies = tilting_mod.maximal_families(params)
     assert tilting_mod._tilting_by_mutation(params) == tiltings
     assert enumerate_tilting(params) is tiltings
+    # both keep the order of the sorted id tuples, as every pin assumes
+    ids = [t.ids for t in tiltings]
+    assert ids == sorted(ids)
+    assert list(anomalies) == sorted(anomalies)
+
+
+def _mask(ids):
+    return sum(1 << i for i in ids)
+
+
+# lists of distinct families of k ids below 40, for one k
+equal_sizes = st.integers(1, 8).flatmap(
+    lambda k: st.lists(st.frozensets(st.integers(0, 39), min_size=k, max_size=k), unique=True)
+)
+# families of mixed sizes, none inside another, as maximal cliques are
+antichains = st.lists(st.frozensets(st.integers(0, 39), max_size=8), unique=True).map(
+    lambda families: [f for f in families if not any(f < g for g in families)]
+)
+
+
+@given(equal_sizes | antichains)
+@settings(max_examples=300, deadline=None)
+def test_id_order_is_the_order_of_sorted_id_tuples(families):
+    masks = [_mask(f) for f in families]
+    expected = sorted(masks, key=lambda m: tuple(bit_ids(m)))
+    assert _id_order(masks, 40) == expected
+
+
+def test_a_tilting_object_keeps_its_mask_only(fresh_tilting_caches):
+    # the tuple of 3278 tilting objects at (4, 3) keeps about 88 B each:
+    # the object with its two fields and the int mask; holding the
+    # summands as a tuple of object tuples kept 290 B each
+    params = ModelParams(4, 3)
+    compatibility_graph(params)  # kept anyway, for every later query
+    kept = kept_after(enumerate_tilting, [params])
+    assert len(enumerate_tilting(params)) == 3278
+    assert kept <= 150 * 3278
 
 
 def test_enumerations_share_one_tuple(fresh_tilting_caches):
@@ -292,7 +333,7 @@ def test_tilting_masks_refuses_a_start_that_is_no_tilting_clique():
     neighbors = compatibility_graph(params).neighbors
     size = expected_tilting_size(params)
     fan = (1 << size) - 1
-    assert _tilting_masks(neighbors, fan, size)[0] == tuple(range(size))
+    assert _tilting_masks(neighbors, fan, size)[0] == fan
     with pytest.raises(InvariantError, match="not a clique of size 4"):
         _tilting_masks(neighbors, fan, size + 1)
     # (1, 3), (1, 5) and (2, 4): the first and last intertwine

@@ -11,7 +11,7 @@ from higher_cluster.errors import InvalidInputError, ResourceCapError
 from higher_cluster.hom import HomCalculator
 from higher_cluster.index import index_table
 from higher_cluster.model import ModelParams, enumerate_indecomposables, object_ids, shift
-from higher_cluster.tilting import TiltingObject, enumerate_tilting
+from higher_cluster.tilting import enumerate_tilting, validate_tilting
 from higher_cluster.verify import (
     ANOMALY,
     CHECK_NAMES,
@@ -31,10 +31,10 @@ from higher_cluster.verify import (
 )
 
 P21 = ModelParams(2, 1)
-T21 = TiltingObject(((1, 3), (1, 4)))
+T21 = validate_tilting(((1, 3), (1, 4)), P21)
 P22 = ModelParams(2, 2)
 P31 = ModelParams(3, 1)
-FAN22 = TiltingObject(((1, 3, 5), (1, 3, 6), (1, 4, 6)))
+FAN22 = validate_tilting(((1, 3, 5), (1, 3, 6), (1, 4, 6)), P22)
 
 
 def test_check_names_cover_the_battery():
@@ -291,7 +291,7 @@ def _assert_replays(result, fields):
 
 def _shifted(tilting, params):
     """The translated summands as the sweeps pass them: one family mask."""
-    return hom.calculator_for(params).translated_mask(tilting.ids(params))
+    return hom.calculator_for(params).translated_mask(tilting.ids)
 
 
 def _ids(params, *objects):
