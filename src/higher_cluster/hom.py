@@ -38,7 +38,10 @@ The tests hold both tables to that search (tests/oracles.py).
 A family is a mask as well, so "x -> y factors through add(F)" is one
 AND of factor_row(x)[y] with the mask of F.  The queries hom, ideal,
 quotient and composes take ids and masks only; objects given as
-vertices are decoded by model.object_id before they get here.  Tables
+vertices are decoded by model.object_id before they get here.  Their
+row forms ideal_row and quotient_row answer for every target at once,
+and transpose turns rows into columns; the sweeps of verify run on
+these, which build their masks on each call and keep none.  Tables
 only ever grow: per ModelParams with m objects, at most m hom rows and
 m^2 factor masks of m bits each.
 """
@@ -72,6 +75,14 @@ class HomCalculator:
         """translate[i] is the id of the translate shift(object i, 1)."""
         ids = object_ids(self.params)
         return tuple(ids[shift(x, 1, self.params)] for x in self.objects)
+
+    @cached_property
+    def translate_back(self) -> tuple[int, ...]:
+        """translate_back[j] is the id i with translate[i] = j."""
+        back = [0] * len(self.objects)
+        for i, j in enumerate(self.translate):
+            back[j] = i
+        return tuple(back)
 
     def translated_mask(self, family) -> int:
         """The mask of the translates of the objects with ids in family."""
@@ -137,6 +148,19 @@ class HomCalculator:
             return 0
         return self.hom_row(i) >> j & 1
 
+    def ideal_row(self, i: int, mask: int) -> int:
+        """Bit j is set iff ideal(i, j, mask) = 1: one AND per nonzero map."""
+        factors = self.factor_row(i)
+        row = 0
+        for j in bit_ids(self.hom_row(i)):
+            if factors[j] & mask:
+                row |= 1 << j
+        return row
+
+    def quotient_row(self, i: int, mask: int) -> int:
+        """Bit j is set iff quotient(i, j, mask) = 1."""
+        return self.hom_row(i) & ~self.ideal_row(i, mask)
+
     def composes(self, i: int, j: int, k: int) -> int:
         """Structure constant of the basis morphisms i -> j then j -> k.
 
@@ -148,6 +172,18 @@ class HomCalculator:
             f, g = (objects[i], objects[j]), (objects[j], objects[k])
             raise ContractError(f"composes needs nonzero morphisms {f} and {g}")
         return self.factor_row(i)[k] >> j & 1
+
+
+def transpose(rows) -> list[int]:
+    """Entry j: the mask of the i with bit j set in rows[i], for a square
+    table of masks.  Of hom rows it gives the hom columns; of
+    factor_row(v), entry y is the mask of the z with v -> z through y."""
+    columns = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for j in bit_ids(row):
+            columns[j] |= bit
+    return columns
 
 
 _calculators: dict[ModelParams, HomCalculator] = {}

@@ -16,7 +16,8 @@ summand order.  Two independent computation routes are implemented:
   dot product that must divide exactly by the determinant, and every
   row of G a = b must then hold as an integer identity.  G is kept as
   the summands' hom rows, so G a is summed sparsely: each nonzero
-  coefficient is added along its summand's hom row.
+  coefficient is added along its summand's hom row.  b is filled as
+  sparsely, from the quotient and ideal rows of c.
 
 Neither route leaves the integers; both run on the one fraction-free
 elimination of `linalg`, which also gives the integer rank that names a
@@ -144,13 +145,14 @@ def _index_by_system(c: int, system: _System, calc: HomCalculator) -> IndexVecto
     shifted, det = system.shifted_mask, system.det
     sign = -1 if calc.params.d % 2 else 1
     # b[x] = dim of Hom(c, x) modulo add(shifted) plus sign times the dim
-    # of Hom(c, shift(x, 1)) through add(shifted): two bit tests per row
-    hom, factors = calc.hom_row(c), calc.factor_row(c)
-    b = [
-        (hom >> x & 1) - (factors[x] & shifted != 0)
-        + sign * (factors[x1] & shifted != 0)
-        for x, x1 in enumerate(calc.translate)
-    ]
+    # of Hom(c, shift(x, 1)) through add(shifted), nonzero only on the hom
+    # row of c and its pull-back by the translate
+    b = [0] * len(calc.objects)
+    for x in bit_ids(calc.quotient_row(c, shifted)):
+        b[x] = 1
+    back = calc.translate_back
+    for x1 in bit_ids(calc.ideal_row(c, shifted)):
+        b[back[x1]] += sign
     b_square = [b[p] for p in system.positions]
     scaled = [sum(map(mul, row, b_square)) for row in system.adj]
     coeffs = []

@@ -5,6 +5,14 @@ self-contained: a witness carries the check name, the parameters, the
 tilting object and the failing instance, which is exactly what replay()
 needs to re-run that one instance through the evaluator the check used.
 
+The pair sweeps (associativity, serre, dimension-formula, disjointness)
+check every instance, but on whole rows: each compares hom, factor,
+ideal or quotient rows and columns of the HomCalculator tables with bit
+operations, and only the instances a row flags go to their per-instance
+evaluator, which writes the witness values.  replay() calls the same
+evaluator.  An instance flagged by the rows and passed by its evaluator
+is an InvariantError.
+
 Status semantics: "pass" and "fail" mean what they say; "findings" marks
 expected positives that must not fail a run (collisions at even d are the
 normal state of the world, not a bug); "anomaly" marks structural
@@ -17,8 +25,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .errors import InvalidInputError, TiltingError
-from .hom import calculator_for
+from .errors import InvalidInputError, InvariantError, TiltingError
+from .hom import calculator_for, transpose
 from .index import IndexTable, algebra_for, index_by_resolution, index_table
 from .model import ModelParams, check_cap, object_id
 from .tilting import (
@@ -177,10 +185,12 @@ def replay(witness) -> tuple[bool, dict]:
 
 # One evaluator per kind of check instance.  Each returns (failed,
 # values): values are the witness's value fields, failed says whether
-# they falsify the instance.  The sweeps below and replay() both call
-# them, so a replayed witness re-runs the very check that wrote it.
-# Objects are ids (model.object_ids), a family is the mask of its ids,
-# and the translate of object i is calc.translate[i].
+# they falsify the instance.  The sweeps below flag failing instances on
+# whole rows and call an evaluator only for those, to write the witness;
+# replay() calls it for the one instance a witness names, so a replayed
+# witness re-runs the very evaluator that wrote it.  Objects are ids
+# (model.object_ids), a family is the mask of its ids, and the translate
+# of object i is calc.translate[i].
 
 
 def _tilting_sanity(validate, family, params):
@@ -276,29 +286,62 @@ def check_tilting_sanity(params: ModelParams, tiltings=None) -> CheckResult:
     )
 
 
+def _flagged(check, params, tilting, result, **instance):
+    """The witness of an instance that a row sweep flagged.
+
+    result is the instance's evaluator output (failed, values).  The rows
+    and the evaluator read the same tables, so an instance the rows flag
+    and the evaluator passes is a broken engine, and no witness is
+    written that would not replay.
+    """
+    failed, values = result
+    if not failed:
+        raise InvariantError(
+            f"{check}: the row sweep flags {instance} but its evaluator passes it"
+        )
+    return _witness(check, params, tilting, **instance, **values)
+
+
+def _pulled_back(back, mask: int) -> int:
+    """The mask whose bit x is bit translate[x] of mask; back is
+    calc.translate_back."""
+    return sum(1 << back[j] for j in bit_ids(mask))
+
+
 def check_associativity(params: ModelParams) -> CheckResult:
-    """Both bracketings agree on every composable triple of basis morphisms."""
+    """Both bracketings agree on every composable triple of basis morphisms.
+
+    For each chain w -> x -> y the failing z of Hom(y, -) are one XOR of
+    masks.  through[v][y] is the mask of the z with v -> z through y, so
+    the left bracketing holds on through[w][y] when w -> y goes through
+    x, and the right one on through[x][y] & through[w][x].
+    """
     calc = calculator_for(params)
     objects = calc.objects
+    ids = range(len(objects))
+    rows = [calc.hom_row(i) for i in ids]
+    # the transposed factor rows live as long as the check
+    through = [transpose(calc.factor_row(v)) for v in ids]
     witnesses = []
     triples = 0
-    targets = [tuple(bit_ids(calc.hom_row(i))) for i in range(len(objects))]
-    for w, w_targets in enumerate(targets):
-        for x in w_targets:
-            for y in targets[x]:
-                for z in targets[y]:
-                    triples += 1
-                    failed, values = _associativity(calc, w, x, y, z)
-                    if failed:
-                        witnesses.append(
-                            _witness(
-                                "associativity",
-                                params,
-                                None,
-                                chain=[list(objects[i]) for i in (w, x, y, z)],
-                                **values,
-                            )
+    for w in ids:
+        w_factors, w_through = calc.factor_row(w), through[w]
+        for x in bit_ids(rows[w]):
+            x_through, wx_through = through[x], w_through[x]
+            for y in bit_ids(rows[x]):
+                targets = rows[y]
+                triples += targets.bit_count()
+                left = w_through[y] & targets if w_factors[y] >> x & 1 else 0
+                for z in bit_ids(left ^ (x_through[y] & wx_through & targets)):
+                    witnesses.append(
+                        _flagged(
+                            "associativity",
+                            params,
+                            None,
+                            _associativity(calc, w, x, y, z),
+                            chain=[list(objects[i]) for i in (w, x, y, z)],
                         )
+                    )
     return CheckResult(
         "associativity",
         params.n,
@@ -316,48 +359,50 @@ def check_serre(params: ModelParams, tilting: TiltingObject | None = None) -> Ch
     Plain form, every pair: dim Hom(x, y) = dim Hom(y, x shifted twice).
     Relative form, given a tilting object: the morphisms c -> translate(x)
     through the translated summands match the quotient morphisms
-    x -> translate(c) modulo them, dimension for dimension.
+    x -> translate(c) modulo them, dimension for dimension.  Each form
+    compares a row with a column of the hom or quotient table.
     """
     calc = calculator_for(params)
-    objects = calc.objects
+    objects, translate = calc.objects, calc.translate
     ids = range(len(objects))
+    rows = [calc.hom_row(i) for i in ids]
+    columns = transpose(rows)
     witnesses = []
-    pairs = 0
     for x in ids:
-        for y in ids:
-            pairs += 1
-            failed, values = _hom_symmetry(calc, x, y)
-            if failed:
-                witnesses.append(
-                    _witness(
-                        "serre",
-                        params,
-                        None,
-                        kind="hom-symmetry",
-                        x=list(objects[x]),
-                        y=list(objects[y]),
-                        **values,
-                    )
+        for y in bit_ids(rows[x] ^ columns[translate[translate[x]]]):
+            witnesses.append(
+                _flagged(
+                    "serre",
+                    params,
+                    None,
+                    _hom_symmetry(calc, x, y),
+                    kind="hom-symmetry",
+                    x=list(objects[x]),
+                    y=list(objects[y]),
                 )
+            )
+    pairs = len(objects) ** 2
     if tilting is not None:
         require_case(tilting, params)
         shifted = calc.translated_mask(tilting.ids)
+        quotient_columns = transpose([calc.quotient_row(x, shifted) for x in ids])
         for c in ids:
-            for x in ids:
-                pairs += 1
-                failed, values = _ideal_quotient_duality(calc, shifted, c, x)
-                if failed:
-                    witnesses.append(
-                        _witness(
-                            "serre",
-                            params,
-                            tilting,
-                            kind="ideal-quotient-duality",
-                            c=list(objects[c]),
-                            x=list(objects[x]),
-                            **values,
-                        )
+            # bit x: the ideal at (c, translate(x)), the quotient at
+            # (x, translate(c))
+            ideal = _pulled_back(calc.translate_back, calc.ideal_row(c, shifted))
+            for x in bit_ids(ideal ^ quotient_columns[translate[c]]):
+                witnesses.append(
+                    _flagged(
+                        "serre",
+                        params,
+                        tilting,
+                        _ideal_quotient_duality(calc, shifted, c, x),
+                        kind="ideal-quotient-duality",
+                        c=list(objects[c]),
+                        x=list(objects[x]),
                     )
+                )
+        pairs += len(objects) ** 2
     return CheckResult(
         "serre",
         params.n,
@@ -381,26 +426,45 @@ def check_dimension_formula(table: IndexTable) -> CheckResult:
     """
     params, tilting = table.params, table.tilting
     calc = calculator_for(params)
-    objects = calc.objects
+    objects, translate = calc.objects, calc.translate
     ids = range(len(objects))
     summands = tilting.ids
     shifted = calc.translated_mask(summands)
+    sign = -1 if params.d % 2 else 1
+    t_rows = [calc.hom_row(t) for t in summands]
+    quotients = [calc.quotient_row(x, shifted) for x in ids]
+    quotient_columns = transpose(quotients)
     witnesses = []
-    pairs = 0
     for c, row in enumerate(table.rows):
         ind = row.index
-        for x in ids:
-            pairs += 1
-            failed, values = _dimension_formula(calc, summands, shifted, ind, c, x)
-            if failed:
+        # the resolution side, summed sparsely along the summands' hom rows
+        rhs = [0] * len(objects)
+        support = 0
+        for a, t_row in zip(ind, t_rows):
+            if a:
+                support |= t_row
+                for x in bit_ids(t_row):
+                    rhs[x] += a
+        # bit x: the quotient at (c, x), the ideal at (c, translate(x)) and
+        # the quotient at (x, translate(c)); off these bits and the
+        # support every term is 0
+        quot = quotients[c]
+        ideal = _pulled_back(calc.translate_back, calc.ideal_row(c, shifted))
+        quot_back = quotient_columns[translate[c]]
+        for x in bit_ids(support | quot | ideal | quot_back):
+            q = quot >> x & 1
+            if (
+                q + sign * (ideal >> x & 1) != rhs[x]
+                or q + sign * (quot_back >> x & 1) != rhs[x]
+            ):
                 witnesses.append(
-                    _witness(
+                    _flagged(
                         "dimension-formula",
                         params,
                         tilting,
+                        _dimension_formula(calc, summands, shifted, ind, c, x),
                         c=list(objects[c]),
                         x=list(objects[x]),
-                        **values,
                     )
                 )
     return CheckResult(
@@ -410,7 +474,7 @@ def check_dimension_formula(table: IndexTable) -> CheckResult:
         tilting.summands,
         FAIL if witnesses else PASS,
         tuple(witnesses),
-        {"pairs": pairs},
+        {"pairs": len(table.rows) * len(objects)},
     )
 
 
@@ -418,32 +482,29 @@ def check_disjointness(tilting: TiltingObject, params: ModelParams) -> CheckResu
     """No pair supports both quotient dimensions at once (odd d).
 
     At odd d a simultaneous nonzero pair falsifies the model and fails;
-    at even d the sweep only reports what it finds.
+    at even d the sweep only reports what it finds.  The pairs with c
+    fixed are the AND of a quotient row and a quotient column.
     """
     require_case(tilting, params)
     calc = calculator_for(params)
-    objects = calc.objects
+    objects, translate = calc.objects, calc.translate
     ids = range(len(objects))
     shifted = calc.translated_mask(tilting.ids)
+    quotients = [calc.quotient_row(x, shifted) for x in ids]
+    quotient_columns = transpose(quotients)
     witnesses = []
     for c in ids:
-        for x in ids:
-            # an instance with quotient_cx = 0 cannot fail; most pairs
-            # are such, so skip them before computing the second term
-            if calc.quotient(c, x, shifted) == 0:
-                continue
-            failed, values = _disjointness(calc, shifted, c, x)
-            if failed:
-                witnesses.append(
-                    _witness(
-                        "disjointness",
-                        params,
-                        tilting,
-                        c=list(objects[c]),
-                        x=list(objects[x]),
-                        **values,
-                    )
+        for x in bit_ids(quotients[c] & quotient_columns[translate[c]]):
+            witnesses.append(
+                _flagged(
+                    "disjointness",
+                    params,
+                    tilting,
+                    _disjointness(calc, shifted, c, x),
+                    c=list(objects[c]),
+                    x=list(objects[x]),
                 )
+            )
     if witnesses:
         status = FAIL if params.d % 2 else FINDINGS
     else:

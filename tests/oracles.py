@@ -4,13 +4,31 @@ Everything here is deliberately naive: brute-force filters, literal
 walk-the-circle predicates, unpivoted clique search, and linear algebra
 over the rationals with `fractions.Fraction`.  None of it shares code
 with the package; the Fraction resolution takes an endomorphism algebra
-built by the package as its input data.
+built by the package as its input data.  The exception is the last
+section: the per-pair loops that verify's row sweeps replaced, which run
+the package's own evaluators on every instance.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+
+from higher_cluster.hom import calculator_for
+from higher_cluster.model import bit_ids
+from higher_cluster.tilting import require_case
+from higher_cluster.verify import (
+    FAIL,
+    FINDINGS,
+    PASS,
+    CheckResult,
+    _associativity,
+    _dimension_formula,
+    _disjointness,
+    _hom_symmetry,
+    _ideal_quotient_duality,
+    _witness,
+)
 
 
 def cycle_size(n, d):
@@ -497,3 +515,170 @@ def fraction_resolution(c, algebra):
         module, inclusion = fraction_kernel(projective, matrices)
         if module.is_zero() or len(multiplicities) > algebra.params.d:
             return FractionResolution(tuple(multiplicities), tuple(maps), module.dims)
+
+
+# --- the verify sweeps, one evaluator call per instance ------------------------
+#
+# The per-pair loops that verify's row sweeps replaced.  Each instance
+# goes through the check's own evaluator, so what they hold the row
+# sweeps to is the choice of failing instances, their order and the stats.
+
+
+def associativity_oracle(params):
+    calc = calculator_for(params)
+    objects = calc.objects
+    witnesses = []
+    triples = 0
+    targets = [tuple(bit_ids(calc.hom_row(i))) for i in range(len(objects))]
+    for w, w_targets in enumerate(targets):
+        for x in w_targets:
+            for y in targets[x]:
+                for z in targets[y]:
+                    triples += 1
+                    failed, values = _associativity(calc, w, x, y, z)
+                    if failed:
+                        witnesses.append(
+                            _witness(
+                                "associativity",
+                                params,
+                                None,
+                                chain=[list(objects[i]) for i in (w, x, y, z)],
+                                **values,
+                            )
+                        )
+    return CheckResult(
+        "associativity",
+        params.n,
+        params.d,
+        None,
+        FAIL if witnesses else PASS,
+        tuple(witnesses),
+        {"triples": triples},
+    )
+
+
+def serre_oracle(params, tilting=None):
+    calc = calculator_for(params)
+    objects = calc.objects
+    ids = range(len(objects))
+    witnesses = []
+    pairs = 0
+    for x in ids:
+        for y in ids:
+            pairs += 1
+            failed, values = _hom_symmetry(calc, x, y)
+            if failed:
+                witnesses.append(
+                    _witness(
+                        "serre",
+                        params,
+                        None,
+                        kind="hom-symmetry",
+                        x=list(objects[x]),
+                        y=list(objects[y]),
+                        **values,
+                    )
+                )
+    if tilting is not None:
+        require_case(tilting, params)
+        shifted = calc.translated_mask(tilting.ids)
+        for c in ids:
+            for x in ids:
+                pairs += 1
+                failed, values = _ideal_quotient_duality(calc, shifted, c, x)
+                if failed:
+                    witnesses.append(
+                        _witness(
+                            "serre",
+                            params,
+                            tilting,
+                            kind="ideal-quotient-duality",
+                            c=list(objects[c]),
+                            x=list(objects[x]),
+                            **values,
+                        )
+                    )
+    return CheckResult(
+        "serre",
+        params.n,
+        params.d,
+        tilting.summands if tilting else None,
+        FAIL if witnesses else PASS,
+        tuple(witnesses),
+        {"pairs": pairs},
+    )
+
+
+def dimension_formula_oracle(table):
+    params, tilting = table.params, table.tilting
+    calc = calculator_for(params)
+    objects = calc.objects
+    ids = range(len(objects))
+    summands = tilting.ids
+    shifted = calc.translated_mask(summands)
+    witnesses = []
+    pairs = 0
+    for c, row in enumerate(table.rows):
+        ind = row.index
+        for x in ids:
+            pairs += 1
+            failed, values = _dimension_formula(calc, summands, shifted, ind, c, x)
+            if failed:
+                witnesses.append(
+                    _witness(
+                        "dimension-formula",
+                        params,
+                        tilting,
+                        c=list(objects[c]),
+                        x=list(objects[x]),
+                        **values,
+                    )
+                )
+    return CheckResult(
+        "dimension-formula",
+        params.n,
+        params.d,
+        tilting.summands,
+        FAIL if witnesses else PASS,
+        tuple(witnesses),
+        {"pairs": pairs},
+    )
+
+
+def disjointness_oracle(tilting, params):
+    require_case(tilting, params)
+    calc = calculator_for(params)
+    objects = calc.objects
+    ids = range(len(objects))
+    shifted = calc.translated_mask(tilting.ids)
+    witnesses = []
+    for c in ids:
+        for x in ids:
+            # an instance with quotient_cx = 0 cannot fail
+            if calc.quotient(c, x, shifted) == 0:
+                continue
+            failed, values = _disjointness(calc, shifted, c, x)
+            if failed:
+                witnesses.append(
+                    _witness(
+                        "disjointness",
+                        params,
+                        tilting,
+                        c=list(objects[c]),
+                        x=list(objects[x]),
+                        **values,
+                    )
+                )
+    if witnesses:
+        status = FAIL if params.d % 2 else FINDINGS
+    else:
+        status = PASS
+    return CheckResult(
+        "disjointness",
+        params.n,
+        params.d,
+        tilting.summands,
+        status,
+        tuple(witnesses),
+        {"pairs": len(objects) ** 2},
+    )

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from higher_cluster import cli
 from higher_cluster.errors import ContractError, InvalidInputError, TiltingError
-from higher_cluster.hom import HomCalculator, calculator_for
+from higher_cluster.hom import HomCalculator, calculator_for, transpose
 from higher_cluster.index import index_of, index_via_system
 from higher_cluster.model import (
     ModelParams,
@@ -322,6 +322,35 @@ def test_translated_mask_is_the_mask_of_the_translates(n, d):
         expected = mask(p, [shift(t, 1, p) for t in family])
         assert calc.translated_mask(tilting.ids) == expected
         assert expected.bit_count() == len(family)
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (4, 1), (3, 2), (2, 3), (3, 3)])
+def test_row_queries_match_the_pair_queries(n, d):
+    p = ModelParams(n, d)
+    calc = calculator_for(p)
+    objs = range(len(calc.objects))
+    for i in objs:
+        assert calc.translate_back[calc.translate[i]] == i
+        assert calc.objects[calc.translate_back[i]] == shift(calc.objects[i], -1, p)
+    everything = (1 << len(objs)) - 1
+    masks = [0, everything, everything // 3, everything // 5]
+    masks += [calc.translated_mask(t.ids) for t in enumerate_tilting(p)[:4]]
+    for family in masks:
+        for i in objs:
+            ideal, quotient = calc.ideal_row(i, family), calc.quotient_row(i, family)
+            for j in objs:
+                assert ideal >> j & 1 == calc.ideal(i, j, family)
+                assert quotient >> j & 1 == calc.quotient(i, j, family)
+    columns = transpose([calc.hom_row(i) for i in objs])
+    for v in objs:
+        through = transpose(calc.factor_row(v))
+        for y in objs:
+            assert columns[y] >> v & 1 == calc.hom(v, y)
+            for z in objs:
+                # entry y of the transposed factor row: the z with v -> z
+                # through y, each a composite of two nonzero morphisms
+                composite = calc.hom(v, y) and calc.hom(y, z) and calc.composes(v, y, z)
+                assert through[y] >> z & 1 == composite
 
 
 def test_compose_nonzero_examples():

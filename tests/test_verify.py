@@ -1,16 +1,25 @@
 """The check battery and sweep runner."""
 
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from higher_cluster import hom, index, verify
 from higher_cluster import tilting as tilting_mod
 from higher_cluster.algebra import minimal_resolution
-from higher_cluster.errors import InvalidInputError, ResourceCapError
+from higher_cluster.errors import InvalidInputError, InvariantError, ResourceCapError
 from higher_cluster.hom import HomCalculator
 from higher_cluster.index import index_table
-from higher_cluster.model import ModelParams, enumerate_indecomposables, object_ids, shift
+from higher_cluster.model import (
+    ModelParams,
+    bit_ids,
+    enumerate_indecomposables,
+    object_ids,
+    shift,
+)
 from higher_cluster.tilting import enumerate_tilting, validate_tilting
 from higher_cluster.verify import (
     ANOMALY,
@@ -28,6 +37,12 @@ from higher_cluster.verify import (
     find_collisions,
     replay,
     run,
+)
+from oracles import (
+    associativity_oracle,
+    dimension_formula_oracle,
+    disjointness_oracle,
+    serre_oracle,
 )
 
 P21 = ModelParams(2, 1)
@@ -255,11 +270,13 @@ def test_payload_shape():
     assert payload["summary"][PASS] == len(payload["results"])
 
 
-# Replay re-runs the instance evaluators of the sweep.  Each test below
-# forces a failure by patching one id-level HomCalculator query, then requires
-# every witness of the sweep to replay as reproduced, with details equal
-# to the witness's value fields.  The hom, algebra and index-system
-# caches are swapped for empty ones, so no patched value outlives a test.
+# Replay re-runs the instance evaluators of the sweep.  Each broken
+# sweep below forces a failure by flipping bits of the hom rows or factor
+# masks of a private HomCalculator, the tables that both the row sweeps
+# and the evaluators read.  Each replay test then requires every witness
+# of the sweep to replay as reproduced, with details equal to the
+# witness's value fields.  The hom, algebra and index-system caches are
+# swapped for empty ones, so no flipped bit outlives a test.
 
 
 @pytest.fixture
@@ -269,15 +286,17 @@ def private_caches(monkeypatch):
     monkeypatch.setattr(index, "_systems", {})
 
 
-def _flip(monkeypatch, method, at):
-    """HomCalculator.method answers 1 - its value on the arguments at."""
-    original = getattr(HomCalculator, method)
+def _flip_hom(params, i, j):
+    """Flip bit j of hom_row(i), after building factor_row(i) from the
+    clean row."""
+    calc = hom.calculator_for(params)
+    calc.factor_row(i)
+    calc._hom_rows[i] ^= 1 << j
 
-    def flipped(self, *args):
-        value = original(self, *args)
-        return 1 - value if args == at else value
 
-    monkeypatch.setattr(HomCalculator, method, flipped)
+def _flip_factor(params, i, j, k):
+    """Flip bit k of factor_row(i)[j]."""
+    hom.calculator_for(params).factor_row(i)[j] ^= 1 << k
 
 
 def _assert_replays(result, fields):
@@ -289,59 +308,160 @@ def _assert_replays(result, fields):
         assert details == {key: w[key] for key in fields}
 
 
-def _shifted(tilting, params):
-    """The translated summands as the sweeps pass them: one family mask."""
-    return hom.calculator_for(params).translated_mask(tilting.ids)
-
-
 def _ids(params, *objects):
     """The ids of objects, as the sweeps pass them to the queries."""
     return tuple(map(object_ids(params).__getitem__, objects))
 
 
-def test_replay_reruns_associativity(monkeypatch, private_caches):
-    _flip(monkeypatch, "composes", _ids(P31, (1, 3), (1, 3), (1, 4)))
-    _assert_replays(check_associativity(P31), ("left", "right"))
+def _pairs(result):
+    return [(w["c"], w["x"]) for w in result.witnesses]
 
 
-def test_replay_reruns_hom_symmetry(monkeypatch, private_caches):
-    _flip(monkeypatch, "hom", _ids(P21, (1, 3), (2, 4)))
-    res = check_serre(P21)
+def _broken_associativity():
+    # composes(i, i, k) is bit i of factor_row(i)[k]
+    i, k = _ids(P31, (1, 3), (1, 4))
+    _flip_factor(P31, i, k, i)
+    return check_associativity(P31)
+
+
+def _broken_hom_symmetry():
+    _flip_hom(P21, *_ids(P21, (1, 3), (2, 4)))
+    return check_serre(P21)
+
+
+def _broken_ideal_quotient_duality():
+    # the translate of c is x, whose identity factors through x alone, a
+    # translated summand: clearing that bit turns quotient(x, translate(c))
+    # from 0 to 1 and ideal(x, translate(c)) from 1 to 0
+    c, x = (1, 3, 5), (2, 4, 7)
+    i, tc = _ids(P22, x, shift(c, 1, P22))
+    assert i == tc
+    _flip_factor(P22, i, tc, i)
+    return check_serre(P22, FAN22)
+
+
+def _broken_dimension_formula():
+    table = index_table(T21, P21)  # on the clean tables
+    # (2,4) -> (2,5) factors through the translated summand (2,5):
+    # clearing that bit turns the quotient at ((2,4), (2,5)) from 0 to 1
+    # and the ideal there from 1 to 0
+    a, b = _ids(P21, (2, 4), (2, 5))
+    _flip_factor(P21, a, b, b)
+    return check_dimension_formula(table)
+
+
+def _broken_disjointness():
+    # Hom(c, x) is nonzero modulo the translated summands; a morphism
+    # x -> translate(c) that factors through nothing makes the second
+    # quotient nonzero too
+    c, x = (1, 4), (2, 4)
+    _flip_hom(P21, *_ids(P21, x, shift(c, 1, P21)))
+    return check_disjointness(T21, P21)
+
+
+def test_replay_reruns_associativity(private_caches):
+    _assert_replays(_broken_associativity(), ("left", "right"))
+
+
+def test_replay_reruns_hom_symmetry(private_caches):
+    res = _broken_hom_symmetry()
     assert {w["kind"] for w in res.witnesses} == {"hom-symmetry"}
     _assert_replays(res, ("lhs", "rhs"))
 
 
-def test_replay_reruns_ideal_quotient_duality(monkeypatch, private_caches):
-    c, x = (1, 3, 5), (2, 4, 7)
-    _flip(
-        monkeypatch,
-        "quotient",
-        (*_ids(P22, x, shift(c, 1, P22)), _shifted(FAN22, P22)),
-    )
-    res = check_serre(P22, FAN22)
+def test_replay_reruns_ideal_quotient_duality(private_caches):
+    res = _broken_ideal_quotient_duality()
+    # the flipped quotient is the right side of (c, x), the flipped ideal
+    # the left side of (x, c)
     assert [(w["kind"], w["c"], w["x"]) for w in res.witnesses] == [
-        ("ideal-quotient-duality", list(c), list(x))
+        ("ideal-quotient-duality", [1, 3, 5], [2, 4, 7]),
+        ("ideal-quotient-duality", [2, 4, 7], [1, 3, 5]),
     ]
     _assert_replays(res, ("lhs", "rhs"))
 
 
-def test_replay_reruns_dimension_formula(monkeypatch, private_caches):
-    _flip(monkeypatch, "quotient", (*_ids(P21, (2, 4), (2, 5)), _shifted(T21, P21)))
-    res = check_dimension_formula(index_table(T21, P21))
-    # the flipped value is quot(c, x) at ((2,4), (2,5)) and the quotient
-    # term quot(x, translate(c)) at ((1,3), (2,4))
-    assert [(w["c"], w["x"]) for w in res.witnesses] == [
-        ([1, 3], [2, 4]),
-        ([2, 4], [2, 5]),
-    ]
+def test_replay_reruns_dimension_formula(private_caches):
+    res = _broken_dimension_formula()
+    # the flipped quotient is quot(c, x) at ((2,4), (2,5)) and the
+    # quotient term quot(x, translate(c)) at ((1,3), (2,4)); the flipped
+    # ideal is the ideal term ideal(c, translate(x)) at ((2,4), (1,3))
+    assert _pairs(res) == [([1, 3], [2, 4]), ([2, 4], [1, 3]), ([2, 4], [2, 5])]
     _assert_replays(res, ("ideal_form", "quotient_form", "resolution_side"))
 
 
-def test_replay_reruns_disjointness(monkeypatch, private_caches):
-    monkeypatch.setattr(HomCalculator, "quotient", lambda self, i, j, mask: 1)
-    res = check_disjointness(T21, P21)
-    assert len(res.witnesses) == res.stats["pairs"]
+def test_replay_reruns_disjointness(private_caches):
+    res = _broken_disjointness()
+    assert _pairs(res) == [([1, 4], [2, 4])]
     _assert_replays(res, ("quotient_cx", "quotient_x_shift_c"))
+
+
+@pytest.mark.parametrize(
+    "evaluator, broken",
+    [
+        ("_associativity", _broken_associativity),
+        ("_hom_symmetry", _broken_hom_symmetry),
+        ("_ideal_quotient_duality", _broken_ideal_quotient_duality),
+        ("_dimension_formula", _broken_dimension_formula),
+        ("_disjointness", _broken_disjointness),
+    ],
+)
+def test_rows_flag_only_what_the_evaluator_fails(
+    monkeypatch, private_caches, evaluator, broken
+):
+    # an instance the rows flag and the evaluator passes would be a
+    # witness that does not replay: the sweep refuses to write it
+    monkeypatch.setattr(verify, evaluator, lambda *args: (False, {}))
+    with pytest.raises(InvariantError, match="row sweep flags"):
+        broken()
+
+
+# The row sweeps against the per-pair loops they replaced, on clean tables
+# and with one bit flipped.  A flip keeps the tables' one invariant that
+# the evaluators rely on: a factor mask is nonzero only where the hom row
+# has its bit, which composes() checks.  So a hom bit is flipped only
+# where the factor mask is 0, and a factor mask only where the hom bit is
+# set.
+DIFFERENTIAL_CASES = ((2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3), (3, 3))
+
+
+@st.composite
+def sweep_case(draw):
+    params = ModelParams(*draw(st.sampled_from(DIFFERENTIAL_CASES)))
+    tilting = draw(st.sampled_from(enumerate_tilting(params)))
+    calc = HomCalculator(params)  # clean tables to draw the flip from
+    m = len(calc.objects)
+    kind = draw(st.sampled_from(("none", "hom", "factor")))
+    i = draw(st.integers(0, m - 1))
+    if kind == "hom":
+        zero = [j for j, f in enumerate(calc.factor_row(i)) if not f]
+        flip = (i, draw(st.sampled_from(zero))) if zero else ()
+    elif kind == "factor":
+        j = draw(st.sampled_from(list(bit_ids(calc.hom_row(i)))))
+        shifted = list(bit_ids(calc.translated_mask(tilting.ids)))
+        k = draw(st.sampled_from(shifted) | st.integers(0, m - 1))
+        flip = (i, j, k)
+    else:
+        flip = ()
+    return params, tilting, flip
+
+
+@given(sweep_case())
+@settings(max_examples=80, deadline=None)
+def test_row_sweeps_match_the_per_pair_oracles(case):
+    params, tilting, flip = case
+    with mock.patch.dict(hom._calculators, clear=True):
+        table = index_table(tilting, params)  # on the clean tables
+        if len(flip) == 2:
+            _flip_hom(params, *flip)
+        elif flip:
+            _flip_factor(params, *flip)
+        for sweep, oracle in (
+            (check_associativity(params), associativity_oracle(params)),
+            (check_serre(params, tilting), serre_oracle(params, tilting)),
+            (check_dimension_formula(table), dimension_formula_oracle(table)),
+            (check_disjointness(tilting, params), disjointness_oracle(tilting, params)),
+        ):
+            assert sweep.to_payload() == oracle.to_payload()
 
 
 @pytest.mark.parametrize(
