@@ -18,6 +18,13 @@ Conventions, fixed once and used everywhere:
   integer kernel vectors inside the projective it sits in, so arrows act
   on it by that projective's own matchings and no induced action is
   ever solved.
+- Each algebra reads those two tables once into per-summand ones: the
+  components of each projective (`columns`) and the summands whose
+  projective each arrow moves (`moves`).  A direct sum is built from
+  them once per multiplicity vector and shared, read-only, by every
+  cover with that vector (`direct_sums`); the representation check
+  walks only the arrows into components that hold vectors
+  (`arrows_to`).
 
 The projective at t_j is Hom(T, t_j) itself, so its dimension vector is
 the j-th column of the Cartan matrix and every component is at most
@@ -29,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
+from types import MappingProxyType
 
 from .errors import ContractError, InvariantError
 from .hom import calculator_for
@@ -50,7 +58,7 @@ class AlgebraPresentation:
     def r(self) -> int:
         return len(self.summands)
 
-    # The three arrow views below are computed once per algebra and then
+    # The views and tables below are computed once per algebra and then
     # read from the instance like fields; modules consult them on every
     # cover and kernel step.
 
@@ -62,7 +70,12 @@ class AlgebraPresentation:
     @cached_property
     def arrows_from(self):
         """arrows_from[i]: the arrows with source i, in basis order."""
-        return _by_source(self.arrows, self.r)
+        return _by_end(self.arrows, self.r, 0)
+
+    @cached_property
+    def arrows_to(self):
+        """arrows_to[j]: the arrows with target j, in basis order."""
+        return _by_end(self.arrows, self.r, 1)
 
     @cached_property
     def composable(self):
@@ -77,15 +90,39 @@ class AlgebraPresentation:
             groups.setdefault((p[0], q[1]), []).append((p, q))
         return {ends: tuple(g) for ends, g in groups.items()}
 
+    @cached_property
+    def columns(self):
+        """columns[a]: the components of the projective at t_a, the k with
+        Cartan[k][a] = 1."""
+        return tuple(
+            tuple(k for k in range(self.r) if self.cartan[k][a]) for a in range(self.r)
+        )
+
+    @cached_property
+    def moves(self):
+        """moves[(i, j)]: the summands a whose projective the arrow (i, j)
+        moves, i.e. with mult[((i, j), (j, a))] = 1."""
+        basis_from = _by_end(self.basis, self.r, 0)
+        return {
+            p: frozenset(q[1] for q in basis_from[p[1]] if self.mult[(p, q)])
+            for p in self.arrows
+        }
+
+    @cached_property
+    def direct_sums(self):
+        """projective_module's memo: multiplicity vector -> (dims, arrows,
+        layouts) of that direct sum."""
+        return {}
+
     def dim(self) -> int:
         return len(self.basis)
 
 
-def _by_source(pairs, r):
-    """The pairs (i, j) grouped by source: entry i lists those from i, in order."""
+def _by_end(pairs, r, end):
+    """The pairs grouped by one end: entry i lists those with p[end] = i, in order."""
     groups = [[] for _ in range(r)]
     for p in pairs:
-        groups[p[0]].append(p)
+        groups[p[end]].append(p)
     return tuple(tuple(g) for g in groups)
 
 
@@ -104,7 +141,7 @@ def build_algebra(tilting: TiltingObject, params: ModelParams) -> AlgebraPresent
         (i, j) for i in range(r) for j in range(r) if cartan[i][j] == 1
     )
     mult = {}
-    basis_from = _by_source(basis, r)
+    basis_from = _by_end(basis, r, 0)
     for p in basis:
         i, j = p
         for q in basis_from[j]:
@@ -129,7 +166,7 @@ def _assert_associative(algebra: AlgebraPresentation):
     # semisimple quotient, i.e. the radical.  Associativity below is what
     # makes that span an ideal at all.
     mult = algebra.mult
-    basis_from = _by_source(algebra.basis, algebra.r)
+    basis_from = _by_end(algebra.basis, algebra.r, 0)
     for p in algebra.basis:
         for q in basis_from[p[1]]:
             pq = mult[(p, q)]
@@ -154,12 +191,14 @@ class CoordRep:
     left out of arrows: it is the empty matching.  Hom(T, c) and every
     direct sum of projectives have this form.  A submodule is held as
     integer vectors per component, and arrows act on those by the
-    matchings.
+    matchings.  arrows is a read-only mapping: the matchings of a direct
+    sum of projectives are shared by every cover of its algebra with its
+    multiplicities.
     """
 
     algebra: AlgebraPresentation
     dims: tuple[int, ...]
-    arrows: dict
+    arrows: MappingProxyType
 
     def act(self, pair, vec) -> list:
         """The arrow pair applied to a vector of component pair[1]."""
@@ -189,14 +228,15 @@ class CoordRep:
         closure under the arrows, checked apart, makes both zero.
         """
         alg, dims = self.algebra, self.dims
-        for i, j in alg.arrows:
-            # a left-out arrow into an empty component is the empty matching
-            pairs = self.arrows.get((i, j), None if dims[i] else ())
-            if vectors[j] and (pairs is None or not _is_matching(pairs, dims[j], dims[i])):
-                raise InvariantError(
-                    f"arrow {(i, j)} does not match {dims[j]} coordinates into {dims[i]}"
-                )
         populated = [k for k, vecs in enumerate(vectors) if vecs]
+        for j in populated:
+            for i, _ in alg.arrows_to[j]:
+                # a left-out arrow into an empty component is the empty matching
+                pairs = self.arrows.get((i, j), None if dims[i] else ())
+                if pairs is None or not _is_matching(pairs, dims[j], dims[i]):
+                    raise InvariantError(
+                        f"arrow {(i, j)} does not match {dims[j]} coordinates into {dims[i]}"
+                    )
         by_ends = alg.composable_by_ends
         for i in populated:
             for k in populated:
@@ -240,7 +280,7 @@ def module_of(k: int, algebra: AlgebraPresentation) -> CoordRep:
         else ()
         for i, j in algebra.arrows
     }
-    return CoordRep(algebra, dims, arrows)
+    return CoordRep(algebra, dims, MappingProxyType(arrows))
 
 
 def projective_module(multiplicities, algebra):
@@ -248,36 +288,51 @@ def projective_module(multiplicities, algebra):
 
     Returns (module, layouts) where layouts[k] lists the coordinates of
     component k as (summand a, copy) pairs: copy cp of the projective at
-    t_a contributes one coordinate to component k iff Cartan[k][a] = 1.
-    The arrow (i, j) carries (a, cp) at j to (a, cp) at i exactly when
-    the composite t_i -> t_j -> t_a is nonzero.  Then t_i -> t_a is
-    nonzero too, so (a, cp) is a coordinate at i: an arrow into an empty
+    t_a contributes one coordinate to each component in algebra.columns[a],
+    the k with Cartan[k][a] = 1.  The arrow (i, j) carries (a, cp) at j to
+    (a, cp) at i exactly when a is in algebra.moves[(i, j)], i.e. the
+    composite t_i -> t_j -> t_a is nonzero.  Then t_i -> t_a is nonzero
+    too, so (a, cp) is a coordinate at i: an arrow into an empty
     component i has the empty matching and is left out.
+
+    Built once per multiplicity vector and kept in algebra.direct_sums,
+    so every cover of the algebra with that vector shares its read-only
+    matchings and its layouts, dropped with the algebra.  The memo holds
+    no module: a module refers to its algebra, and that cycle would keep
+    a dropped algebra alive until the cyclic garbage collector ran.
     """
-    cartan, mult = algebra.cartan, algebra.mult
-    support = [a for a, m in enumerate(multiplicities) if m]
-    layouts = tuple(
-        tuple(
-            (a, cp)
-            for a in support
-            if cartan[k][a] == 1
-            for cp in range(multiplicities[a])
-        )
-        for k in range(algebra.r)
-    )
-    where = [{coord: x for x, coord in enumerate(lay)} for lay in layouts]
-    arrows = {
-        (i, j): tuple(
-            (y, where[i][coord])
-            for y, coord in enumerate(layouts[j])
-            if mult[((i, j), (j, coord[0]))]
-        )
-        for i, j in algebra.arrows
-        if layouts[i]
-    }
+    key = tuple(multiplicities)
+    memo = algebra.direct_sums
+    if key not in memo:
+        memo[key] = _direct_sum(key, algebra)
+    dims, arrows, layouts = memo[key]
+    return CoordRep(algebra, dims, arrows), layouts
+
+
+def _direct_sum(multiplicities, algebra):
+    """dims, read-only matchings and layouts of projective_module."""
+    layouts = [[] for _ in range(algebra.r)]
+    for a, m in enumerate(multiplicities):
+        if m:
+            copies = [(a, cp) for cp in range(m)]
+            for k in algebra.columns[a]:
+                layouts[k] += copies
+    moves = algebra.moves
+    arrows = {}
+    for i, lay in enumerate(layouts):
+        if lay:
+            where = {coord: x for x, coord in enumerate(lay)}
+            for p in algebra.arrows_from[i]:
+                moved = moves[p]
+                arrows[p] = tuple(
+                    (y, where[coord])
+                    for y, coord in enumerate(layouts[p[1]])
+                    if coord[0] in moved
+                )
+    layouts = tuple(map(tuple, layouts))
     # the representation property holds by associativity of mult,
     # asserted at algebra construction
-    return CoordRep(algebra, tuple(map(len, layouts)), arrows), layouts
+    return tuple(map(len, layouts)), MappingProxyType(arrows), layouts
 
 
 def _transpose(cols, nrows):
@@ -320,11 +375,13 @@ def projective_cover(module: CoordRep, vectors):
         _transpose(
             [
                 lifts[a][cp] if k == a else module.act((k, a), lifts[a][cp])
-                for a, cp in layouts[k]
+                for a, cp in lay
             ],
             module.dims[k],
         )
-        for k in range(alg.r)
+        if lay
+        else ((),) * module.dims[k]
+        for k, lay in enumerate(layouts)
     )
     return multiplicities, layouts, projective, matrices
 

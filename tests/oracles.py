@@ -3,8 +3,9 @@
 Everything here is deliberately naive: brute-force filters, literal
 walk-the-circle predicates, unpivoted clique search, and linear algebra
 over the rationals with `fractions.Fraction`.  None of it shares code
-with the package; the Fraction resolution takes an endomorphism algebra
-built by the package as its input data.  The exception is the last
+with the package; the Fraction resolution and the dense direct sum of
+projectives take an endomorphism algebra built by the package as their
+input data.  The exception is the last
 section: the per-pair loops that verify's row sweeps replaced, which run
 the package's own evaluators on every instance.
 """
@@ -414,6 +415,35 @@ def fraction_module_of(c, algebra):
         entry = dims[i] and dims[j] and factors_through_oracle(ts[i], c, ts[j], n, d)
         actions[(i, j)] = Mat.from_int_rows([[int(entry)] * dims[j]] * dims[i], dims[j])
     return ModuleRep(algebra, dims, actions)
+
+
+def dense_projective_module(multiplicities, algebra):
+    """The direct sum of projectives as the package built it before its
+    per-algebra tables: every component over every summand, every arrow's
+    matching read from mult.  Returns (dims, arrows, layouts) in the
+    package's conventions (see `algebra.projective_module`)."""
+    cartan, mult = algebra.cartan, algebra.mult
+    support = [a for a, m in enumerate(multiplicities) if m]
+    layouts = tuple(
+        tuple(
+            (a, cp)
+            for a in support
+            if cartan[k][a] == 1
+            for cp in range(multiplicities[a])
+        )
+        for k in range(algebra.r)
+    )
+    where = [{coord: x for x, coord in enumerate(lay)} for lay in layouts]
+    arrows = {
+        (i, j): tuple(
+            (y, where[i][coord])
+            for y, coord in enumerate(layouts[j])
+            if mult[((i, j), (j, coord[0]))]
+        )
+        for i, j in algebra.arrows
+        if layouts[i]
+    }
+    return tuple(map(len, layouts)), arrows, layouts
 
 
 def fraction_projective(multiplicities, algebra):

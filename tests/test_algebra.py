@@ -7,9 +7,14 @@ the smallest case with no finite resolutions.
 """
 
 import dataclasses
+import functools
+import gc
 import random
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from higher_cluster.algebra import (
     CoordRep,
@@ -30,7 +35,7 @@ from higher_cluster.model import (
 )
 from higher_cluster.tilting import enumerate_tilting, validate_tilting
 
-from oracles import fraction_module_of, fraction_resolution
+from oracles import dense_projective_module, fraction_module_of, fraction_resolution
 
 P21 = ModelParams(2, 1)
 T21 = validate_tilting(((1, 3), (1, 4)), P21)
@@ -238,6 +243,161 @@ def test_projective_module_layouts():
     # each copy of the projective at t_1 matches its own coordinates
     assert proj.arrows == {(0, 1): ((0, 0), (1, 1))}
     proj.check_representation(proj.units())
+
+
+# the direct sums of projectives against the dense oracle: every tilting
+# object of the small grid, a seeded sample at (4, 3) and the vertex fan
+# at (5, 3)
+P43 = ModelParams(4, 3)
+P53 = ModelParams(5, 3)
+
+
+@functools.cache
+def direct_sum_cases():
+    """(params, position in enumerate_tilting, or "fan") per case."""
+    grid = [
+        (params, i)
+        for params in (ModelParams(n, d) for n, d in SMALL_GRID)
+        for i in range(len(enumerate_tilting(params)))
+    ]
+    sample = random.Random(18).sample(range(len(enumerate_tilting(P43))), 6)
+    return tuple(grid + [(P43, i) for i in sample] + [(P53, "fan")])
+
+
+@functools.cache
+def shared_algebra(params, position):
+    """One algebra per case for every test that reads it, so that later
+    calls find the direct sums earlier ones memoised."""
+    if position == "fan":
+        objects = enumerate_indecomposables(params)
+        tilting = validate_tilting([c for c in objects if 1 in c], params)
+    else:
+        tilting = enumerate_tilting(params)[position]
+    return build_algebra(tilting, params)
+
+
+def assert_direct_sum_matches_dense(mults, alg):
+    """projective_module against the dense oracle, twice: the second call
+    answers from the memo with the very same matchings and layouts."""
+    dims, arrows, layouts = dense_projective_module(mults, alg)
+    first = projective_module(mults, alg)
+    again = projective_module(list(mults), alg)
+    for proj, lay in (first, again):
+        assert proj.dims == dims
+        assert dict(proj.arrows) == arrows
+        assert list(proj.arrows) == list(arrows)
+        assert lay == layouts
+    assert again[0].arrows is first[0].arrows and again[1] is first[1]
+
+
+def test_direct_sums_match_the_dense_oracle_on_units_and_all_ones():
+    for params, position in direct_sum_cases():
+        alg = shared_algebra(params, position)
+        r = alg.r
+        for mults in [tuple(int(a == b) for b in range(r)) for a in range(r)] + [(1,) * r]:
+            assert_direct_sum_matches_dense(mults, alg)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_direct_sums_match_the_dense_oracle_on_drawn_vectors(data):
+    params, position = data.draw(st.sampled_from(direct_sum_cases()))
+    alg = shared_algebra(params, position)
+    mults = data.draw(st.lists(st.integers(0, 3), min_size=alg.r, max_size=alg.r))
+    assert_direct_sum_matches_dense(tuple(mults), alg)
+
+
+def test_direct_sums_are_shared_read_only():
+    # every cover of an algebra with one multiplicity vector gets the one
+    # memoised set of matchings, so no caller may change them
+    alg = build_algebra(T21, P21)
+    proj, layouts = projective_module((1, 1), alg)
+    again, same_layouts = projective_module((1, 1), alg)
+    assert again.arrows is proj.arrows and same_layouts is layouts
+    with pytest.raises(TypeError):
+        again.arrows[(0, 1)] = ONE
+    with pytest.raises(TypeError):
+        del again.arrows[(0, 1)]
+    assert proj.arrows == {(0, 1): ((0, 1),)}
+    with pytest.raises(TypeError):
+        module_of(object_id((1, 4), P21), alg).arrows[(0, 1)] = ZERO
+    # a fresh algebra starts from an empty memo
+    assert projective_module((1, 1), build_algebra(T21, P21))[0].arrows is not proj.arrows
+
+
+def test_a_dropped_algebra_is_freed_without_the_cycle_collector():
+    # the memo must not refer back to its algebra: a sweep drops one
+    # algebra per tilting object, and a cycle would keep each one and its
+    # direct sums until the next full collection
+    gc.disable()
+    try:
+        alg = build_algebra(FAN22, P22)
+        for c in enumerate_indecomposables(P22):
+            if c not in {shift(t, 1, P22) for t in FAN22.summands}:
+                minimal_resolution(object_id(c, P22), alg)
+        assert alg.direct_sums
+        dropped = weakref.ref(alg)
+        del alg
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
+def flipped_algebras(alg):
+    """Copies of alg with one composable mult entry flipped, each with a
+    fresh mult dict and hence fresh tables and memo.  Only entries whose
+    outer pair is a basis element are flipped: the others are zero, and a
+    one there would name a product on a basis element that does not
+    exist."""
+    for pq in alg.composable:
+        if alg.cartan[pq[0][0]][pq[1][1]] == 1:
+            yield pq, dataclasses.replace(alg, mult={**alg.mult, pq: 1 - alg.mult[pq]})
+
+
+def assert_every_flip_is_refused(params, alg):
+    objects = range(len(enumerate_indecomposables(params)))
+    translates = {object_id(shift(t, 1, params), params) for t in alg.summands}
+    resolvable = [c for c in objects if c not in translates]
+    for c in resolvable:  # fills the memo of the algebra itself
+        minimal_resolution(c, alg)
+    flips = 0
+    for (p, q), bad in flipped_algebras(alg):
+        # the copy's tables read its own mult: the projective at t_a, a
+        # the end of q, loses or gains the flipped pair in the matching of p
+        assert bad.direct_sums == {}
+        assert bad.moves[p] == alg.moves[p] ^ {q[1]}
+        unit = tuple(int(b == q[1]) for b in range(alg.r))
+        assert_direct_sum_matches_dense(unit, bad)
+        moved = projective_module(unit, bad)[0].arrows[p]
+        assert moved != projective_module(unit, alg)[0].arrows[p]
+        refused = 0
+        for c in resolvable:
+            try:
+                minimal_resolution(c, bad)
+            except InvariantError:
+                refused += 1
+        assert refused, (p, q)
+        flips += 1
+    # the copies read their own mult: the algebra resolves as before
+    for c in resolvable:
+        minimal_resolution(c, alg)
+    return flips
+
+
+def test_a_flipped_mult_entry_is_refused_at_3_1():
+    params = ModelParams(3, 1)
+    flips = sum(
+        assert_every_flip_is_refused(params, build_algebra(t, params))
+        for t in enumerate_tilting(params)
+    )
+    # one flip on each of the six fans, linear A_3 with its path of length
+    # two nonzero; no other composable pair has its outer pair in the basis
+    assert flips == 6
+
+
+def test_a_flipped_mult_entry_is_refused_at_4_3():
+    alg = shared_algebra(*direct_sum_cases()[-2])
+    assert assert_every_flip_is_refused(P43, alg) > 0
 
 
 def test_projective_covers_itself():
