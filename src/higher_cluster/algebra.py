@@ -148,6 +148,7 @@ def build_algebra(tilting: TiltingObject, params: ModelParams) -> AlgebraPresent
             mult[(p, q)] = calc.composes(ids[i], ids[j], ids[q[1]])
     algebra = AlgebraPresentation(params, ts, ids, basis, mult, cartan)
     _assert_units(algebra)
+    _assert_closed(algebra)
     _assert_associative(algebra)
     return algebra
 
@@ -156,6 +157,18 @@ def _assert_units(algebra: AlgebraPresentation):
     for i, j in algebra.basis:
         if algebra.mult[((i, i), (i, j))] != 1 or algebra.mult[((i, j), (j, j))] != 1:
             raise InvariantError(f"identity fails as unit on basis element {(i, j)}")
+
+
+def _assert_closed(algebra: AlgebraPresentation):
+    # a nonzero product of (i, j) and (j, k) is a multiple of the basis
+    # element (i, k); with Hom(t_i, t_k) = 0 there is none to carry it
+    cartan = algebra.cartan
+    for (p, q), c in algebra.mult.items():
+        if c and cartan[p[0]][q[1]] != 1:
+            raise InvariantError(
+                f"product of basis elements {p} and {q} has no basis element "
+                f"{(p[0], q[1])} to land on"
+            )
 
 
 def _assert_associative(algebra: AlgebraPresentation):

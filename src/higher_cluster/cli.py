@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from itertools import chain
 from json.encoder import INFINITY, encode_basestring_ascii
 
 from .errors import (
@@ -100,13 +101,17 @@ def _resolve_out(path: str | None):
     return path
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(output, out: str | None) -> None:
+    """Write output, a str or an iterable of str pieces, to stdout or to
+    the --out file, one piece at a time."""
+    if isinstance(output, str):
+        output = (output,)
     path = _resolve_out(out)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(output)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(output)
 
 
 def _render_csv(columns, rows) -> str:
@@ -142,17 +147,27 @@ def _float_text(value: float) -> str:
 
 def render_json(value) -> str:
     """The text json.dumps prints for value with sorted keys and an indent
-    of 2, byte for byte.
+    of 2, byte for byte: the pieces of json_pieces, joined."""
+    return "".join(json_pieces(value))
+
+
+def json_pieces(value):
+    """render_json's text, yielded in pieces.
+
+    The text is split at each entry or item of the top-level container
+    and of each container directly inside it (a payload's lists of rows
+    or families), so the whole text never exists at once.
 
     CPython encodes indented JSON with its pure-Python encoder, one
     generator token at a time; this builds the same text by str.join.
     Payloads share the model's object tuples, so each tuple of ints is
     rendered once per nesting depth and its text reused.  The memo lives
-    for this call only.  It is keyed on the tuple's identity, not its
-    value: True == 1 == 1.0 and they hash alike, so a value key would
-    print (True, 3) as [1, 3].  Each entry holds its tuple, so no id is
-    reused while the memo lives.  Dict keys must be str, as every
-    payload's are; any other key is a TypeError.
+    as long as this generator, shared by all of its pieces.  It is keyed
+    on the tuple's identity, not its value: True == 1 == 1.0 and they
+    hash alike, so a value key would print (True, 3) as [1, 3].  Each
+    entry holds its tuple, so no id is reused while the memo lives.  Dict
+    keys must be str, as every payload's are; any other key is a
+    TypeError.
     """
     memo = {}
 
@@ -196,7 +211,25 @@ def render_json(value) -> str:
             return _float_text(v)
         raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
-    return render(value, 0)
+    def pieces(v, depth):
+        if depth > 1 or not isinstance(v, (list, tuple, dict)) or not v:
+            yield render(v, depth)
+            return
+        if isinstance(v, dict):
+            open_, close = "{", "}"
+            members = [(encode_basestring_ascii(k) + ": ", x) for k, x in sorted(v.items())]
+        else:
+            open_, close = "[", "]"
+            members = [("", x) for x in v]
+        inner = "\n" + "  " * (depth + 1)
+        sep = open_ + inner
+        for key, x in members:
+            yield sep + key
+            yield from pieces(x, depth + 1)
+            sep = "," + inner
+        yield "\n" + "  " * depth + close
+
+    return pieces(value, 0)
 
 
 def _block(open_, items, close, depth) -> str:
@@ -204,13 +237,13 @@ def _block(open_, items, close, depth) -> str:
     return open_ + inner + ("," + inner).join(items) + "\n" + "  " * depth + close
 
 
-def _render(payload, columns, rows, fmt: str) -> str:
-    """Render payload as JSON, or the rows as csv/table.
+def _render(payload, columns, rows, fmt: str):
+    """Render payload as JSON pieces, or the rows as csv/table text.
 
     rows is a zero-argument callable, so JSON output never builds them.
     """
     if fmt == "json":
-        return render_json(payload) + "\n"
+        return chain(json_pieces(payload), ("\n",))
     if fmt == "csv":
         return _render_csv(columns, rows())
     if fmt == "table":
@@ -536,7 +569,7 @@ def _cmd_replay(args) -> int:
         "reproduced": reproduced,
         "details": details,
     }
-    _emit(render_json(payload) + "\n", args.out)
+    _emit(_render(payload, None, None, "json"), args.out)
     return 1 if reproduced else 0
 
 

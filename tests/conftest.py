@@ -54,11 +54,12 @@ def kept_after(run, inputs) -> int:
 def fresh_tilting_caches(monkeypatch):
     """Empty tilting caches for one test; returns the mutation searches run.
 
-    The shared tuple store and maximal_families' cache are replaced for
-    the test (the module-level caches are restored after it), and every
-    call of the mutation search is recorded by its ModelParams.
+    The shared tuple store and maximal_families' cache of masks are
+    replaced for the test (the module-level caches are restored after
+    it), and every call of the mutation search is recorded by its
+    ModelParams.
     """
-    from higher_cluster import tilting, verify
+    from higher_cluster import tilting
 
     searched = []
     search = tilting._tilting_by_mutation
@@ -67,9 +68,8 @@ def fresh_tilting_caches(monkeypatch):
         searched.append(params)
         return search(params)
 
-    families = functools.lru_cache(maxsize=None)(tilting.maximal_families.__wrapped__)
+    masks = functools.lru_cache(maxsize=None)(tilting._family_masks.__wrapped__)
     monkeypatch.setattr(tilting, "_tilting_by_mutation", counted)
     monkeypatch.setattr(tilting, "_tiltings", {})
-    monkeypatch.setattr(tilting, "maximal_families", families)
-    monkeypatch.setattr(verify, "maximal_families", families)
+    monkeypatch.setattr(tilting, "_family_masks", masks)
     return searched

@@ -26,6 +26,7 @@ from higher_cluster.algebra import (
     syzygy,
 )
 from higher_cluster.errors import ContractError, InvariantError
+from higher_cluster.hom import calculator_for
 from higher_cluster.index import index_of, index_via_system
 from higher_cluster.model import (
     ModelParams,
@@ -398,6 +399,31 @@ def test_a_flipped_mult_entry_is_refused_at_3_1():
 def test_a_flipped_mult_entry_is_refused_at_4_3():
     alg = shared_algebra(*direct_sum_cases()[-2])
     assert assert_every_flip_is_refused(P43, alg) > 0
+
+
+def test_a_product_off_the_basis_is_refused_at_3_1(monkeypatch):
+    # a composable pair whose outer pair (i, k) has Hom(t_i, t_k) = 0 has
+    # product 0; a table that says 1 there is refused as an invariant,
+    # not by a KeyError from the lookups that expect (i, k) in the basis
+    params = ModelParams(3, 1)
+    calc = calculator_for(params)
+    composes = calc.composes
+    refused = 0
+    for t in enumerate_tilting(params):
+        alg = build_algebra(t, params)
+        for p, q in alg.composable:
+            if alg.cartan[p[0]][q[1]]:
+                continue
+            wrong = (alg.ids[p[0]], alg.ids[p[1]], alg.ids[q[1]])
+            monkeypatch.setattr(
+                calc, "composes", lambda *ijk, wrong=wrong: 1 if ijk == wrong else composes(*ijk)
+            )
+            with pytest.raises(InvariantError, match="no basis element"):
+                build_algebra(t, params)
+            monkeypatch.undo()
+            refused += 1
+    # the three composable pairs of each of the two oriented 3-cycles
+    assert refused == 6
 
 
 def test_projective_covers_itself():

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higher_cluster import cli, model
-from higher_cluster.cli import main, parse_family, parse_object, render_json
+from higher_cluster.cli import json_pieces, main, parse_family, parse_object, render_json
+from higher_cluster.model import ModelParams
+from higher_cluster.tilting import maximal_families
 
 from oracles import brute_force_objects, count_formula, cycle_size, intertwines_oracle
 
@@ -108,7 +111,11 @@ def shared_tuples(draw):
 @given(json_values | shared_tuples())
 @settings(max_examples=300, deadline=None)
 def test_render_json_matches_json_dumps(value):
-    assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    expected = json.dumps(value, indent=2, sort_keys=True)
+    assert render_json(value) == expected
+    pieces = list(json_pieces(value))
+    assert all(type(piece) is str for piece in pieces)
+    assert "".join(pieces) == expected
 
 
 def test_render_json_tells_true_from_one():
@@ -729,6 +736,28 @@ def test_out_file_and_outdir_env(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     assert json.loads((tmp_path / "nested.json").read_text())["count"] == 5
+
+
+def test_json_is_written_in_pieces(capsys, tmp_path):
+    # the 3.42 MB of (3, 4) census text is never held whole: rendered as
+    # one string it peaked at 10.5 MB, about three copies of the text
+    argv = ["tilting", "--n", "3", "--d", "4", "--format", "json"]
+    maximal_families(ModelParams(3, 4))  # the census is not what is measured
+    path = tmp_path / "tilting.json"
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = path.read_bytes()
+    assert code == 3
+    assert len(written) > 3_000_000
+    assert peak <= len(written) / 2
+    # the file holds the bytes stdout gets
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 3
+    assert out.encode() == written
 
 
 def test_unwritable_out_is_usage_error(capsys, tmp_path):

@@ -311,6 +311,23 @@ def test_a_tilting_object_keeps_its_mask_only(fresh_tilting_caches):
     assert kept <= 150 * 3278
 
 
+def test_the_census_cache_keeps_anomalies_as_masks(fresh_tilting_caches):
+    # (3, 4) has 3,872 maximal families, most of them anomalies; the cache
+    # keeps each anomaly as its int mask and decodes it on every call, so
+    # the decoded tuples die with the caller.  Keeping them decoded, as
+    # tuples of object tuples, kept about 140 B per family
+    params = ModelParams(3, 4)
+    compatibility_graph(params)  # kept anyway, for every later query
+    kept = kept_after(tilting_mod.maximal_families, [params])
+    tiltings, anomalies = tilting_mod.maximal_families(params)
+    families = len(tiltings) + len(anomalies)
+    assert families == 3872
+    assert kept <= 60 * families
+    # the decoded anomalies are fresh on each call, equal every time
+    assert tilting_mod.maximal_families(params)[1] == anomalies
+    assert tilting_mod.maximal_families(params)[0] is tiltings
+
+
 def test_enumerations_share_one_tuple(fresh_tilting_caches):
     searched = fresh_tilting_caches
     # at d <= 2 there are no anomalies: the tilting objects come from
