@@ -200,9 +200,9 @@ class CoordRep:
     Component k has dims[k] coordinates.  arrows[(i, j)] lists the pairs
     (y, x) along which the arrow (i, j) carries coordinate y of component
     j to coordinate x of component i with coefficient 1; it sends every
-    other coordinate to zero.  An arrow into an empty component i may be
-    left out of arrows: it is the empty matching.  Hom(T, c) and every
-    direct sum of projectives have this form.  A submodule is held as
+    other coordinate to zero.  An arrow into or out of an empty component
+    may be left out of arrows: it is the empty matching.  Hom(T, c) and
+    every direct sum of projectives have this form.  A submodule is held as
     integer vectors per component, and arrows act on those by the
     matchings.  arrows is a read-only mapping: the matchings of a direct
     sum of projectives are shared by every cover of its algebra with its
@@ -287,11 +287,11 @@ def module_of(k: int, algebra: AlgebraPresentation) -> CoordRep:
     calc = calculator_for(algebra.params)
     ids = algebra.ids
     dims = tuple(calc.hom(t, k) for t in ids)
+    # only arrows between support components: the others are left out
     arrows = {
-        (i, j): ((0, 0),)
-        if dims[i] and dims[j] and calc.composes(ids[i], ids[j], k)
-        else ()
+        (i, j): ((0, 0),) if calc.composes(ids[i], ids[j], k) else ()
         for i, j in algebra.arrows
+        if dims[i] and dims[j]
     }
     return CoordRep(algebra, dims, MappingProxyType(arrows))
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidInputError, InvariantError, TiltingError
-from .hom import calculator_for
+from .hom import calculator_for, transpose
 from .model import (
     IndObj,
     ModelParams,
@@ -119,13 +119,24 @@ def compatibility_graph(params: ModelParams) -> CompatibilityGraph:
     return CompatibilityGraph(objects, tuple(neighbors))
 
 
+# byte b -> b with its 8 bits reversed
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _id_order(families, m):
     """Masks over m ids in the order of their sorted id tuples, provided
     no mask contains another (one size, or maximal cliques): then A comes
-    first iff the lowest bit of A ^ B is in A, i.e. iff A with its m bits
-    reversed is the larger number."""
-    width = f"0{m}b"
-    return sorted(families, key=lambda f: int(format(f, width)[::-1], 2), reverse=True)
+    first iff the lowest bit of A ^ B is in A, i.e. iff A with its bits
+    reversed is the larger number.  The key reverses all 8k bits of the
+    k bytes that hold m bits, by reversing the byte order and each byte
+    through a table; for every mask it is the m-bit reversal times the
+    same power of two, so the order is the same."""
+    k = (m + 7) // 8
+    return sorted(
+        families,
+        key=lambda f: int.from_bytes(f.to_bytes(k, "big").translate(_REVERSED_BITS), "little"),
+        reverse=True,
+    )
 
 
 def _maximal_cliques(neighbors):
@@ -369,3 +380,71 @@ def validate_family(family: int, params: ModelParams) -> None:
         raise TiltingError(
             "not-maximal", obj, f"family extends by {obj} without intertwining"
         )
+
+
+def _holding(columns, ids) -> int:
+    """The families that hold some object of ids: the OR of their columns."""
+    held = 0
+    for i in ids:
+        held |= columns[i]
+    return held
+
+
+def failing_families(families, params: ModelParams) -> int:
+    """The families validate_family rejects, found for all at once.
+
+    families is a sequence of masks of ids; bit f of the result is set
+    iff validate_family rejects families[f].  The masks are transposed
+    into one column per object: bit f of columns[i] is set iff family f
+    holds object i.  The checks of validate_family are then ORs and ANDs
+    of whole columns, one per object or pair of objects (1,100 at
+    (5, 2), whatever the number of families):
+    - size-mismatch: the popcount of each family;
+    - intertwining-pair: families holding i and a later j outside
+      neighbors[i];
+    - hom-to-shift: families holding i and j with Hom(i, translate of
+      j) nonzero, i = j included;
+    - not-maximal: families with every member i having o in
+      neighbors[i], for some object o, i.e. with no member among the i
+      that lack o in neighbors[i].  No object neighbours itself, so o
+      is among those, and an extension lies outside the family.
+    A mask with a bit at or above the object count is left out of the
+    columns and marked failing, for validate_family to judge.  A family
+    fails iff it fails one of the checks, so the result is exact.
+    """
+    if not families:
+        return 0
+    neighbors = compatibility_graph(params).neighbors
+    m = len(neighbors)
+    size = expected_tilting_size(params)
+    # one row of m + 1 digits per family, the last family first: bit m
+    # marks a failing size, and family f is digit f from the right of
+    # each column, every (m + 1)-th character of the text
+    width = f"0{m + 1}b"
+    rows = []
+    for mask in reversed(families):
+        if mask >> m:
+            mask = 1 << m
+        elif mask.bit_count() != size:
+            mask |= 1 << m
+        rows.append(format(mask, width))
+    text = "".join(rows)
+    del rows
+    columns = [int(text[m - i :: m + 1], 2) for i in range(m + 1)]
+    del text
+    flagged = columns.pop()
+    everything = (1 << len(families)) - 1
+    objects = (1 << m) - 1
+    calc = calculator_for(params)
+    back = calc.translate_back
+    for i, held in enumerate(columns):
+        if held:
+            clashes = objects & ~neighbors[i] & -(2 << i)
+            flagged |= held & _holding(columns, bit_ids(clashes))
+            hits = calc.hom_row(i)
+            flagged |= held & _holding(columns, (back[k] for k in bit_ids(hits)))
+    # lacking[o]: the objects i without o in neighbors[i]
+    lacking = [objects & ~column for column in transpose(neighbors)]
+    for outside in lacking:
+        flagged |= everything & ~_holding(columns, bit_ids(outside))
+    return flagged

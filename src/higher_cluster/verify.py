@@ -5,13 +5,19 @@ self-contained: a witness carries the check name, the parameters, the
 tilting object and the failing instance, which is exactly what replay()
 needs to re-run that one instance through the evaluator the check used.
 
-The pair sweeps (associativity, serre, dimension-formula, disjointness)
-check every instance, but on whole rows: each compares hom, factor,
-ideal or quotient rows and columns of the HomCalculator tables with bit
-operations, and only the instances a row flags go to their per-instance
-evaluator, which writes the witness values.  replay() calls the same
-evaluator.  An instance flagged by the rows and passed by its evaluator
-is an InvariantError.
+Every check but the three that read index tables checks every instance
+with bit operations on whole rows, and only the instances a row flags go
+to their per-instance evaluator, which writes the witness values:
+- the pair sweeps (associativity, serre, dimension-formula,
+  disjointness) compare hom, factor, ideal or quotient rows and columns
+  of the HomCalculator tables;
+- tilting-sanity checks every family of the census at once
+  (tilting.failing_families): the family masks are transposed into one
+  column per object, a row of bits over the families, and the
+  compatibility graph and hom rows are read as ORs and ANDs of those
+  columns.  Its evaluator is validate_family.
+replay() calls the same evaluators.  An instance flagged by the rows and
+passed by its evaluator is an InvariantError.
 
 Status semantics: "pass" and "fail" mean what they say; "findings" marks
 expected positives that must not fail a run (collisions at even d are the
@@ -33,6 +39,7 @@ from .tilting import (
     TiltingObject,
     bit_ids,
     enumerate_tilting,
+    failing_families,
     maximal_families,
     require_case,
     validate_family,
@@ -250,17 +257,30 @@ def _disjointness(calc, shifted, c, x):
 
 
 def check_tilting_sanity(params: ModelParams, tiltings=None) -> CheckResult:
-    """Validate every tilting object and surface odd-size maximal cliques."""
+    """Validate every tilting object and surface odd-size maximal cliques.
+
+    tiltings defaults to the census of maximal_families; explicit ones
+    must belong to params.  tilting.failing_families checks them all at
+    once on the columns of their masks, and validate_family, through
+    _tilting_sanity, writes the witness of each one it flags, in the
+    given order.
+    """
     enumerated, anomalies = maximal_families(params)
     if tiltings is None:
         tiltings = enumerated
-    witnesses = []
     for t in tiltings:
-        failed, values = _tilting_sanity(validate_family, t.mask, params)
-        if failed:
-            witnesses.append(
-                _witness("tilting-sanity", params, t, kind="invalid", **values)
-            )
+        require_case(t, params)
+    flagged = failing_families([t.mask for t in tiltings], params)
+    witnesses = [
+        _flagged(
+            "tilting-sanity",
+            params,
+            tiltings[f],
+            _tilting_sanity(validate_family, tiltings[f].mask, params),
+            kind="invalid",
+        )
+        for f in bit_ids(flagged)
+    ]
     status = FAIL if witnesses else PASS
     for family in anomalies:
         witnesses.append(
@@ -296,8 +316,9 @@ def _flagged(check, params, tilting, result, **instance):
     """
     failed, values = result
     if not failed:
+        of = f" of {list(tilting.summands)}" if tilting else ""
         raise InvariantError(
-            f"{check}: the row sweep flags {instance} but its evaluator passes it"
+            f"{check}: the row sweep flags {instance}{of} but its evaluator passes it"
         )
     return _witness(check, params, tilting, **instance, **values)
 

@@ -6,8 +6,8 @@ over the rationals with `fractions.Fraction`.  None of it shares code
 with the package; the Fraction resolution and the dense direct sum of
 projectives take an endomorphism algebra built by the package as their
 input data.  The exception is the last
-section: the per-pair loops that verify's row sweeps replaced, which run
-the package's own evaluators on every instance.
+section: the per-pair and per-family loops that verify's sweeps
+replaced, which run the package's own evaluators on every instance.
 """
 
 from dataclasses import dataclass
@@ -17,8 +17,9 @@ from math import comb
 
 from higher_cluster.hom import calculator_for
 from higher_cluster.model import bit_ids
-from higher_cluster.tilting import require_case
+from higher_cluster.tilting import maximal_families, require_case, validate_family
 from higher_cluster.verify import (
+    ANOMALY,
     FAIL,
     FINDINGS,
     PASS,
@@ -28,6 +29,7 @@ from higher_cluster.verify import (
     _disjointness,
     _hom_symmetry,
     _ideal_quotient_duality,
+    _tilting_sanity,
     _witness,
 )
 
@@ -549,9 +551,46 @@ def fraction_resolution(c, algebra):
 
 # --- the verify sweeps, one evaluator call per instance ------------------------
 #
-# The per-pair loops that verify's row sweeps replaced.  Each instance
-# goes through the check's own evaluator, so what they hold the row
+# The per-pair and per-family loops that verify's sweeps replaced.  Each
+# instance goes through the check's own evaluator, so what they hold the
 # sweeps to is the choice of failing instances, their order and the stats.
+
+
+def tilting_sanity_oracle(params, tiltings=None):
+    enumerated, anomalies = maximal_families(params)
+    if tiltings is None:
+        tiltings = enumerated
+    witnesses = []
+    for t in tiltings:
+        require_case(t, params)
+        failed, values = _tilting_sanity(validate_family, t.mask, params)
+        if failed:
+            witnesses.append(
+                _witness("tilting-sanity", params, t, kind="invalid", **values)
+            )
+    status = FAIL if witnesses else PASS
+    for family in anomalies:
+        witnesses.append(
+            _witness(
+                "tilting-sanity",
+                params,
+                None,
+                kind="anomaly",
+                family=[list(t) for t in family],
+                size=len(family),
+            )
+        )
+    if status == PASS and anomalies:
+        status = ANOMALY
+    return CheckResult(
+        "tilting-sanity",
+        params.n,
+        params.d,
+        None,
+        status,
+        tuple(witnesses),
+        {"tilting_count": len(tiltings), "anomaly_count": len(anomalies)},
+    )
 
 
 def associativity_oracle(params):

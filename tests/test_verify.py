@@ -1,6 +1,7 @@
 """The check battery and sweep runner."""
 
 import json
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -17,10 +18,17 @@ from higher_cluster.model import (
     ModelParams,
     bit_ids,
     enumerate_indecomposables,
+    expected_tilting_size,
+    object_count,
     object_ids,
     shift,
 )
-from higher_cluster.tilting import enumerate_tilting, validate_tilting
+from higher_cluster.tilting import (
+    TiltingObject,
+    enumerate_tilting,
+    maximal_families,
+    validate_tilting,
+)
 from higher_cluster.verify import (
     ANOMALY,
     CHECK_NAMES,
@@ -43,6 +51,7 @@ from oracles import (
     dimension_formula_oracle,
     disjointness_oracle,
     serre_oracle,
+    tilting_sanity_oracle,
 )
 
 P21 = ModelParams(2, 1)
@@ -160,6 +169,14 @@ def test_tilting_sanity_with_explicit_candidate():
     res = check_tilting_sanity(P22, (FAN22,))
     assert res.status == PASS
     assert res.stats["tilting_count"] == 1
+
+
+def test_tilting_sanity_refuses_a_tilting_object_of_another_case():
+    # its ids name other objects at (2, 2): read there, the (3, 2) fan
+    # would be judged as some other family of (2, 2)
+    fan32 = enumerate_tilting(ModelParams(3, 2))[0]
+    with pytest.raises(InvalidInputError, match="belongs to"):
+        check_tilting_sanity(P22, (FAN22, fan32))
 
 
 def test_scope_first_k_limits_per_tilting_checks():
@@ -350,6 +367,11 @@ def _broken_dimension_formula():
     return check_dimension_formula(table)
 
 
+def _broken_tilting_sanity():
+    # the (2, 2) fan without its first summand
+    return check_tilting_sanity(P22, (TiltingObject(P22, FAN22.mask & FAN22.mask - 1),))
+
+
 def _broken_disjointness():
     # Hom(c, x) is nonzero modulo the translated summands; a morphism
     # x -> translate(c) that factors through nothing makes the second
@@ -403,6 +425,7 @@ def test_replay_reruns_disjointness(private_caches):
         ("_ideal_quotient_duality", _broken_ideal_quotient_duality),
         ("_dimension_formula", _broken_dimension_formula),
         ("_disjointness", _broken_disjointness),
+        ("_tilting_sanity", _broken_tilting_sanity),
     ],
 )
 def test_rows_flag_only_what_the_evaluator_fails(
@@ -462,6 +485,126 @@ def test_row_sweeps_match_the_per_pair_oracles(case):
             (check_disjointness(tilting, params), disjointness_oracle(tilting, params)),
         ):
             assert sweep.to_payload() == oracle.to_payload()
+
+
+# tilting-sanity's column sweep against the per-family loop it replaced,
+# on the census of a case with some families edited: a bit flipped, a
+# summand swapped for another object, or a summand dropped.  One table
+# the checks read may be edited too: a bit of a hom row, a bit of one
+# neighbourhood (so the graph is no longer symmetric, which the sweep
+# must not assume), or the tilting size, lowered by one so that a family
+# with a summand dropped reaches not-maximal.
+SANITY_CASES = DIFFERENTIAL_CASES + ((5, 2),)
+
+
+def _edited(mask, kind, a, b):
+    """mask with bit b flipped, or its summand at position a dropped, or
+    swapped for object b."""
+    ids = list(bit_ids(mask))
+    if kind == "flip" or not ids:
+        return mask ^ 1 << b
+    mask ^= 1 << ids[a % len(ids)]
+    return mask | 1 << b if kind == "swap" else mask
+
+
+@contextmanager
+def _edited_table(params, kind, i, j):
+    """Private hom tables for the block, with one table edited: bit j of
+    hom_row(i), bit j of neighbors[i] (i != j), or the tilting size."""
+    maximal_families(params)  # the census, before any edit
+    with mock.patch.dict(hom._calculators, clear=True):
+        if kind == "hom":
+            _flip_hom(params, i, j)
+            yield
+        elif kind == "graph":
+            graph = tilting_mod.compatibility_graph(params)
+            neighbors = list(graph.neighbors)
+            neighbors[i] ^= 1 << j
+            edited = tilting_mod.CompatibilityGraph(graph.objects, tuple(neighbors))
+            with mock.patch.object(tilting_mod, "compatibility_graph", lambda p: edited):
+                yield
+        elif kind == "size":
+            size = expected_tilting_size(params) - 1
+            with mock.patch.object(tilting_mod, "expected_tilting_size", lambda p: size):
+                yield
+        else:
+            yield
+
+
+@st.composite
+def sanity_case(draw):
+    params = ModelParams(*draw(st.sampled_from(SANITY_CASES)))
+    census = enumerate_tilting(params)
+    m = object_count(params)
+    masks = [t.mask for t in census]
+    edits = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("flip", "swap", "drop")),
+                st.integers(0, len(masks) - 1),
+                st.integers(0, 63),
+                st.integers(0, m - 1),
+            ),
+            max_size=5,
+        )
+    )
+    for kind, f, a, b in edits:
+        masks[f] = _edited(masks[f], kind, a, b)
+    families = tuple(TiltingObject(params, mask) for mask in masks) if edits else None
+    kind = draw(st.sampled_from(("none", "hom", "graph", "size")))
+    i = draw(st.integers(0, m - 1))
+    if kind == "hom":  # the translate of i itself, or any object
+        j = draw(st.just(HomCalculator(params).translate[i]) | st.integers(0, m - 1))
+    else:
+        j = (i + draw(st.integers(1, m - 1))) % m
+    return params, families, (kind, i, j)
+
+
+@given(sanity_case())
+@settings(max_examples=80, deadline=None)
+def test_tilting_sanity_sweep_matches_the_per_family_oracle(case):
+    params, families, table = case
+    with _edited_table(params, *table):
+        sweep = check_tilting_sanity(params, families)
+        oracle = tilting_sanity_oracle(params, families)
+    assert sweep.to_payload() == oracle.to_payload()
+
+
+@pytest.mark.parametrize("n,d", SANITY_CASES)
+def test_tilting_sanity_sweep_meets_every_reason(n, d):
+    # the first tilting object, without its first summand, with that
+    # summand swapped for an object intertwining the rest, and with a bit
+    # past the last object id; on clean tables, with a hom bit from the
+    # last or the first summand to the translate of the first, with the
+    # second summand dropped from the first's neighbourhood only, and
+    # with the tilting size lowered by one
+    params = ModelParams(n, d)
+    tilting = enumerate_tilting(params)[0]
+    first, second, last = tilting.ids[0], tilting.ids[1], tilting.ids[-1]
+    rest = tilting.mask ^ 1 << first
+    neighbors = tilting_mod.compatibility_graph(params).neighbors
+    m = len(neighbors)
+    crossing = next(u for u in range(m) if not tilting.mask >> u & 1 and rest & ~neighbors[u])
+    families = tuple(
+        TiltingObject(params, mask)
+        for mask in (rest, rest | 1 << crossing, tilting.mask, tilting.mask | 2 << m)
+    )
+    translate = HomCalculator(params).translate
+    tables = (
+        ("none", 0, 0),
+        ("hom", last, translate[first]),
+        ("hom", first, translate[first]),
+        ("graph", first, second),
+        ("size", 0, 0),
+    )
+    reasons = set()
+    for table in tables:
+        with _edited_table(params, *table):
+            sweep = check_tilting_sanity(params, families)
+            oracle = tilting_sanity_oracle(params, families)
+        assert sweep.to_payload() == oracle.to_payload()
+        reasons |= {w["reason"] for w in sweep.witnesses if w["kind"] == "invalid"}
+    assert reasons == {"size-mismatch", "intertwining-pair", "hom-to-shift", "not-maximal"}
 
 
 @pytest.mark.parametrize(
