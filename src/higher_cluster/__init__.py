@@ -8,21 +8,31 @@ elimination, by two independent routes.  No floats anywhere.
 
 The package root re-exports the documented entry points, the error
 types and the sweep runner; everything else is imported from its module.
+The re-exports are resolved on first use, so importing the package, or
+one of its modules, loads only what that needs: the index command never
+loads verify.
 """
 
-from .errors import (
-    ContractError,
-    InvalidInputError,
-    InvariantError,
-    ResourceCapError,
-    TiltingError,
-)
-from .model import ModelParams, enumerate_indecomposables
-from .tilting import enumerate_tilting, validate_tilting
-from .index import index_of, index_table
-from .verify import SweepConfig, run
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+# re-exported name -> the module that defines it
+_EXPORTS = {
+    "ContractError": "errors",
+    "InvalidInputError": "errors",
+    "InvariantError": "errors",
+    "ResourceCapError": "errors",
+    "TiltingError": "errors",
+    "ModelParams": "model",
+    "enumerate_indecomposables": "model",
+    "enumerate_tilting": "tilting",
+    "validate_tilting": "tilting",
+    "index_of": "index",
+    "index_table": "index",
+    "SweepConfig": "verify",
+    "run": "verify",
+}
 
 __all__ = [
     "ContractError",
@@ -40,3 +50,16 @@ __all__ = [
     "validate_tilting",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

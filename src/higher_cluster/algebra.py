@@ -33,7 +33,6 @@ one-dimensional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 from types import MappingProxyType
@@ -42,17 +41,36 @@ from .errors import ContractError, InvariantError
 from .hom import calculator_for
 from .linalg import eliminate, kernel, rank
 from .model import IndObj, ModelParams
+from .record import Record
 from .tilting import TiltingObject, require_case
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraPresentation:
-    params: ModelParams
-    summands: tuple[IndObj, ...]
-    ids: tuple[int, ...]  # the summands' object ids
-    basis: tuple[tuple[int, int], ...]
-    mult: dict
-    cartan: tuple[tuple[int, ...], ...]
+class AlgebraPresentation(Record):
+    """End(T) on its basis of nonzero morphisms between summands.
+
+    Frozen, and compared by identity: the tables below are computed on
+    first read and kept on the instance.
+    """
+
+    _fields = ("params", "summands", "ids", "basis", "mult", "cartan")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        params: ModelParams,
+        summands: tuple[IndObj, ...],
+        ids: tuple[int, ...],  # the summands' object ids
+        basis: tuple[tuple[int, int], ...],
+        mult: dict,
+        cartan: tuple[tuple[int, ...], ...],
+    ):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "cartan", cartan)
 
     @property
     def r(self) -> int:
@@ -193,8 +211,7 @@ def _assert_associative(algebra: AlgebraPresentation):
                     )
 
 
-@dataclass(frozen=True, eq=False)
-class CoordRep:
+class CoordRep(Record):
     """A right module on coordinates, every arrow acting by a partial matching.
 
     Component k has dims[k] coordinates.  arrows[(i, j)] lists the pairs
@@ -206,12 +223,19 @@ class CoordRep:
     integer vectors per component, and arrows act on those by the
     matchings.  arrows is a read-only mapping: the matchings of a direct
     sum of projectives are shared by every cover of its algebra with its
-    multiplicities.
+    multiplicities.  Frozen, and compared by identity.
     """
 
-    algebra: AlgebraPresentation
-    dims: tuple[int, ...]
-    arrows: MappingProxyType
+    _fields = ("algebra", "dims", "arrows")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, algebra: AlgebraPresentation, dims: tuple[int, ...], arrows: MappingProxyType
+    ):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "arrows", arrows)
 
     def act(self, pair, vec) -> list:
         """The arrow pair applied to a vector of component pair[1]."""
@@ -418,8 +442,7 @@ def syzygy(projective: CoordRep, matrices):
     return vectors
 
 
-@dataclass
-class ResolutionReport:
+class ResolutionReport(Record):
     """A minimal bounded presentation P_L -> ... -> P_0 -> M -> 0, L <= d.
 
     multiplicities[s] is the multiplicity vector of P_s over the summand
@@ -435,15 +458,40 @@ class ResolutionReport:
     module then has no finite resolution at all, but the first d + 1
     projective terms still determine the index, and the linear-system
     route cross-checks that alternating sum independently.
+
+    Unlike the other records it is not frozen, and not hashable.
     """
 
-    algebra: AlgebraPresentation
-    target: IndObj
-    module_dims: tuple[int, ...]
-    multiplicities: tuple[tuple[int, ...], ...]
-    maps: tuple
-    layouts: tuple
-    tail_kernel_dims: tuple[int, ...] = ()
+    _fields = (
+        "algebra",
+        "target",
+        "module_dims",
+        "multiplicities",
+        "maps",
+        "layouts",
+        "tail_kernel_dims",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        algebra: AlgebraPresentation,
+        target: IndObj,
+        module_dims: tuple[int, ...],
+        multiplicities: tuple[tuple[int, ...], ...],
+        maps: tuple,
+        layouts: tuple,
+        tail_kernel_dims: tuple[int, ...] = (),
+    ):
+        self.algebra = algebra
+        self.target = target
+        self.module_dims = module_dims
+        self.multiplicities = multiplicities
+        self.maps = maps
+        self.layouts = layouts
+        self.tail_kernel_dims = tail_kernel_dims
 
     @property
     def length(self) -> int:

@@ -13,8 +13,6 @@ resource-cap refusals, 3 structural anomalies with no outright failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -22,6 +20,7 @@ import time
 from itertools import chain
 from json.encoder import INFINITY, encode_basestring_ascii
 
+from .checks import CHECK_NAMES
 from .errors import (
     ContractError,
     InvalidInputError,
@@ -42,11 +41,9 @@ from .tilting import (
     validate_tilting,
     vertex_fan,
 )
-from . import verify as verify_mod
 
 SCHEMA_VERSION = 1
 OUTDIR_ENV = "HIGHER_CLUSTER_OUTDIR"
-CHECKS = verify_mod.CHECK_NAMES
 
 
 def _is_int(value) -> bool:
@@ -115,6 +112,9 @@ def _emit(output, out: str | None) -> None:
 
 
 def _render_csv(columns, rows) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -426,6 +426,8 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_collisions(args) -> int:
+    from . import verify as verify_mod
+
     params = _params(args)
     family = _family_arg(args.tilting, "--tilting")
     if family is not None:
@@ -462,6 +464,8 @@ def _cmd_collisions(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify as verify_mod
+
     file_conf = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -494,13 +498,13 @@ def _cmd_verify(args) -> int:
     # None selects every check; an empty selection is refused by run
     checks = args.checks if args.checks is not None else file_conf.get("checks")
     if checks is None:
-        checks = verify_mod.CHECK_NAMES
+        checks = CHECK_NAMES
     elif isinstance(checks, str):
         checks = tuple(c.strip() for c in checks.split(",") if c.strip())
     for c in checks:
-        if c not in verify_mod.CHECK_NAMES:
+        if c not in CHECK_NAMES:
             raise InvalidInputError(
-                f"unknown check {c!r}; pick from {', '.join(verify_mod.CHECK_NAMES)}"
+                f"unknown check {c!r}; pick from {', '.join(CHECK_NAMES)}"
             )
     if args.tilting is not None:
         explicit = _family_arg(args.tilting, "--tilting")
@@ -542,6 +546,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    from . import verify as verify_mod
+
     with open(args.witness, encoding="utf-8") as fh:
         blob = json.load(fh)
     if isinstance(blob, dict) and "results" in blob:
@@ -657,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--config", help="JSON file with the same keys as the flags")
-    p.add_argument("--checks", help="comma-separated subset of: " + ", ".join(CHECKS))
+    p.add_argument("--checks", help="comma-separated subset of: " + ", ".join(CHECK_NAMES))
     p.add_argument("--tilting", help="explicit tilting object")
     p.add_argument("--tilting-scope", help='"all" (default) or "first:K"')
     p.add_argument("--format", choices=("json", "csv", "table"), default="json")

@@ -22,7 +22,7 @@ summand order.  Two independent computation routes are implemented:
 Neither route leaves the integers; both run on the one fraction-free
 elimination of `linalg`, which also gives the integer rank that names a
 refusal of a singular system.  `Fraction` only prints a non-integral
-solution in its refusal message.
+solution in its refusal message, and is imported there.
 
 Verification mode runs both on every object and treats any disagreement
 as a hard failure, never a warning.
@@ -30,8 +30,6 @@ as a hard failure, never a warning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
@@ -40,6 +38,7 @@ from .errors import InvalidInputError, InvariantError
 from .hom import HomCalculator, calculator_for
 from .linalg import adjugate, rank
 from .model import IndObj, ModelParams, bit_ids, object_id
+from .record import Record
 from .tilting import TiltingObject, require_case
 
 IndexVector = tuple[int, ...]
@@ -159,6 +158,8 @@ def _index_by_system(c: int, system: _System, calc: HomCalculator) -> IndexVecto
     for v in scaled:
         q, rem = divmod(v, det)
         if rem:
+            from fractions import Fraction
+
             sol = tuple(Fraction(u, det) for u in scaled)
             raise InvariantError(
                 f"index system for {calc.objects[c]} has a non-integer solution {sol}"
@@ -178,11 +179,18 @@ def _index_by_system(c: int, system: _System, calc: HomCalculator) -> IndexVecto
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class IndexRow:
-    obj: IndObj
-    via_resolution: IndexVector | None
-    via_system: IndexVector | None
+class IndexRow(Record):
+    _fields = ("obj", "via_resolution", "via_system")
+
+    def __init__(
+        self,
+        obj: IndObj,
+        via_resolution: IndexVector | None,
+        via_system: IndexVector | None,
+    ):
+        object.__setattr__(self, "obj", obj)
+        object.__setattr__(self, "via_resolution", via_resolution)
+        object.__setattr__(self, "via_system", via_system)
 
     @property
     def verified(self) -> bool:
@@ -197,11 +205,13 @@ class IndexRow:
         return self.via_resolution if self.via_resolution is not None else self.via_system
 
 
-@dataclass(frozen=True)
-class IndexTable:
-    params: ModelParams
-    tilting: TiltingObject
-    rows: tuple[IndexRow, ...]
+class IndexTable(Record):
+    _fields = ("params", "tilting", "rows")
+
+    def __init__(self, params: ModelParams, tilting: TiltingObject, rows: tuple[IndexRow, ...]):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "tilting", tilting)
+        object.__setattr__(self, "rows", rows)
 
     def mapping(self) -> dict:
         return {row.obj: row.index for row in self.rows}

@@ -17,27 +17,27 @@ are each d+1 ANDs of its entries per object.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 
 from .errors import InvalidInputError, ResourceCapError
+from .record import Record
 
 IndObj = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(Record):
     """The pair (n, d): rank of the type-A diagram and the dimension."""
 
-    n: int
-    d: int
+    _fields = ("n", "d")
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise InvalidInputError(f"n must be a positive integer, got {self.n!r}")
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
-            raise InvalidInputError(f"d must be a positive integer, got {self.d!r}")
+    def __init__(self, n: int, d: int):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise InvalidInputError(f"n must be a positive integer, got {n!r}")
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+            raise InvalidInputError(f"d must be a positive integer, got {d!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
         # Admissible (d+1)-subsets exist exactly when N >= 2(d+1), which
         # n >= 1 already guarantees (with equality at n = 1).
         assert self.N >= 2 * (self.d + 1)

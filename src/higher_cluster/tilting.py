@@ -20,15 +20,18 @@ Rambau (Triangulations of cyclic polytopes and higher Bruhat orders,
 Mathematika 1997) shows the flip graph is connected, so the search
 reaches every tilting object.  At d <= 2, where no anomaly has ever
 appeared, Bron-Kerbosch is the faster of the two and enumerate_tilting
-takes its tilting objects.  Either way one tuple of tilting objects
-(TiltingObject: a ModelParams and the int mask of the summands' ids) per
-ModelParams is kept, shared by both functions.
+takes its tilting objects.  Either way one PackedTiltings per
+ModelParams is kept, shared by both functions: a read-only sequence of
+tilting objects (TiltingObject: a ModelParams and the int mask of the
+summands' ids) that holds all their masks in one bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from collections.abc import Sequence
 from functools import lru_cache
+from itertools import repeat
 
 from .errors import InvalidInputError, InvariantError, TiltingError
 from .hom import calculator_for, transpose
@@ -39,20 +42,25 @@ from .model import (
     bit_ids,
     enumerate_indecomposables,
     expected_tilting_size,
+    object_count,
     object_id,
     object_ids,
     objects_of,
     shift,
 )
+from .record import Record
 
 
-@dataclass(frozen=True, slots=True)
-class TiltingObject:
+class TiltingObject(Record):
     """Bit i of mask is set when the object with id i is a summand; the
     summands and their ids are decoded on each read, not stored."""
 
-    params: ModelParams
-    mask: int
+    _fields = ("params", "mask")
+    __slots__ = _fields
+
+    def __init__(self, params: ModelParams, mask: int):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "mask", mask)
 
     @property
     def summands(self) -> tuple[IndObj, ...]:
@@ -82,8 +90,7 @@ def require_case(tilting: TiltingObject, params: ModelParams) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CompatibilityGraph:
+class CompatibilityGraph(Record):
     """Vertices in enumeration order; neighbourhoods as int bitmasks.
 
     Bit j of neighbors[i] is set when objects i and j do not intertwine.
@@ -91,11 +98,11 @@ class CompatibilityGraph:
     order is lexicographic, so ids ascend with the objects.
     """
 
-    objects: tuple[IndObj, ...]
-    neighbors: tuple[int, ...]
+    _fields = ("objects", "neighbors")
 
-    def edge_count(self) -> int:
-        return sum(nb.bit_count() for nb in self.neighbors) // 2
+    def __init__(self, objects: tuple[IndObj, ...], neighbors: tuple[int, ...]):
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "neighbors", neighbors)
 
 
 @lru_cache(maxsize=None)
@@ -176,18 +183,84 @@ def _maximal_cliques(neighbors):
     return _id_order(found, len(neighbors))
 
 
+def _pack(masks, k: int) -> bytes:
+    """The masks as one bytes, k little-endian bytes each."""
+    return b"".join(mask.to_bytes(k, "little") for mask in masks)
+
+
+def _unpack(blob: bytes, k: int):
+    """The masks of _pack(masks, k), in order, read without a Python step
+    per mask."""
+    ends = range(k, len(blob) + k, k)
+    chunks = map(blob.__getitem__, map(slice, range(0, len(blob), k), ends))
+    return map(int.from_bytes, chunks, repeat("little"))
+
+
+class PackedTiltings(Sequence):
+    """The tilting objects of one case, in order, with their masks packed.
+
+    Mask f is bytes f k to (f + 1) k of blob, little-endian, with
+    k = ceil(m / 8) for m objects: 10 bytes per tilting object at (6, 2),
+    where a tuple of TiltingObjects holds 88 to 96 (the object, its int
+    mask and its slot).  Each read builds a fresh TiltingObject, equal to
+    and hashing like the one such a tuple would hold; a slice is a tuple
+    of them.  Read-only, like a tuple; two are equal when their case and
+    masks are.
+    """
+
+    __slots__ = ("params", "k", "blob", "n")
+
+    def __init__(self, params: ModelParams, masks):
+        self.params = params
+        self.k = (object_count(params) + 7) // 8
+        self.blob = _pack(masks, self.k)
+        self.n = len(self.blob) // self.k
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[f] for f in range(*index.indices(self.n)))
+        f = operator.index(index)
+        if f < 0:
+            f += self.n
+        if not 0 <= f < self.n:
+            raise IndexError("tilting object index out of range")
+        k = self.k
+        return TiltingObject(self.params, int.from_bytes(self.blob[f * k : f * k + k], "little"))
+
+    def __iter__(self):
+        return map(TiltingObject, repeat(self.params), self.masks())
+
+    def masks(self):
+        """The int masks of the tilting objects, in order."""
+        return _unpack(self.blob, self.k)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.params, self.blob) == (other.params, other.blob)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.params, self.blob))
+
+    def __repr__(self) -> str:
+        return f"PackedTiltings({self.params!r}, {self.n} tilting objects)"
+
+
 # enumerate_tilting's results; maximal_families files its tilting objects
-# here too, so both hand out the same tuple whichever ran first
-_tiltings: dict[ModelParams, tuple[TiltingObject, ...]] = {}
+# here too, so both hand out the same sequence whichever ran first
+_tiltings: dict[ModelParams, PackedTiltings] = {}
 
 
 @lru_cache(maxsize=None)
 def _family_masks(params: ModelParams):
-    """(tilting objects, anomalies as id masks) of maximal_families.
+    """(tilting objects, anomalies packed by _pack) of maximal_families.
 
-    Cached per ModelParams, never evicted.  An anomaly is kept as the int
-    mask of its ids: 40 bytes at (4, 3), against 175 for its decoded tuple
-    of object tuples.
+    Cached per ModelParams, never evicted.  An anomaly is kept as the
+    ceil(m / 8) bytes of its id mask, as a tilting object is: 7 bytes at
+    (4, 3), against 175 for its decoded tuple of object tuples.
     """
     graph = compatibility_graph(params)
     size = expected_tilting_size(params)
@@ -195,10 +268,11 @@ def _family_masks(params: ModelParams):
     anomalies = []
     for clique in _maximal_cliques(graph.neighbors):
         if clique.bit_count() == size:
-            tilting.append(TiltingObject(params, clique))
+            tilting.append(clique)
         else:
             anomalies.append(clique)
-    return _tiltings.setdefault(params, tuple(tilting)), tuple(anomalies)
+    packed = PackedTiltings(params, tilting)
+    return _tiltings.setdefault(params, packed), _pack(anomalies, packed.k)
 
 
 def maximal_families(params: ModelParams):
@@ -207,11 +281,15 @@ def maximal_families(params: ModelParams):
     Anomalies are maximal cliques whose size differs from C(n+d-1, d).
     None exist at d <= 2 in the verified range; from d = 3 on the
     compatibility complex is not pure and smaller maximal families are
-    normal.  Larger ones would be a genuine violation.  Each anomaly is a
-    tuple of object tuples, decoded from its cached mask on every call.
+    normal.  Larger ones would be a genuine violation.  The tilting
+    objects are the PackedTiltings that enumerate_tilting hands out.
+    Each anomaly is a tuple of object tuples, decoded from its cached
+    mask on every call.
     """
     tiltings, anomalies = _family_masks(params)
-    return tiltings, tuple(objects_of(mask, params) for mask in anomalies)
+    return tiltings, tuple(
+        objects_of(mask, params) for mask in _unpack(anomalies, tiltings.k)
+    )
 
 
 def vertex_fan(params: ModelParams) -> tuple[IndObj, ...]:
@@ -271,15 +349,15 @@ def _tilting_masks(neighbors, start, size):
     return _id_order(order, len(neighbors))
 
 
-def _tilting_by_mutation(params: ModelParams) -> tuple[TiltingObject, ...]:
+def _tilting_by_mutation(params: ModelParams) -> PackedTiltings:
     """Every tilting object, by the mutation search from the vertex-1 fan."""
     size = expected_tilting_size(params)
     fan = (1 << size) - 1  # the vertex-1 fan is ids 0 to size - 1
     masks = _tilting_masks(compatibility_graph(params).neighbors, fan, size)
-    return tuple(TiltingObject(params, mask) for mask in masks)
+    return PackedTiltings(params, masks)
 
 
-def enumerate_tilting(params: ModelParams) -> tuple[TiltingObject, ...]:
+def enumerate_tilting(params: ModelParams) -> PackedTiltings:
     """Every tilting object, in the order of their sorted id tuples.
 
     From d = 3 on, a breadth-first search over mutations from the
@@ -291,7 +369,8 @@ def enumerate_tilting(params: ModelParams) -> tuple[TiltingObject, ...]:
     so the tilting objects of maximal_families are taken; they are also
     taken whenever maximal_families has already run.  Both orders are the
     clique order, so the result always equals maximal_families(params)[0].
-    Cached per ModelParams, never evicted.
+    The result is a read-only sequence of TiltingObjects (PackedTiltings),
+    cached per ModelParams, never evicted.
     """
     found = _tiltings.get(params)
     if found is None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from .checks import CHECK_NAMES, TABLE_CHECKS
 from .errors import InvalidInputError, InvariantError, TiltingError
 from .hom import calculator_for, transpose
 from .index import IndexTable, algebra_for, index_by_resolution, index_table
@@ -50,18 +51,6 @@ PASS = "pass"
 FAIL = "fail"
 FINDINGS = "findings"
 ANOMALY = "anomaly"
-
-CHECK_NAMES = (
-    "tilting-sanity",
-    "associativity",
-    "serre",
-    "dimension-formula",
-    "disjointness",
-    "injectivity",
-    "collisions",
-)
-# the checks that read the index table of each tilting object
-TABLE_CHECKS = ("dimension-formula", "injectivity", "collisions")
 
 
 @dataclass
@@ -268,9 +257,11 @@ def check_tilting_sanity(params: ModelParams, tiltings=None) -> CheckResult:
     enumerated, anomalies = maximal_families(params)
     if tiltings is None:
         tiltings = enumerated
-    for t in tiltings:
+    masks = []
+    for t in tiltings:  # one pass: the census builds each object on reading
         require_case(t, params)
-    flagged = failing_families([t.mask for t in tiltings], params)
+        masks.append(t.mask)
+    flagged = failing_families(masks, params)
     witnesses = [
         _flagged(
             "tilting-sanity",
@@ -374,34 +365,47 @@ def check_associativity(params: ModelParams) -> CheckResult:
     )
 
 
-def check_serre(params: ModelParams, tilting: TiltingObject | None = None) -> CheckResult:
+def hom_symmetry_witnesses(params: ModelParams) -> tuple:
+    """The witnesses of check_serre's plain form, which no tilting object
+    changes: every pair with dim Hom(x, y) != dim Hom(y, x shifted
+    twice), found by comparing each hom row with a hom column."""
+    calc = calculator_for(params)
+    objects, translate = calc.objects, calc.translate
+    ids = range(len(objects))
+    rows = [calc.hom_row(i) for i in ids]
+    columns = transpose(rows)
+    return tuple(
+        _flagged(
+            "serre",
+            params,
+            None,
+            _hom_symmetry(calc, x, y),
+            kind="hom-symmetry",
+            x=list(objects[x]),
+            y=list(objects[y]),
+        )
+        for x in ids
+        for y in bit_ids(rows[x] ^ columns[translate[translate[x]]])
+    )
+
+
+def check_serre(
+    params: ModelParams, tilting: TiltingObject | None = None, plain: tuple | None = None
+) -> CheckResult:
     """Hom symmetry under the double translate, and its relative form.
 
     Plain form, every pair: dim Hom(x, y) = dim Hom(y, x shifted twice).
     Relative form, given a tilting object: the morphisms c -> translate(x)
     through the translated summands match the quotient morphisms
     x -> translate(c) modulo them, dimension for dimension.  Each form
-    compares a row with a column of the hom or quotient table.
+    compares a row with a column of the hom or quotient table.  plain is
+    hom_symmetry_witnesses(params), computed here when not given: a sweep
+    over many tilting objects computes it once per case and passes it.
     """
     calc = calculator_for(params)
     objects, translate = calc.objects, calc.translate
     ids = range(len(objects))
-    rows = [calc.hom_row(i) for i in ids]
-    columns = transpose(rows)
-    witnesses = []
-    for x in ids:
-        for y in bit_ids(rows[x] ^ columns[translate[translate[x]]]):
-            witnesses.append(
-                _flagged(
-                    "serre",
-                    params,
-                    None,
-                    _hom_symmetry(calc, x, y),
-                    kind="hom-symmetry",
-                    x=list(objects[x]),
-                    y=list(objects[y]),
-                )
-            )
+    witnesses = list(hom_symmetry_witnesses(params) if plain is None else plain)
     pairs = len(objects) ** 2
     if tilting is not None:
         require_case(tilting, params)
@@ -685,8 +689,10 @@ def _run_case(config: SweepConfig, case):
     tables = ()
     if any(name in config.checks for name in TABLE_CHECKS):
         tables = [index_table(t, params, route="both") for t in tiltings]
+    # the plain Serre form does not depend on the tilting object: once
+    plain = hom_symmetry_witnesses(params) if "serre" in config.checks else None
     per_tilting = [
-        ("serre", lambda t: check_serre(params, t), tiltings),
+        ("serre", lambda t: check_serre(params, t, plain), tiltings),
         ("dimension-formula", check_dimension_formula, tables),
         ("disjointness", lambda t: check_disjointness(t, params), tiltings),
         ("injectivity", check_injectivity, tables),

@@ -6,7 +6,6 @@ the linear A_2 algebra of the fan at (n, d) = (2, 1), and the oriented
 the smallest case with no finite resolutions.
 """
 
-import dataclasses
 import functools
 import gc
 import random
@@ -352,7 +351,7 @@ def flipped_algebras(alg):
     exist."""
     for pq in alg.composable:
         if alg.cartan[pq[0][0]][pq[1][1]] == 1:
-            yield pq, dataclasses.replace(alg, mult={**alg.mult, pq: 1 - alg.mult[pq]})
+            yield pq, alg.replace(mult={**alg.mult, pq: 1 - alg.mult[pq]})
 
 
 def assert_every_flip_is_refused(params, alg):
@@ -469,7 +468,7 @@ def test_cycle_3_1_has_no_finite_resolution():
 def test_verify_catches_tampered_tail():
     alg = build_algebra(T21, P21)
     res = minimal_resolution(object_id((2, 4), P21), alg)
-    bad = dataclasses.replace(res, tail_kernel_dims=(1, 0))
+    bad = res.replace(tail_kernel_dims=(1, 0))
     problems = bad.verify()
     assert any("tail map kernel" in v for v in problems)
     assert any("Euler characteristic" in v for v in problems)

@@ -1,0 +1,138 @@
+"""The records that replaced dataclasses behave as those dataclasses did.
+
+Each record class is compared with a dataclass of the same name, fields
+and flags (the oracle): repr, equality, hash, frozenness and replace
+must agree on real instances.  Reprs appear in error messages, and
+ModelParams and TiltingObject key every cache.
+"""
+
+import dataclasses
+
+import pytest
+
+from higher_cluster.algebra import (
+    AlgebraPresentation,
+    CoordRep,
+    ResolutionReport,
+    build_algebra,
+    minimal_resolution,
+    module_of,
+)
+from higher_cluster.index import IndexRow, IndexTable, index_table
+from higher_cluster.model import ModelParams
+from higher_cluster.tilting import (
+    CompatibilityGraph,
+    TiltingObject,
+    compatibility_graph,
+    enumerate_tilting,
+)
+
+# class -> the dataclass flags it replaces
+FLAGS = {
+    ModelParams: dict(frozen=True),
+    TiltingObject: dict(frozen=True, slots=True),
+    CompatibilityGraph: dict(frozen=True),
+    AlgebraPresentation: dict(frozen=True, eq=False),
+    CoordRep: dict(frozen=True, eq=False),
+    ResolutionReport: dict(),
+    IndexRow: dict(frozen=True),
+    IndexTable: dict(frozen=True),
+}
+ORACLES = {
+    cls: dataclasses.make_dataclass(cls.__qualname__, cls._fields, **flags)
+    for cls, flags in FLAGS.items()
+}
+
+
+def twin(record):
+    """The oracle dataclass instance with the same field values."""
+    cls = type(record)
+    return ORACLES[cls](*(getattr(record, name) for name in cls._fields))
+
+
+def instances():
+    """Two or more instances of every record class, equal ones included."""
+    p21, p22 = ModelParams(2, 1), ModelParams(2, 2)
+    tiltings = list(enumerate_tilting(p21)) + list(enumerate_tilting(p22))[:2]
+    alg = build_algebra(tiltings[0], p21)
+    other_alg = build_algebra(tiltings[1], p21)
+    table = index_table(tiltings[0], p21)
+    graph, row = compatibility_graph(p21), table.rows[0]
+    res = minimal_resolution(1, alg)
+    return {
+        ModelParams: [p21, ModelParams(2, 1), p22, ModelParams(n=1, d=2)],
+        TiltingObject: tiltings + [TiltingObject(p21, tiltings[0].mask)],
+        CompatibilityGraph: [
+            graph,
+            compatibility_graph(p22),
+            CompatibilityGraph(graph.objects, graph.neighbors),
+        ],
+        AlgebraPresentation: [alg, other_alg, alg.replace()],
+        CoordRep: [module_of(1, alg), module_of(1, alg), module_of(2, other_alg)],
+        ResolutionReport: [res, minimal_resolution(1, alg), res.replace(tail_kernel_dims=(1, 0))],
+        IndexRow: list(table.rows) + [IndexRow(row.obj, row.via_resolution, row.via_system)],
+        IndexTable: [table, index_table(tiltings[0], p21), index_table(tiltings[1], p21)],
+    }
+
+
+INSTANCES = instances()
+
+
+@pytest.mark.parametrize("cls", FLAGS, ids=lambda cls: cls.__name__)
+def test_records_agree_with_their_dataclasses(cls):
+    records = INSTANCES[cls]
+    twins = [twin(r) for r in records]
+    assert len(records) >= 3
+    for r, t in zip(records, twins):
+        assert repr(r) == repr(t)
+        assert r != t and t != r  # another class: never equal, as before
+    # the oracle's equality, with identity where it compares by identity
+    for a, ta in zip(records, twins):
+        for b, tb in zip(records, twins):
+            expected = ta == tb if FLAGS[cls].get("eq", True) else a is b
+            assert (a == b) == expected
+            assert (a != b) == (not expected)
+    if ORACLES[cls].__hash__ is None:
+        with pytest.raises(TypeError):
+            hash(records[0])
+    elif FLAGS[cls].get("eq", True):
+        assert [hash(r) for r in records] == [hash(t) for t in twins]
+    else:
+        assert hash(records[0]) == object.__hash__(records[0])
+
+
+@pytest.mark.parametrize("cls", FLAGS, ids=lambda cls: cls.__name__)
+def test_records_are_as_frozen_as_their_dataclasses(cls):
+    record = INSTANCES[cls][0]
+    name = cls._fields[0]
+    if FLAGS[cls].get("frozen"):
+        for target in (record, twin(record)):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(target, name, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(target, name)
+    else:
+        record = record.replace()
+        setattr(record, name, None)
+        assert getattr(record, name) is None
+
+
+def test_model_params_is_no_tuple():
+    assert ModelParams(4, 3) != (4, 3)
+    # nor equal to a subclass's instance, as a dataclass is not
+    sub = type("Sub", (ModelParams,), {})(4, 3)
+    assert sub != ModelParams(4, 3) and ModelParams(4, 3) != sub
+    assert hash(ModelParams(4, 3)) == hash((4, 3))
+    assert {ModelParams(4, 3): 1}.get((4, 3)) is None
+
+
+@pytest.mark.parametrize("cls", [AlgebraPresentation, ResolutionReport], ids=lambda cls: cls.__name__)
+def test_replace_agrees_with_dataclasses_replace(cls):
+    record = INSTANCES[cls][0]
+    name = cls._fields[-1]
+    value = getattr(INSTANCES[cls][-1], name)
+    replaced = record.replace(**{name: value})
+    expected = dataclasses.replace(twin(record), **{name: value})
+    assert type(replaced) is cls
+    assert repr(replaced) == repr(expected)
+    assert twin(replaced).__dict__ == expected.__dict__

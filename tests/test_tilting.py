@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import kept_after
@@ -18,7 +18,10 @@ from higher_cluster.model import (
     shift,
 )
 from higher_cluster.tilting import (
+    PackedTiltings,
+    TiltingObject,
     _id_order,
+    _maximal_cliques,
     _tilting_masks,
     bit_ids,
     compatibility_graph,
@@ -64,10 +67,10 @@ def test_d1_tilting_counts_are_catalan(n, expected):
 def test_graph_shape_small():
     g = compatibility_graph(ModelParams(2, 1))
     assert g.objects == ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5))
-    assert g.edge_count() == 5
+    assert sum(nb.bit_count() for nb in g.neighbors) // 2 == 5
     trivial = compatibility_graph(ModelParams(1, 1))
     assert len(trivial.objects) == 2
-    assert trivial.edge_count() == 0
+    assert trivial.neighbors == (0, 0)
 
 
 def test_tiltings_2_2_frozen():
@@ -105,7 +108,7 @@ def test_graph_bits_match_intertwining_oracle(n, d):
     assert object_ids(params) == {obj: i for i, obj in enumerate(g.objects)}
     expected = oracle_neighbors(g.objects, params.N)
     assert g.neighbors == tuple(sum(1 << j for j in nb) for nb in expected)
-    assert g.edge_count() == sum(len(nb) for nb in expected) // 2
+    assert sum(nb.bit_count() for nb in g.neighbors) == sum(len(nb) for nb in expected)
 
 
 @pytest.mark.parametrize(
@@ -314,31 +317,119 @@ def test_id_order_is_the_order_of_sorted_id_tuples(case):
 
 
 def test_a_tilting_object_keeps_its_mask_only(fresh_tilting_caches):
-    # the tuple of 3278 tilting objects at (4, 3) keeps about 88 B each:
-    # the object with its two fields and the int mask; holding the
-    # summands as a tuple of object tuples kept 290 B each
+    # the mutation search's 3278 tilting objects at (4, 3) keep 7 B each,
+    # the bytes of a mask of 55 bits; a tuple of TiltingObjects kept about
+    # 88 B each, and one of tuples of object tuples 290 B
     params = ModelParams(4, 3)
     compatibility_graph(params)  # kept anyway, for every later query
     kept = kept_after(enumerate_tilting, [params])
     assert len(enumerate_tilting(params)) == 3278
-    assert kept <= 150 * 3278
+    assert kept <= 12 * 3278
+
+
+def test_bron_kerbosch_tilting_objects_are_packed(fresh_tilting_caches, monkeypatch):
+    # at (6, 2) the 96,426 tilting objects come from Bron-Kerbosch and keep
+    # 10 B each, the bytes of a mask of 77 bits; as a tuple of
+    # TiltingObjects they kept 96 B each.  The search runs before tracing
+    # (traced, it takes 13 s): traced, its cliques are parsed afresh from
+    # text, so the cache cannot hold objects allocated untraced
+    params = ModelParams(6, 2)
+    cliques = [format(m, "x") for m in _maximal_cliques(compatibility_graph(params).neighbors)]
+    monkeypatch.setattr(
+        tilting_mod, "_maximal_cliques", lambda neighbors: [int(h, 16) for h in cliques]
+    )
+    kept = kept_after(enumerate_tilting, [params])
+    assert len(enumerate_tilting(params)) == 96426
+    assert kept <= 12 * 96426
 
 
 def test_the_census_cache_keeps_anomalies_as_masks(fresh_tilting_caches):
     # (3, 4) has 3,872 maximal families, most of them anomalies; the cache
-    # keeps each anomaly as its int mask and decodes it on every call, so
-    # the decoded tuples die with the caller.  Keeping them decoded, as
-    # tuples of object tuples, kept about 140 B per family
+    # keeps each family as the 5 bytes of its mask and decodes an anomaly
+    # on every call, so the decoded tuples die with the caller.  Keeping
+    # them decoded, as tuples of object tuples, kept about 140 B per
+    # family, and as int masks about 43 B
     params = ModelParams(3, 4)
     compatibility_graph(params)  # kept anyway, for every later query
     kept = kept_after(tilting_mod.maximal_families, [params])
     tiltings, anomalies = tilting_mod.maximal_families(params)
     families = len(tiltings) + len(anomalies)
     assert families == 3872
-    assert kept <= 60 * families
+    assert kept <= 10 * families
     # the decoded anomalies are fresh on each call, equal every time
     assert tilting_mod.maximal_families(params)[1] == anomalies
     assert tilting_mod.maximal_families(params)[0] is tiltings
+
+
+# the small grid, and the two largest censuses the benchmark reads
+PACKED_CASES = [(n, d) for n in range(1, 5) for d in (1, 2)] + [(2, 3), (3, 3), (4, 3), (6, 2)]
+
+
+def plain_tiltings(params):
+    """The tilting objects as a plain tuple of TiltingObjects, from
+    Bron-Kerbosch's masks."""
+    size = expected_tilting_size(params)
+    masks = _maximal_cliques(compatibility_graph(params).neighbors)
+    return tuple(TiltingObject(params, mask) for mask in masks if mask.bit_count() == size)
+
+
+@pytest.fixture
+def reference_tiltings():
+    """case -> plain_tiltings(case), filled by the test: kept for the
+    examples of one test, dropped after it."""
+    return {}
+
+
+def optional_ints(n):
+    return st.none() | st.integers(-n - 3, n + 3)
+
+
+@given(data=st.data())
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_packed_tiltings_read_as_a_tuple(fresh_tilting_caches, reference_tiltings, data):
+    params = ModelParams(*data.draw(st.sampled_from(PACKED_CASES), label="case"))
+    first = params not in reference_tiltings
+    if first:
+        reference_tiltings[params] = plain_tiltings(params)
+    expected = reference_tiltings[params]
+    # either enumeration may fill the shared cache first
+    if data.draw(st.booleans(), label="census first"):
+        tilting_mod.maximal_families(params)
+    packed = enumerate_tilting(params)
+    assert enumerate_tilting(params) is tilting_mod.maximal_families(params)[0]
+    assert isinstance(packed, PackedTiltings)
+    n = len(expected)
+    assert len(packed) == n and bool(packed) == bool(expected)
+    for i in data.draw(st.lists(st.integers(-n - 2, n + 1), max_size=12), label="indices"):
+        if -n <= i < n:
+            got = packed[i]
+            assert type(got) is TiltingObject
+            assert got == expected[i] and hash(got) == hash(expected[i])
+            assert (got.params, got.mask) == (expected[i].params, expected[i].mask)
+        else:
+            with pytest.raises(IndexError):
+                packed[i]
+    # membership scans the sequence up to the member
+    j = data.draw(st.integers(0, min(n, 2000) - 1), label="member")
+    assert expected[j] in packed and packed.index(expected[j]) == j
+    window = slice(
+        data.draw(optional_ints(n), label="start"),
+        data.draw(optional_ints(n), label="stop"),
+        data.draw(st.none() | st.integers(-5, 5).filter(bool), label="step"),
+    )
+    assert packed[window] == expected[window]
+    assert type(packed[window]) is tuple
+    if first:  # whole-sequence reads, once per case: (6, 2) has 96,426
+        assert tuple(packed) == expected
+        assert list(packed.masks()) == [t.mask for t in expected]
+        assert packed == enumerate_tilting(params)
+        assert hash(packed) == hash(enumerate_tilting(params))
+        with pytest.raises(TypeError):
+            packed[1.0]
 
 
 def test_enumerations_share_one_tuple(fresh_tilting_caches):

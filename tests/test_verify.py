@@ -159,6 +159,27 @@ def test_serre_with_and_without_tilting():
     assert rel.stats["pairs"] == 49 + 49
 
 
+def test_the_sweep_runs_the_plain_serre_form_once_per_case(monkeypatch):
+    # a hom row edited so that the plain form fails: each tilting object's
+    # result lists its witnesses, as check_serre alone does, but the sweep
+    # finds them once for the case
+    calls = []
+    plain = verify.hom_symmetry_witnesses
+    monkeypatch.setattr(
+        verify, "hom_symmetry_witnesses", lambda params: calls.append(params) or plain(params)
+    )
+    config = SweepConfig(cases=((2, 1),), checks=("serre",), tilting_scope="first:3")
+    with mock.patch.dict(hom._calculators, clear=True):
+        _flip_hom(P21, *_ids(P21, (1, 3), (2, 4)))
+        report = run(config)
+        assert calls == [P21]
+        expected = [check_serre(P21, t).to_payload() for t in enumerate_tilting(P21)[:3]]
+    assert [r.to_payload() for r in report.results] == expected
+    for result in report.results:
+        assert result.status == FAIL
+        assert [w["kind"] for w in result.witnesses][:1] == ["hom-symmetry"]
+
+
 def test_associativity_counts_triples():
     res = check_associativity(P21)
     assert res.status == PASS
