@@ -132,9 +132,6 @@ class AlgebraPresentation(Record):
         layouts) of that direct sum."""
         return {}
 
-    def dim(self) -> int:
-        return len(self.basis)
-
 
 def _by_end(pairs, r, end):
     """The pairs grouped by one end: entry i lists those with p[end] = i, in order."""
@@ -570,11 +567,7 @@ class ResolutionReport(Record):
         return violations
 
 
-def minimal_resolution(
-    k: int,
-    algebra: AlgebraPresentation,
-    verify: bool = True,
-) -> ResolutionReport:
+def minimal_resolution(k: int, algebra: AlgebraPresentation) -> ResolutionReport:
     """Minimal bounded presentation of Hom(T, c), c the object with id k,
     by iterated covers.
 
@@ -586,10 +579,10 @@ def minimal_resolution(
     the first d + 1 terms carry index information and some endomorphism
     algebras (oriented cycles among summands) admit no finite resolution
     at all.  Each syzygy stays inside the projective it sits in, so every
-    connecting map comes out in that projective's coordinates.  With
-    verify=True (the default) the full exactness and minimality report
-    runs before returning; the sweep machinery disables it and relies on
-    the independent cross-route check instead.
+    connecting map comes out in that projective's coordinates.  The full
+    exactness and minimality report is the returned report's verify(),
+    run by the tests; the index sweeps rely on the independent
+    cross-route check instead.
     """
     c = calculator_for(algebra.params).objects[k]
     module = module_of(k, algebra)
@@ -614,7 +607,7 @@ def minimal_resolution(
         if not any(vectors) or len(multiplicities) > algebra.params.d:
             break
         module = projective
-    report = ResolutionReport(
+    return ResolutionReport(
         algebra,
         c,
         module_dims,
@@ -623,10 +616,3 @@ def minimal_resolution(
         tuple(layouts),
         tuple(map(len, vectors)),
     )
-    if verify:
-        violations = report.verify()
-        if violations:
-            raise InvariantError(
-                f"presentation of {c} fails verification: " + "; ".join(violations)
-            )
-    return report

@@ -251,6 +251,11 @@ def _render(payload, columns, rows, fmt: str):
     raise InvalidInputError(f"unknown format {fmt!r}")
 
 
+def _header(command: str, params: ModelParams) -> dict:
+    """The keys every single-case payload opens with."""
+    return {"schema_version": SCHEMA_VERSION, "command": command, "n": params.n, "d": params.d}
+
+
 def _params(args) -> ModelParams:
     params = ModelParams(args.n, args.d)
     check_cap(params, args.cap)
@@ -261,10 +266,7 @@ def _cmd_enumerate(args) -> int:
     params = _params(args)
     objects = enumerate_indecomposables(params)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "enumerate",
-        "n": params.n,
-        "d": params.d,
+        **_header("enumerate", params),
         "cycle_size": params.N,
         "count": len(objects),
         "objects": objects,
@@ -312,10 +314,7 @@ def _cmd_hom(args) -> int:
         kind = "through" if through else ("modulo" if modulo else "plain")
         source, target = objects[source], objects[target]
         payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "hom",
-            "n": params.n,
-            "d": params.d,
+            **_header("hom", params),
             "source": source,
             "target": target,
             "kind": kind,
@@ -332,10 +331,7 @@ def _cmd_hom(args) -> int:
     ids = range(len(objects))
     entries = [(objects[i], objects[j], calc.hom(i, j)) for i in ids for j in ids]
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "hom",
-        "n": params.n,
-        "d": params.d,
+        **_header("hom", params),
         "rows": [
             {"source": x, "target": y, "dim": dim} for x, y, dim in entries
         ],
@@ -351,10 +347,7 @@ def _cmd_tilting(args) -> int:
     params = _params(args)
     tiltings, anomalies = maximal_families(params)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "tilting",
-        "n": params.n,
-        "d": params.d,
+        **_header("tilting", params),
         "expected_size": expected_tilting_size(params),
         "count": len(tiltings),
         "tilting": [obj.summands for obj in tiltings],
@@ -384,10 +377,7 @@ def _cmd_index(args) -> int:
     tilting = _pick_tilting(args, params)
     table = index_table(tilting, params, route=args.route)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "index",
-        "n": params.n,
-        "d": params.d,
+        **_header("index", params),
         "route": args.route,
         "tilting": tilting.summands,
         "rows": [
@@ -436,10 +426,7 @@ def _cmd_collisions(args) -> int:
         tiltings = enumerate_tilting(params)
     results = [verify_mod.find_collisions(index_table(t, params)) for t in tiltings]
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "collisions",
-        "n": params.n,
-        "d": params.d,
+        **_header("collisions", params),
         "results": [r.to_payload() for r in results],
     }
     def rows():

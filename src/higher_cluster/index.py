@@ -91,7 +91,7 @@ def index_by_resolution(c: int, algebra) -> IndexVector:
             vec = [0] * algebra.r
             vec[k] = -1 if algebra.params.d % 2 else 1
             return tuple(vec)
-    return minimal_resolution(c, algebra, verify=False).index_vector()
+    return minimal_resolution(c, algebra).index_vector()
 
 
 class _System(NamedTuple):
@@ -212,9 +212,6 @@ class IndexTable(Record):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "tilting", tilting)
         object.__setattr__(self, "rows", rows)
-
-    def mapping(self) -> dict:
-        return {row.obj: row.index for row in self.rows}
 
     def collisions(self):
         """Unordered pairs of distinct objects sharing an index vector."""

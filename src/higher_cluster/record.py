@@ -1,16 +1,17 @@
-"""Record: what a frozen dataclass gives a class, without dataclasses.
+"""Record: a class of named, frozen fields, built without code generation.
 
-Importing dataclasses loads inspect, ast, dis and tokenize, about 9 ms
-of every process's start-up, and no command needs any of them.  A
-subclass names its fields, two or more, in _fields and sets them in its
-own __init__ through object.__setattr__, as a frozen dataclass's
-__init__ does.  It then has a frozen dataclass's repr, equality and
-hash over those fields, equality holding only between instances of the
-one class, and refuses assignment and deletion with an AttributeError
-of the same message.  replace returns a copy with some fields changed,
-as dataclasses.replace does.  A subclass may override any of these: an
-identity-compared record sets __eq__ and __hash__ back to object's, a
-mutable one __setattr__ and __delattr__.
+The standard library's generated classes import inspect, ast, dis and
+tokenize, about 9 ms of every process's start-up, and no command needs
+any of them.  A subclass names its fields, two or more, in _fields and
+sets them in its own __init__ through object.__setattr__.  It then has
+a repr listing the fields, equality and hash over them, equality
+holding only between instances of the one class, and refuses
+assignment and deletion with an AttributeError.  replace returns a copy
+with some fields changed, built by __init__.  A subclass may override
+any of these: an identity-compared record sets __eq__ and __hash__ back
+to object's, a mutable one __setattr__ and __delattr__ (and __hash__ to
+None).  tests/test_records.py holds every record class to the generated
+class it stands for.
 """
 
 from __future__ import annotations

@@ -29,13 +29,13 @@ code.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .checks import CHECK_NAMES, TABLE_CHECKS
 from .errors import InvalidInputError, InvariantError, TiltingError
 from .hom import calculator_for, transpose
 from .index import IndexTable, algebra_for, index_by_resolution, index_table
 from .model import ModelParams, check_cap, object_id
+from .record import Record
 from .tilting import (
     TiltingObject,
     bit_ids,
@@ -53,33 +53,59 @@ FINDINGS = "findings"
 ANOMALY = "anomaly"
 
 
-@dataclass
-class CheckResult:
-    check: str
-    n: int
-    d: int
-    tilting: tuple | None
-    status: str
-    witnesses: tuple
-    stats: dict = field(default_factory=dict)
+class CheckResult(Record):
+    """One check on one case, and on one tilting object's summands when
+    tilting is not None.  Mutable and unhashable, like ResolutionReport."""
+
+    _fields = ("check", "n", "d", "tilting", "status", "witnesses", "stats")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, check, n, d, tilting, status, witnesses, stats=None):
+        self.check = check
+        self.n = n
+        self.d = d
+        self.tilting = tilting
+        self.status = status
+        self.witnesses = witnesses
+        self.stats = {} if stats is None else stats
 
     def to_payload(self) -> dict:
         return {
             "check": self.check,
             "n": self.n,
             "d": self.d,
-            "tilting": [list(t) for t in self.tilting] if self.tilting else None,
+            "tilting": self.tilting,
             "status": self.status,
-            "witnesses": list(self.witnesses),
+            "witnesses": self.witnesses,
             "stats": self.stats,
         }
 
 
-def _witness(check, params, tilting, **instance):
-    w = {"check": check, "n": params.n, "d": params.d}
-    w["tilting"] = [list(t) for t in tilting.summands] if tilting else None
-    w.update(instance)
-    return w
+def _result(check, params, summands, witnesses, stats, failure=FAIL) -> CheckResult:
+    """The one result builder: status failure when there are witnesses,
+    PASS when there are none."""
+    return CheckResult(
+        check,
+        params.n,
+        params.d,
+        summands,
+        failure if witnesses else PASS,
+        tuple(witnesses),
+        stats,
+    )
+
+
+def _odd_d_failure(params: ModelParams) -> str:
+    """What a collision or a doubly supported pair means: a falsified
+    model at odd d, the expected positives at even d."""
+    return FAIL if params.d % 2 else FINDINGS
+
+
+def _witness(check, params, summands, **instance):
+    """A witness; summands and the object fields are the model's tuples."""
+    return {"check": check, "n": params.n, "d": params.d, "tilting": summands, **instance}
 
 
 def _field(witness: dict, key: str, kind=None):
@@ -93,24 +119,36 @@ def _field(witness: dict, key: str, kind=None):
     return value
 
 
+# A witness read from JSON holds lists; one built in this process holds
+# the model's tuples.  Both are sequences here.
+_SEQUENCE = (list, tuple)
+
+
+def _sequence(witness: dict, key: str):
+    value = _field(witness, key)
+    if not isinstance(value, _SEQUENCE):
+        raise InvalidInputError(f"witness {key!r} must be a list, got {value!r}")
+    return value
+
+
 def _object(witness: dict, key: str, params: ModelParams) -> int:
-    return object_id(_field(witness, key, list), params)
+    return object_id(_sequence(witness, key), params)
 
 
 def _objects(witness: dict, key: str, count: int, params: ModelParams) -> tuple:
-    value = _field(witness, key, list)
-    if len(value) != count or not all(isinstance(v, list) for v in value):
+    value = _sequence(witness, key)
+    if len(value) != count or not all(isinstance(v, _SEQUENCE) for v in value):
         raise InvalidInputError(
             f"witness {key!r} must be a list of {count} objects, got {value!r}"
         )
     return tuple(object_id(v, params) for v in value)
 
 
-def _family(witness: dict, key: str) -> list:
-    """A candidate family: a list of vertex lists, admissible or not."""
-    value = _field(witness, key, list)
+def _family(witness: dict, key: str):
+    """A candidate family: a sequence of vertex sequences, admissible or not."""
+    value = _sequence(witness, key)
     if not all(
-        isinstance(t, list)
+        isinstance(t, _SEQUENCE)
         and all(isinstance(v, int) and not isinstance(v, bool) for v in t)
         for t in value
     ):
@@ -125,8 +163,10 @@ def replay(witness) -> tuple[bool, dict]:
     there, and details are the instance's value fields as computed now.
     The witness is decoded once: ModelParams from n and d, every object
     to its id through model.object_id, the tilting object through
-    validate_tilting.  A missing or ill-typed key, a non-object, or a
-    family that is not a tilting object is an InvalidInputError.
+    validate_tilting.  Vertex sequences may be lists, as read from JSON,
+    or tuples, as a check built them in this process.  A missing or
+    ill-typed key, a non-object, or a family that is not a tilting object
+    is an InvalidInputError.
     """
     if not isinstance(witness, dict):
         raise InvalidInputError(f"a witness is a JSON object, not {witness!r}")
@@ -159,14 +199,14 @@ def replay(witness) -> tuple[bool, dict]:
         # rows are in id order
         table = index_table(tilting, params)
         a, b = (table.rows[i] for i in _objects(witness, "pair", 2, params))
-        pair = sorted([list(a.obj), list(b.obj)])
+        pair = sorted([a.obj, b.obj])
         reproduced = any(
             sorted(w["pair"]) == pair for w in collision_witnesses(table, check)
         )
         return reproduced, {
-            "pair": [list(a.obj), list(b.obj)],
-            "via_resolution": [list(a.via_resolution), list(b.via_resolution)],
-            "via_system": [list(a.via_system), list(b.via_system)],
+            "pair": (a.obj, b.obj),
+            "via_resolution": (a.via_resolution, b.via_resolution),
+            "via_system": (a.via_system, b.via_system),
         }
     summands = tilting.ids
     shifted = calc.translated_mask(summands)
@@ -262,42 +302,31 @@ def check_tilting_sanity(params: ModelParams, tiltings=None) -> CheckResult:
         require_case(t, params)
         masks.append(t.mask)
     flagged = failing_families(masks, params)
-    witnesses = [
+    invalid = [
         _flagged(
             "tilting-sanity",
             params,
-            tiltings[f],
+            tiltings[f].summands,
             _tilting_sanity(validate_family, tiltings[f].mask, params),
             kind="invalid",
         )
         for f in bit_ids(flagged)
     ]
-    status = FAIL if witnesses else PASS
-    for family in anomalies:
-        witnesses.append(
-            _witness(
-                "tilting-sanity",
-                params,
-                None,
-                kind="anomaly",
-                family=[list(t) for t in family],
-                size=len(family),
-            )
-        )
-    if status == PASS and anomalies:
-        status = ANOMALY
-    return CheckResult(
+    anomalous = [
+        _witness("tilting-sanity", params, None, kind="anomaly", family=family, size=len(family))
+        for family in anomalies
+    ]
+    return _result(
         "tilting-sanity",
-        params.n,
-        params.d,
+        params,
         None,
-        status,
-        tuple(witnesses),
+        invalid + anomalous,
         {"tilting_count": len(tiltings), "anomaly_count": len(anomalies)},
+        FAIL if invalid else ANOMALY,
     )
 
 
-def _flagged(check, params, tilting, result, **instance):
+def _flagged(check, params, summands, result, **instance):
     """The witness of an instance that a row sweep flagged.
 
     result is the instance's evaluator output (failed, values).  The rows
@@ -307,11 +336,11 @@ def _flagged(check, params, tilting, result, **instance):
     """
     failed, values = result
     if not failed:
-        of = f" of {list(tilting.summands)}" if tilting else ""
+        of = f" of {summands}" if summands else ""
         raise InvariantError(
             f"{check}: the row sweep flags {instance}{of} but its evaluator passes it"
         )
-    return _witness(check, params, tilting, **instance, **values)
+    return _witness(check, params, summands, **instance, **values)
 
 
 def _pulled_back(back, mask: int) -> int:
@@ -351,18 +380,10 @@ def check_associativity(params: ModelParams) -> CheckResult:
                             params,
                             None,
                             _associativity(calc, w, x, y, z),
-                            chain=[list(objects[i]) for i in (w, x, y, z)],
+                            chain=(objects[w], objects[x], objects[y], objects[z]),
                         )
                     )
-    return CheckResult(
-        "associativity",
-        params.n,
-        params.d,
-        None,
-        FAIL if witnesses else PASS,
-        tuple(witnesses),
-        {"triples": triples},
-    )
+    return _result("associativity", params, None, witnesses, {"triples": triples})
 
 
 def hom_symmetry_witnesses(params: ModelParams) -> tuple:
@@ -381,8 +402,8 @@ def hom_symmetry_witnesses(params: ModelParams) -> tuple:
             None,
             _hom_symmetry(calc, x, y),
             kind="hom-symmetry",
-            x=list(objects[x]),
-            y=list(objects[y]),
+            x=objects[x],
+            y=objects[y],
         )
         for x in ids
         for y in bit_ids(rows[x] ^ columns[translate[translate[x]]])
@@ -407,8 +428,10 @@ def check_serre(
     ids = range(len(objects))
     witnesses = list(hom_symmetry_witnesses(params) if plain is None else plain)
     pairs = len(objects) ** 2
+    summands = None
     if tilting is not None:
         require_case(tilting, params)
+        summands = tilting.summands
         shifted = calc.translated_mask(tilting.ids)
         quotient_columns = transpose([calc.quotient_row(x, shifted) for x in ids])
         for c in ids:
@@ -420,23 +443,15 @@ def check_serre(
                     _flagged(
                         "serre",
                         params,
-                        tilting,
+                        summands,
                         _ideal_quotient_duality(calc, shifted, c, x),
                         kind="ideal-quotient-duality",
-                        c=list(objects[c]),
-                        x=list(objects[x]),
+                        c=objects[c],
+                        x=objects[x],
                     )
                 )
         pairs += len(objects) ** 2
-    return CheckResult(
-        "serre",
-        params.n,
-        params.d,
-        tilting.summands if tilting else None,
-        FAIL if witnesses else PASS,
-        tuple(witnesses),
-        {"pairs": pairs},
-    )
+    return _result("serre", params, summands, witnesses, {"pairs": pairs})
 
 
 def check_dimension_formula(table: IndexTable) -> CheckResult:
@@ -453,10 +468,11 @@ def check_dimension_formula(table: IndexTable) -> CheckResult:
     calc = calculator_for(params)
     objects, translate = calc.objects, calc.translate
     ids = range(len(objects))
-    summands = tilting.ids
-    shifted = calc.translated_mask(summands)
+    summands = tilting.summands
+    t_ids = tilting.ids
+    shifted = calc.translated_mask(t_ids)
     sign = -1 if params.d % 2 else 1
-    t_rows = [calc.hom_row(t) for t in summands]
+    t_rows = [calc.hom_row(t) for t in t_ids]
     quotients = [calc.quotient_row(x, shifted) for x in ids]
     quotient_columns = transpose(quotients)
     witnesses = []
@@ -486,20 +502,14 @@ def check_dimension_formula(table: IndexTable) -> CheckResult:
                     _flagged(
                         "dimension-formula",
                         params,
-                        tilting,
-                        _dimension_formula(calc, summands, shifted, ind, c, x),
-                        c=list(objects[c]),
-                        x=list(objects[x]),
+                        summands,
+                        _dimension_formula(calc, t_ids, shifted, ind, c, x),
+                        c=objects[c],
+                        x=objects[x],
                     )
                 )
-    return CheckResult(
-        "dimension-formula",
-        params.n,
-        params.d,
-        tilting.summands,
-        FAIL if witnesses else PASS,
-        tuple(witnesses),
-        {"pairs": len(table.rows) * len(objects)},
+    return _result(
+        "dimension-formula", params, summands, witnesses, {"pairs": len(table.rows) * len(objects)}
     )
 
 
@@ -517,111 +527,103 @@ def check_disjointness(tilting: TiltingObject, params: ModelParams) -> CheckResu
     shifted = calc.translated_mask(tilting.ids)
     quotients = [calc.quotient_row(x, shifted) for x in ids]
     quotient_columns = transpose(quotients)
-    witnesses = []
-    for c in ids:
-        for x in bit_ids(quotients[c] & quotient_columns[translate[c]]):
-            witnesses.append(
-                _flagged(
-                    "disjointness",
-                    params,
-                    tilting,
-                    _disjointness(calc, shifted, c, x),
-                    c=list(objects[c]),
-                    x=list(objects[x]),
-                )
-            )
-    if witnesses:
-        status = FAIL if params.d % 2 else FINDINGS
-    else:
-        status = PASS
-    return CheckResult(
+    summands = tilting.summands
+    witnesses = [
+        _flagged(
+            "disjointness",
+            params,
+            summands,
+            _disjointness(calc, shifted, c, x),
+            c=objects[c],
+            x=objects[x],
+        )
+        for c in ids
+        for x in bit_ids(quotients[c] & quotient_columns[translate[c]])
+    ]
+    return _result(
         "disjointness",
-        params.n,
-        params.d,
-        tilting.summands,
-        status,
-        tuple(witnesses),
+        params,
+        summands,
+        witnesses,
         {"pairs": len(objects) ** 2},
+        _odd_d_failure(params),
     )
 
 
 def collision_witnesses(table: IndexTable, check: str) -> tuple:
     """One witness per unordered pair of objects sharing an index in table."""
+    summands = table.tilting.summands
     return tuple(
-        _witness(
-            check,
-            table.params,
-            table.tilting,
-            pair=[list(a) for a in pair],
-            index=list(vec),
-        )
+        _witness(check, table.params, summands, pair=pair, index=vec)
         for pair, vec in table.collisions()
     )
 
 
-def _collision_status(params: ModelParams, witnesses) -> str:
-    if not witnesses:
-        return PASS
-    return FAIL if params.d % 2 else FINDINGS
-
-
 def check_injectivity(table: IndexTable) -> CheckResult:
     """The index table is injective; collisions fail only at odd d."""
-    params = table.params
-    witnesses = collision_witnesses(table, "injectivity")
-    return CheckResult(
-        "injectivity",
-        params.n,
-        params.d,
-        table.tilting.summands,
-        _collision_status(params, witnesses),
-        witnesses,
-        {"objects": len(table.rows)},
-    )
+    return _collisions(table, "injectivity")
 
 
 def find_collisions(table: IndexTable) -> CheckResult:
     """All unordered pairs with equal index; the expected positive at even d."""
+    return _collisions(table, "collisions")
+
+
+def _collisions(table: IndexTable, check: str) -> CheckResult:
+    """The body of check_injectivity and find_collisions, which differ in
+    their name and their stats."""
+    witnesses = collision_witnesses(table, check)
+    if check == "injectivity":
+        stats = {"objects": len(table.rows)}
+    else:
+        stats = {"collision_count": len(witnesses)}
     params = table.params
-    witnesses = collision_witnesses(table, "collisions")
-    return CheckResult(
-        "collisions",
-        params.n,
-        params.d,
-        table.tilting.summands,
-        _collision_status(params, witnesses),
-        witnesses,
-        {"collision_count": len(witnesses)},
-    )
+    return _result(check, params, table.tilting.summands, witnesses, stats, _odd_d_failure(params))
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    cases: tuple[tuple[int, int], ...]
-    checks: tuple[str, ...] = CHECK_NAMES
-    tilting_scope: str = "all"  # "all" or "first:K"
-    explicit_tilting: tuple | None = None  # tuple of summand tuples
-    cap: int = 500
+class SweepConfig(Record):
+    """What verify runs; frozen."""
+
+    _fields = ("cases", "checks", "tilting_scope", "explicit_tilting", "cap")
+
+    def __init__(
+        self,
+        cases: tuple[tuple[int, int], ...],
+        checks: tuple[str, ...] = CHECK_NAMES,
+        tilting_scope: str = "all",  # "all" or "first:K"
+        explicit_tilting: tuple | None = None,  # tuple of summand tuples
+        cap: int = 500,
+    ):
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "tilting_scope", tilting_scope)
+        object.__setattr__(self, "explicit_tilting", explicit_tilting)
+        object.__setattr__(self, "cap", cap)
 
     def to_payload(self) -> dict:
         return {
-            "cases": [list(c) for c in self.cases],
-            "checks": list(self.checks),
+            "cases": self.cases,
+            "checks": self.checks,
             "tilting_scope": self.tilting_scope,
-            "explicit_tilting": [list(map(list, t)) for t in self.explicit_tilting]
-            if self.explicit_tilting
-            else None,
+            "explicit_tilting": self.explicit_tilting or None,
             "cap": self.cap,
             # verify runs serially; the schema-1 payload (and its pinned bytes) keeps this key
             "workers": 1,
         }
 
 
-@dataclass
-class VerificationReport:
-    config: SweepConfig
-    results: tuple
-    elapsed: float
+class VerificationReport(Record):
+    """A sweep's results and its wall time; mutable and unhashable."""
+
+    _fields = ("config", "results", "elapsed")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, config: SweepConfig, results: tuple, elapsed: float):
+        self.config = config
+        self.results = results
+        self.elapsed = elapsed
 
     def summary(self) -> dict:
         counts = {PASS: 0, FAIL: 0, FINDINGS: 0, ANOMALY: 0}

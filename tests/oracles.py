@@ -566,7 +566,7 @@ def tilting_sanity_oracle(params, tiltings=None):
         failed, values = _tilting_sanity(validate_family, t.mask, params)
         if failed:
             witnesses.append(
-                _witness("tilting-sanity", params, t, kind="invalid", **values)
+                _witness("tilting-sanity", params, t.summands, kind="invalid", **values)
             )
     status = FAIL if witnesses else PASS
     for family in anomalies:
@@ -576,7 +576,7 @@ def tilting_sanity_oracle(params, tiltings=None):
                 params,
                 None,
                 kind="anomaly",
-                family=[list(t) for t in family],
+                family=family,
                 size=len(family),
             )
         )
@@ -611,7 +611,7 @@ def associativity_oracle(params):
                                 "associativity",
                                 params,
                                 None,
-                                chain=[list(objects[i]) for i in (w, x, y, z)],
+                                chain=tuple(objects[i] for i in (w, x, y, z)),
                                 **values,
                             )
                         )
@@ -643,8 +643,8 @@ def serre_oracle(params, tilting=None):
                         params,
                         None,
                         kind="hom-symmetry",
-                        x=list(objects[x]),
-                        y=list(objects[y]),
+                        x=objects[x],
+                        y=objects[y],
                         **values,
                     )
                 )
@@ -660,10 +660,10 @@ def serre_oracle(params, tilting=None):
                         _witness(
                             "serre",
                             params,
-                            tilting,
+                            tilting.summands,
                             kind="ideal-quotient-duality",
-                            c=list(objects[c]),
-                            x=list(objects[x]),
+                            c=objects[c],
+                            x=objects[x],
                             **values,
                         )
                     )
@@ -697,9 +697,9 @@ def dimension_formula_oracle(table):
                     _witness(
                         "dimension-formula",
                         params,
-                        tilting,
-                        c=list(objects[c]),
-                        x=list(objects[x]),
+                        tilting.summands,
+                        c=objects[c],
+                        x=objects[x],
                         **values,
                     )
                 )
@@ -732,9 +732,9 @@ def disjointness_oracle(tilting, params):
                     _witness(
                         "disjointness",
                         params,
-                        tilting,
-                        c=list(objects[c]),
-                        x=list(objects[x]),
+                        tilting.summands,
+                        c=objects[c],
+                        x=objects[x],
                         **values,
                     )
                 )

@@ -54,7 +54,7 @@ def test_algebra_shape_2_1():
     assert alg.cartan == ((1, 1), (0, 1))
     assert alg.basis == ((0, 0), (0, 1), (1, 1))
     assert alg.arrows == ((0, 1),)
-    assert alg.dim() == 3 == sum(sum(row) for row in alg.cartan)
+    assert len(alg.basis) == 3 == sum(sum(row) for row in alg.cartan)
 
 
 def test_mult_table_2_1():
@@ -334,7 +334,7 @@ def test_a_dropped_algebra_is_freed_without_the_cycle_collector():
         alg = build_algebra(FAN22, P22)
         for c in enumerate_indecomposables(P22):
             if c not in {shift(t, 1, P22) for t in FAN22.summands}:
-                minimal_resolution(object_id(c, P22), alg)
+                assert minimal_resolution(object_id(c, P22), alg).verify() == []
         assert alg.direct_sums
         dropped = weakref.ref(alg)
         del alg
@@ -359,7 +359,7 @@ def assert_every_flip_is_refused(params, alg):
     translates = {object_id(shift(t, 1, params), params) for t in alg.summands}
     resolvable = [c for c in objects if c not in translates]
     for c in resolvable:  # fills the memo of the algebra itself
-        minimal_resolution(c, alg)
+        assert minimal_resolution(c, alg).verify() == []
     flips = 0
     for (p, q), bad in flipped_algebras(alg):
         # the copy's tables read its own mult: the projective at t_a, a
@@ -373,14 +373,16 @@ def assert_every_flip_is_refused(params, alg):
         refused = 0
         for c in resolvable:
             try:
-                minimal_resolution(c, bad)
+                report = minimal_resolution(c, bad)
             except InvariantError:
                 refused += 1
+            else:
+                refused += report.verify() != []
         assert refused, (p, q)
         flips += 1
     # the copies read their own mult: the algebra resolves as before
     for c in resolvable:
-        minimal_resolution(c, alg)
+        assert minimal_resolution(c, alg).verify() == []
     return flips
 
 
@@ -434,6 +436,7 @@ def test_projective_covers_itself():
             expected = tuple(1 if b == a else 0 for b in range(alg.r))
             assert multiplicities == expected
             res = minimal_resolution(object_id(t, params), alg)
+            assert res.verify() == []
             assert res.length == 0
             assert res.multiplicities == (expected,)
             assert res.full_resolution
@@ -442,6 +445,7 @@ def test_projective_covers_itself():
 def test_resolution_2_1_frozen():
     alg = build_algebra(T21, P21)
     res = minimal_resolution(object_id((2, 4), P21), alg)
+    assert res.verify() == []
     assert res.target == (2, 4)
     assert res.multiplicities == ((0, 1), (1, 0))
     assert res.length == 1
@@ -468,6 +472,7 @@ def test_cycle_3_1_has_no_finite_resolution():
 def test_verify_catches_tampered_tail():
     alg = build_algebra(T21, P21)
     res = minimal_resolution(object_id((2, 4), P21), alg)
+    assert res.verify() == []
     bad = res.replace(tail_kernel_dims=(1, 0))
     problems = bad.verify()
     assert any("tail map kernel" in v for v in problems)
@@ -484,7 +489,8 @@ def test_presentations_verify_everywhere(n, d):
         for c in objects:
             if c in shifted:
                 continue
-            res = minimal_resolution(object_id(c, params), alg)  # verify=True raises on defect
+            res = minimal_resolution(object_id(c, params), alg)
+            assert res.verify() == []
             assert res.length <= d
             assert res.index_vector() == index_via_system(c, tilting, params)
 
@@ -496,6 +502,7 @@ def test_connecting_maps_are_radical_valued():
         if c in shifted:
             continue
         res = minimal_resolution(object_id(c, P22), alg)
+        assert res.verify() == []
         for s in range(1, len(res.multiplicities)):
             for a in range(alg.r):
                 lay = res.layouts[s - 1][a]
@@ -522,7 +529,8 @@ def assert_matches_fraction_reference(params, tilting):
         if c in shifted:
             assert not any(fraction_module_of(c, alg).dims)
             continue
-        got = minimal_resolution(object_id(c, params), alg)  # verify=True raises on defect
+        got = minimal_resolution(object_id(c, params), alg)
+        assert got.verify() == [], c
         ref = fraction_resolution(c, alg)
         assert got.multiplicities == ref.multiplicities, c
         assert got.length == ref.length, c

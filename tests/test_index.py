@@ -41,7 +41,7 @@ def test_translate_closed_form_signs():
 
 def test_frozen_table_2_1():
     table = index_table(T21, P21)
-    assert table.mapping() == {
+    assert {row.obj: row.index for row in table.rows} == {
         (1, 3): (1, 0),
         (1, 4): (0, 1),
         (2, 4): (-1, 1),
@@ -273,5 +273,5 @@ def test_memory_kept_does_not_grow_with_the_tilting_objects(monkeypatch):
     # an evicted tilting object is rebuilt and answers as before
     evicted = tiltings[21]
     assert evicted not in index._algebras
-    vec = index_table(evicted, params).mapping()[c]
+    vec = index_table(evicted, params).rows[object_id(c, params)].index
     assert index_of(c, evicted, params) == index_via_system(c, evicted, params) == vec

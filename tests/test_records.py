@@ -26,6 +26,14 @@ from higher_cluster.tilting import (
     compatibility_graph,
     enumerate_tilting,
 )
+from higher_cluster.verify import (
+    CheckResult,
+    SweepConfig,
+    VerificationReport,
+    check_serre,
+    find_collisions,
+    run,
+)
 
 # class -> the dataclass flags it replaces
 FLAGS = {
@@ -37,6 +45,9 @@ FLAGS = {
     ResolutionReport: dict(),
     IndexRow: dict(frozen=True),
     IndexTable: dict(frozen=True),
+    CheckResult: dict(),
+    SweepConfig: dict(frozen=True),
+    VerificationReport: dict(),
 }
 ORACLES = {
     cls: dataclasses.make_dataclass(cls.__qualname__, cls._fields, **flags)
@@ -59,6 +70,10 @@ def instances():
     table = index_table(tiltings[0], p21)
     graph, row = compatibility_graph(p21), table.rows[0]
     res = minimal_resolution(1, alg)
+    assert res.verify() == []
+    config = SweepConfig(cases=((2, 1),), checks=("serre", "collisions"))
+    report = run(config)
+    serre = check_serre(p21, tiltings[0])
     return {
         ModelParams: [p21, ModelParams(2, 1), p22, ModelParams(n=1, d=2)],
         TiltingObject: tiltings + [TiltingObject(p21, tiltings[0].mask)],
@@ -72,6 +87,9 @@ def instances():
         ResolutionReport: [res, minimal_resolution(1, alg), res.replace(tail_kernel_dims=(1, 0))],
         IndexRow: list(table.rows) + [IndexRow(row.obj, row.via_resolution, row.via_system)],
         IndexTable: [table, index_table(tiltings[0], p21), index_table(tiltings[1], p21)],
+        CheckResult: [serre, check_serre(p21, tiltings[0]), find_collisions(table)],
+        SweepConfig: [config, SweepConfig(((2, 1),), ("serre", "collisions")), SweepConfig(((2, 2),))],
+        VerificationReport: [report, report.replace(), report.replace(elapsed=0.0)],
     }
 
 

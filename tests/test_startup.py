@@ -4,7 +4,8 @@ Every test runs a fresh interpreter, since this one has long imported
 everything.  The package root resolves its re-exports on first use and
 the command line imports verify only in the commands that run it, so
 importing the package and running index never load verify, dataclasses
-(and with it inspect, ast, dis and tokenize) or fractions.
+(and with it inspect, ast, dis and tokenize) or fractions.  The verify
+command loads verify, and still neither of the other two.
 """
 
 import json
@@ -38,6 +39,12 @@ REPORT = (
     f"atexit.register(lambda: print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]),"
     " file=sys.stderr))\n"
 )
+# what `python -m higher_cluster ...` runs
+RUN_MODULE = (
+    "import runpy, sys\n"
+    "sys.argv[0] = 'higher_cluster'\n"
+    "runpy.run_module('higher_cluster', run_name='__main__', alter_sys=True)\n"
+)
 
 
 def loaded_heavy(proc) -> list:
@@ -51,13 +58,7 @@ def test_importing_loads_nothing_heavy(code):
 
 
 def test_the_index_command_loads_nothing_heavy():
-    # what `python -m higher_cluster index ...` runs, with the report added
-    run_module = (
-        "import runpy\n"
-        "sys.argv[0] = 'higher_cluster'\n"
-        "runpy.run_module('higher_cluster', run_name='__main__', alter_sys=True)\n"
-    )
-    proc = child(REPORT + run_module, *INDEX_ARGV)
+    proc = child(REPORT + RUN_MODULE, *INDEX_ARGV)
     assert loaded_heavy(proc) == []
     payload = json.loads(proc.stdout)
     assert payload["command"] == "index"
@@ -90,11 +91,8 @@ def test_the_root_reexports_resolve_on_first_use():
 
 
 def test_the_verify_command_still_runs_from_a_fresh_process():
-    run_module = (
-        "import runpy, sys\n"
-        "sys.argv[0] = 'higher_cluster'\n"
-        "runpy.run_module('higher_cluster', run_name='__main__', alter_sys=True)\n"
-    )
-    proc = child(run_module, "verify", "--n", "2", "--d", "2", "--format", "json")
+    # it loads verify, and neither dataclasses nor fractions
+    proc = child(REPORT + RUN_MODULE, "verify", "--n", "2", "--d", "2", "--format", "json")
     assert proc.returncode == 0, proc.stderr
+    assert loaded_heavy(proc) == ["higher_cluster.verify"]
     assert json.loads(proc.stdout)["summary"]["fail"] == 0

@@ -98,12 +98,18 @@ def test_collision_witnesses_are_replayable():
     res = find_collisions(index_table(FAN22, P22))
     assert res.status == FINDINGS
     assert len(res.witnesses) == 3
+    objects, ids = hom.calculator_for(P22).objects, object_ids(P22)
     for w in res.witnesses:
         assert w["check"] == "collisions"
         assert (w["n"], w["d"]) == (2, 2)
-        assert w["tilting"] == [list(t) for t in FAN22.summands]
+        assert w["tilting"] == FAN22.summands
         assert len(w["pair"]) == 2
         assert len(w["index"]) == 3
+        # the model's own object tuples, not copies
+        assert all(obj is objects[ids[obj]] for obj in w["pair"] + w["tilting"])
+        reproduced, details = replay(w)
+        assert reproduced
+        assert replay(json.loads(json.dumps(w))) == (reproduced, details)
     assert res.stats["collision_count"] == 3
 
 
@@ -303,7 +309,7 @@ def test_payload_shape():
     assert payload["schema_version"] == 1
     assert payload["command"] == "verify"
     assert "elapsed" not in payload
-    assert payload["config"]["cases"] == [[1, 1]]
+    assert payload["config"]["cases"] == ((1, 1),)
     assert payload["config"]["workers"] == 1  # schema 1 keeps the key
     assert payload["summary"][PASS] == len(payload["results"])
 
@@ -341,7 +347,9 @@ def _assert_replays(result, fields):
     assert result.status == FAIL
     assert result.witnesses
     for w in result.witnesses:
-        reproduced, details = replay(json.loads(json.dumps(w)))
+        # in process, on the model's tuples, and as read back from JSON
+        reproduced, details = replay(w)
+        assert replay(json.loads(json.dumps(w))) == (reproduced, details)
         assert reproduced
         assert details == {key: w[key] for key in fields}
 
@@ -417,8 +425,8 @@ def test_replay_reruns_ideal_quotient_duality(private_caches):
     # the flipped quotient is the right side of (c, x), the flipped ideal
     # the left side of (x, c)
     assert [(w["kind"], w["c"], w["x"]) for w in res.witnesses] == [
-        ("ideal-quotient-duality", [1, 3, 5], [2, 4, 7]),
-        ("ideal-quotient-duality", [2, 4, 7], [1, 3, 5]),
+        ("ideal-quotient-duality", (1, 3, 5), (2, 4, 7)),
+        ("ideal-quotient-duality", (2, 4, 7), (1, 3, 5)),
     ]
     _assert_replays(res, ("lhs", "rhs"))
 
@@ -428,13 +436,13 @@ def test_replay_reruns_dimension_formula(private_caches):
     # the flipped quotient is quot(c, x) at ((2,4), (2,5)) and the
     # quotient term quot(x, translate(c)) at ((1,3), (2,4)); the flipped
     # ideal is the ideal term ideal(c, translate(x)) at ((2,4), (1,3))
-    assert _pairs(res) == [([1, 3], [2, 4]), ([2, 4], [1, 3]), ([2, 4], [2, 5])]
+    assert _pairs(res) == [((1, 3), (2, 4)), ((2, 4), (1, 3)), ((2, 4), (2, 5))]
     _assert_replays(res, ("ideal_form", "quotient_form", "resolution_side"))
 
 
 def test_replay_reruns_disjointness(private_caches):
     res = _broken_disjointness()
-    assert _pairs(res) == [([1, 4], [2, 4])]
+    assert _pairs(res) == [((1, 4), (2, 4))]
     _assert_replays(res, ("quotient_cx", "quotient_x_shift_c"))
 
 
