@@ -22,9 +22,12 @@ Conventions, fixed once and used everywhere:
   components of each projective (`columns`) and the summands whose
   projective each arrow moves (`moves`).  A direct sum is built from
   them once per multiplicity vector and shared, read-only, by every
-  cover with that vector (`direct_sums`); the representation check
-  walks only the arrows into components that hold vectors
-  (`arrows_to`).
+  cover with that vector (`direct_sums`).
+- Every stage walks only its support, the components of nonzero
+  dimension (`CoordRep.support`): covers, kernels, the closure check,
+  the representation check and the units skip every other component,
+  which holds no vector.  The representation check walks only the
+  arrows into components that hold vectors (`arrows_to`).
 
 The projective at t_j is Hom(T, t_j) itself, so its dimension vector is
 the j-th column of the Cartan matrix and every component is at most
@@ -129,7 +132,7 @@ class AlgebraPresentation(Record):
     @cached_property
     def direct_sums(self):
         """projective_module's memo: multiplicity vector -> (dims, arrows,
-        layouts) of that direct sum."""
+        layouts, support) of that direct sum."""
         return {}
 
 
@@ -220,7 +223,9 @@ class CoordRep(Record):
     integer vectors per component, and arrows act on those by the
     matchings.  arrows is a read-only mapping: the matchings of a direct
     sum of projectives are shared by every cover of its algebra with its
-    multiplicities.  Frozen, and compared by identity.
+    multiplicities.  support lists the nonzero components in order; it is
+    read off dims, or handed in with a memoised direct sum, and it is not
+    a field.  Frozen, and compared by identity.
     """
 
     _fields = ("algebra", "dims", "arrows")
@@ -228,11 +233,18 @@ class CoordRep(Record):
     __hash__ = object.__hash__
 
     def __init__(
-        self, algebra: AlgebraPresentation, dims: tuple[int, ...], arrows: MappingProxyType
+        self,
+        algebra: AlgebraPresentation,
+        dims: tuple[int, ...],
+        arrows: MappingProxyType,
+        support: tuple[int, ...] | None = None,
     ):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "arrows", arrows)
+        if support is None:
+            support = tuple(k for k, n in enumerate(dims) if n)
+        object.__setattr__(self, "support", support)
 
     def act(self, pair, vec) -> list:
         """The arrow pair applied to a vector of component pair[1]."""
@@ -242,27 +254,33 @@ class CoordRep(Record):
         return out
 
     def units(self):
-        """The coordinate vectors of every component: the whole module."""
-        return tuple(
-            tuple(tuple(int(x == y) for x in range(n)) for y in range(n))
-            for n in self.dims
-        )
+        """The coordinate vectors of every component: the whole module.
+
+        Only the support is walked; every other component holds none.
+        """
+        out = [()] * len(self.dims)
+        for k in self.support:
+            n = self.dims[k]
+            out[k] = tuple(tuple(int(x == y) for x in range(n)) for y in range(n))
+        return tuple(out)
 
     def check_representation(self, vectors):
         """Composites of arrows must act as the multiplication table says,
         zero composites included, on every vector of vectors[k].
 
-        Every arrow that acts on a given vector is first checked to be a
-        partial matching of the coordinates of its two components.  Only
-        the composable pairs whose outer components i and k both hold
-        vectors are then walked, grouped by that outer pair.  The others
-        are skipped: on the whole module the composite and what it must
-        equal (zero, the identity on component i, or the action of
-        (i, k)) are one and the same empty map, and on a submodule
-        closure under the arrows, checked apart, makes both zero.
+        Only the support is walked: a component of dimension zero holds
+        no vector.  Every arrow that acts on a given vector is first
+        checked to be a partial matching of the coordinates of its two
+        components.  Only the composable pairs whose outer components i
+        and k both hold vectors are then walked, grouped by that outer
+        pair.  The others are skipped: on the whole module the composite
+        and what it must equal (zero, the identity on component i, or the
+        action of (i, k)) are one and the same empty map, and on a
+        submodule closure under the arrows, checked apart, makes both
+        zero.
         """
         alg, dims = self.algebra, self.dims
-        populated = [k for k, vecs in enumerate(vectors) if vecs]
+        populated = [k for k in self.support if vectors[k]]
         for j in populated:
             for i, _ in alg.arrows_to[j]:
                 # a left-out arrow into an empty component is the empty matching
@@ -291,6 +309,15 @@ class CoordRep(Record):
 
 
 def _is_matching(pairs, sources, targets) -> bool:
+    """Whether the pairs (y, x) match coordinates y < sources one to one
+    with coordinates x < targets."""
+    # nearly every matching has no pair or one, and those have nothing
+    # to collide
+    if not pairs:
+        return True
+    if len(pairs) == 1:
+        ((y, x),) = pairs
+        return 0 <= y < sources and 0 <= x < targets
     ys = {y for y, _ in pairs}
     xs = {x for _, x in pairs}
     return (
@@ -331,20 +358,21 @@ def projective_module(multiplicities, algebra):
 
     Built once per multiplicity vector and kept in algebra.direct_sums,
     so every cover of the algebra with that vector shares its read-only
-    matchings and its layouts, dropped with the algebra.  The memo holds
-    no module: a module refers to its algebra, and that cycle would keep
-    a dropped algebra alive until the cyclic garbage collector ran.
+    matchings, its layouts and its support, dropped with the algebra.
+    The memo holds no module: a module refers to its algebra, and that
+    cycle would keep a dropped algebra alive until the cyclic garbage
+    collector ran.
     """
     key = tuple(multiplicities)
     memo = algebra.direct_sums
     if key not in memo:
         memo[key] = _direct_sum(key, algebra)
-    dims, arrows, layouts = memo[key]
-    return CoordRep(algebra, dims, arrows), layouts
+    dims, arrows, layouts, support = memo[key]
+    return CoordRep(algebra, dims, arrows, support), layouts
 
 
 def _direct_sum(multiplicities, algebra):
-    """dims, read-only matchings and layouts of projective_module."""
+    """dims, read-only matchings, layouts and support of projective_module."""
     layouts = [[] for _ in range(algebra.r)]
     for a, m in enumerate(multiplicities):
         if m:
@@ -353,8 +381,10 @@ def _direct_sum(multiplicities, algebra):
                 layouts[k] += copies
     moves = algebra.moves
     arrows = {}
+    support = []
     for i, lay in enumerate(layouts):
         if lay:
+            support.append(i)
             where = {coord: x for x, coord in enumerate(lay)}
             for p in algebra.arrows_from[i]:
                 moved = moves[p]
@@ -366,11 +396,7 @@ def _direct_sum(multiplicities, algebra):
     layouts = tuple(map(tuple, layouts))
     # the representation property holds by associativity of mult,
     # asserted at algebra construction
-    return tuple(map(len, layouts)), MappingProxyType(arrows), layouts
-
-
-def _transpose(cols, nrows):
-    return tuple(zip(*cols)) if cols else ((),) * nrows
+    return tuple(map(len, layouts)), MappingProxyType(arrows), layouts, tuple(support)
 
 
 def projective_cover(module: CoordRep, vectors):
@@ -385,39 +411,43 @@ def projective_cover(module: CoordRep, vectors):
     coordinate (a, cp) of component k to the arrow (k, a) applied to
     lift cp, in the coordinates of the module.
 
+    Each stage walks only its support: the lifts are read at the
+    components of the module that hold vectors, and the cover is built at
+    the components of the projective.  Elsewhere it is the zero map, with
+    no columns and one empty row per coordinate of the module.
+
     Returns (multiplicities, layouts, projective, matrices) with
     matrices[k] the cover at component k as int rows, module.dims[k] by
     projective.dims[k].
     """
-    alg = module.algebra
-    lifts = []
-    for i, own in enumerate(vectors):
+    alg, dims = module.algebra, module.dims
+    lifts = [()] * alg.r
+    for i in module.support:
+        own = vectors[i]
+        if not own:
+            continue
         images = [
             w
             for p in alg.arrows_from[i]
             for u in vectors[p[1]]
             if any(w := module.act(p, u))
-        ] if own else []
+        ]
         if images:
             cols = images + list(own[::-1])
-            _, pivots, _, _ = eliminate(_transpose(cols, module.dims[i]), len(cols))
+            _, pivots, _, _ = eliminate(zip(*cols), len(cols))
             own = [cols[c] for c in reversed(pivots) if c >= len(images)]
-        lifts.append(own)
+        lifts[i] = own
     multiplicities = tuple(map(len, lifts))
     projective, layouts = projective_module(multiplicities, alg)
-    matrices = tuple(
-        _transpose(
-            [
-                lifts[a][cp] if k == a else module.act((k, a), lifts[a][cp])
-                for a, cp in lay
-            ],
-            module.dims[k],
-        )
-        if lay
-        else ((),) * module.dims[k]
-        for k, lay in enumerate(layouts)
-    )
-    return multiplicities, layouts, projective, matrices
+    matrices = [()] * alg.r
+    for k in module.support:
+        matrices[k] = ((),) * dims[k]
+    for k in projective.support:
+        matrices[k] = tuple(zip(*(
+            lifts[a][cp] if k == a else module.act((k, a), lifts[a][cp])
+            for a, cp in layouts[k]
+        )))
+    return multiplicities, layouts, projective, tuple(matrices)
 
 
 def syzygy(projective: CoordRep, matrices):
@@ -426,16 +456,33 @@ def syzygy(projective: CoordRep, matrices):
     Arrows act on the kernel by the projective's own matchings, so no
     induced action is solved; closure under every arrow and the
     representation property are checked on every kernel vector.
+
+    Each stage walks only its support: a kernel is taken at each nonzero
+    component of the projective, and every other component holds no
+    vector.  Closure is checked along every arrow into a component that
+    holds vectors, wherever it lands; the arrows the projective leaves
+    out land in components of dimension zero.
     """
-    vectors = tuple(kernel(m, n) for m, n in zip(matrices, projective.dims))
+    dims, arrows = projective.dims, projective.arrows
+    vectors = [()] * len(dims)
+    for k in projective.support:
+        vectors[k] = kernel(matrices[k], dims[k])
+    vectors = tuple(vectors)
     projective.check_representation(vectors)
-    for (i, j), pairs in projective.arrows.items():
-        for vec in vectors[j]:
-            # the image lies in the kernel at component i
-            if any(sum(row[x] * vec[y] for y, x in pairs) for row in matrices[i]):
-                raise InvariantError(
-                    "kernel of a cover map is not closed under the action"
-                )
+    arrows_to = projective.algebra.arrows_to
+    for j in projective.support:
+        if not vectors[j]:
+            continue
+        for p in arrows_to[j]:
+            pairs = arrows.get(p)
+            if pairs is None:
+                continue
+            for vec in vectors[j]:
+                # the image lies in the kernel at component p[0]
+                if any(sum(row[x] * vec[y] for y, x in pairs) for row in matrices[p[0]]):
+                    raise InvariantError(
+                        "kernel of a cover map is not closed under the action"
+                    )
     return vectors
 
 

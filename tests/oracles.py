@@ -419,6 +419,18 @@ def fraction_module_of(c, algebra):
     return ModuleRep(algebra, dims, actions)
 
 
+def matching_oracle(pairs, sources, targets):
+    """Whether the pairs (y, x) are a partial matching of coordinates
+    y < sources with x < targets, on the sets of both ends."""
+    ys = {y for y, _ in pairs}
+    xs = {x for _, x in pairs}
+    return (
+        len(ys) == len(xs) == len(pairs)
+        and all(0 <= y < sources for y in ys)
+        and all(0 <= x < targets for x in xs)
+    )
+
+
 def dense_projective_module(multiplicities, algebra):
     """The direct sum of projectives as the package built it before its
     per-algebra tables: every component over every summand, every arrow's

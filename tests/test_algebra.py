@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from higher_cluster import algebra as algebra_module
 from higher_cluster.algebra import (
     CoordRep,
+    _is_matching,
     build_algebra,
     minimal_resolution,
     module_of,
@@ -35,7 +37,12 @@ from higher_cluster.model import (
 )
 from higher_cluster.tilting import enumerate_tilting, validate_tilting
 
-from oracles import dense_projective_module, fraction_module_of, fraction_resolution
+from oracles import (
+    dense_projective_module,
+    fraction_module_of,
+    fraction_resolution,
+    matching_oracle,
+)
 
 P21 = ModelParams(2, 1)
 T21 = validate_tilting(((1, 3), (1, 4)), P21)
@@ -156,6 +163,23 @@ def test_representation_check_rejects_bad_shapes():
     # two coordinates onto one is not a matching
     with pytest.raises(InvariantError, match=r"arrow \(0, 1\)"):
         checked(alg, (1, 2, 0), {(0, 1): ((0, 0), (1, 0)), (1, 2): ZERO, (0, 2): ZERO})
+    # one pair is a matching only inside both ranges: a target coordinate
+    # past the end, or a negative one, which indexing would wrap round
+    good = {(0, 1): ONE, (1, 2): ONE, (0, 2): ONE}
+    for bad in (((0, 1),), ((-1, 0),), ((0, -1),)):
+        with pytest.raises(InvariantError, match=r"arrow \(0, 1\)"):
+            checked(alg, (1, 1, 1), {**good, (0, 1): bad})
+
+
+@given(
+    st.lists(st.tuples(st.integers(-2, 4), st.integers(-2, 4)), max_size=3).map(tuple),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+@settings(max_examples=400, deadline=None)
+def test_is_matching_agrees_with_the_set_definition(pairs, sources, targets):
+    # no pair and one pair are decided without the sets
+    assert _is_matching(pairs, sources, targets) == matching_oracle(pairs, sources, targets)
 
 
 def test_syzygy_refuses_a_kernel_not_closed_under_the_action():
@@ -169,6 +193,57 @@ def test_syzygy_refuses_a_kernel_not_closed_under_the_action():
     assert syzygy(projective, (((0,),), ((0,),))) == ([(1,)], [(1,)])
     with pytest.raises(InvariantError, match="not closed under the action"):
         syzygy(projective, (((1,),), ((0,),)))
+
+
+def test_syzygy_refuses_a_kernel_not_closed_between_separated_components():
+    # the projective at t_3 of the vertex-1 fan at (3, 2) is one
+    # coordinate at t_1 and one at t_3, with empty components around and
+    # between them, and the arrow (1, 3) matches the two; the kernel is
+    # taken on that support alone, and closure is still checked along
+    # the arrow from t_3 back to t_1, where the kernel is empty
+    params = ModelParams(3, 2)
+    fan = validate_tilting(
+        [c for c in enumerate_indecomposables(params) if 1 in c], params
+    )
+    alg = build_algebra(fan, params)
+    projective, _ = projective_module((0, 0, 0, 1, 0, 0), alg)
+    assert projective.dims == (0, 1, 0, 1, 0, 0)
+    assert projective.support == (1, 3)
+    assert projective.arrows[(1, 3)] == ONE
+    zero, kill, keep = (), ((0,),), ((1,),)
+    closed = (zero, kill, zero, kill, zero, zero)
+    assert syzygy(projective, closed) == ((), [(1,)], (), [(1,)], (), ())
+    with pytest.raises(InvariantError, match="not closed under the action"):
+        syzygy(projective, (zero, keep, zero, kill, zero, zero))
+
+
+@pytest.mark.parametrize("case", ["3,1", "4,3 fan"])
+def test_syzygy_takes_one_kernel_per_nonzero_component(monkeypatch, case):
+    # each syzygy walks only the support of its projective: one kernel at
+    # every nonzero component, none at the others
+    if case == "3,1":
+        algebras = [build_algebra(t, P31) for t in enumerate_tilting(P31)]
+    else:
+        algebras = [shared_algebra(P43, "fan")]
+    calls = []
+    kernel = algebra_module.kernel
+    monkeypatch.setattr(
+        algebra_module, "kernel", lambda rows, ncols: calls.append(ncols) or kernel(rows, ncols)
+    )
+    nonzero = components = 0
+    for alg in algebras:
+        params = alg.params
+        translates = {object_id(shift(t, 1, params), params) for t in alg.summands}
+        for c in range(len(enumerate_indecomposables(params))):
+            if c not in translates:
+                res = minimal_resolution(c, alg)
+                for stage in range(len(res.layouts)):
+                    dims = res.component_dims(stage)
+                    nonzero += sum(1 for n in dims if n)
+                    components += len(dims)
+    assert len(calls) == nonzero and all(calls)
+    # the guard has teeth: the projectives have empty components
+    assert nonzero < components
 
 
 # the small grid of the acceptance criteria 3 and 5
