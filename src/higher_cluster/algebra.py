@@ -28,10 +28,15 @@ Conventions, fixed once and used everywhere:
   the representation check and the units skip every other component,
   which holds no vector.  The representation check walks only the
   arrows into components that hold vectors (`arrows_to`).
+- Hom(T, c) is read off the hom tables of c: its dimensions from one hom
+  column of c, and each arrow's matching from one bit of a summand's
+  factor mask at c (`module_of`).
 
 The projective at t_j is Hom(T, t_j) itself, so its dimension vector is
 the j-th column of the Cartan matrix and every component is at most
-one-dimensional.
+one-dimensional.  So a summand's module is not covered and kerneled:
+it is checked equal to the projective at t_j, matching by matching, and
+resolved by it (`_summand_resolution`, whose docstring has the proof).
 """
 
 from __future__ import annotations
@@ -82,6 +87,11 @@ class AlgebraPresentation(Record):
     # The views and tables below are computed once per algebra and then
     # read from the instance like fields; modules consult them on every
     # cover and kernel step.
+
+    @cached_property
+    def summand_of(self):
+        """summand_of[k]: the position a with ids[a] = k, for the summands' ids."""
+        return {t: a for a, t in enumerate(self.ids)}
 
     @cached_property
     def arrows(self):
@@ -330,18 +340,30 @@ def _is_matching(pairs, sources, targets) -> bool:
 def module_of(k: int, algebra: AlgebraPresentation) -> CoordRep:
     """The right module Hom(T, c) of the object c with id k.
 
-    It is zero exactly when c is a translate of a summand of T.
+    It is zero exactly when c is a translate of a summand of T.  Its
+    dimensions are the bits of the hom column of c at the summands' ids,
+    and the arrow (i, j) between two nonzero components acts by the
+    matching ((0, 0),) exactly when t_i -> c factors through t_j: bit
+    ids[j] of the factor mask of t_i at c.
     """
     calc = calculator_for(algebra.params)
     ids = algebra.ids
-    dims = tuple(calc.hom(t, k) for t in ids)
-    # only arrows between support components: the others are left out
-    arrows = {
-        (i, j): ((0, 0),) if calc.composes(ids[i], ids[j], k) else ()
-        for i, j in algebra.arrows
-        if dims[i] and dims[j]
-    }
-    return CoordRep(algebra, dims, MappingProxyType(arrows))
+    column = calc.hom_columns[k]
+    dims = tuple(column >> t & 1 for t in ids)
+    support = tuple(i for i, n in enumerate(dims) if n)
+    arrows_from = algebra.arrows_from
+    # only arrows between support components: the others are left out.
+    # Each one read is a nonzero t_i -> t_j (an arrow) followed by a
+    # nonzero t_j -> c (j in the support), which is what composes
+    # guards, so its structure constant is that bit and no query is made
+    arrows = {}
+    for i in support:
+        through = calc.factor_row(ids[i])[k]
+        for p in arrows_from[i]:
+            j = p[1]
+            if dims[j]:
+                arrows[p] = ((0, 0),) if through >> ids[j] & 1 else ()
+    return CoordRep(algebra, dims, MappingProxyType(arrows), support)
 
 
 def projective_module(multiplicities, algebra):
@@ -615,21 +637,18 @@ class ResolutionReport(Record):
 
 
 def minimal_resolution(k: int, algebra: AlgebraPresentation) -> ResolutionReport:
-    """Minimal bounded presentation of Hom(T, c), c the object with id k,
-    by iterated covers.
+    """Minimal bounded presentation of Hom(T, c), c the object with id k.
 
     The module must be nonzero, i.e. c must not be a translate of a
     summand (the index machinery handles that case in closed form).  The
-    iteration runs until the kernel vanishes or d + 1 projective terms
-    are built, whichever comes first; a kernel surviving past stage d is
-    recorded as tail_kernel_dims rather than resolved further, since only
-    the first d + 1 terms carry index information and some endomorphism
-    algebras (oriented cycles among summands) admit no finite resolution
-    at all.  Each syzygy stays inside the projective it sits in, so every
-    connecting map comes out in that projective's coordinates.  The full
-    exactness and minimality report is the returned report's verify(),
-    run by the tests; the index sweeps rely on the independent
+    full exactness and minimality report is the returned report's
+    verify(), run by the tests; the index sweeps rely on the independent
     cross-route check instead.
+
+    A summand c = t_a has Hom(T, t_a) = P_a, the projective at t_a, and
+    its resolution is P_a itself: the module is checked equal to P_a (see
+    _summand_resolution), and no cover or kernel is taken.  Every other
+    module is resolved by iterated covers (resolve_by_covers).
     """
     c = calculator_for(algebra.params).objects[k]
     module = module_of(k, algebra)
@@ -637,6 +656,96 @@ def minimal_resolution(k: int, algebra: AlgebraPresentation) -> ResolutionReport
         raise ContractError(
             f"Hom(T, {c}) = 0: {c} is a translate of a summand, no resolution"
         )
+    a = algebra.summand_of.get(k)
+    if a is not None:
+        return _summand_resolution(a, module, c)
+    return resolve_by_covers(module, c)
+
+
+def _summand_resolution(a: int, module: CoordRep, target: IndObj) -> ResolutionReport:
+    """The resolution 0 -> P_a -> M -> 0 of the module M of the summand
+    target = t_a, once M is checked equal to P_a.
+
+    M equals P_a when both have the same dims and the same matching on
+    every arrow between nonzero components; an arrow with an end outside
+    the support acts on no coordinate in either.  Otherwise InvariantError.
+    This equality stands in for the representation check on M, and the
+    report is the one resolve_by_covers builds on M, field by field:
+
+    - M is a representation.  Each arrow (i, l) of P_a carries its one
+      coordinate at l to its one at i exactly when mult[((i, l), (l, a))]
+      = 1 (a product with a pair off the basis reads 0, as _assert_closed
+      allows).  For composable arrows p = (i, l) and q = (l, k), the
+      composite "q, then p" on the coordinate at k is therefore nonzero
+      iff mult[(q, (k, a))] and mult[(p, (l, a))].  What it must equal,
+      mult[(p, q)] times the action of (i, k), is nonzero iff mult[(p, q)]
+      and mult[((i, k), (k, a))].  These are the two sides of
+      associativity on the triple p, q, (k, a), which _assert_associative
+      asserted; for i = k the action of (i, i) is the identity, and
+      mult[((i, i), (i, a))] = 1 by _assert_units.  Every matching has at
+      most one pair, between components of dimension one.
+    - Its cover is the identity of P_a, with top at t_a alone.  At a
+      component i != a of the support, the arrow (i, a) carries the
+      coordinate at a onto the one at i (mult[((i, a), (a, a))] = 1 by
+      _assert_units), so component i lies in the radical.  At a no
+      arrow (a, b) carries anything back: mult[((a, b), (b, a))] = 1
+      would make t_a -> t_b -> t_a the identity, impossible by the
+      radical lemma at _assert_associative.  So the one lift is the
+      coordinate at a, multiplicities e_a, and the cover sends each
+      coordinate (a, 0) of P_a to the coordinate of M at the same
+      component: the 1 x 1 identity on every component of the support.
+    - Its kernel is zero, so the tail is zero and the report has one
+      stage.
+    """
+    algebra = module.algebra
+    multiplicities = tuple(int(b == a) for b in range(algebra.r))
+    projective, layouts = projective_module(multiplicities, algebra)
+    if not _same_module(module, projective):
+        raise InvariantError(
+            f"Hom(T, {target}) is not the projective at its summand {a}"
+        )
+    matrices = [()] * algebra.r
+    for k in projective.support:
+        matrices[k] = ((1,),)
+    return ResolutionReport(
+        algebra,
+        target,
+        module.dims,
+        (multiplicities,),
+        (tuple(matrices),),
+        (layouts,),
+        (0,) * algebra.r,
+    )
+
+
+def _same_module(module: CoordRep, projective: CoordRep) -> bool:
+    """Same dims, and the same matching on every arrow between nonzero
+    components; a matching left out of module is not the same as one
+    the projective has."""
+    dims, own, theirs = module.dims, module.arrows, projective.arrows
+    if dims != projective.dims:
+        return False
+    arrows_from = module.algebra.arrows_from
+    for i in projective.support:
+        for p in arrows_from[i]:
+            if dims[p[1]] and own.get(p) != theirs[p]:
+                return False
+    return True
+
+
+def resolve_by_covers(module: CoordRep, target: IndObj) -> ResolutionReport:
+    """Minimal bounded presentation of the module, by iterated covers.
+
+    The iteration runs until the kernel vanishes or d + 1 projective
+    terms are built, whichever comes first; a kernel surviving past
+    stage d is recorded as tail_kernel_dims rather than resolved
+    further, since only the first d + 1 terms carry index information
+    and some endomorphism algebras (oriented cycles among summands)
+    admit no finite resolution at all.  Each syzygy stays inside the
+    projective it sits in, so every connecting map comes out in that
+    projective's coordinates.
+    """
+    algebra = module.algebra
     module_dims = module.dims
     vectors = module.units()
     # with the representation property on the vectors it lifts, each
@@ -656,7 +765,7 @@ def minimal_resolution(k: int, algebra: AlgebraPresentation) -> ResolutionReport
         module = projective
     return ResolutionReport(
         algebra,
-        c,
+        target,
         module_dims,
         tuple(multiplicities),
         tuple(maps),

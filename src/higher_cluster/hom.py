@@ -43,7 +43,8 @@ row forms ideal_row and quotient_row answer for every target at once,
 and transpose turns rows into columns; the sweeps of verify run on
 these, which build their masks on each call and keep none.  Tables
 only ever grow: per ModelParams with m objects, at most m hom rows and
-m^2 factor masks of m bits each.
+m^2 factor masks of m bits each, and the m hom columns of m bits
+(hom_columns, built whole on first read).
 """
 
 from __future__ import annotations
@@ -91,6 +92,12 @@ class HomCalculator:
         for i in family:
             mask |= 1 << translate[i]
         return mask
+
+    @cached_property
+    def hom_columns(self) -> tuple[int, ...]:
+        """Entry j: the mask of the i with Hom(object i, object j) = K,
+        the transpose of every hom row, built once."""
+        return tuple(transpose([self.hom_row(i) for i in range(len(self.objects))]))
 
     def hom_row(self, i: int) -> int:
         """Bit j is set iff Hom(object i, object j) = K."""

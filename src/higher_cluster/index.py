@@ -17,7 +17,8 @@ summand order.  Two independent computation routes are implemented:
   row of G a = b must then hold as an integer identity.  G is kept as
   the summands' hom rows, so G a is summed sparsely: each nonzero
   coefficient is added along its summand's hom row.  b is filled as
-  sparsely, from the quotient and ideal rows of c.
+  sparsely, from the ideal row of c, read once, and the quotient row
+  that it leaves of the hom row of c.
 
 Neither route leaves the integers; both run on the one fraction-free
 elimination of `linalg`, which also gives the integer rank that names a
@@ -147,10 +148,11 @@ def _index_by_system(c: int, system: _System, calc: HomCalculator) -> IndexVecto
     # of Hom(c, shift(x, 1)) through add(shifted), nonzero only on the hom
     # row of c and its pull-back by the translate
     b = [0] * len(calc.objects)
-    for x in bit_ids(calc.quotient_row(c, shifted)):
+    ideal = calc.ideal_row(c, shifted)
+    for x in bit_ids(calc.hom_row(c) & ~ideal):  # the quotient row of c
         b[x] = 1
     back = calc.translate_back
-    for x1 in bit_ids(calc.ideal_row(c, shifted)):
+    for x1 in bit_ids(ideal):
         b[back[x1]] += sign
     b_square = [b[p] for p in system.positions]
     scaled = [sum(map(mul, row, b_square)) for row in system.adj]

@@ -10,6 +10,7 @@ import functools
 import gc
 import random
 import weakref
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +19,14 @@ from hypothesis import strategies as st
 from higher_cluster import algebra as algebra_module
 from higher_cluster.algebra import (
     CoordRep,
+    ResolutionReport,
     _is_matching,
     build_algebra,
     minimal_resolution,
     module_of,
     projective_cover,
     projective_module,
+    resolve_by_covers,
     syzygy,
 )
 from higher_cluster.errors import ContractError, InvariantError
@@ -217,33 +220,88 @@ def test_syzygy_refuses_a_kernel_not_closed_between_separated_components():
         syzygy(projective, (zero, keep, zero, kill, zero, zero))
 
 
+def guard_algebras(case):
+    """The algebras of the call-count guards: every tilting object at
+    (3, 1), or the vertex-1 fan at (4, 3)."""
+    if case == "3,1":
+        return [build_algebra(t, P31) for t in enumerate_tilting(P31)]
+    return [shared_algebra(P43, "fan")]
+
+
+def resolved_rows(alg):
+    """The ids of the objects whose module is nonzero: all but the
+    translates of the summands."""
+    params = alg.params
+    translates = {object_id(shift(t, 1, params), params) for t in alg.summands}
+    return [c for c in range(len(enumerate_indecomposables(params))) if c not in translates]
+
+
 @pytest.mark.parametrize("case", ["3,1", "4,3 fan"])
 def test_syzygy_takes_one_kernel_per_nonzero_component(monkeypatch, case):
     # each syzygy walks only the support of its projective: one kernel at
-    # every nonzero component, none at the others
-    if case == "3,1":
-        algebras = [build_algebra(t, P31) for t in enumerate_tilting(P31)]
-    else:
-        algebras = [shared_algebra(P43, "fan")]
+    # every nonzero component, none at the others; a summand's module is
+    # its own projective and takes no kernel at all
     calls = []
     kernel = algebra_module.kernel
     monkeypatch.setattr(
         algebra_module, "kernel", lambda rows, ncols: calls.append(ncols) or kernel(rows, ncols)
     )
-    nonzero = components = 0
-    for alg in algebras:
-        params = alg.params
-        translates = {object_id(shift(t, 1, params), params) for t in alg.summands}
-        for c in range(len(enumerate_indecomposables(params))):
-            if c not in translates:
-                res = minimal_resolution(c, alg)
-                for stage in range(len(res.layouts)):
-                    dims = res.component_dims(stage)
-                    nonzero += sum(1 for n in dims if n)
-                    components += len(dims)
+    nonzero = components = summand_rows = 0
+    for alg in guard_algebras(case):
+        for c in resolved_rows(alg):
+            before = len(calls)
+            res = minimal_resolution(c, alg)
+            if c in alg.ids:
+                assert len(calls) == before, c
+                summand_rows += 1
+                continue
+            for stage in range(len(res.layouts)):
+                dims = res.component_dims(stage)
+                nonzero += sum(1 for n in dims if n)
+                components += len(dims)
     assert len(calls) == nonzero and all(calls)
-    # the guard has teeth: the projectives have empty components
+    # the guard has teeth: the projectives have empty components, and
+    # summand rows are among the rows
     assert nonzero < components
+    assert summand_rows
+
+
+@pytest.mark.parametrize("case", ["3,1", "4,3 fan"])
+def test_summand_rows_take_no_cover(monkeypatch, case):
+    # the module of a summand t_a is checked equal to the projective at
+    # t_a; every other row takes one cover per stage and its kernels
+    counts = {"projective_cover": 0, "kernel": 0}
+
+    def counted(name):
+        inner = getattr(algebra_module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(algebra_module, name, counted(name))
+    summand_rows = other_rows = 0
+    algebras = guard_algebras(case)
+    for alg in algebras:
+        for c in resolved_rows(alg):
+            before = dict(counts)
+            res = minimal_resolution(c, alg)
+            covers = counts["projective_cover"] - before["projective_cover"]
+            kernels = counts["kernel"] - before["kernel"]
+            if c in alg.ids:
+                assert (covers, kernels) == (0, 0), c
+                assert res.multiplicities == (
+                    tuple(int(a == alg.ids.index(c)) for a in range(alg.r)),
+                )
+                summand_rows += 1
+            else:
+                assert covers == len(res.multiplicities) and kernels >= covers, c
+                other_rows += 1
+    assert summand_rows == sum(alg.r for alg in algebras)
+    assert other_rows
 
 
 # the small grid of the acceptance criteria 3 and 5
@@ -515,6 +573,139 @@ def test_projective_covers_itself():
             assert res.length == 0
             assert res.multiplicities == (expected,)
             assert res.full_resolution
+
+
+# The summand rows: Hom(T, t_a) is checked equal to the projective at t_a
+# and resolved by it, with no cover or kernel; the cover-and-kernel loop
+# on the same module is the reference.
+def summand_cases():
+    """The cases of the direct-sum tests (the small grid, a sample at
+    (4, 3) and the vertex-1 fan at (5, 3)) and the vertex-1 fan at (4, 4)."""
+    return direct_sum_cases() + ((ModelParams(4, 4), "fan"),)
+
+
+def test_summand_rows_match_the_cover_and_kernel_loop():
+    rows = 0
+    for params, position in summand_cases():
+        alg = shared_algebra(params, position)
+        objects = enumerate_indecomposables(params)
+        for k in alg.ids:
+            got = minimal_resolution(k, alg)
+            ref = resolve_by_covers(module_of(k, alg), objects[k])
+            for field in ResolutionReport._fields:
+                assert getattr(got, field) == getattr(ref, field), (params, k, field)
+            assert got.verify() == []
+            rows += 1
+    assert rows == 507
+
+
+def summand_with_arrows(alg):
+    """The summands t_a whose projective has an arrow between two of its
+    nonzero components, with those arrows."""
+    out = []
+    for a, k in enumerate(alg.ids):
+        arrows = list(module_of(k, alg).arrows)
+        if arrows:
+            out.append((a, k, arrows))
+    return out
+
+
+def mutation_algebras():
+    return [build_algebra(t, P31) for t in enumerate_tilting(P31)] + [
+        build_algebra(FAN22, P22),
+        shared_algebra(P43, "fan"),
+    ]
+
+
+def test_a_flipped_composite_in_module_of_is_refused_on_summand_rows(monkeypatch):
+    refused = 0
+    original = algebra_module.module_of
+    for alg in mutation_algebras():
+        for a, k, arrows in summand_with_arrows(alg):
+            assert minimal_resolution(k, alg).verify() == []
+            for p in arrows:
+
+                def flipped(k, alg, p=p):
+                    module = original(k, alg)
+                    arrows = dict(module.arrows)
+                    arrows[p] = () if arrows[p] else ((0, 0),)
+                    return CoordRep(alg, module.dims, MappingProxyType(arrows))
+
+                monkeypatch.setattr(algebra_module, "module_of", flipped)
+                with pytest.raises(InvariantError, match="is not the projective"):
+                    minimal_resolution(k, alg)
+                monkeypatch.undo()
+                refused += 1
+    assert refused == 180
+
+
+def test_a_wrong_moves_entry_is_refused_on_summand_rows(monkeypatch):
+    # a wrong entry of algebra.moves makes _direct_sum build a wrong
+    # projective at t_a; each flip runs on a fresh algebra, whose memo of
+    # direct sums is empty
+    refused = 0
+    for template in mutation_algebras():
+        params = template.params
+        for a, k, arrows in summand_with_arrows(template):
+            for p in arrows:
+                alg = build_algebra(validate_tilting(template.summands, params), params)
+                moves = dict(alg.moves)
+                moves[p] = moves[p] ^ {a}
+                monkeypatch.setitem(vars(alg), "moves", moves)
+                with pytest.raises(InvariantError, match="is not the projective"):
+                    minimal_resolution(k, alg)
+                monkeypatch.undo()
+                refused += 1
+    assert refused == 180
+
+
+def test_a_wrong_dims_component_is_refused_on_summand_rows(monkeypatch):
+    # every component flipped, but the only nonzero one of a simple
+    # projective: its module would be zero, refused before any check
+    refused = 0
+    original = algebra_module.module_of
+    for alg in mutation_algebras():
+        for k in alg.ids:
+            dims = module_of(k, alg).dims
+            for i in range(alg.r):
+                if dims[i] and sum(dims) == 1:
+                    continue
+
+                def wrong(k, alg, i=i):
+                    module = original(k, alg)
+                    dims = list(module.dims)
+                    dims[i] = 1 - dims[i]
+                    return CoordRep(alg, tuple(dims), module.arrows)
+
+                monkeypatch.setattr(algebra_module, "module_of", wrong)
+                with pytest.raises(InvariantError, match="is not the projective"):
+                    minimal_resolution(k, alg)
+                monkeypatch.undo()
+                refused += 1
+    assert refused == 518
+
+
+@pytest.mark.parametrize("n,d", [(3, 3), (4, 3), (5, 2)])
+def test_module_of_matches_the_fraction_oracle(n, d):
+    # every object against the hom and factorisation oracles, on the
+    # vertex-1 fan and two sampled tilting objects
+    params = ModelParams(n, d)
+    objects = enumerate_indecomposables(params)
+    tiltings = random.Random(25).sample(list(enumerate_tilting(params)), 2)
+    tiltings.append(validate_tilting([c for c in objects if 1 in c], params))
+    for tilting in tiltings:
+        alg = build_algebra(tilting, params)
+        for k, c in enumerate(objects):
+            got = module_of(k, alg)
+            ref = fraction_module_of(c, alg)
+            assert got.dims == ref.dims, c
+            assert got.support == tuple(i for i, n in enumerate(ref.dims) if n)
+            for p in alg.arrows:
+                action = ref.actions[p]
+                if action.nrows and action.ncols:
+                    assert got.arrows[p] == (((0, 0),) if action.rows[0][0] else ()), (c, p)
+                else:
+                    assert p not in got.arrows, (c, p)
 
 
 def test_resolution_2_1_frozen():

@@ -353,6 +353,21 @@ def test_row_queries_match_the_pair_queries(n, d):
                 assert through[y] >> z & 1 == composite
 
 
+@pytest.mark.parametrize("n,d", [(3, 3), (4, 3), (5, 2)])
+def test_hom_columns_match_hom(n, d):
+    # a fresh calculator, its hom rows not yet read: the columns fill
+    # them, and are built once
+    calc = HomCalculator(ModelParams(n, d))
+    columns = calc.hom_columns
+    objs = range(len(calc.objects))
+    assert len(columns) == len(calc.objects)
+    for i in objs:
+        for j in objs:
+            assert columns[j] >> i & 1 == calc.hom(i, j)
+    assert all(column >> len(calc.objects) == 0 for column in columns)
+    assert calc.hom_columns is columns
+
+
 def test_compose_nonzero_examples():
     assert C21.composes(*ids(P21, (1, 3), (1, 3), (1, 4))) == 1
     assert C21.composes(*ids(P21, (1, 3), (1, 4), (2, 4))) == 0
