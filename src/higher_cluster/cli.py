@@ -17,7 +17,8 @@ import json
 import os
 import sys
 import time
-from itertools import chain
+from collections import defaultdict
+from itertools import chain, repeat
 from json.encoder import INFINITY, encode_basestring_ascii
 
 from .checks import CHECK_NAMES
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .hom import calculator_for
 from .index import index_table
-from .model import ModelParams, check_cap, enumerate_indecomposables, object_id
+from .model import ModelParams, check_cap, enumerate_indecomposables, object_id, select
 from .tilting import (
     TiltingObject,
     bit_ids,
@@ -161,30 +162,37 @@ def json_pieces(value):
     CPython encodes indented JSON with its pure-Python encoder, one
     generator token at a time; this builds the same text by str.join.
     Payloads share the model's object tuples, so each tuple of ints is
-    rendered once per nesting depth and its text reused.  The memo lives
-    as long as this generator, shared by all of its pieces.  It is keyed
-    on the tuple's identity, not its value: True == 1 == 1.0 and they
-    hash alike, so a value key would print (True, 3) as [1, 3].  Each
-    entry holds its tuple, so no id is reused while the memo lives.  Dict
-    keys must be str, as every payload's are; any other key is a
-    TypeError.
+    rendered once per nesting depth: memos[depth] maps the tuple's id to
+    its text there.  A list or tuple whose items are all in the memo one
+    depth down (a family of object tuples) is joined from the memo in C,
+    with no call per item.  The memos live as long as this generator,
+    shared by all of its pieces.  They are keyed on identity, not value:
+    True == 1 == 1.0 and they hash alike, so a value key would print
+    (True, 3) as [1, 3].  kept holds every memoised tuple, so no id is
+    reused while the memos live, and an id found in a memo is that
+    tuple.  Dict keys must be str, as every payload's are; any other key
+    is a TypeError.
     """
-    memo = {}
+    memos = defaultdict(dict)
+    kept = []
 
     def render(v, depth):
         if isinstance(v, (list, tuple)):
             if not v:
                 return "[]"
             if type(v) is tuple:
-                key = (id(v), depth)
-                hit = memo.get(key)
-                if hit is not None:
-                    return hit[1]
-                if all(type(x) is int for x in v):
-                    text = _block("[", map(int.__repr__, v), "]", depth)
-                    memo[key] = (v, text)
+                memo = memos[depth]
+                text = memo.get(id(v))
+                if text is not None:
                     return text
-            return _block("[", [render(x, depth + 1) for x in v], "]", depth)
+                if all(type(x) is int for x in v):
+                    text = memo[id(v)] = _block("[", map(int.__repr__, v), "]", depth)
+                    kept.append(v)
+                    return text
+            texts = list(map(memos[depth + 1].get, map(id, v)))
+            if not all(texts):
+                texts = [t or render(x, depth + 1) for t, x in zip(texts, v)]
+            return _block("[", texts, "]", depth)
         if isinstance(v, dict):
             if not v:
                 return "{}"
@@ -233,8 +241,12 @@ def json_pieces(value):
 
 
 def _block(open_, items, close, depth) -> str:
-    inner = "\n" + "  " * (depth + 1)
-    return open_ + inner + ("," + inner).join(items) + "\n" + "  " * depth + close
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    body = ("," + inner).join(items)
+    # one f-string copies body once; a chain of + copies it again for
+    # each part added after it, and a family's text is kilobytes long
+    return f"{open_}{inner}{body}{outer}{close}"
 
 
 def _render(payload, columns, rows, fmt: str):
@@ -346,18 +358,18 @@ def _cmd_hom(args) -> int:
 def _cmd_tilting(args) -> int:
     params = _params(args)
     tiltings, anomalies = maximal_families(params)
+    # decoded from the masks, with one lookup of the objects for all
+    objects = enumerate_indecomposables(params)
+    families = list(map(select, repeat(objects), tiltings.masks()))
     payload = {
         **_header("tilting", params),
         "expected_size": expected_tilting_size(params),
         "count": len(tiltings),
-        "tilting": [obj.summands for obj in tiltings],
+        "tilting": families,
         "anomalies": anomalies,
     }
     def rows():
-        return [
-            [i, "|".join(_fmt_obj(t) for t in obj.summands)]
-            for i, obj in enumerate(tiltings)
-        ]
+        return [[i, "|".join(map(_fmt_obj, family))] for i, family in enumerate(families)]
 
     code = 3 if anomalies else 0
     _emit(_render(payload, ["position", "summands"], rows, args.format), args.out)

@@ -196,8 +196,15 @@ def bit_ids(mask: int):
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
-def objects_of(mask: int, params: ModelParams) -> tuple[IndObj, ...]:
-    """The objects whose ids are the set bits of mask, in id order; the
-    digits of mask select them in C, with no Python step per set bit."""
+def select(items, mask: int) -> tuple:
+    """The items at the set bits of mask, in order; the digits of mask
+    select them in C, with no Python step per set bit.  A caller that
+    decodes many masks of one case passes enumerate_indecomposables
+    once, for map(select, repeat(objects), masks)."""
     flags = bin(mask)[:1:-1].encode().translate(_FLAGS)
-    return tuple(compress(enumerate_indecomposables(params), flags))
+    return tuple(compress(items, flags))
+
+
+def objects_of(mask: int, params: ModelParams) -> tuple[IndObj, ...]:
+    """The objects whose ids are the set bits of mask, in id order."""
+    return select(enumerate_indecomposables(params), mask)

@@ -46,6 +46,7 @@ from .model import (
     object_id,
     object_ids,
     objects_of,
+    select,
     shift,
 )
 from .record import Record
@@ -147,20 +148,36 @@ def _id_order(families, m):
 
 
 def _maximal_cliques(neighbors):
-    """Bron-Kerbosch with pivoting on the bitmask neighbourhoods.
+    """Bron-Kerbosch with the pivot of Tomita, Tanaka and Takahashi
+    (Theor. Comput. Sci. 2006) on the bitmask neighbourhoods.
 
     Returns every maximal clique as an int mask of ids, ordered as their
     sorted id tuples.
+
+    A node extends its clique by candidates compatible with all of it;
+    the excluded vertices are compatible too, but every maximal clique
+    holding one of them has been found elsewhere.  The pivot is a vertex
+    covering the most candidates, and only the candidates it does not
+    cover are branched on.  Each node costs as little as the rule allows:
+    - an excluded vertex covering every candidate ends the node, for it
+      extends every clique the node could grow;
+    - the scan for the pivot stops at the first vertex covering all
+      candidates but one.  No candidate covers itself, so only an
+      excluded vertex covering every candidate would be better, and
+      the one branch left then ends on meeting it;
+    - a branch left with no candidate, or with one, is settled where
+      it is, with no call for it: its clique, grown by that candidate,
+      is maximal unless an excluded vertex extends it.
+    The pivot decides how the search splits, never what it finds: the
+    maximal cliques are the same whichever vertex is picked, and
+    _id_order fixes their order, so no tie rule reaches the output.
     """
     found = []
+    append = found.append
 
     def expand(clique, candidates, excluded):
-        if not candidates:
-            if not excluded:
-                found.append(clique)
-            return
-        # pivot on the vertex covering most candidates; ties to the
-        # smallest id keep the recursion deterministic
+        # a candidate covers at most the others
+        most = candidates.bit_count() - 1
         best = -1
         rest = candidates | excluded
         while rest:
@@ -168,18 +185,34 @@ def _maximal_cliques(neighbors):
             u = low.bit_length() - 1
             cover = (candidates & neighbors[u]).bit_count()
             if cover > best:
+                if cover >= most:
+                    if cover > most:
+                        return
+                    pivot = u
+                    break
                 pivot, best = u, cover
             rest ^= low
         branch = candidates & ~neighbors[pivot]
         while branch:
             low = branch & -branch
-            v = low.bit_length() - 1
-            expand(clique | low, candidates & neighbors[v], excluded & neighbors[v])
+            near = neighbors[low.bit_length() - 1]
+            below = candidates & near
+            if below & (below - 1):
+                expand(clique | low, below, excluded & near)
+            elif not below:
+                if not excluded & near:
+                    append(clique | low)
+            elif not excluded & near & neighbors[below.bit_length() - 1]:
+                append(clique | low | below)
             candidates ^= low
             excluded |= low
             branch ^= low
 
-    expand(0, (1 << len(neighbors)) - 1, 0)
+    everything = (1 << len(neighbors)) - 1
+    if everything:
+        expand(0, everything, 0)
+    else:
+        append(0)  # no vertex: the empty clique is the one maximal clique
     return _id_order(found, len(neighbors))
 
 
@@ -287,9 +320,8 @@ def maximal_families(params: ModelParams):
     mask on every call.
     """
     tiltings, anomalies = _family_masks(params)
-    return tiltings, tuple(
-        objects_of(mask, params) for mask in _unpack(anomalies, tiltings.k)
-    )
+    objects = enumerate_indecomposables(params)
+    return tiltings, tuple(map(select, repeat(objects), _unpack(anomalies, tiltings.k)))
 
 
 def vertex_fan(params: ModelParams) -> tuple[IndObj, ...]:

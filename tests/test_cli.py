@@ -102,10 +102,14 @@ json_values = st.recursive(
 @st.composite
 def shared_tuples(draw):
     """One tuple placed at several depths, beside equal tuples of other
-    identity and other member types."""
+    identity and other member types, and in lists and tuples of its own
+    from depth 2 down, which the renderer joins from its memo once the
+    tuple is there."""
     t = draw(int_tuples | mixed_tuples)
     twins = [tuple(list(t)), tuple(map(bool, t)), tuple(map(float, t))]
-    return [t, [t, {"k": t, "twins": twins}], (t, draw(json_values)), t, *twins]
+    runs = [[t] * k for k in range(1, 4)] + [(t, t), [t, *twins], [*twins, t]]
+    deep = {"runs": [runs, (runs, twins)], "mixed": [t, draw(json_values), t]}
+    return [t, [t, {"k": t, "twins": twins}], (t, draw(json_values)), t, *twins, deep]
 
 
 @given(json_values | shared_tuples())
@@ -121,6 +125,55 @@ def test_render_json_matches_json_dumps(value):
 def test_render_json_tells_true_from_one():
     value = [(1, 3), (True, 3), (1.0, 3), [(1, 3), (True, 3)], {"a": (1, 3), "b": (True, 3)}]
     assert render_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def assert_renders_as_json_dumps(value):
+    expected = json.dumps(value, indent=2, sort_keys=True)
+    assert render_json(value) == expected
+    assert "".join(json_pieces(value)) == expected
+
+
+def test_render_json_joins_memo_hits_beside_misses():
+    # the rows are rendered from depth 2, their tuples at depth 3: the
+    # first row puts t and u in the memo, the second row is joined from
+    # it, and the third mixes them with a tuple not yet seen, a list, a
+    # tuple the memo never holds, scalars and an empty tuple
+    t, u = (1, 3, 5), (2, 4, 6)
+    rows = [[t, u], [u, t, u], [t, (7, 9), u, [t], (True, 3), "x", 2, None, ()], (u, t)]
+    assert_renders_as_json_dumps({"rows": rows})
+    assert_renders_as_json_dumps([[rows, rows]])
+
+
+def test_render_json_shares_one_tuple_across_three_depths():
+    t = (1, 3, 5)
+    # t at depths 2, 3 and 4, each time alone and in lists joined from
+    # the memo of the depth below
+    value = [[t, [t, (t, t)], [[t, t], t]], [(t,), [t], t]]
+    assert_renders_as_json_dumps(value)
+    assert_renders_as_json_dumps({"a": value, "b": [value]})
+
+
+def test_render_json_tells_twins_apart_in_joined_lists():
+    # (True, 3) and (1.0, 3) equal (1, 3) and hash alike; none of them may
+    # take another's text, whether it is joined from the memo or not
+    one, true, real = (1, 3), (True, 3), (1.0, 3)
+    rows = [[one, one], [true, one], [one, real], [real, true], (one, true, real), [one]]
+    value = [[rows, rows], [[one, true], [true, true], [real, real], [one, one]]]
+    assert_renders_as_json_dumps(value)
+
+
+def test_json_pieces_keeps_what_it_memoised():
+    # a payload changed between pieces may drop a memoised tuple; its id
+    # must not pass to a new tuple while the memo lives, or (True, 3),
+    # made just after (1, 3) is dropped, would take its text
+    value = {"a": [[tuple([1, 3])]], "b": [None]}
+    pieces = json_pieces(value)
+    head = [next(pieces) for _ in range(5)]  # up to the key "b"
+    value["a"][0] = None
+    value["b"][0] = [tuple([True, 3])]
+    assert head[-1].endswith('"b": ')
+    text = "".join(head) + "".join(pieces)
+    assert json.loads(text)["b"][0][0][0] is True
 
 
 def test_render_json_refuses_what_json_refuses():
@@ -234,6 +287,52 @@ def test_tilting_exit_codes(capsys):
     payload = json.loads(out)
     assert payload["count"] == 9
     assert len(payload["anomalies"]) == 3
+
+
+# two pins of the benchmark's census workload (bench/pins.json), copied:
+# the stdout of `tilting --n 4 --d 3 --format json`, and the digest its
+# worker takes of the (4, 3) census
+TILTING_4_3_SHA256 = "7b5f7d1d4c9d65429719c5b5d8a015cde3e22d310fc32469241c99a3f3a9ffd2"
+CENSUS_4_3_DIGEST = "0e13673dd8bdbce6"
+
+
+def test_census_pins_hold_in_process(capsys):
+    code, out, _ = run_cli(capsys, "tilting", "--n", "4", "--d", "3", "--format", "json")
+    assert code == 3
+    assert hashlib.sha256(out.encode()).hexdigest() == TILTING_4_3_SHA256
+    # the worker's recipe: compact sorted JSON of the summands of every
+    # tilting object and every anomaly, the first 16 hex digits of its hash
+    tiltings, anomalies = maximal_families(ModelParams(4, 3))
+    text = json.dumps(
+        [[t.summands for t in tiltings], list(anomalies)], separators=(",", ":"), sort_keys=True
+    )
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == CENSUS_4_3_DIGEST
+
+
+@pytest.mark.parametrize("n,d", [(4, 3), (3, 4)])
+def test_bulk_decoding_matches_objects_of(monkeypatch, n, d):
+    # the census and the tilting command decode many masks with one
+    # lookup of the objects; each family must equal objects_of of its
+    # mask, and hold the enumerated tuples themselves, which the
+    # renderer's identity memo relies on
+    from higher_cluster.tilting import _family_masks, _unpack
+
+    params = ModelParams(n, d)
+    payloads = []
+    monkeypatch.setattr(cli, "_render", lambda payload, *rest: payloads.append(payload) or "")
+    assert main(["tilting", "--n", str(n), "--d", str(d), "--format", "json"]) == 3
+    (payload,) = payloads
+    tiltings, anomaly_masks = _family_masks(params)
+    anomalies = maximal_families(params)[1]
+    assert payload["anomalies"] == anomalies
+    assert anomalies == tuple(
+        model.objects_of(mask, params) for mask in _unpack(anomaly_masks, tiltings.k)
+    )
+    assert payload["tilting"] == [model.objects_of(mask, params) for mask in tiltings.masks()]
+    objects = model.enumerate_indecomposables(params)
+    ids = model.object_ids(params)
+    for family in (*payload["tilting"], *payload["anomalies"], *anomalies):
+        assert all(objects[ids[obj]] is obj for obj in family)
 
 
 def test_index_default_and_explicit_tilting(capsys):

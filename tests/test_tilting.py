@@ -125,6 +125,34 @@ def test_maximal_cliques_match_unpivoted_search(n, d):
     assert sorted(got) == sorted(expected)
 
 
+@st.composite
+def graphs(draw):
+    """Neighbourhood masks of a graph on 0 to 16 vertices, each pair an
+    edge with a drawn chance from 0 to 1 in eighths: empty graphs,
+    complete ones and everything between."""
+    m = draw(st.integers(0, 16), label="vertices")
+    keep = draw(st.integers(0, 8), label="edge chance in eighths")
+    pairs = [(i, j) for j in range(m) for i in range(j)]
+    rolls = draw(st.lists(st.integers(0, 7), min_size=len(pairs), max_size=len(pairs)))
+    neighbors = [0] * m
+    for (i, j), roll in zip(pairs, rolls):
+        if roll < keep:
+            neighbors[i] |= 1 << j
+            neighbors[j] |= 1 << i
+    return tuple(neighbors)
+
+
+@given(graphs())
+@settings(max_examples=300, deadline=None)
+def test_maximal_cliques_match_unpivoted_search_on_random_graphs(neighbors):
+    # the model's graphs are dense, and some of the search's shortcuts
+    # (a branch with no candidate left, say) never fire on some of them
+    expected = maximal_cliques_simple([set(bit_ids(nb)) for nb in neighbors])
+    got = [tuple(bit_ids(clique)) for clique in _maximal_cliques(neighbors)]
+    assert set(got) == set(expected)
+    assert got == expected  # each clique once, in the order of the id tuples
+
+
 @pytest.mark.parametrize(
     "n,d", [(n, d) for n in range(1, 6) for d in range(1, 3)]
 )
