@@ -358,7 +358,7 @@ def module_of(k: int, algebra: AlgebraPresentation) -> CoordRep:
     # guards, so its structure constant is that bit and no query is made
     arrows = {}
     for i in support:
-        through = calc.factor_row(ids[i])[k]
+        through = calc.factor_rows[ids[i]][k]
         for p in arrows_from[i]:
             j = p[1]
             if dims[j]:

@@ -544,15 +544,26 @@ def _cmd_verify(args) -> int:
     return report.exit_code()
 
 
+def _witness_list(value) -> list:
+    if not isinstance(value, list):
+        raise InvalidInputError(f"witness file 'witnesses' must be a list, got {value!r}")
+    return value
+
+
 def _cmd_replay(args) -> int:
     from . import verify as verify_mod
 
     with open(args.witness, encoding="utf-8") as fh:
         blob = json.load(fh)
     if isinstance(blob, dict) and "results" in blob:
-        witnesses = [w for r in blob["results"] for w in r.get("witnesses", [])]
+        results = blob["results"]
+        if not isinstance(results, list) or not all(isinstance(r, dict) for r in results):
+            raise InvalidInputError(
+                f"witness file 'results' must be a list of objects, got {results!r}"
+            )
+        witnesses = [w for r in results for w in _witness_list(r.get("witnesses", []))]
     elif isinstance(blob, dict) and "witnesses" in blob:
-        witnesses = list(blob["witnesses"])
+        witnesses = _witness_list(blob["witnesses"])
     elif isinstance(blob, dict) and "check" in blob:
         witnesses = [blob]
     elif isinstance(blob, list):

@@ -11,8 +11,8 @@ summand order.  Two independent computation routes are implemented:
 - the system route: solve G a = b where G[x, j] = dim Hom(t_j, x) over
   every indecomposable x and b packs the quotient and ideal hom
   dimensions relative to the translated tilting object.  The square
-  subsystem on the summand rows is inverted once per tilting object as
-  an integer adjugate over its determinant, each candidate is an integer
+  subsystem on the summand rows is inverted once per table as an
+  integer adjugate over its determinant, each candidate is an integer
   dot product that must divide exactly by the determinant, and every
   row of G a = b must then hold as an integer identity.  G is kept as
   the summands' hom rows, so G a is summed sparsely: each nonzero
@@ -44,54 +44,21 @@ from .tilting import TiltingObject, require_case
 
 IndexVector = tuple[int, ...]
 
-# The library entry points index_of, index_via_system and algebra_for
-# keep the algebra and the system of the last few tilting objects they
-# saw, most recent last; index_table builds its own and drops them with
-# the table, so a sweep keeps nothing per tilting object.
-_CACHED_TILTINGS = 4
-_algebras: dict = {}
-_systems: dict = {}
-
-
-def _recent(cache: dict, tilting: TiltingObject, params: ModelParams, build):
-    """cache's entry for the tilting object, built on a miss; the least
-    recently used entry goes once _CACHED_TILTINGS are held."""
-    value = cache.pop(tilting, None)
-    if value is None:
-        value = build(tilting, params)
-        if len(cache) >= _CACHED_TILTINGS:
-            del cache[next(iter(cache))]
-    cache[tilting] = value
-    return value
-
-
-def algebra_for(tilting: TiltingObject, params: ModelParams):
-    return _recent(_algebras, tilting, params, build_algebra)
-
-
-def index_of(
-    c: IndObj,
-    tilting: TiltingObject,
-    params: ModelParams,
-    algebra=None,
-) -> IndexVector:
+def index_of(c: IndObj, tilting: TiltingObject, params: ModelParams) -> IndexVector:
     """Index of c via the resolution route; c in any member order."""
     cid = object_id(c, params)
-    if algebra is None:
-        algebra = algebra_for(tilting, params)
-    return index_by_resolution(cid, algebra)
+    return index_by_resolution(cid, build_algebra(tilting, params))
 
 
 def index_by_resolution(c: int, algebra) -> IndexVector:
     """The resolution route at the object with id c."""
-    translate = calculator_for(algebra.params).translate
-    for k, t in enumerate(algebra.ids):
-        if translate[t] == c:
-            # translate of a summand: Hom(T, c) = 0 and the index is the
-            # signed unit vector, sign (-1)^d
-            vec = [0] * algebra.r
-            vec[k] = -1 if algebra.params.d % 2 else 1
-            return tuple(vec)
+    k = algebra.summand_of.get(calculator_for(algebra.params).translate_back[c])
+    if k is not None:
+        # translate of a summand: Hom(T, c) = 0 and the index is the
+        # signed unit vector, sign (-1)^d
+        vec = [0] * algebra.r
+        vec[k] = -1 if algebra.params.d % 2 else 1
+        return tuple(vec)
     return minimal_resolution(c, algebra).index_vector()
 
 
@@ -109,7 +76,7 @@ def _build_system(tilting: TiltingObject, params: ModelParams) -> _System:
     require_case(tilting, params)
     calc = calculator_for(params)
     positions = tilting.ids
-    t_rows = tuple(calc.hom_row(p) for p in positions)
+    t_rows = tuple(calc.hom_rows[p] for p in positions)
     # a nonsingular square block of rows of G already proves that G has
     # full column rank; the rank itself only names the failure
     square_inv = adjugate([[row >> p & 1 for row in t_rows] for p in positions])
@@ -136,8 +103,7 @@ def index_via_system(
     remaining row must agree, integrally, or the model is broken.
     """
     cid = object_id(c, params)
-    system = _recent(_systems, tilting, params, _build_system)
-    return _index_by_system(cid, system, calculator_for(params))
+    return _index_by_system(cid, _build_system(tilting, params), calculator_for(params))
 
 
 def _index_by_system(c: int, system: _System, calc: HomCalculator) -> IndexVector:
@@ -149,7 +115,7 @@ def _index_by_system(c: int, system: _System, calc: HomCalculator) -> IndexVecto
     # row of c and its pull-back by the translate
     b = [0] * len(calc.objects)
     ideal = calc.ideal_row(c, shifted)
-    for x in bit_ids(calc.hom_row(c) & ~ideal):  # the quotient row of c
+    for x in bit_ids(calc.hom_rows[c] & ~ideal):  # the quotient row of c
         b[x] = 1
     back = calc.translate_back
     for x1 in bit_ids(ideal):
@@ -243,7 +209,6 @@ def index_table(
     if route not in ("both", "resolution", "system"):
         raise InvalidInputError(f"unknown route {route!r}")
     calc = calculator_for(params)
-    # built for this table alone and dropped with it
     algebra = build_algebra(tilting, params) if route != "system" else None
     system = _build_system(tilting, params) if route != "resolution" else None
     rows = []

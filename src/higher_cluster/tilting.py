@@ -473,7 +473,7 @@ def validate_family(family: int, params: ModelParams) -> None:
     translate = calc.translate
     shifted = calc.translated_mask(ids)
     for i in ids:
-        hits = calc.hom_row(i) & shifted
+        hits = calc.hom_rows[i] & shifted
         if hits:
             # the witness is the first t in summand order
             j = next(j for j in ids if hits >> translate[j] & 1)
@@ -552,7 +552,7 @@ def failing_families(families, params: ModelParams) -> int:
         if held:
             clashes = objects & ~neighbors[i] & -(2 << i)
             flagged |= held & _holding(columns, bit_ids(clashes))
-            hits = calc.hom_row(i)
+            hits = calc.hom_rows[i]
             flagged |= held & _holding(columns, (back[k] for k in bit_ids(hits)))
     # lacking[o]: the objects i without o in neighbors[i]
     lacking = [objects & ~column for column in transpose(neighbors)]

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import time
 
+from .algebra import build_algebra
 from .checks import CHECK_NAMES, TABLE_CHECKS
 from .errors import InvalidInputError, InvariantError, TiltingError
 from .hom import calculator_for, transpose
-from .index import IndexTable, algebra_for, index_by_resolution, index_table
+from .index import IndexTable, index_by_resolution, index_table
 from .model import ModelParams, check_cap, object_id
 from .record import Record
 from .tilting import (
@@ -215,7 +216,9 @@ def replay(witness) -> tuple[bool, dict]:
         return _ideal_quotient_duality(calc, shifted, c, x)
     if check == "disjointness":
         return _disjointness(calc, shifted, c, x)
-    index = index_by_resolution(c, algebra_for(tilting, params))
+    # the resolution route alone: a fault the dimension formula sees can
+    # also break the route agreement of a double-route table
+    index = index_by_resolution(c, build_algebra(tilting, params))
     return _dimension_formula(calc, summands, shifted, index, c, x)
 
 
@@ -360,13 +363,13 @@ def check_associativity(params: ModelParams) -> CheckResult:
     calc = calculator_for(params)
     objects = calc.objects
     ids = range(len(objects))
-    rows = [calc.hom_row(i) for i in ids]
+    rows, factor_rows = calc.hom_rows, calc.factor_rows
     # the transposed factor rows live as long as the check
-    through = [transpose(calc.factor_row(v)) for v in ids]
+    through = [transpose(row) for row in factor_rows]
     witnesses = []
     triples = 0
     for w in ids:
-        w_factors, w_through = calc.factor_row(w), through[w]
+        w_factors, w_through = factor_rows[w], through[w]
         for x in bit_ids(rows[w]):
             x_through, wx_through = through[x], w_through[x]
             for y in bit_ids(rows[x]):
@@ -393,8 +396,7 @@ def hom_symmetry_witnesses(params: ModelParams) -> tuple:
     calc = calculator_for(params)
     objects, translate = calc.objects, calc.translate
     ids = range(len(objects))
-    rows = [calc.hom_row(i) for i in ids]
-    columns = transpose(rows)
+    rows, columns = calc.hom_rows, calc.hom_columns
     return tuple(
         _flagged(
             "serre",
@@ -472,7 +474,7 @@ def check_dimension_formula(table: IndexTable) -> CheckResult:
     t_ids = tilting.ids
     shifted = calc.translated_mask(t_ids)
     sign = -1 if params.d % 2 else 1
-    t_rows = [calc.hom_row(t) for t in t_ids]
+    t_rows = [calc.hom_rows[t] for t in t_ids]
     quotients = [calc.quotient_row(x, shifted) for x in ids]
     quotient_columns = transpose(quotients)
     witnesses = []

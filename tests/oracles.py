@@ -610,7 +610,7 @@ def associativity_oracle(params):
     objects = calc.objects
     witnesses = []
     triples = 0
-    targets = [tuple(bit_ids(calc.hom_row(i))) for i in range(len(objects))]
+    targets = [tuple(bit_ids(row)) for row in calc.hom_rows]
     for w, w_targets in enumerate(targets):
         for x in w_targets:
             for y in targets[x]:

@@ -31,7 +31,7 @@ from higher_cluster.algebra import (
 )
 from higher_cluster.errors import ContractError, InvariantError
 from higher_cluster.hom import calculator_for
-from higher_cluster.index import index_of, index_via_system
+from higher_cluster.index import index_by_resolution, index_via_system
 from higher_cluster.model import (
     ModelParams,
     enumerate_indecomposables,
@@ -801,8 +801,8 @@ def assert_matches_fraction_reference(params, tilting):
         assert got.multiplicities == ref.multiplicities, c
         assert got.length == ref.length, c
         assert got.tail_kernel_dims == ref.tail_kernel_dims, c
-        assert got.index_vector() == ref.index_vector() == index_of(
-            c, tilting, params, algebra=alg
+        assert got.index_vector() == ref.index_vector() == index_by_resolution(
+            object_id(c, params), alg
         ), c
         for stage, ref_stage in zip(got.maps, ref.maps):
             for k, rows in enumerate(stage):

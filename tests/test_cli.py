@@ -642,6 +642,19 @@ def test_replay_bad_files(capsys, tmp_path):
     empty.write_text("[]")
     code, _, err = run_cli(capsys, "replay", "--witness", str(empty))
     assert code == 2
+    # results and witnesses of the wrong type: refused as input (exit 2),
+    # never read as a reproduced failure (exit 1)
+    for blob in (
+        {"results": [1]},
+        {"witnesses": 5},
+        {"results": 3},
+        {"results": [{"witnesses": 7}]},
+    ):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text(json.dumps(blob))
+        code, out, err = run_cli(capsys, "replay", "--witness", str(malformed))
+        assert (code, out) == (2, ""), blob
+        assert err.startswith("error: witness file '"), blob
 
 
 @pytest.mark.parametrize(

@@ -100,7 +100,7 @@ def test_factors_through_requires_nonzero_map():
     x, y = ids(P21, (1, 3), (2, 4))
     everything = (1 << len(C21.objects)) - 1
     assert C21.ideal(x, y, everything) == 0
-    assert C21.factor_row(x)[y] == 0
+    assert C21.factor_rows[x][y] == 0
 
 
 def test_factoring_respects_hom_composition():
@@ -130,7 +130,7 @@ def test_factor_table_matches_rotation_oracle(n, d):
     calc = calculator_for(p)
     objs = enumerate_indecomposables(p)
     for i, x in enumerate(objs):
-        row = calc.factor_row(i)
+        row = calc.factor_rows[i]
         for j, y in enumerate(objs):
             if not hom_oracle(x, y, n, d):
                 assert row[j] == 0
@@ -156,7 +156,7 @@ def test_hom_rows_match_chain_oracle_at_large_cases(n, d):
         expected = sum(
             1 << j for j, y in enumerate(objs) if hom_dim_via_chain(x, y, n, d)
         )
-        assert calc.hom_row(i) == expected, x
+        assert calc.hom_rows[i] == expected, x
 
 
 @pytest.mark.parametrize("n,d", LARGE_CASES)
@@ -165,7 +165,7 @@ def test_factor_tables_match_product_of_arcs_at_large_cases(n, d):
     objs = brute_force_objects(n, d)
     N = cycle_size(n, d)
     for i, x in enumerate(objs):
-        assert calc.factor_row(i) == factor_row_oracle(x, objs, N), x
+        assert list(calc.factor_rows[i]) == factor_row_oracle(x, objs, N), x
 
 
 @pytest.mark.parametrize("n,d", SMALL_CASES)
@@ -341,9 +341,9 @@ def test_row_queries_match_the_pair_queries(n, d):
             for j in objs:
                 assert ideal >> j & 1 == calc.ideal(i, j, family)
                 assert quotient >> j & 1 == calc.quotient(i, j, family)
-    columns = transpose([calc.hom_row(i) for i in objs])
+    columns = transpose(calc.hom_rows)
     for v in objs:
-        through = transpose(calc.factor_row(v))
+        through = transpose(calc.factor_rows[v])
         for y in objs:
             assert columns[y] >> v & 1 == calc.hom(v, y)
             for z in objs:
@@ -355,8 +355,6 @@ def test_row_queries_match_the_pair_queries(n, d):
 
 @pytest.mark.parametrize("n,d", [(3, 3), (4, 3), (5, 2)])
 def test_hom_columns_match_hom(n, d):
-    # a fresh calculator, its hom rows not yet read: the columns fill
-    # them, and are built once
     calc = HomCalculator(ModelParams(n, d))
     columns = calc.hom_columns
     objs = range(len(calc.objects))
@@ -365,7 +363,35 @@ def test_hom_columns_match_hom(n, d):
         for j in objs:
             assert columns[j] >> i & 1 == calc.hom(i, j)
     assert all(column >> len(calc.objects) == 0 for column in columns)
-    assert calc.hom_columns is columns
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (3, 3), (5, 2)])
+def test_a_calculator_holds_every_table_whole(n, d):
+    # the constructor builds every table at once, as tuples, one entry
+    # per object; no query adds or changes one
+    p = ModelParams(n, d)
+    calc = HomCalculator(p)
+    m = len(calc.objects)
+    tables = ("hom_rows", "factor_rows", "hom_columns", "translate", "translate_back")
+    before = {name: getattr(calc, name) for name in tables}
+    for table in before.values():
+        assert type(table) is tuple and len(table) == m
+    assert all(type(row) is tuple and len(row) == m for row in calc.factor_rows)
+    everything = (1 << m) - 1
+    for i in range(m):
+        calc.ideal_row(i, everything)
+        calc.quotient_row(i, everything)
+    assert vars(calc) == {"params": p, "objects": calc.objects, **before}
+    assert all(getattr(calc, name) is table for name, table in before.items())
+
+
+def test_calculator_for_returns_one_calculator_per_case():
+    p = ModelParams(3, 2)
+    calc = calculator_for(p)
+    assert isinstance(calc, HomCalculator)
+    assert calculator_for(ModelParams(3, 2)) is calc
+    fresh = HomCalculator(p)
+    assert (calc.hom_rows, calc.factor_rows) == (fresh.hom_rows, fresh.factor_rows)
 
 
 def test_compose_nonzero_examples():

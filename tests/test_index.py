@@ -15,7 +15,7 @@ from higher_cluster.index import (
 )
 from higher_cluster.model import ModelParams, enumerate_indecomposables, object_id, shift
 from higher_cluster.tilting import TiltingObject, enumerate_tilting, validate_tilting
-from higher_cluster.verify import check_disjointness, check_serre
+from higher_cluster.verify import check_disjointness, check_serre, replay
 
 P21 = ModelParams(2, 1)
 T21 = validate_tilting(((1, 3), (1, 4)), P21)
@@ -150,16 +150,18 @@ def test_agreed_routes_share_one_tuple():
             assert row.via_system is row.via_resolution
 
 
-def _tamper_system(monkeypatch, tilting, params, change):
-    """Replace the cached system of the tilting object by change(data)."""
-    index_via_system(tilting.summands[0], tilting, params)  # fills the cache
-    monkeypatch.setitem(index._systems, tilting, change(index._systems[tilting]))
+def _tamper_system(monkeypatch, change):
+    """Make the system route read change(system) for every system it builds."""
+    build = index._build_system
+    monkeypatch.setattr(
+        index, "_build_system", lambda tilting, params: change(build(tilting, params))
+    )
 
 
 def test_system_route_refuses_a_non_integral_solution(monkeypatch):
     # tripling the determinant turns the unit index of a summand into a
     # third, which the exact divisibility check must reject
-    _tamper_system(monkeypatch, FAN22, P22, lambda s: s._replace(det=3 * s.det))
+    _tamper_system(monkeypatch, lambda s: s._replace(det=3 * s.det))
     with pytest.raises(InvariantError, match="non-integer solution"):
         index_via_system((1, 3, 6), FAN22, P22)
 
@@ -185,7 +187,7 @@ def test_system_route_refuses_a_row_that_fails(monkeypatch):
     c = (1, 3, 6)
     vec = index_via_system(c, FAN22, P22)
     assert vec == (0, 1, 0)
-    _tamper_system(monkeypatch, FAN22, P22, _flip_rows(OUTSIDE22[:1]))
+    _tamper_system(monkeypatch, _flip_rows(OUTSIDE22[:1]))
     with pytest.raises(InvariantError, match="inconsistent at row"):
         index_via_system(c, FAN22, P22)
 
@@ -195,7 +197,7 @@ def test_system_route_names_the_first_failing_row(monkeypatch, rows):
     # the rows before the failing ones hold; the refusal names the first
     # failing row in object order
     first = enumerate_indecomposables(P22)[rows[0]]
-    _tamper_system(monkeypatch, FAN22, P22, _flip_rows(rows))
+    _tamper_system(monkeypatch, _flip_rows(rows))
     with pytest.raises(InvariantError, match=re.escape(f"inconsistent at row {first}")):
         index_via_system((1, 3, 6), FAN22, P22)
 
@@ -232,7 +234,6 @@ def test_system_route_refuses_a_singular_square(monkeypatch):
     # G of a tilting object has full rank, so only a singular answer from
     # the inversion can reach this refusal
     tilting = enumerate_tilting(P21)[1]
-    monkeypatch.setattr(index, "_systems", {})
     monkeypatch.setattr(index, "adjugate", lambda rows: None)
     with pytest.raises(InvariantError, match="singular over the rationals"):
         index_via_system((1, 4), tilting, P21)
@@ -250,28 +251,34 @@ def test_system_route_needs_no_rank_for_a_nonsingular_square(monkeypatch):
     assert len(table.rows) == len(enumerate_indecomposables(P22))
 
 
-def test_memory_kept_does_not_grow_with_the_tilting_objects(monkeypatch):
-    # a table builds its algebra and system for itself and drops them; the
-    # library entry points keep those of the last few tilting objects only
-    monkeypatch.setattr(index, "_algebras", {})
-    monkeypatch.setattr(index, "_systems", {})
+def test_memory_kept_does_not_grow_with_the_tilting_objects():
+    # a table, the library entry points and the replay of a witness each
+    # build the algebra and system they read and drop them on return
     params = ModelParams(3, 3)
     tiltings = enumerate_tilting(params)
-    c = enumerate_indecomposables(params)[-1]
+    c, x = enumerate_indecomposables(params)[-2:]
 
     def table(t):
         index_table(t, params)
 
     def entry_points(t):
-        assert index_of(c, t, params) == index_via_system(c, t, params)
+        vec = index_of(c, t, params)
+        assert vec == index_via_system(c, t, params)
+        assert vec == index_table(t, params).rows[object_id(c, params)].index
+
+    def replayed(t):
+        witness = {
+            "check": "dimension-formula", "n": 3, "d": 3,
+            "tilting": t.summands, "c": c, "x": x,
+        }
+        assert replay(witness)[0] is False
 
     table(tiltings[0])  # fills the hom tables of params
-    for run, seen in ((table, tiltings[1:21]), (entry_points, tiltings[21:41])):
+    replayed(tiltings[0])  # and the tables that validating a witness reads
+    for run, seen in (
+        (table, tiltings[1:21]),
+        (entry_points, tiltings[21:41]),
+        (replayed, tiltings[41:61]),
+    ):
         few = kept_after(run, seen[:5])
         assert kept_after(run, seen) <= few + 4096
-    assert len(index._algebras) == len(index._systems) == index._CACHED_TILTINGS
-    # an evicted tilting object is rebuilt and answers as before
-    evicted = tiltings[21]
-    assert evicted not in index._algebras
-    vec = index_table(evicted, params).rows[object_id(c, params)].index
-    assert index_of(c, evicted, params) == index_via_system(c, evicted, params) == vec

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import kept_after
 from higher_cluster import tilting as tilting_mod
 from higher_cluster.errors import InvariantError, TiltingError
-from higher_cluster.hom import HomCalculator, calculator_for
+from higher_cluster.hom import calculator_for
 from higher_cluster.model import (
     ModelParams,
     enumerate_indecomposables,
@@ -624,18 +624,14 @@ def test_hom_to_shift_witness_is_the_first_nonzero_pair(monkeypatch):
     params = ModelParams(2, 2)
     fan = enumerate_tilting(params)[0].summands
     ids = object_ids(params)
-    plain = HomCalculator.hom_row
+    calc = calculator_for(params)
+    plain = calc.hom_rows
     for a, s in enumerate(fan):
         for b, t in enumerate(fan):
             bits = sum(1 << ids[shift(u, 1, params)] for u in fan[b:])
             rows = {ids[r] for r in fan[a:]}
-            monkeypatch.setattr(
-                HomCalculator,
-                "hom_row",
-                lambda self, k, rows=rows, bits=bits: (
-                    plain(self, k) | (bits if k in rows else 0)
-                ),
-            )
+            edited = tuple(row | (bits if k in rows else 0) for k, row in enumerate(plain))
+            monkeypatch.setattr(calc, "hom_rows", edited)
             assert engine_verdict(fan, params) == ("hom-to-shift", (s, t))
 
 
@@ -713,16 +709,14 @@ def test_validate_family_hom_to_shift_matches_validate_tilting(n, d, monkeypatch
     # summand s to the translate of summand t, in each tilting object
     params = ModelParams(n, d)
     ids = object_ids(params)
-    plain = HomCalculator.hom_row
+    calc = calculator_for(params)
+    plain = calc.hom_rows
     for tilting in enumerate_tilting(params)[:5]:
         summands = tilting.summands
         s, t = summands[-1], summands[0]
         bit = 1 << ids[shift(t, 1, params)]
-        monkeypatch.setattr(
-            HomCalculator,
-            "hom_row",
-            lambda self, k, row=ids[s], bit=bit: plain(self, k) | (bit if k == row else 0),
-        )
+        edited = tuple(row | (bit if k == ids[s] else 0) for k, row in enumerate(plain))
+        monkeypatch.setattr(calc, "hom_rows", edited)
         verdict = ("hom-to-shift", (s, t))
         assert family_verdict(summands, params) == verdict
         assert engine_verdict(summands, params) == verdict

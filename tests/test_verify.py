@@ -319,28 +319,31 @@ def test_payload_shape():
 # masks of a private HomCalculator, the tables that both the row sweeps
 # and the evaluators read.  Each replay test then requires every witness
 # of the sweep to replay as reproduced, with details equal to the
-# witness's value fields.  The hom, algebra and index-system caches are
-# swapped for empty ones, so no flipped bit outlives a test.
+# witness's value fields.  The cache of calculators is swapped for an
+# empty one, so no flipped bit outlives a test.
 
 
 @pytest.fixture
 def private_caches(monkeypatch):
     monkeypatch.setattr(hom, "_calculators", {})
-    monkeypatch.setattr(index, "_algebras", {})
-    monkeypatch.setattr(index, "_systems", {})
 
 
 def _flip_hom(params, i, j):
-    """Flip bit j of hom_row(i), after building factor_row(i) from the
-    clean row."""
+    """Flip bit j of hom row i.  The calculator gets rebuilt hom rows and
+    hom columns; its factor masks stay those of the clean row."""
     calc = hom.calculator_for(params)
-    calc.factor_row(i)
-    calc._hom_rows[i] ^= 1 << j
+    rows = list(calc.hom_rows)
+    rows[i] ^= 1 << j
+    calc.hom_rows = tuple(rows)
+    calc.hom_columns = tuple(hom.transpose(rows))
 
 
 def _flip_factor(params, i, j, k):
-    """Flip bit k of factor_row(i)[j]."""
-    hom.calculator_for(params).factor_row(i)[j] ^= 1 << k
+    """Flip bit k of factor_rows[i][j], in a rebuilt factor table."""
+    calc = hom.calculator_for(params)
+    row = list(calc.factor_rows[i])
+    row[j] ^= 1 << k
+    calc.factor_rows = calc.factor_rows[:i] + (tuple(row),) + calc.factor_rows[i + 1:]
 
 
 def _assert_replays(result, fields):
@@ -364,7 +367,7 @@ def _pairs(result):
 
 
 def _broken_associativity():
-    # composes(i, i, k) is bit i of factor_row(i)[k]
+    # composes(i, i, k) is bit i of factor_rows[i][k]
     i, k = _ids(P31, (1, 3), (1, 4))
     _flip_factor(P31, i, k, i)
     return check_associativity(P31)
@@ -485,10 +488,10 @@ def sweep_case(draw):
     kind = draw(st.sampled_from(("none", "hom", "factor")))
     i = draw(st.integers(0, m - 1))
     if kind == "hom":
-        zero = [j for j, f in enumerate(calc.factor_row(i)) if not f]
+        zero = [j for j, f in enumerate(calc.factor_rows[i]) if not f]
         flip = (i, draw(st.sampled_from(zero))) if zero else ()
     elif kind == "factor":
-        j = draw(st.sampled_from(list(bit_ids(calc.hom_row(i)))))
+        j = draw(st.sampled_from(list(bit_ids(calc.hom_rows[i]))))
         shifted = list(bit_ids(calc.translated_mask(tilting.ids)))
         k = draw(st.sampled_from(shifted) | st.integers(0, m - 1))
         flip = (i, j, k)
@@ -539,7 +542,7 @@ def _edited(mask, kind, a, b):
 @contextmanager
 def _edited_table(params, kind, i, j):
     """Private hom tables for the block, with one table edited: bit j of
-    hom_row(i), bit j of neighbors[i] (i != j), or the tilting size."""
+    hom_rows[i], bit j of neighbors[i] (i != j), or the tilting size."""
     maximal_families(params)  # the census, before any edit
     with mock.patch.dict(hom._calculators, clear=True):
         if kind == "hom":
