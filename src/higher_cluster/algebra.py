@@ -524,8 +524,6 @@ class ResolutionReport(Record):
     module then has no finite resolution at all, but the first d + 1
     projective terms still determine the index, and the linear-system
     route cross-checks that alternating sum independently.
-
-    Unlike the other records it is not frozen, and not hashable.
     """
 
     _fields = (
@@ -537,9 +535,6 @@ class ResolutionReport(Record):
         "layouts",
         "tail_kernel_dims",
     )
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
         self,
@@ -551,13 +546,13 @@ class ResolutionReport(Record):
         layouts: tuple,
         tail_kernel_dims: tuple[int, ...] = (),
     ):
-        self.algebra = algebra
-        self.target = target
-        self.module_dims = module_dims
-        self.multiplicities = multiplicities
-        self.maps = maps
-        self.layouts = layouts
-        self.tail_kernel_dims = tail_kernel_dims
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "module_dims", module_dims)
+        object.__setattr__(self, "multiplicities", multiplicities)
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "layouts", layouts)
+        object.__setattr__(self, "tail_kernel_dims", tail_kernel_dims)
 
     @property
     def length(self) -> int:

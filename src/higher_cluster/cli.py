@@ -31,11 +31,17 @@ from .errors import (
 )
 from .hom import calculator_for
 from .index import index_table
-from .model import ModelParams, check_cap, enumerate_indecomposables, object_id, select
+from .model import (
+    DEFAULT_CAP,
+    ModelParams,
+    check_cap,
+    enumerate_indecomposables,
+    object_id,
+    select,
+)
 from .tilting import (
     TiltingObject,
     bit_ids,
-    compatibility_graph,
     enumerate_tilting,
     expected_tilting_size,
     maximal_families,
@@ -514,7 +520,7 @@ def _cmd_verify(args) -> int:
         checks=tuple(checks),
         tilting_scope=args.tilting_scope or file_conf.get("tilting_scope", "all"),
         explicit_tilting=(explicit,) if explicit is not None else None,
-        cap=args.cap if args.cap is not None else file_conf.get("cap", 500),
+        cap=args.cap if args.cap is not None else file_conf.get("cap", DEFAULT_CAP),
     )
     report = verify_mod.run(config)
     payload = report.to_payload()
@@ -591,7 +597,7 @@ def _cmd_replay(args) -> int:
 
 def _cmd_export_graph(args) -> int:
     params = _params(args)
-    graph = compatibility_graph(params)
+    graph = calculator_for(params)
     lines = [
         "graph compatibility {",
         f'  label="compatibility graph, n={params.n}, d={params.d}";',
@@ -633,8 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--cap",
                 type=int,
-                default=500,
-                help="refuse when the object count exceeds this (default 500)",
+                default=DEFAULT_CAP,
+                help=f"refuse when the object count exceeds this (default {DEFAULT_CAP})",
             )
 
     p = sub.add_parser("enumerate", help="list the indecomposable objects")

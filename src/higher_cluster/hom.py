@@ -1,15 +1,16 @@
-"""Hom-space dimensions, factorisation, and composition, as bitsets.
+"""Hom-space dimensions, factorisation, composition and compatibility, as bitsets.
 
 Every hom space between indecomposables is zero- or one-dimensional, so a
 dimension is a plain int in {0, 1}, and once a basis morphism is fixed in
 each nonzero hom space, composition is a 0/1 structure constant.
 
 Objects are ids, numbered in enumerate_indecomposables order by
-model.object_ids, and both tables of a HomCalculator are int bitmasks
+model.object_ids, and the tables of a HomCalculator are int bitmasks
 over those ids, built whole when the calculator is made, from the arc
 masks of model.arc_masks (entry [a][b]: the objects with a member on
-the clockwise arc a..b).  Read off arcs of the N-gon, as Oppermann and
-Thomas describe these hom spaces (JEMS 2012):
+the clockwise arc a..b), which it reads once and drops.  Read off arcs
+of the N-gon, as Oppermann and Thomas describe these hom spaces (JEMS
+2012):
 
 - The hom arcs of x = (x_0, ..., x_d) are the d+1 disjoint arcs
   x_i..x_{i+1}^{--}, where ^{--} is the double predecessor and x_{d+1}
@@ -35,6 +36,16 @@ pairs each x_i with the same y_i and yields the same disjoint arcs
 x_i..y_i, and the search over labellings collapses to the ANDs above.
 The tests hold both tables to that search (tests/oracles.py).
 
+The compatibility graph, neighbors, is read off the same arcs: y
+intertwines x iff y has a member strictly inside every gap of x, on
+every arc x_i + 1..x_{i+1} - 1, so neighbors[x] is the complement of the
+AND over i of [x_i + 1][x_{i+1} - 1], x itself left out.  Two objects
+are compatible iff Hom(x, shift(y, 1)) = 0 = Hom(y, shift(x, 1)), the
+Ext^d-vanishing of Oppermann and Thomas, and the tests hold the graph
+to that law.  It is built from the arcs, not from hom_rows, so the
+hom-to-shift checks of tilting.py stay an independent cross-check of
+its intertwining-pair check.
+
 A family is a mask as well, so "x -> y factors through add(F)" is one
 AND of factor_rows[x][y] with the mask of F.  The queries hom, ideal,
 quotient and composes take ids and masks only; objects given as
@@ -43,9 +54,10 @@ row forms ideal_row and quotient_row answer for every target at once,
 and transpose turns rows into columns; the sweeps of verify run on
 these, which build their masks on each call and keep none.  Per
 ModelParams with m objects the calculator holds m hom rows, m^2 factor
-masks and m hom columns (hom_columns), each of m bits, and the translate
-permutation of ids with its inverse; all are tuples, built once by the
-constructor and never changed.
+masks, m hom columns (hom_columns) and m neighbourhoods, each of m bits,
+and the translate permutation of ids with its inverse; all are tuples,
+built once by the constructor and never changed.  calculator_for keeps
+one calculator per ModelParams, never evicted.
 """
 
 from __future__ import annotations
@@ -62,7 +74,8 @@ from .model import (
 
 
 class HomCalculator:
-    """The hom and factorisation bitsets of one choice of (n, d), built whole."""
+    """The hom, factorisation and compatibility bitsets of one choice of
+    (n, d), built whole."""
 
     def __init__(self, params: ModelParams):
         self.params = params
@@ -74,6 +87,11 @@ class HomCalculator:
         # object j factors
         self.factor_rows = tuple(
             _factor_row(x, row, objects, N, arcs) for x, row in zip(objects, self.hom_rows)
+        )
+        # neighbors[i]: bit j is set iff objects i and j do not intertwine
+        everything = (1 << len(objects)) - 1
+        self.neighbors = tuple(
+            everything & ~_crossing(x, N, arcs) & ~(1 << i) for i, x in enumerate(objects)
         )
         # hom_columns[j]: the mask of the i with Hom(object i, object j) = K
         self.hom_columns = tuple(transpose(self.hom_rows))
@@ -147,6 +165,14 @@ def _hom_row(x, N: int, arcs) -> int:
     for a, b in zip(x, x[1:] + x[:1]):
         row &= arcs[a][(b - 2) % N]  # the hom arc a..b^{--}
     return row
+
+
+def _crossing(x, N: int, arcs) -> int:
+    """The mask of the objects x intertwines: the AND of its gap arcs."""
+    crossing = -1
+    for a, b in zip(x, x[1:] + x[:1]):
+        crossing &= arcs[(a + 1) % N][(b - 1) % N]
+    return crossing
 
 
 def _factor_row(x, hom_row: int, objects, N: int, arcs) -> tuple[int, ...]:

@@ -117,6 +117,10 @@ def object_count(params: ModelParams) -> int:
     return params.N * expected_tilting_size(params) // params.object_size
 
 
+# the object count above which a command refuses a case, unless told otherwise
+DEFAULT_CAP = 500
+
+
 def check_cap(params: ModelParams, cap: int) -> None:
     """Refuse a case with more than cap objects, before anything is built."""
     count = object_count(params)
@@ -153,7 +157,6 @@ def object_ids(params: ModelParams) -> dict[IndObj, int]:
     return {obj: i for i, obj in enumerate(enumerate_indecomposables(params))}
 
 
-@lru_cache(maxsize=None)
 def arc_masks(params: ModelParams) -> tuple[tuple[int, ...], ...]:
     """arcs[a][b]: the mask of the objects with a member on the arc a..b.
 
@@ -161,10 +164,10 @@ def arc_masks(params: ModelParams) -> tuple[tuple[int, ...], ...]:
     arcs[a][a] holds the objects containing a and arcs[a][a - 1] all of
     them.  Rows and columns run over 0..N, index 0 standing for vertex N
     as well, so a vertex reduced mod N is as good an index as a member:
-    (N+1)^2 entries, N^2 distinct masks of m bits, per ModelParams, never
-    evicted.  The object-level tables are d+1 ANDs of entries: the hom
-    rows and factor masks in hom.py, the compatibility graph in
-    tilting.py.
+    (N+1)^2 entries, N^2 distinct masks of m bits.  Built on each call and
+    kept by no one: the object-level tables are d+1 ANDs of entries, the
+    hom rows, factor masks and compatibility graph that hom.HomCalculator
+    builds in one pass and keeps.
     """
     N = params.N
     has = [0] * (N + 1)

@@ -9,9 +9,8 @@ holding only between instances of the one class, and refuses
 assignment and deletion with an AttributeError.  replace returns a copy
 with some fields changed, built by __init__.  A subclass may override
 any of these: an identity-compared record sets __eq__ and __hash__ back
-to object's, a mutable one __setattr__ and __delattr__ (and __hash__ to
-None).  tests/test_records.py holds every record class to the generated
-class it stands for.
+to object's.  tests/test_records.py holds every record class to the
+generated class it stands for.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 A tilting object is a family of C(n+d-1, d) pairwise non-intertwining
 indecomposables.  Every such family is a maximal clique of the
-compatibility graph (edge = the two objects do not intertwine), but the
+compatibility graph (edge = the two objects do not intertwine; the
+neighbors table of hom.HomCalculator), but the
 converse fails once d >= 3: the graph has maximal cliques strictly
 smaller than the tilting size, e.g. three of them at (n, d) = (2, 3).
 Those are surfaced as anomalies rather than silently dropped.  A clique
@@ -23,14 +24,15 @@ appeared, Bron-Kerbosch is the faster of the two and enumerate_tilting
 takes its tilting objects.  Either way one PackedTiltings per
 ModelParams is kept, shared by both functions: a read-only sequence of
 tilting objects (TiltingObject: a ModelParams and the int mask of the
-summands' ids) that holds all their masks in one bytes.
+summands' ids) that holds all their masks in one bytes.  It is kept in
+_families, never evicted, beside the anomalies once maximal_families
+has listed them.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from functools import lru_cache
 from itertools import repeat
 
 from .errors import InvalidInputError, InvariantError, TiltingError
@@ -38,7 +40,6 @@ from .hom import calculator_for, transpose
 from .model import (
     IndObj,
     ModelParams,
-    arc_masks,
     bit_ids,
     enumerate_indecomposables,
     expected_tilting_size,
@@ -89,42 +90,6 @@ def require_case(tilting: TiltingObject, params: ModelParams) -> None:
         raise InvalidInputError(
             f"the tilting object belongs to {tilting.params}, not to {params}"
         )
-
-
-class CompatibilityGraph(Record):
-    """Vertices in enumeration order; neighbourhoods as int bitmasks.
-
-    Bit j of neighbors[i] is set when objects i and j do not intertwine.
-    Vertex i is the object with id i (model.object_ids).  Enumeration
-    order is lexicographic, so ids ascend with the objects.
-    """
-
-    _fields = ("objects", "neighbors")
-
-    def __init__(self, objects: tuple[IndObj, ...], neighbors: tuple[int, ...]):
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "neighbors", neighbors)
-
-
-@lru_cache(maxsize=None)
-def compatibility_graph(params: ModelParams) -> CompatibilityGraph:
-    """The graph read off the arc masks, without building any hom table.
-
-    y intertwines x iff y has a member strictly inside every gap of x,
-    i.e. on every arc x_i + 1..x_{i+1} - 1: the AND of d+1 arc masks is
-    the set of objects x intertwines, and its complement, minus x itself,
-    is the neighbourhood of x.
-    """
-    objects = enumerate_indecomposables(params)
-    N, arcs = params.N, arc_masks(params)
-    everything = (1 << len(objects)) - 1
-    neighbors = []
-    for i, x in enumerate(objects):
-        crossing = everything
-        for a, b in zip(x, x[1:] + x[:1]):
-            crossing &= arcs[(a + 1) % N][(b - 1) % N]
-        neighbors.append(everything & ~crossing & ~(1 << i))
-    return CompatibilityGraph(objects, tuple(neighbors))
 
 
 # byte b -> b with its 8 bits reversed
@@ -282,30 +247,34 @@ class PackedTiltings(Sequence):
         return f"PackedTiltings({self.params!r}, {self.n} tilting objects)"
 
 
-# enumerate_tilting's results; maximal_families files its tilting objects
-# here too, so both hand out the same sequence whichever ran first
-_tiltings: dict[ModelParams, PackedTiltings] = {}
+# per ModelParams: (tilting objects, anomalies packed by _pack), the
+# anomalies None until maximal_families has listed them.  Both functions
+# hand out the one PackedTiltings filed here, whichever ran first.
+_families: dict[ModelParams, tuple[PackedTiltings, bytes | None]] = {}
 
 
-@lru_cache(maxsize=None)
-def _family_masks(params: ModelParams):
+def _census(params: ModelParams) -> tuple[PackedTiltings, bytes]:
     """(tilting objects, anomalies packed by _pack) of maximal_families.
 
-    Cached per ModelParams, never evicted.  An anomaly is kept as the
-    ceil(m / 8) bytes of its id mask, as a tilting object is: 7 bytes at
-    (4, 3), against 175 for its decoded tuple of object tuples.
+    An anomaly is kept as the ceil(m / 8) bytes of its id mask, as a
+    tilting object is: 7 bytes at (4, 3), against 175 for its decoded
+    tuple of object tuples.  Tilting objects the mutation search filed
+    are kept, not packed again.
     """
-    graph = compatibility_graph(params)
+    filed = _families.get(params)
+    if filed is not None and filed[1] is not None:
+        return filed
     size = expected_tilting_size(params)
     tilting = []
     anomalies = []
-    for clique in _maximal_cliques(graph.neighbors):
+    for clique in _maximal_cliques(calculator_for(params).neighbors):
         if clique.bit_count() == size:
             tilting.append(clique)
         else:
             anomalies.append(clique)
-    packed = PackedTiltings(params, tilting)
-    return _tiltings.setdefault(params, packed), _pack(anomalies, packed.k)
+    packed = filed[0] if filed is not None else PackedTiltings(params, tilting)
+    filed = _families[params] = packed, _pack(anomalies, packed.k)
+    return filed
 
 
 def maximal_families(params: ModelParams):
@@ -319,7 +288,7 @@ def maximal_families(params: ModelParams):
     Each anomaly is a tuple of object tuples, decoded from its cached
     mask on every call.
     """
-    tiltings, anomalies = _family_masks(params)
+    tiltings, anomalies = _census(params)
     objects = enumerate_indecomposables(params)
     return tiltings, tuple(map(select, repeat(objects), _unpack(anomalies, tiltings.k)))
 
@@ -385,7 +354,7 @@ def _tilting_by_mutation(params: ModelParams) -> PackedTiltings:
     """Every tilting object, by the mutation search from the vertex-1 fan."""
     size = expected_tilting_size(params)
     fan = (1 << size) - 1  # the vertex-1 fan is ids 0 to size - 1
-    masks = _tilting_masks(compatibility_graph(params).neighbors, fan, size)
+    masks = _tilting_masks(calculator_for(params).neighbors, fan, size)
     return PackedTiltings(params, masks)
 
 
@@ -402,14 +371,15 @@ def enumerate_tilting(params: ModelParams) -> PackedTiltings:
     taken whenever maximal_families has already run.  Both orders are the
     clique order, so the result always equals maximal_families(params)[0].
     The result is a read-only sequence of TiltingObjects (PackedTiltings),
-    cached per ModelParams, never evicted.
+    cached per ModelParams in _families, never evicted.
     """
-    found = _tiltings.get(params)
-    if found is None:
-        if params.d <= 2:
-            found = maximal_families(params)[0]  # files it in _tiltings
-        else:
-            found = _tiltings[params] = _tilting_by_mutation(params)
+    filed = _families.get(params)
+    if filed is not None:
+        return filed[0]
+    if params.d <= 2:
+        return _census(params)[0]
+    found = _tilting_by_mutation(params)
+    _families[params] = found, None
     return found
 
 
@@ -458,8 +428,8 @@ def validate_family(family: int, params: ModelParams) -> None:
             (size, expected),
             f"got {size} distinct summands, expected {expected}",
         )
-    graph = compatibility_graph(params)
-    objects, neighbors = graph.objects, graph.neighbors
+    calc = calculator_for(params)
+    objects, neighbors = calc.objects, calc.neighbors
     ids = tuple(bit_ids(family))  # ascending, like the summands
     for i in ids:
         # the first later summand outside the neighbourhood of summand i
@@ -469,7 +439,6 @@ def validate_family(family: int, params: ModelParams) -> None:
             raise TiltingError(
                 "intertwining-pair", (s, t), f"summands {s} and {t} intertwine"
             )
-    calc = calculator_for(params)
     translate = calc.translate
     shifted = calc.translated_mask(ids)
     for i in ids:
@@ -525,7 +494,8 @@ def failing_families(families, params: ModelParams) -> int:
     """
     if not families:
         return 0
-    neighbors = compatibility_graph(params).neighbors
+    calc = calculator_for(params)
+    neighbors = calc.neighbors
     m = len(neighbors)
     size = expected_tilting_size(params)
     # one row of m + 1 digits per family, the last family first: bit m
@@ -546,7 +516,6 @@ def failing_families(families, params: ModelParams) -> int:
     flagged = columns.pop()
     everything = (1 << len(families)) - 1
     objects = (1 << m) - 1
-    calc = calculator_for(params)
     back = calc.translate_back
     for i, held in enumerate(columns):
         if held:

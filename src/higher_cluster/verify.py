@@ -14,8 +14,9 @@ to their per-instance evaluator, which writes the witness values:
 - tilting-sanity checks every family of the census at once
   (tilting.failing_families): the family masks are transposed into one
   column per object, a row of bits over the families, and the
-  compatibility graph and hom rows are read as ORs and ANDs of those
-  columns.  Its evaluator is validate_family.
+  compatibility neighbourhoods and hom rows of the case's HomCalculator
+  are read as ORs and ANDs of those columns.  Its evaluator is
+  validate_family.
 replay() calls the same evaluators.  An instance flagged by the rows and
 passed by its evaluator is an InvariantError.
 
@@ -35,7 +36,7 @@ from .checks import CHECK_NAMES, TABLE_CHECKS
 from .errors import InvalidInputError, InvariantError, TiltingError
 from .hom import calculator_for, transpose
 from .index import IndexTable, index_by_resolution, index_table
-from .model import ModelParams, check_cap, object_id
+from .model import DEFAULT_CAP, ModelParams, check_cap, object_id
 from .record import Record
 from .tilting import (
     TiltingObject,
@@ -56,21 +57,18 @@ ANOMALY = "anomaly"
 
 class CheckResult(Record):
     """One check on one case, and on one tilting object's summands when
-    tilting is not None.  Mutable and unhashable, like ResolutionReport."""
+    tilting is not None."""
 
     _fields = ("check", "n", "d", "tilting", "status", "witnesses", "stats")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, check, n, d, tilting, status, witnesses, stats=None):
-        self.check = check
-        self.n = n
-        self.d = d
-        self.tilting = tilting
-        self.status = status
-        self.witnesses = witnesses
-        self.stats = {} if stats is None else stats
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "tilting", tilting)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "stats", {} if stats is None else stats)
 
     def to_payload(self) -> dict:
         return {
@@ -167,7 +165,8 @@ def replay(witness) -> tuple[bool, dict]:
     validate_tilting.  Vertex sequences may be lists, as read from JSON,
     or tuples, as a check built them in this process.  A missing or
     ill-typed key, a non-object, or a family that is not a tilting object
-    is an InvalidInputError.
+    is an InvalidInputError.  A case of more than DEFAULT_CAP objects is
+    refused with a ResourceCapError before anything is built.
     """
     if not isinstance(witness, dict):
         raise InvalidInputError(f"a witness is a JSON object, not {witness!r}")
@@ -175,6 +174,7 @@ def replay(witness) -> tuple[bool, dict]:
     if check not in CHECK_NAMES:
         raise InvalidInputError(f"no replay handler for check {check!r}")
     params = ModelParams(_field(witness, "n"), _field(witness, "d"))
+    check_cap(params, DEFAULT_CAP)
     if check == "tilting-sanity":
         # validation is the check itself here: a refusal is the failure
         key = "family" if witness.get("family") else "tilting"
@@ -594,7 +594,7 @@ class SweepConfig(Record):
         checks: tuple[str, ...] = CHECK_NAMES,
         tilting_scope: str = "all",  # "all" or "first:K"
         explicit_tilting: tuple | None = None,  # tuple of summand tuples
-        cap: int = 500,
+        cap: int = DEFAULT_CAP,
     ):
         object.__setattr__(self, "cases", cases)
         object.__setattr__(self, "checks", checks)
@@ -615,17 +615,14 @@ class SweepConfig(Record):
 
 
 class VerificationReport(Record):
-    """A sweep's results and its wall time; mutable and unhashable."""
+    """A sweep's results and its wall time."""
 
     _fields = ("config", "results", "elapsed")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, config: SweepConfig, results: tuple, elapsed: float):
-        self.config = config
-        self.results = results
-        self.elapsed = elapsed
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "results", results)
+        object.__setattr__(self, "elapsed", elapsed)
 
     def summary(self) -> dict:
         counts = {PASS: 0, FAIL: 0, FINDINGS: 0, ANOMALY: 0}

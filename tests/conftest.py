@@ -8,7 +8,6 @@ empties the tilting caches for one test, and kept_after measures what a
 run leaves allocated.
 """
 
-import functools
 import gc
 import tracemalloc
 
@@ -54,10 +53,9 @@ def kept_after(run, inputs) -> int:
 def fresh_tilting_caches(monkeypatch):
     """Empty tilting caches for one test; returns the mutation searches run.
 
-    The shared tuple store and maximal_families' cache of masks are
-    replaced for the test (the module-level caches are restored after
-    it), and every call of the mutation search is recorded by its
-    ModelParams.
+    The one dict of tilting families is replaced for the test (the
+    module-level one is restored after it), and every call of the
+    mutation search is recorded by its ModelParams.
     """
     from higher_cluster import tilting
 
@@ -68,8 +66,6 @@ def fresh_tilting_caches(monkeypatch):
         searched.append(params)
         return search(params)
 
-    masks = functools.lru_cache(maxsize=None)(tilting._family_masks.__wrapped__)
     monkeypatch.setattr(tilting, "_tilting_by_mutation", counted)
-    monkeypatch.setattr(tilting, "_tiltings", {})
-    monkeypatch.setattr(tilting, "_family_masks", masks)
+    monkeypatch.setattr(tilting, "_families", {})
     return searched

@@ -315,18 +315,18 @@ def test_bulk_decoding_matches_objects_of(monkeypatch, n, d):
     # lookup of the objects; each family must equal objects_of of its
     # mask, and hold the enumerated tuples themselves, which the
     # renderer's identity memo relies on
-    from higher_cluster.tilting import _family_masks, _unpack
+    from higher_cluster import tilting
 
     params = ModelParams(n, d)
     payloads = []
     monkeypatch.setattr(cli, "_render", lambda payload, *rest: payloads.append(payload) or "")
     assert main(["tilting", "--n", str(n), "--d", str(d), "--format", "json"]) == 3
     (payload,) = payloads
-    tiltings, anomaly_masks = _family_masks(params)
+    tiltings, anomaly_masks = tilting._families[params]
     anomalies = maximal_families(params)[1]
     assert payload["anomalies"] == anomalies
     assert anomalies == tuple(
-        model.objects_of(mask, params) for mask in _unpack(anomaly_masks, tiltings.k)
+        model.objects_of(mask, params) for mask in tilting._unpack(anomaly_masks, tiltings.k)
     )
     assert payload["tilting"] == [model.objects_of(mask, params) for mask in tiltings.masks()]
     objects = model.enumerate_indecomposables(params)
@@ -629,6 +629,20 @@ def test_replay_select_out_of_range(capsys, tmp_path):
     assert "out of range" in err
     code, _, _ = run_cli(capsys, "replay", "--witness", str(wfile))
     assert code == 0  # hom symmetry holds, nothing reproduces
+
+
+def test_replay_refuses_a_case_over_the_cap(capsys, tmp_path):
+    # (10, 3) has 935 objects, as many as index --n 10 --d 3 refuses; the
+    # witness is refused the same way, before its case is built
+    wfile = tmp_path / "w.json"
+    chain = [[1, 3, 5, 7], [1, 3, 5, 8], [1, 3, 5, 9], [1, 3, 5, 10]]
+    wfile.write_text(
+        json.dumps({"check": "associativity", "n": 10, "d": 3, "tilting": None, "chain": chain})
+    )
+    code, out, err = run_cli(capsys, "replay", "--witness", str(wfile))
+    assert (code, out) == (2, "")
+    assert "935 indecomposables exceed the cap of 500" in err
+    assert "Traceback" not in err
 
 
 def test_replay_bad_files(capsys, tmp_path):

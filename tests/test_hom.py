@@ -14,7 +14,9 @@ from higher_cluster.hom import HomCalculator, calculator_for, transpose
 from higher_cluster.index import index_of, index_via_system
 from higher_cluster.model import (
     ModelParams,
+    bit_ids,
     enumerate_indecomposables,
+    object_count,
     object_id,
     object_ids,
     shift,
@@ -372,7 +374,7 @@ def test_a_calculator_holds_every_table_whole(n, d):
     p = ModelParams(n, d)
     calc = HomCalculator(p)
     m = len(calc.objects)
-    tables = ("hom_rows", "factor_rows", "hom_columns", "translate", "translate_back")
+    tables = ("hom_rows", "factor_rows", "hom_columns", "neighbors", "translate", "translate_back")
     before = {name: getattr(calc, name) for name in tables}
     for table in before.values():
         assert type(table) is tuple and len(table) == m
@@ -383,6 +385,26 @@ def test_a_calculator_holds_every_table_whole(n, d):
         calc.quotient_row(i, everything)
     assert vars(calc) == {"params": p, "objects": calc.objects, **before}
     assert all(getattr(calc, name) is table for name, table in before.items())
+
+
+# every case of at most 200 objects with n <= 6 and d <= 5
+LAW_CASES = [
+    (n, d) for n in range(1, 7) for d in range(1, 6) if object_count(ModelParams(n, d)) <= 200
+]
+
+
+@pytest.mark.parametrize("n,d", LAW_CASES)
+def test_neighbors_obey_the_ext_vanishing_law(n, d):
+    # distinct objects i and j are compatible iff Hom(i, shift(j, 1)) = 0
+    # = Hom(j, shift(i, 1)) (Oppermann-Thomas): the graph the arc masks
+    # give, against the hom tables
+    calc = HomCalculator(ModelParams(n, d))
+    everything = (1 << len(calc.objects)) - 1
+    for i, row in enumerate(calc.hom_rows):
+        # bit j: Hom(i, shift(j, 1)) != 0
+        pulled_back = sum(1 << calc.translate_back[k] for k in bit_ids(row))
+        to_shift = calc.hom_columns[calc.translate[i]]
+        assert calc.neighbors[i] == everything & ~(pulled_back | to_shift) & ~(1 << i)
 
 
 def test_calculator_for_returns_one_calculator_per_case():

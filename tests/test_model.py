@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higher_cluster.errors import InvalidInputError
+from higher_cluster.hom import calculator_for
 from higher_cluster.model import (
     ModelParams,
     arc_masks,
@@ -14,7 +15,6 @@ from higher_cluster.model import (
     object_ids,
     shift,
 )
-from higher_cluster.tilting import compatibility_graph
 from oracles import brute_force_objects, count_formula, intertwines_oracle
 
 
@@ -157,7 +157,7 @@ def test_arc_masks_hold_the_objects_meeting_each_arc(n, d):
 def compatible(x, y, p):
     """Is there an edge between objects x and y of the compatibility graph?"""
     ids = object_ids(p)
-    return bool(compatibility_graph(p).neighbors[ids[x]] >> ids[y] & 1)
+    return bool(calculator_for(p).neighbors[ids[x]] >> ids[y] & 1)
 
 
 def test_intertwines_examples():

@@ -23,10 +23,7 @@ STATED_CACHES = {
     "hom._calculators",
     "model.enumerate_indecomposables",
     "model.object_ids",
-    "model.arc_masks",
-    "tilting.compatibility_graph",
-    "tilting._family_masks",
-    "tilting._tiltings",
+    "tilting._families",
 }
 
 

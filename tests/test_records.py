@@ -20,12 +20,7 @@ from higher_cluster.algebra import (
 )
 from higher_cluster.index import IndexRow, IndexTable, index_table
 from higher_cluster.model import ModelParams
-from higher_cluster.tilting import (
-    CompatibilityGraph,
-    TiltingObject,
-    compatibility_graph,
-    enumerate_tilting,
-)
+from higher_cluster.tilting import TiltingObject, enumerate_tilting
 from higher_cluster.verify import (
     CheckResult,
     SweepConfig,
@@ -39,15 +34,14 @@ from higher_cluster.verify import (
 FLAGS = {
     ModelParams: dict(frozen=True),
     TiltingObject: dict(frozen=True, slots=True),
-    CompatibilityGraph: dict(frozen=True),
     AlgebraPresentation: dict(frozen=True, eq=False),
     CoordRep: dict(frozen=True, eq=False),
-    ResolutionReport: dict(),
+    ResolutionReport: dict(frozen=True),
     IndexRow: dict(frozen=True),
     IndexTable: dict(frozen=True),
-    CheckResult: dict(),
+    CheckResult: dict(frozen=True),
     SweepConfig: dict(frozen=True),
-    VerificationReport: dict(),
+    VerificationReport: dict(frozen=True),
 }
 ORACLES = {
     cls: dataclasses.make_dataclass(cls.__qualname__, cls._fields, **flags)
@@ -68,7 +62,7 @@ def instances():
     alg = build_algebra(tiltings[0], p21)
     other_alg = build_algebra(tiltings[1], p21)
     table = index_table(tiltings[0], p21)
-    graph, row = compatibility_graph(p21), table.rows[0]
+    row = table.rows[0]
     res = minimal_resolution(1, alg)
     assert res.verify() == []
     config = SweepConfig(cases=((2, 1),), checks=("serre", "collisions"))
@@ -77,11 +71,6 @@ def instances():
     return {
         ModelParams: [p21, ModelParams(2, 1), p22, ModelParams(n=1, d=2)],
         TiltingObject: tiltings + [TiltingObject(p21, tiltings[0].mask)],
-        CompatibilityGraph: [
-            graph,
-            compatibility_graph(p22),
-            CompatibilityGraph(graph.objects, graph.neighbors),
-        ],
         AlgebraPresentation: [alg, other_alg, alg.replace()],
         CoordRep: [module_of(1, alg), module_of(1, alg), module_of(2, other_alg)],
         ResolutionReport: [res, minimal_resolution(1, alg), res.replace(tail_kernel_dims=(1, 0))],
@@ -94,6 +83,15 @@ def instances():
 
 
 INSTANCES = instances()
+
+
+def _hash(value):
+    """hash(value), or TypeError when a field is unhashable: a record
+    holding a dict (CheckResult's stats) raises as its twin does."""
+    try:
+        return hash(value)
+    except TypeError:
+        return TypeError
 
 
 @pytest.mark.parametrize("cls", FLAGS, ids=lambda cls: cls.__name__)
@@ -110,29 +108,23 @@ def test_records_agree_with_their_dataclasses(cls):
             expected = ta == tb if FLAGS[cls].get("eq", True) else a is b
             assert (a == b) == expected
             assert (a != b) == (not expected)
-    if ORACLES[cls].__hash__ is None:
-        with pytest.raises(TypeError):
-            hash(records[0])
-    elif FLAGS[cls].get("eq", True):
-        assert [hash(r) for r in records] == [hash(t) for t in twins]
+    if FLAGS[cls].get("eq", True):
+        assert [_hash(r) for r in records] == [_hash(t) for t in twins]
     else:
         assert hash(records[0]) == object.__hash__(records[0])
 
 
 @pytest.mark.parametrize("cls", FLAGS, ids=lambda cls: cls.__name__)
 def test_records_are_as_frozen_as_their_dataclasses(cls):
+    # every record is frozen, as the README promises
+    assert FLAGS[cls]["frozen"]
     record = INSTANCES[cls][0]
     name = cls._fields[0]
-    if FLAGS[cls].get("frozen"):
-        for target in (record, twin(record)):
-            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
-                setattr(target, name, None)
-            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
-                delattr(target, name)
-    else:
-        record = record.replace()
-        setattr(record, name, None)
-        assert getattr(record, name) is None
+    for target in (record, twin(record)):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(target, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(target, name)
 
 
 def test_model_params_is_no_tuple():

@@ -24,7 +24,6 @@ from higher_cluster.tilting import (
     _maximal_cliques,
     _tilting_masks,
     bit_ids,
-    compatibility_graph,
     enumerate_tilting,
     expected_tilting_size,
     maximal_families,
@@ -65,10 +64,10 @@ def test_d1_tilting_counts_are_catalan(n, expected):
 
 
 def test_graph_shape_small():
-    g = compatibility_graph(ModelParams(2, 1))
+    g = calculator_for(ModelParams(2, 1))
     assert g.objects == ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5))
     assert sum(nb.bit_count() for nb in g.neighbors) // 2 == 5
-    trivial = compatibility_graph(ModelParams(1, 1))
+    trivial = calculator_for(ModelParams(1, 1))
     assert len(trivial.objects) == 2
     assert trivial.neighbors == (0, 0)
 
@@ -103,7 +102,7 @@ def test_bit_ids_walks_set_bits_lowest_first():
 )
 def test_graph_bits_match_intertwining_oracle(n, d):
     params = ModelParams(n, d)
-    g = compatibility_graph(params)
+    g = calculator_for(params)
     assert g.objects == brute_force_objects(n, d)
     assert object_ids(params) == {obj: i for i, obj in enumerate(g.objects)}
     expected = oracle_neighbors(g.objects, params.N)
@@ -116,7 +115,7 @@ def test_graph_bits_match_intertwining_oracle(n, d):
 )
 def test_maximal_cliques_match_unpivoted_search(n, d):
     params = ModelParams(n, d)
-    g = compatibility_graph(params)
+    g = calculator_for(params)
     expected = maximal_cliques_simple(oracle_neighbors(g.objects, params.N))
     tiltings, anomalies = maximal_families(params)
     got = sorted(
@@ -349,7 +348,7 @@ def test_a_tilting_object_keeps_its_mask_only(fresh_tilting_caches):
     # the bytes of a mask of 55 bits; a tuple of TiltingObjects kept about
     # 88 B each, and one of tuples of object tuples 290 B
     params = ModelParams(4, 3)
-    compatibility_graph(params)  # kept anyway, for every later query
+    calculator_for(params)  # kept anyway, for every later query
     kept = kept_after(enumerate_tilting, [params])
     assert len(enumerate_tilting(params)) == 3278
     assert kept <= 12 * 3278
@@ -362,7 +361,7 @@ def test_bron_kerbosch_tilting_objects_are_packed(fresh_tilting_caches, monkeypa
     # (traced, it takes 13 s): traced, its cliques are parsed afresh from
     # text, so the cache cannot hold objects allocated untraced
     params = ModelParams(6, 2)
-    cliques = [format(m, "x") for m in _maximal_cliques(compatibility_graph(params).neighbors)]
+    cliques = [format(m, "x") for m in _maximal_cliques(calculator_for(params).neighbors)]
     monkeypatch.setattr(
         tilting_mod, "_maximal_cliques", lambda neighbors: [int(h, 16) for h in cliques]
     )
@@ -378,7 +377,7 @@ def test_the_census_cache_keeps_anomalies_as_masks(fresh_tilting_caches):
     # them decoded, as tuples of object tuples, kept about 140 B per
     # family, and as int masks about 43 B
     params = ModelParams(3, 4)
-    compatibility_graph(params)  # kept anyway, for every later query
+    calculator_for(params)  # kept anyway, for every later query
     kept = kept_after(tilting_mod.maximal_families, [params])
     tiltings, anomalies = tilting_mod.maximal_families(params)
     families = len(tiltings) + len(anomalies)
@@ -397,7 +396,7 @@ def plain_tiltings(params):
     """The tilting objects as a plain tuple of TiltingObjects, from
     Bron-Kerbosch's masks."""
     size = expected_tilting_size(params)
-    masks = _maximal_cliques(compatibility_graph(params).neighbors)
+    masks = _maximal_cliques(calculator_for(params).neighbors)
     return tuple(TiltingObject(params, mask) for mask in masks if mask.bit_count() == size)
 
 
@@ -479,7 +478,7 @@ def test_enumerations_share_one_tuple(fresh_tilting_caches):
 
 def test_tilting_masks_refuses_a_start_that_is_no_tilting_clique():
     params = ModelParams(3, 1)
-    neighbors = compatibility_graph(params).neighbors
+    neighbors = calculator_for(params).neighbors
     size = expected_tilting_size(params)
     fan = (1 << size) - 1
     assert _tilting_masks(neighbors, fan, size)[0] == fan
@@ -497,7 +496,7 @@ def test_tilting_masks_refuses_a_family_that_extends():
     # cannot extend, as (2, 4) intertwines (1, 3), so the search must
     # reach a triangle of that clique and find its fourth vertex
     params = ModelParams(3, 1)
-    graph = compatibility_graph(params)
+    graph = calculator_for(params)
     assert [graph.objects[i] for i in (3, 5, 7, 8)] == [(2, 4), (2, 6), (3, 6), (4, 6)]
     neighbors = list(graph.neighbors)
     assert not neighbors[3] >> 7 & 1 and not neighbors[3] & 1

@@ -293,7 +293,7 @@ def test_tilting_sanity_spares_the_mutation_search(fresh_tilting_caches):
         case,
     )
     assert searched == []
-    tilting_mod._tiltings.clear()
+    tilting_mod._families.clear()
     alone = verify._run_case(
         SweepConfig(cases=(case,), checks=("serre",), tilting_scope="first:5"), case
     )
@@ -336,6 +336,14 @@ def _flip_hom(params, i, j):
     rows[i] ^= 1 << j
     calc.hom_rows = tuple(rows)
     calc.hom_columns = tuple(hom.transpose(rows))
+
+
+def _flip_neighbor(params, i, j):
+    """Flip bit j of neighbors[i] alone, in a rebuilt neighbourhood table."""
+    calc = hom.calculator_for(params)
+    neighbors = list(calc.neighbors)
+    neighbors[i] ^= 1 << j
+    calc.neighbors = tuple(neighbors)
 
 
 def _flip_factor(params, i, j, k):
@@ -549,12 +557,8 @@ def _edited_table(params, kind, i, j):
             _flip_hom(params, i, j)
             yield
         elif kind == "graph":
-            graph = tilting_mod.compatibility_graph(params)
-            neighbors = list(graph.neighbors)
-            neighbors[i] ^= 1 << j
-            edited = tilting_mod.CompatibilityGraph(graph.objects, tuple(neighbors))
-            with mock.patch.object(tilting_mod, "compatibility_graph", lambda p: edited):
-                yield
+            _flip_neighbor(params, i, j)
+            yield
         elif kind == "size":
             size = expected_tilting_size(params) - 1
             with mock.patch.object(tilting_mod, "expected_tilting_size", lambda p: size):
@@ -614,7 +618,7 @@ def test_tilting_sanity_sweep_meets_every_reason(n, d):
     tilting = enumerate_tilting(params)[0]
     first, second, last = tilting.ids[0], tilting.ids[1], tilting.ids[-1]
     rest = tilting.mask ^ 1 << first
-    neighbors = tilting_mod.compatibility_graph(params).neighbors
+    neighbors = hom.calculator_for(params).neighbors
     m = len(neighbors)
     crossing = next(u for u in range(m) if not tilting.mask >> u & 1 and rest & ~neighbors[u])
     families = tuple(
