@@ -19,35 +19,45 @@ Conventions, fixed once and used everywhere:
   on it by that projective's own matchings and no induced action is
   ever solved.
 - Each algebra reads those two tables once into per-summand ones: the
-  components of each projective (`columns`) and the summands whose
-  projective each arrow moves (`moves`).  A direct sum is built from
-  them once per multiplicity vector and shared, read-only, by every
+  components of each projective (`columns`), the summands whose
+  projective each arrow moves (`moves`) and its inverse, the arrows that
+  move each summand's projective (`moved_by`).  A direct sum is built
+  from them once per multiplicity vector, each summand's copies spliced
+  in at their offset in each component, and shared, read-only, by every
   cover with that vector (`direct_sums`).
 - Every stage walks only its support, the components of nonzero
   dimension (`CoordRep.support`): covers, kernels, the closure check,
   the representation check and the units skip every other component,
   which holds no vector.  The representation check walks only the
-  arrows into components that hold vectors (`arrows_to`).
+  arrows into components that hold vectors (`arrows_to`), and takes
+  each arrow's images of the vectors once; the closure check and the
+  next cover read those images.
 - Hom(T, c) is read off the hom tables of c: its dimensions from one hom
   column of c, and each arrow's matching from one bit of a summand's
-  factor mask at c (`module_of`).
+  factor mask at c (`module_of`).  The algebra looks up the case's hom
+  tables once (`calc`).
 
-The projective at t_j is Hom(T, t_j) itself, so its dimension vector is
-the j-th column of the Cartan matrix and every component is at most
-one-dimensional.  So a summand's module is not covered and kerneled:
-it is checked equal to the projective at t_j, matching by matching, and
-resolved by it (`_summand_resolution`, whose docstring has the proof).
+Every hom space is 0- or 1-dimensional (Oppermann-Thomas), so Hom(T, c)
+is thin: every component has dimension at most one.  So its cover, stage
+0 of its resolution, is read off its matchings with no elimination
+(`_thin_cover`); the later stages are not thin and are covered by
+elimination (`projective_cover`).  The projective at t_j is Hom(T, t_j)
+itself, so its dimension vector is the j-th column of the Cartan matrix.
+So a summand's module is not covered and kerneled: it is checked equal
+to the projective at t_j, matching by matching, and resolved by it
+(`_summand_resolution`, whose docstring has the proof).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import mul
+from itertools import chain
+from operator import add, mul, sub
 from types import MappingProxyType
 
 from .errors import ContractError, InvariantError
 from .hom import calculator_for
-from .linalg import eliminate, kernel, rank
+from .linalg import eliminate, kernel
 from .model import IndObj, ModelParams
 from .record import Record
 from .tilting import TiltingObject, require_case
@@ -89,6 +99,12 @@ class AlgebraPresentation(Record):
     # cover and kernel step.
 
     @cached_property
+    def calc(self):
+        """The hom tables of the case: one lookup of the calculator per
+        algebra, not one per row."""
+        return calculator_for(self.params)
+
+    @cached_property
     def summand_of(self):
         """summand_of[k]: the position a with ids[a] = k, for the summands' ids."""
         return {t: a for a, t in enumerate(self.ids)}
@@ -115,11 +131,11 @@ class AlgebraPresentation(Record):
 
     @cached_property
     def composable_by_ends(self):
-        """composable grouped by outer pair: (i, k) -> the (p, q) from i to k."""
+        """composable grouped by outer pair: [i][k] -> the (p, q) from i to k."""
         groups = {}
         for p, q in self.composable:
-            groups.setdefault((p[0], q[1]), []).append((p, q))
-        return {ends: tuple(g) for ends, g in groups.items()}
+            groups.setdefault(p[0], {}).setdefault(q[1], []).append((p, q))
+        return {i: {k: tuple(g) for k, g in row.items()} for i, row in groups.items()}
 
     @cached_property
     def columns(self):
@@ -138,6 +154,15 @@ class AlgebraPresentation(Record):
             p: frozenset(q[1] for q in basis_from[p[1]] if self.mult[(p, q)])
             for p in self.arrows
         }
+
+    @cached_property
+    def moved_by(self):
+        """moved_by[a]: the arrows p with a in moves[p], in basis order."""
+        moved_by = [[] for _ in range(self.r)]
+        for p in self.arrows:
+            for a in self.moves[p]:
+                moved_by[a].append(p)
+        return tuple(map(tuple, moved_by))
 
     @cached_property
     def direct_sums(self):
@@ -206,19 +231,19 @@ def _assert_associative(algebra: AlgebraPresentation):
     # non-identity basis is therefore a nilpotent two-sided ideal with
     # semisimple quotient, i.e. the radical.  Associativity below is what
     # makes that span an ideal at all.
-    mult = algebra.mult
-    basis_from = _by_end(algebra.basis, algebra.r, 0)
-    for p in algebra.basis:
-        for q in basis_from[p[1]]:
-            pq = mult[(p, q)]
-            for s in basis_from[q[1]]:
-                qs = mult[(q, s)]
-                left = pq and mult[((p[0], q[1]), s)]
-                right = qs and mult[(p, (q[0], s[1]))]
-                if left != right:
-                    raise InvariantError(
-                        f"associativity fails on basis triple {p}, {q}, {s}"
-                    )
+    # the triples p = (i, j), q = (j, k), s = (k, l) of basis elements,
+    # with after[i][j][k] = mult[((i, j), (j, k))] read by ends
+    after = [{} for _ in range(algebra.r)]
+    for (p, q), c in algebra.mult.items():
+        after[p[0]].setdefault(p[1], {})[q[1]] = c
+    for i, from_i in enumerate(after):
+        for j, via_j in from_i.items():
+            for k, pq in via_j.items():
+                for l, qs in after[j][k].items():
+                    if (pq and from_i[k][l]) != (qs and via_j[l]):
+                        raise InvariantError(
+                            f"associativity fails on basis triple {(i, j)}, {(j, k)}, {(k, l)}"
+                        )
 
 
 class CoordRep(Record):
@@ -256,13 +281,6 @@ class CoordRep(Record):
             support = tuple(k for k, n in enumerate(dims) if n)
         object.__setattr__(self, "support", support)
 
-    def act(self, pair, vec) -> list:
-        """The arrow pair applied to a vector of component pair[1]."""
-        out = [0] * self.dims[pair[0]]
-        for y, x in self.arrows.get(pair, ()):
-            out[x] = vec[y]
-        return out
-
     def units(self):
         """The coordinate vectors of every component: the whole module.
 
@@ -271,7 +289,7 @@ class CoordRep(Record):
         out = [()] * len(self.dims)
         for k in self.support:
             n = self.dims[k]
-            out[k] = tuple(tuple(int(x == y) for x in range(n)) for y in range(n))
+            out[k] = tuple([tuple([int(x == y) for x in range(n)]) for y in range(n)])
         return tuple(out)
 
     def check_representation(self, vectors):
@@ -281,41 +299,61 @@ class CoordRep(Record):
         Only the support is walked: a component of dimension zero holds
         no vector.  Every arrow that acts on a given vector is first
         checked to be a partial matching of the coordinates of its two
-        components.  Only the composable pairs whose outer components i
-        and k both hold vectors are then walked, grouped by that outer
-        pair.  The others are skipped: on the whole module the composite
-        and what it must equal (zero, the identity on component i, or the
-        action of (i, k)) are one and the same empty map, and on a
-        submodule closure under the arrows, checked apart, makes both
-        zero.
+        components, and its images of those vectors are taken once.
+        Only the composable pairs whose outer components i and k both
+        hold vectors are then walked, grouped by that outer pair.  The
+        others are skipped: on the whole module the composite and what
+        it must equal (zero, the identity on component i, or the action
+        of (i, k)) are one and the same empty map, and on a submodule
+        closure under the arrows, checked apart, makes both zero.  Returns
+        the images: images[p] lists the arrow p applied to each vector of
+        vectors[p[1]], for every arrow p with a nonempty matching.
         """
-        alg, dims = self.algebra, self.dims
+        alg, dims, arrows = self.algebra, self.dims, self.arrows
         populated = [k for k in self.support if vectors[k]]
+        images = {}
         for j in populated:
-            for i, _ in alg.arrows_to[j]:
+            for p in alg.arrows_to[j]:
+                i = p[0]
                 # a left-out arrow into an empty component is the empty matching
-                pairs = self.arrows.get((i, j), None if dims[i] else ())
-                if pairs is None or not _is_matching(pairs, dims[j], dims[i]):
+                pairs = arrows.get(p, None if dims[i] else ())
+                if pairs is None or pairs and not _is_matching(pairs, dims[j], dims[i]):
                     raise InvariantError(
-                        f"arrow {(i, j)} does not match {dims[j]} coordinates into {dims[i]}"
+                        f"arrow {p} does not match {dims[j]} coordinates into {dims[i]}"
                     )
-        by_ends = alg.composable_by_ends
+                if pairs:
+                    images[p] = out = []
+                    for vec in vectors[j]:
+                        w = [0] * dims[i]
+                        for y, x in pairs:
+                            w[x] = vec[y]
+                        out.append(w)
+        by_ends, mult = alg.composable_by_ends, alg.mult
         for i in populated:
+            ends = by_ends.get(i, {})
             for k in populated:
-                for p, q in by_ends.get((i, k), ()):
-                    coeff = alg.mult[(p, q)]
-                    for vec in vectors[k]:
-                        got = self.act(p, self.act(q, vec))
+                for p, q in ends.get(k, ()):
+                    coeff = mult[(p, q)]
+                    moved = images.get(q)  # q applied to vectors[k]
+                    through = arrows.get(p, ()) if moved else ()
+                    if not (coeff or through):
+                        continue  # zero, as it must be, on every vector
+                    direct = images.get((i, k)) if coeff and i != k else None
+                    for t, vec in enumerate(vectors[k]):
+                        got = [0] * dims[i]
+                        for y, x in through:
+                            got[x] = moved[t][y]
                         if coeff == 0:
                             ok = not any(got)
                         elif i == k:
                             ok = got == list(vec)
                         else:
-                            ok = got == self.act((i, k), vec)
+                            ok = got == (direct[t] if direct else [0] * dims[i])
                         if not ok:
                             raise InvariantError(
                                 f"representation property fails composing {p} then {q}"
                             )
+        return images
 
 
 def _is_matching(pairs, sources, targets) -> bool:
@@ -346,11 +384,11 @@ def module_of(k: int, algebra: AlgebraPresentation) -> CoordRep:
     matching ((0, 0),) exactly when t_i -> c factors through t_j: bit
     ids[j] of the factor mask of t_i at c.
     """
-    calc = calculator_for(algebra.params)
+    calc = algebra.calc
     ids = algebra.ids
     column = calc.hom_columns[k]
-    dims = tuple(column >> t & 1 for t in ids)
-    support = tuple(i for i, n in enumerate(dims) if n)
+    dims = tuple([column >> t & 1 for t in ids])
+    support = tuple([i for i, n in enumerate(dims) if n])
     arrows_from = algebra.arrows_from
     # only arrows between support components: the others are left out.
     # Each one read is a nonzero t_i -> t_j (an arrow) followed by a
@@ -394,34 +432,39 @@ def projective_module(multiplicities, algebra):
 
 
 def _direct_sum(multiplicities, algebra):
-    """dims, read-only matchings, layouts and support of projective_module."""
-    layouts = [[] for _ in range(algebra.r)]
-    for a, m in enumerate(multiplicities):
-        if m:
-            copies = [(a, cp) for cp in range(m)]
-            for k in algebra.columns[a]:
-                layouts[k] += copies
-    moves = algebra.moves
-    arrows = {}
-    support = []
-    for i, lay in enumerate(layouts):
-        if lay:
-            support.append(i)
-            where = {coord: x for x, coord in enumerate(lay)}
-            for p in algebra.arrows_from[i]:
-                moved = moves[p]
-                arrows[p] = tuple(
-                    (y, where[coord])
-                    for y, coord in enumerate(layouts[p[1]])
-                    if coord[0] in moved
-                )
-    layouts = tuple(map(tuple, layouts))
-    # the representation property holds by associativity of mult,
-    # asserted at algebra construction
-    return tuple(map(len, layouts)), MappingProxyType(arrows), layouts, tuple(support)
+    """dims, read-only matchings, layouts and support of projective_module.
+
+    The copies of each summand a with a nonzero multiplicity are appended
+    to every component k of algebra.columns[a], and starts[a][k] records
+    where they begin.  Every arrow from a nonzero component starts with
+    the empty matching; then, summand by summand in order, each arrow
+    (i, j) in algebra.moved_by[a] gains the pairs that carry copy cp of a
+    from starts[a][j] + cp to starts[a][i] + cp.
+    """
+    summed = [a for a, m in enumerate(multiplicities) if m]
+    grown, starts = {}, {}
+    for a in summed:
+        copies = [(a, cp) for cp in range(multiplicities[a])]
+        starts[a] = here = {}
+        for k in algebra.columns[a]:
+            lay = grown.setdefault(k, [])
+            here[k] = len(lay)
+            lay += copies
+    support = tuple(sorted(grown))
+    layouts = [()] * algebra.r
+    for k in support:
+        layouts[k] = tuple(grown[k])
+    arrows = dict.fromkeys(chain.from_iterable(map(algebra.arrows_from.__getitem__, support)), ())
+    for a in summed:
+        m, here = multiplicities[a], starts[a]
+        for p in algebra.moved_by[a]:
+            y, x = here[p[1]], here[p[0]]
+            arrows[p] += ((y, x),) if m == 1 else tuple(zip(range(y, y + m), range(x, x + m)))
+    # a representation by associativity of mult, asserted by build_algebra
+    return tuple(map(len, layouts)), MappingProxyType(arrows), tuple(layouts), support
 
 
-def projective_cover(module: CoordRep, vectors):
+def projective_cover(module: CoordRep, vectors, images):
     """Projective cover of the submodule spanned by vectors[k] at each k.
 
     The radical at component i is the span of the images of the arrows
@@ -433,42 +476,67 @@ def projective_cover(module: CoordRep, vectors):
     coordinate (a, cp) of component k to the arrow (k, a) applied to
     lift cp, in the coordinates of the module.
 
-    Each stage walks only its support: the lifts are read at the
-    components of the module that hold vectors, and the cover is built at
-    the components of the projective.  Elsewhere it is the zero map, with
-    no columns and one empty row per coordinate of the module.
+    images are module.check_representation(vectors).  Each stage walks
+    only its support: the lifts are read at the components of the module
+    that hold vectors, and the cover is built at the components of the
+    projective.  Elsewhere it is the zero map, with no columns and one
+    empty row per coordinate of the module.
 
     Returns (multiplicities, layouts, projective, matrices) with
     matrices[k] the cover at component k as int rows, module.dims[k] by
     projective.dims[k].
     """
     alg, dims = module.algebra, module.dims
+    # lifts[i]: the positions in vectors[i] of the lifts at component i
     lifts = [()] * alg.r
     for i in module.support:
         own = vectors[i]
         if not own:
             continue
-        images = [
-            w
-            for p in alg.arrows_from[i]
-            for u in vectors[p[1]]
-            if any(w := module.act(p, u))
-        ]
-        if images:
-            cols = images + list(own[::-1])
+        lifts[i] = range(len(own))
+        radical = [w for p in alg.arrows_from[i] for w in images.get(p, ()) if any(w)]
+        if radical:
+            cols = radical + list(own[::-1])
             _, pivots, _, _ = eliminate(zip(*cols), len(cols))
-            own = [cols[c] for c in reversed(pivots) if c >= len(images)]
-        lifts[i] = own
+            lifts[i] = [len(cols) - 1 - c for c in reversed(pivots) if c >= len(radical)]
     multiplicities = tuple(map(len, lifts))
     projective, layouts = projective_module(multiplicities, alg)
     matrices = [()] * alg.r
     for k in module.support:
         matrices[k] = ((),) * dims[k]
     for k in projective.support:
-        matrices[k] = tuple(zip(*(
-            lifts[a][cp] if k == a else module.act((k, a), lifts[a][cp])
-            for a, cp in layouts[k]
-        )))
+        cols = []
+        for a, cp in layouts[k]:
+            moved = vectors[a] if k == a else images.get((k, a))
+            cols.append(moved[lifts[a][cp]] if moved else [0] * dims[k])
+        matrices[k] = tuple(zip(*cols))
+    return multiplicities, layouts, projective, tuple(matrices)
+
+
+def _thin_cover(module: CoordRep, images):
+    """projective_cover on all of a thin module, read off its matchings
+    with no elimination; InvariantError if the module is not thin.
+
+    images are module.check_representation(module.units()).  With every
+    dimension at most one, each matching it checked is ((0, 0),) or
+    empty, and images holds the arrows (i, j) that act nonzero, j in the
+    support.  The top is the support minus their sources i, where the
+    elimination keeps no vector.  Each top component a is lifted by its
+    unit, multiplicity one, and the cover at a component k of the
+    support is one row: 1 at the coordinate (a, 0) when k = a or (k, a)
+    acts nonzero.
+    """
+    alg, dims = module.algebra, module.dims
+    if max(dims) > 1:
+        raise InvariantError(f"module with dims {dims} is not thin")
+    multiplicities = [0] * alg.r
+    for i in module.support:
+        multiplicities[i] = int(not any(map(images.__contains__, alg.arrows_from[i])))
+    multiplicities = tuple(multiplicities)
+    projective, layouts = projective_module(multiplicities, alg)
+    matrices = [()] * alg.r
+    for k in module.support:
+        matrices[k] = (tuple([int(k == a or (k, a) in images) for a, _ in layouts[k]]),)
     return multiplicities, layouts, projective, tuple(matrices)
 
 
@@ -483,29 +551,21 @@ def syzygy(projective: CoordRep, matrices):
     component of the projective, and every other component holds no
     vector.  Closure is checked along every arrow into a component that
     holds vectors, wherever it lands; the arrows the projective leaves
-    out land in components of dimension zero.
+    out land in components of dimension zero.  Returns (vectors, images),
+    the images of check_representation, which the next cover reads.
     """
-    dims, arrows = projective.dims, projective.arrows
-    vectors = [()] * len(dims)
+    vectors = [()] * len(projective.dims)
     for k in projective.support:
-        vectors[k] = kernel(matrices[k], dims[k])
+        vectors[k] = kernel(matrices[k], projective.dims[k])
     vectors = tuple(vectors)
-    projective.check_representation(vectors)
-    arrows_to = projective.algebra.arrows_to
-    for j in projective.support:
-        if not vectors[j]:
-            continue
-        for p in arrows_to[j]:
-            pairs = arrows.get(p)
-            if pairs is None:
-                continue
-            for vec in vectors[j]:
+    images = projective.check_representation(vectors)
+    for p, moved in images.items():
+        for row in matrices[p[0]]:
+            for w in moved:
                 # the image lies in the kernel at component p[0]
-                if any(sum(row[x] * vec[y] for y, x in pairs) for row in matrices[p[0]]):
-                    raise InvariantError(
-                        "kernel of a cover map is not closed under the action"
-                    )
-    return vectors
+                if sum(map(mul, row, w)):
+                    raise InvariantError("kernel of a cover map is not closed under the action")
+    return vectors, images
 
 
 class ResolutionReport(Record):
@@ -568,67 +628,10 @@ class ResolutionReport(Record):
         return tuple(len(lay) for lay in self.layouts[stage])
 
     def index_vector(self) -> tuple[int, ...]:
-        out = [0] * self.algebra.r
-        for s, mult in enumerate(self.multiplicities):
-            sign = -1 if s % 2 else 1
-            for a, m in enumerate(mult):
-                out[a] += sign * m
-        return tuple(out)
-
-    def verify(self):
-        """All exactness and minimality conditions, as a violation list.
-
-        Exactness of module maps is exactness of the component matrices:
-        consecutive composites vanish, ranks complement kernels, the cover
-        is onto, and the rank of the tail map leaves exactly the recorded
-        tail kernel.  Minimality is radical-valuedness of every connecting
-        map: rows at identity coordinates (copy of t_a, coordinate at
-        component a) are zero.
-        """
-        violations = []
-        stages = len(self.multiplicities)
-        tail = self.tail_kernel_dims or (0,) * self.algebra.r
-        for k in range(self.algebra.r):
-            mats = [self.maps[s][k] for s in range(stages)]
-            dims = [self.module_dims[k]] + [self.component_dims(s)[k] for s in range(stages)]
-            ranks = [rank(m) for m in mats]
-            if ranks[0] != dims[0]:
-                violations.append(f"cover not surjective at component {k}")
-            for s in range(stages - 1):
-                if any(
-                    sum(map(mul, row, col)) for row in mats[s] for col in zip(*mats[s + 1])
-                ):
-                    violations.append(
-                        f"composite of stages {s + 1} and {s} nonzero at component {k}"
-                    )
-                if dims[s + 1] - ranks[s] != ranks[s + 1]:
-                    violations.append(
-                        f"not exact at stage {s} of component {k}"
-                    )
-            if dims[stages] - ranks[stages - 1] != tail[k]:
-                violations.append(
-                    f"tail map kernel has the wrong dimension at component {k}"
-                )
-        for s in range(1, stages):
-            for a in range(self.algebra.r):
-                lay = self.layouts[s - 1][a]
-                m = self.maps[s][a]
-                for row, (a2, _) in enumerate(lay):
-                    if a2 == a and any(m[row]):
-                        violations.append(
-                            f"connecting map {s} not radical-valued at summand {a}"
-                        )
-        # Euler characteristic per component, forced by exactness:
-        # sum of signed stage dimensions minus the module dimension equals
-        # the signed tail kernel
-        for k in range(self.algebra.r):
-            total = -self.module_dims[k]
-            for s in range(stages):
-                total += (-1 if s % 2 else 1) * self.component_dims(s)[k]
-            expected = (-1 if (stages - 1) % 2 else 1) * tail[k]
-            if total != expected:
-                violations.append(f"Euler characteristic off at component {k}")
-        return violations
+        out = self.multiplicities[0]
+        for s in range(1, len(self.multiplicities)):
+            out = tuple(map(sub if s % 2 else add, out, self.multiplicities[s]))
+        return out
 
 
 def minimal_resolution(k: int, algebra: AlgebraPresentation) -> ResolutionReport:
@@ -636,16 +639,15 @@ def minimal_resolution(k: int, algebra: AlgebraPresentation) -> ResolutionReport
 
     The module must be nonzero, i.e. c must not be a translate of a
     summand (the index machinery handles that case in closed form).  The
-    full exactness and minimality report is the returned report's
-    verify(), run by the tests; the index sweeps rely on the independent
-    cross-route check instead.
+    tests check every exactness and minimality condition on the report
+    (report_violations); the index sweeps rely on route agreement.
 
     A summand c = t_a has Hom(T, t_a) = P_a, the projective at t_a, and
     its resolution is P_a itself: the module is checked equal to P_a (see
     _summand_resolution), and no cover or kernel is taken.  Every other
     module is resolved by iterated covers (resolve_by_covers).
     """
-    c = calculator_for(algebra.params).objects[k]
+    c = algebra.calc.objects[k]
     module = module_of(k, algebra)
     if not any(module.dims):
         raise ContractError(
@@ -662,8 +664,9 @@ def _summand_resolution(a: int, module: CoordRep, target: IndObj) -> ResolutionR
     target = t_a, once M is checked equal to P_a.
 
     M equals P_a when both have the same dims and the same matching on
-    every arrow between nonzero components; an arrow with an end outside
-    the support acts on no coordinate in either.  Otherwise InvariantError.
+    every arrow between nonzero components, P_a read off columns and
+    moves (_same_module); an arrow with an end outside the support acts
+    on no coordinate in either.  Otherwise InvariantError.
     This equality stands in for the representation check on M, and the
     report is the one resolve_by_covers builds on M, field by field:
 
@@ -693,37 +696,35 @@ def _summand_resolution(a: int, module: CoordRep, target: IndObj) -> ResolutionR
       stage.
     """
     algebra = module.algebra
-    multiplicities = tuple(int(b == a) for b in range(algebra.r))
-    projective, layouts = projective_module(multiplicities, algebra)
-    if not _same_module(module, projective):
+    if not _same_module(module, a):
         raise InvariantError(
             f"Hom(T, {target}) is not the projective at its summand {a}"
         )
-    matrices = [()] * algebra.r
-    for k in projective.support:
-        matrices[k] = ((1,),)
+    layouts, matrices = [()] * algebra.r, [()] * algebra.r
+    for k in algebra.columns[a]:
+        layouts[k], matrices[k] = ((a, 0),), ((1,),)
     return ResolutionReport(
         algebra,
         target,
         module.dims,
-        (multiplicities,),
+        ((0,) * a + (1,) + (0,) * (algebra.r - a - 1),),
         (tuple(matrices),),
-        (layouts,),
+        (tuple(layouts),),
         (0,) * algebra.r,
     )
 
 
-def _same_module(module: CoordRep, projective: CoordRep) -> bool:
-    """Same dims, and the same matching on every arrow between nonzero
-    components; a matching left out of module is not the same as one
-    the projective has."""
-    dims, own, theirs = module.dims, module.arrows, projective.arrows
-    if dims != projective.dims:
+def _same_module(module: CoordRep, a: int) -> bool:
+    """Whether the module is P_a as projective_module builds it: dims the
+    Cartan column of a, and ((0, 0),) on an arrow p between nonzero
+    components exactly when a is in moves[p], else (), never left out."""
+    algebra = module.algebra
+    dims, own, moves = module.dims, module.arrows, algebra.moves
+    if module.support != algebra.columns[a] or max(dims) > 1:
         return False
-    arrows_from = module.algebra.arrows_from
-    for i in projective.support:
-        for p in arrows_from[i]:
-            if dims[p[1]] and own.get(p) != theirs[p]:
+    for i in algebra.columns[a]:
+        for p in algebra.arrows_from[i]:
+            if dims[p[1]] and own.get(p) != (((0, 0),) if a in moves[p] else ()):
                 return False
     return True
 
@@ -738,30 +739,27 @@ def resolve_by_covers(module: CoordRep, target: IndObj) -> ResolutionReport:
     and some endomorphism algebras (oriented cycles among summands)
     admit no finite resolution at all.  Each syzygy stays inside the
     projective it sits in, so every connecting map comes out in that
-    projective's coordinates.
+    projective's coordinates.  The module Hom(T, c) is thin: stage 0 is
+    read off its matchings (_thin_cover).
     """
     algebra = module.algebra
-    module_dims = module.dims
-    vectors = module.units()
     # with the representation property on the vectors it lifts, each
     # cover is a module map; syzygy checks it on every kernel vector
-    module.check_representation(vectors)
-    multiplicities = []
-    maps = []
-    layouts = []
+    cover = _thin_cover(module, module.check_representation(module.units()))
+    multiplicities, maps, layouts = [], [], []
     while True:
-        mults, lay, projective, matrices = projective_cover(module, vectors)
+        mults, lay, projective, matrices = cover
         multiplicities.append(mults)
         layouts.append(lay)
         maps.append(matrices)
-        vectors = syzygy(projective, matrices)
+        vectors, images = syzygy(projective, matrices)
         if not any(vectors) or len(multiplicities) > algebra.params.d:
             break
-        module = projective
+        cover = projective_cover(projective, vectors, images)
     return ResolutionReport(
         algebra,
         target,
-        module_dims,
+        module.dims,
         tuple(multiplicities),
         tuple(maps),
         tuple(layouts),

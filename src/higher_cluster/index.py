@@ -52,7 +52,7 @@ def index_of(c: IndObj, tilting: TiltingObject, params: ModelParams) -> IndexVec
 
 def index_by_resolution(c: int, algebra) -> IndexVector:
     """The resolution route at the object with id c."""
-    k = algebra.summand_of.get(calculator_for(algebra.params).translate_back[c])
+    k = algebra.summand_of.get(algebra.calc.translate_back[c])
     if k is not None:
         # translate of a summand: Hom(T, c) = 0 and the index is the
         # signed unit vector, sign (-1)^d

@@ -16,22 +16,26 @@ from math import gcd
 def eliminate(rows, ncols):
     """Fraction-free (Bareiss) Gauss-Jordan elimination with column skipping.
 
-    Returns (reduced, pivots, last, sign): the reduced rows as lists, the
-    pivot columns in order, the last pivot and the parity of the row
-    swaps as +-1.  Every entry stays an integer minor of the input, so
-    each division by the previous pivot is exact; a column with no
-    nonzero entry below the pivot rows is skipped.  At the end every
+    Returns (reduced, pivots, last, sign): the reduced rows, the pivot
+    columns in order, the last pivot and the parity of the row swaps as
+    +-1.  A row that elimination changed is a new list; the others are
+    the input rows themselves, which are never written.  Every entry
+    stays an integer minor of the input, so each division by the
+    previous pivot is exact; a column with no nonzero entry below the
+    pivot rows is skipped.  At the end every
     pivot row holds `last` at its own pivot column and zero at the
     others, and the rows below the pivot rows are zero.
     """
-    m = [list(r) for r in rows]
+    m = list(rows)
     pivots, prev, sign = [], 1, 1
     for c in range(ncols):
         top = len(pivots)
         if top == len(m):
             break
-        p = next((r for r in range(top, len(m)) if m[r][c]), None)
-        if p is None:
+        for p in range(top, len(m)):
+            if m[p][c]:
+                break
+        else:
             continue
         if p != top:
             m[top], m[p] = m[p], m[top]
@@ -62,17 +66,16 @@ def kernel(rows, ncols):
     signed to be positive at f.
     """
     reduced, pivots, last, _ = eliminate(rows, ncols)
-    pivot_set = set(pivots)
     basis = []
     for f in range(ncols):
-        if f in pivot_set:
+        if f in pivots:
             continue
         vec = [0] * ncols
         vec[f] = last
         for row, p in zip(reduced, pivots):
             vec[p] = -row[f]
         g = gcd(*vec) if last > 0 else -gcd(*vec)
-        basis.append(tuple(v // g for v in vec))
+        basis.append(tuple([v // g for v in vec]))
     return basis
 
 

@@ -561,6 +561,51 @@ def fraction_resolution(c, algebra):
             return FractionResolution(tuple(multiplicities), tuple(maps), module.dims)
 
 
+def report_violations(report):
+    """Every exactness and minimality condition of a ResolutionReport
+    of the package, as a list of violations, with ranks over Q.
+
+    Exactness of module maps is exactness of the component matrices:
+    consecutive composites vanish, ranks complement kernels, the cover
+    is onto, and the rank of the tail map leaves exactly the recorded
+    tail kernel.  Minimality is radical-valuedness of every connecting
+    map: rows at identity coordinates (copy of t_a, coordinate at
+    component a) are zero.  The Euler characteristic per component is
+    forced by exactness: the signed stage dimensions minus the module
+    dimension equal the signed tail kernel.
+    """
+    violations = []
+    r = report.algebra.r
+    stages = len(report.multiplicities)
+    tail = report.tail_kernel_dims or (0,) * r
+    for k in range(r):
+        dims = [report.module_dims[k]] + [len(report.layouts[s][k]) for s in range(stages)]
+        mats = [Mat.from_int_rows(report.maps[s][k], dims[s + 1]) for s in range(stages)]
+        ranks = [rank(m) for m in mats]
+        if ranks[0] != dims[0]:
+            violations.append(f"cover not surjective at component {k}")
+        for s in range(stages - 1):
+            if not mats[s].mul(mats[s + 1]).is_zero():
+                violations.append(f"composite of stages {s + 1} and {s} nonzero at component {k}")
+            if dims[s + 1] - ranks[s] != ranks[s + 1]:
+                violations.append(f"not exact at stage {s} of component {k}")
+        if dims[stages] - ranks[stages - 1] != tail[k]:
+            violations.append(f"tail map kernel has the wrong dimension at component {k}")
+    for s in range(1, stages):
+        for a in range(r):
+            rows = report.maps[s][a]
+            for row, (a2, _) in enumerate(report.layouts[s - 1][a]):
+                if a2 == a and any(rows[row]):
+                    violations.append(f"connecting map {s} not radical-valued at summand {a}")
+    for k in range(r):
+        total = -report.module_dims[k]
+        for s in range(stages):
+            total += (-1) ** s * len(report.layouts[s][k])
+        if total != (-1) ** (stages - 1) * tail[k]:
+            violations.append(f"Euler characteristic off at component {k}")
+    return violations
+
+
 # --- the verify sweeps, one evaluator call per instance ------------------------
 #
 # The per-pair and per-family loops that verify's sweeps replaced.  Each

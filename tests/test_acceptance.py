@@ -15,7 +15,7 @@ import time
 import pytest
 
 from conftest import record_acceptance
-from oracles import brute_force_objects, catalan, count_formula
+from oracles import brute_force_objects, catalan, count_formula, report_violations
 
 from higher_cluster.cli import main
 from higher_cluster.index import index_of, index_table, index_via_system
@@ -261,10 +261,10 @@ def test_criterion_8_structural_invariants():
                 for c in enumerate_indecomposables(params):
                     if c in shifted:
                         continue
-                    # verify() re-checks exactness and minimality
+                    # report_violations re-checks exactness and minimality
                     report = minimal_resolution(ids[c], algebra)
                     resolutions += 1
-                    if report.verify() != [] or report.length > d:
+                    if report_violations(report) != [] or report.length > d:
                         res_bad.append((n, d, c))
         ok = not assoc_bad and not res_bad and not rigid_bad and resolutions > 0
         detail = (

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from higher_cluster import algebra as algebra_module
+from higher_cluster import linalg
 from higher_cluster.algebra import (
     CoordRep,
     ResolutionReport,
@@ -45,6 +46,7 @@ from oracles import (
     fraction_module_of,
     fraction_resolution,
     matching_oracle,
+    report_violations,
 )
 
 P21 = ModelParams(2, 1)
@@ -193,7 +195,7 @@ def test_syzygy_refuses_a_kernel_not_closed_under_the_action():
     alg = build_algebra(T21, P21)
     projective, _ = projective_module((0, 1), alg)
     assert projective.arrows == {(0, 1): ONE}
-    assert syzygy(projective, (((0,),), ((0,),))) == ([(1,)], [(1,)])
+    assert syzygy(projective, (((0,),), ((0,),)))[0] == ([(1,)], [(1,)])
     with pytest.raises(InvariantError, match="not closed under the action"):
         syzygy(projective, (((1,),), ((0,),)))
 
@@ -215,7 +217,7 @@ def test_syzygy_refuses_a_kernel_not_closed_between_separated_components():
     assert projective.arrows[(1, 3)] == ONE
     zero, kill, keep = (), ((0,),), ((1,),)
     closed = (zero, kill, zero, kill, zero, zero)
-    assert syzygy(projective, closed) == ((), [(1,)], (), [(1,)], (), ())
+    assert syzygy(projective, closed)[0] == ((), [(1,)], (), [(1,)], (), ())
     with pytest.raises(InvariantError, match="not closed under the action"):
         syzygy(projective, (zero, keep, zero, kill, zero, zero))
 
@@ -269,7 +271,8 @@ def test_syzygy_takes_one_kernel_per_nonzero_component(monkeypatch, case):
 @pytest.mark.parametrize("case", ["3,1", "4,3 fan"])
 def test_summand_rows_take_no_cover(monkeypatch, case):
     # the module of a summand t_a is checked equal to the projective at
-    # t_a; every other row takes one cover per stage and its kernels
+    # t_a; every other row takes one cover per stage after stage 0, which
+    # is read off the module's matchings, and its kernels
     counts = {"projective_cover": 0, "kernel": 0}
 
     def counted(name):
@@ -298,10 +301,149 @@ def test_summand_rows_take_no_cover(monkeypatch, case):
                 )
                 summand_rows += 1
             else:
-                assert covers == len(res.multiplicities) and kernels >= covers, c
+                assert covers == len(res.multiplicities) - 1 and kernels >= covers, c
                 other_rows += 1
     assert summand_rows == sum(alg.r for alg in algebras)
     assert other_rows
+
+
+@pytest.mark.parametrize("case", ["3,1", "4,3 fan"])
+def test_stage_zero_takes_no_elimination_and_no_cover(monkeypatch, case):
+    # stage 0 of every non-summand row is read off the module's matchings:
+    # while it runs, neither eliminate (the cover's own or the one under
+    # kernel) nor projective_cover is called
+    calls = []
+    for owner, name in ((algebra_module, "eliminate"), (linalg, "eliminate"),
+                        (algebra_module, "projective_cover")):
+        inner = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *args, inner=inner, name=name: calls.append(name) or inner(*args)
+        )
+    thin_cover = algebra_module._thin_cover
+    inside = []
+
+    def watched(module, images):
+        before = len(calls)
+        result = thin_cover(module, images)
+        inside.append(calls[before:])
+        return result
+
+    monkeypatch.setattr(algebra_module, "_thin_cover", watched)
+    rows = 0
+    for alg in guard_algebras(case):
+        for c in resolved_rows(alg):
+            minimal_resolution(c, alg)
+            rows += c not in alg.ids
+    assert len(inside) == rows and not any(inside)
+    # the counters see the later stages
+    assert "eliminate" in calls and "projective_cover" in calls
+
+
+# Stage 0 by bits: the cover of a thin module read off its matchings,
+# against the elimination of projective_cover on all of the module.
+def stage_zero_rows(alg):
+    """The rows whose resolution reads stage 0 off the bits: neither a
+    summand nor a translate of one."""
+    return [c for c in resolved_rows(alg) if c not in alg.ids]
+
+
+def assert_stage_zero_matches_the_elimination(alg, c):
+    """The stage-0 cover of row c read off the bits, field by field
+    against projective_cover on the units of the module."""
+    module = module_of(c, alg)
+    images = module.check_representation(module.units())
+    got = algebra_module._thin_cover(module, images)
+    ref = projective_cover(module, module.units(), images)
+    assert got[0] == ref[0] and got[1] == ref[1] and got[3] == ref[3], c
+    assert got[2].dims == ref[2].dims and got[2].support == ref[2].support, c
+    assert dict(got[2].arrows) == dict(ref[2].arrows), c
+
+
+def stage_zero_rows_checked(alg):
+    rows = stage_zero_rows(alg)
+    for c in rows:
+        assert_stage_zero_matches_the_elimination(alg, c)
+    return len(rows)
+
+
+@pytest.mark.parametrize("n,d", [(3, 1), (3, 2), (2, 3), (3, 3), (2, 5)])
+def test_stage_zero_by_bits_matches_the_elimination(n, d):
+    params = ModelParams(n, d)
+    rows = sum(stage_zero_rows_checked(build_algebra(t, params)) for t in enumerate_tilting(params))
+    assert rows > 0
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_stage_zero_by_bits_matches_the_elimination_at_4_3(data):
+    tiltings = enumerate_tilting(P43)
+    tilting = tiltings[data.draw(st.integers(0, len(tiltings) - 1))]
+    assert stage_zero_rows_checked(build_algebra(tilting, P43)) > 0
+
+
+def test_a_flipped_bit_of_stage_zero_fails_the_differential_test(monkeypatch):
+    # each entry of each stage-0 cover matrix at (3, 1), flipped in turn,
+    # as a wrong read of a factor bit would flip it
+    thin_cover = algebra_module._thin_cover
+    flips = 0
+    for alg in guard_algebras("3,1"):
+        for c in stage_zero_rows(alg):
+            module = module_of(c, alg)
+            mults, lay, proj, mats = thin_cover(module, module.check_representation(module.units()))
+            for k in proj.support:
+                for x in range(len(mats[k][0]) if mats[k] else 0):
+                    row = list(mats[k][0])
+                    row[x] = 1 - row[x]
+                    bad = (mults, lay, proj, mats[:k] + ((tuple(row),),) + mats[k + 1:])
+                    monkeypatch.setattr(algebra_module, "_thin_cover", lambda m, images, bad=bad: bad)
+                    with pytest.raises(AssertionError):
+                        assert_stage_zero_matches_the_elimination(alg, c)
+                    monkeypatch.undo()
+                    flips += 1
+    assert flips > 0
+
+
+def shifted_by_one(mults, alg, a, k):
+    """_direct_sum with the copies of summand a starting one coordinate
+    late in component k: every pair that reads or writes them there
+    moves by one."""
+    dims, arrows, layouts, support = algebra_module._direct_sum(mults, alg)
+    moved = {}
+    for (i, j), pairs in arrows.items():
+        moved[i, j] = tuple(
+            (y + (j == k and layouts[j][y][0] == a), x + (i == k and layouts[i][x][0] == a))
+            for y, x in pairs
+        )
+    return dims, MappingProxyType(moved), layouts, support
+
+
+def test_an_off_by_one_offset_fails_the_dense_oracle(monkeypatch):
+    # every summand and component of every sum of two or more projectives
+    # that some pair of a matching reads there, at (3, 1), (3, 2) and on
+    # the (4, 3) fan
+    caught = 0
+    algebras = guard_algebras("3,1") + guard_algebras("4,3 fan") + [
+        build_algebra(t, ModelParams(3, 2)) for t in enumerate_tilting(ModelParams(3, 2))
+    ]
+    for alg in algebras:
+        r = alg.r
+        for mults in [(1,) * r, (2,) * r, tuple(b % 3 for b in range(r))]:
+            dims, arrows, layouts, _ = algebra_module._direct_sum(mults, alg)
+            used = {
+                (layouts[end][coord][0], end)
+                for (i, j), pairs in arrows.items()
+                for y, x in pairs
+                for end, coord in ((j, y), (i, x))
+            }
+            for a, k in sorted(used):
+                bad = shifted_by_one(mults, alg, a, k)
+                fresh = alg.replace(mult=alg.mult)
+                monkeypatch.setitem(vars(fresh), "direct_sums", {mults: bad})
+                with pytest.raises(AssertionError):
+                    assert_direct_sum_matches_dense(mults, fresh)
+                monkeypatch.undo()
+                caught += 1
+    assert caught > 0
 
 
 # the small grid of the acceptance criteria 3 and 5
@@ -332,7 +474,8 @@ def test_composable_by_ends_groups_composable(n, d):
     for tilting in enumerate_tilting(params):
         alg = build_algebra(tilting, params)
         ends = {(p[0], q[1]) for p, q in alg.composable}
-        assert alg.composable_by_ends == {
+        nested = alg.composable_by_ends
+        assert {(i, k): g for i, row in nested.items() for k, g in row.items()} == {
             (i, k): tuple(
                 (p, q) for p, q in alg.composable if (p[0], q[1]) == (i, k)
             )
@@ -431,6 +574,17 @@ def test_direct_sums_match_the_dense_oracle_on_units_and_all_ones():
             assert_direct_sum_matches_dense(mults, alg)
 
 
+def test_direct_sums_match_the_dense_oracle_on_multiplicities_above_one():
+    # two or three copies of one projective, and of every projective:
+    # each summand's copies are spliced in at its offset in each component
+    for params, position in direct_sum_cases():
+        alg = shared_algebra(params, position)
+        r = alg.r
+        for m in (2, 3):
+            for mults in [tuple(m * int(a == b) for b in range(r)) for a in range(r)] + [(m,) * r]:
+                assert_direct_sum_matches_dense(mults, alg)
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_direct_sums_match_the_dense_oracle_on_drawn_vectors(data):
@@ -467,7 +621,7 @@ def test_a_dropped_algebra_is_freed_without_the_cycle_collector():
         alg = build_algebra(FAN22, P22)
         for c in enumerate_indecomposables(P22):
             if c not in {shift(t, 1, P22) for t in FAN22.summands}:
-                assert minimal_resolution(object_id(c, P22), alg).verify() == []
+                assert report_violations(minimal_resolution(object_id(c, P22), alg)) == []
         assert alg.direct_sums
         dropped = weakref.ref(alg)
         del alg
@@ -492,7 +646,7 @@ def assert_every_flip_is_refused(params, alg):
     translates = {object_id(shift(t, 1, params), params) for t in alg.summands}
     resolvable = [c for c in objects if c not in translates]
     for c in resolvable:  # fills the memo of the algebra itself
-        assert minimal_resolution(c, alg).verify() == []
+        assert report_violations(minimal_resolution(c, alg)) == []
     flips = 0
     for (p, q), bad in flipped_algebras(alg):
         # the copy's tables read its own mult: the projective at t_a, a
@@ -510,12 +664,12 @@ def assert_every_flip_is_refused(params, alg):
             except InvariantError:
                 refused += 1
             else:
-                refused += report.verify() != []
+                refused += report_violations(report) != []
         assert refused, (p, q)
         flips += 1
     # the copies read their own mult: the algebra resolves as before
     for c in resolvable:
-        assert minimal_resolution(c, alg).verify() == []
+        assert report_violations(minimal_resolution(c, alg)) == []
     return flips
 
 
@@ -560,16 +714,62 @@ def test_a_product_off_the_basis_is_refused_at_3_1(monkeypatch):
     assert refused == 6
 
 
+def associative_by_triples(mult, basis):
+    """The literal definition: (p q) s = p (q s) on every triple of
+    basis elements p, q, s with p ending where q starts and q where s
+    starts, a product off the basis reading 0."""
+    for p in basis:
+        for q in basis:
+            for s in basis:
+                if p[1] == q[0] and q[1] == s[0]:
+                    left = mult[(p, q)] and mult.get(((p[0], q[1]), s), 0)
+                    right = mult[(q, s)] and mult.get((p, (q[0], s[1])), 0)
+                    if left != right:
+                        return False
+    return True
+
+
+def test_a_flipped_product_is_refused_exactly_when_not_associative(monkeypatch):
+    # every product of two arrows whose outer pair is a basis element,
+    # flipped in the table build_algebra reads, on every tilting object at
+    # (4, 1): the construction refuses exactly the tables that the
+    # literal triple loop finds not associative
+    params = ModelParams(4, 1)
+    calc = calculator_for(params)
+    composes = calc.composes
+    refused = kept = 0
+    for t in enumerate_tilting(params):
+        alg = build_algebra(t, params)
+        for p, q in alg.composable:
+            if not alg.cartan[p[0]][q[1]]:
+                continue
+            flipped = (alg.ids[p[0]], alg.ids[p[1]], alg.ids[q[1]])
+            monkeypatch.setattr(
+                calc, "composes",
+                lambda *ijk, flipped=flipped: composes(*ijk) ^ (ijk == flipped),
+            )
+            if associative_by_triples({**alg.mult, (p, q): 1 - alg.mult[(p, q)]}, alg.basis):
+                build_algebra(t, params)
+                kept += 1
+            else:
+                with pytest.raises(InvariantError, match="associativity fails"):
+                    build_algebra(t, params)
+                refused += 1
+            monkeypatch.undo()
+    assert refused and kept
+
+
 def test_projective_covers_itself():
     for params, tilting in [(P21, T21), (P31, CYCLE31), (P22, FAN22)]:
         alg = build_algebra(tilting, params)
         for a, t in enumerate(alg.summands):
             module = module_of(object_id(t, params), alg)
-            multiplicities, *_ = projective_cover(module, module.units())
+            units = module.units()
+            multiplicities, *_ = projective_cover(module, units, module.check_representation(units))
             expected = tuple(1 if b == a else 0 for b in range(alg.r))
             assert multiplicities == expected
             res = minimal_resolution(object_id(t, params), alg)
-            assert res.verify() == []
+            assert report_violations(res) == []
             assert res.length == 0
             assert res.multiplicities == (expected,)
             assert res.full_resolution
@@ -594,7 +794,7 @@ def test_summand_rows_match_the_cover_and_kernel_loop():
             ref = resolve_by_covers(module_of(k, alg), objects[k])
             for field in ResolutionReport._fields:
                 assert getattr(got, field) == getattr(ref, field), (params, k, field)
-            assert got.verify() == []
+            assert report_violations(got) == []
             rows += 1
     assert rows == 507
 
@@ -622,7 +822,7 @@ def test_a_flipped_composite_in_module_of_is_refused_on_summand_rows(monkeypatch
     original = algebra_module.module_of
     for alg in mutation_algebras():
         for a, k, arrows in summand_with_arrows(alg):
-            assert minimal_resolution(k, alg).verify() == []
+            assert report_violations(minimal_resolution(k, alg)) == []
             for p in arrows:
 
                 def flipped(k, alg, p=p):
@@ -711,14 +911,14 @@ def test_module_of_matches_the_fraction_oracle(n, d):
 def test_resolution_2_1_frozen():
     alg = build_algebra(T21, P21)
     res = minimal_resolution(object_id((2, 4), P21), alg)
-    assert res.verify() == []
+    assert report_violations(res) == []
     assert res.target == (2, 4)
     assert res.multiplicities == ((0, 1), (1, 0))
     assert res.length == 1
     assert res.full_resolution
     assert res.tail_kernel_dims == (0, 0)
     assert res.index_vector() == (-1, 1)
-    assert res.verify() == []
+    assert report_violations(res) == []
 
 
 def test_cycle_3_1_has_no_finite_resolution():
@@ -731,16 +931,16 @@ def test_cycle_3_1_has_no_finite_resolution():
     assert not res.full_resolution
     assert res.tail_kernel_dims == (0, 1, 0)
     assert res.index_vector() == (1, 0, -1)
-    assert res.verify() == []
+    assert report_violations(res) == []
     assert index_via_system((1, 4), CYCLE31, P31) == (1, 0, -1)
 
 
 def test_verify_catches_tampered_tail():
     alg = build_algebra(T21, P21)
     res = minimal_resolution(object_id((2, 4), P21), alg)
-    assert res.verify() == []
+    assert report_violations(res) == []
     bad = res.replace(tail_kernel_dims=(1, 0))
-    problems = bad.verify()
+    problems = report_violations(bad)
     assert any("tail map kernel" in v for v in problems)
     assert any("Euler characteristic" in v for v in problems)
 
@@ -756,7 +956,7 @@ def test_presentations_verify_everywhere(n, d):
             if c in shifted:
                 continue
             res = minimal_resolution(object_id(c, params), alg)
-            assert res.verify() == []
+            assert report_violations(res) == []
             assert res.length <= d
             assert res.index_vector() == index_via_system(c, tilting, params)
 
@@ -768,7 +968,7 @@ def test_connecting_maps_are_radical_valued():
         if c in shifted:
             continue
         res = minimal_resolution(object_id(c, P22), alg)
-        assert res.verify() == []
+        assert report_violations(res) == []
         for s in range(1, len(res.multiplicities)):
             for a in range(alg.r):
                 lay = res.layouts[s - 1][a]
@@ -796,7 +996,7 @@ def assert_matches_fraction_reference(params, tilting):
             assert not any(fraction_module_of(c, alg).dims)
             continue
         got = minimal_resolution(object_id(c, params), alg)
-        assert got.verify() == [], c
+        assert report_violations(got) == [], c
         ref = fraction_resolution(c, alg)
         assert got.multiplicities == ref.multiplicities, c
         assert got.length == ref.length, c
@@ -843,3 +1043,19 @@ def test_lifts_sit_where_the_fraction_reference_puts_them():
         (3, 6, 9), (4, 6, 8), (4, 6, 9),
     ), params)
     assert_matches_fraction_reference(params, tilting)
+
+
+@pytest.mark.parametrize("n,d,count", [(3, 3, None), (2, 5, None), (5, 2, 20), (4, 3, 10)])
+def test_resolution_length_is_zero_on_summands_and_d_elsewhere(n, d, count):
+    # a pinned finding, not a theorem the route relies on: the resolution
+    # of Hom(T, c) has length 0 exactly when c is a summand, and length
+    # exactly d on every other row that is not a translate of a summand
+    params = ModelParams(n, d)
+    lengths = {0: 0, d: 0}
+    for tilting in enumerate_tilting(params)[:count]:
+        alg = build_algebra(tilting, params)
+        for c in resolved_rows(alg):
+            length = minimal_resolution(c, alg).length
+            assert length == (0 if c in alg.ids else d), (tilting.summands, c)
+            lengths[length] += 1
+    assert all(lengths.values())

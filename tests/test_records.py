@@ -9,6 +9,7 @@ ModelParams and TiltingObject key every cache.
 import dataclasses
 
 import pytest
+from oracles import report_violations
 
 from higher_cluster.algebra import (
     AlgebraPresentation,
@@ -64,7 +65,7 @@ def instances():
     table = index_table(tiltings[0], p21)
     row = table.rows[0]
     res = minimal_resolution(1, alg)
-    assert res.verify() == []
+    assert report_violations(res) == []
     config = SweepConfig(cases=((2, 1),), checks=("serre", "collisions"))
     report = run(config)
     serre = check_serre(p21, tiltings[0])
