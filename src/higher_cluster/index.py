@@ -12,13 +12,13 @@ summand order.  Two independent computation routes are implemented:
   every indecomposable x and b packs the quotient and ideal hom
   dimensions relative to the translated tilting object.  The square
   subsystem on the summand rows is inverted once per table as an
-  integer adjugate over its determinant, each candidate is an integer
-  dot product that must divide exactly by the determinant, and every
-  row of G a = b must then hold as an integer identity.  G is kept as
-  the summands' hom rows, so G a is summed sparsely: each nonzero
-  coefficient is added along its summand's hom row.  b is filled as
-  sparsely, from the ideal row of c, read once, and the quotient row
-  that it leaves of the hom row of c.
+  integer adjugate over its determinant, each candidate is the sum of
+  the adjugate's columns at the few nonzero entries of b on the summand
+  rows, which must divide exactly by the determinant, and every row of
+  G a = b must then hold as an integer identity.  G is kept as the
+  summands' hom rows, so G a is summed as sparsely, one hom row per
+  nonzero coefficient.  b is filled from the ideal row of c, read once,
+  and the quotient row that it leaves of the hom row of c.
 
 Neither route leaves the integers; both run on the one fraction-free
 elimination of `linalg`, which also gives the integer rank that names a
@@ -31,7 +31,8 @@ as a hard failure, never a warning.
 
 from __future__ import annotations
 
-from operator import mul
+from itertools import compress, repeat
+from operator import add, mul
 from typing import NamedTuple
 
 from .algebra import build_algebra, minimal_resolution
@@ -68,7 +69,7 @@ class _System(NamedTuple):
     shifted_mask: int  # the mask of the translated summands
     t_rows: tuple  # the summands' hom rows: bit x of t_rows[j] is G[x, j]
     positions: tuple  # the rows of the summands: the square subsystem
-    adj: tuple  # adjugate of the square subsystem
+    adj_columns: tuple  # the columns of the adjugate of the square subsystem
     det: int  # its determinant
 
 
@@ -90,7 +91,7 @@ def _build_system(tilting: TiltingObject, params: ModelParams) -> _System:
             f"Cartan system of tilting object {tilting.summands} is singular over the rationals"
         )
     adj, det = square_inv
-    return _System(calc.translated_mask(positions), t_rows, positions, adj, det)
+    return _System(calc.translated_mask(positions), t_rows, positions, tuple(zip(*adj)), det)
 
 
 def index_via_system(
@@ -121,7 +122,9 @@ def _index_by_system(c: int, system: _System, calc: HomCalculator) -> IndexVecto
     for x1 in bit_ids(ideal):
         b[back[x1]] += sign
     b_square = [b[p] for p in system.positions]
-    scaled = [sum(map(mul, row, b_square)) for row in system.adj]
+    scaled = [0] * len(b_square)
+    for column, v in compress(zip(system.adj_columns, b_square), b_square):
+        scaled = list(map(add, scaled, column if v == 1 else map(mul, column, repeat(v))))
     coeffs = []
     for v in scaled:
         q, rem = divmod(v, det)

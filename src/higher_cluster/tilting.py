@@ -3,37 +3,35 @@
 A tilting object is a family of C(n+d-1, d) pairwise non-intertwining
 indecomposables.  Every such family is a maximal clique of the
 compatibility graph (edge = the two objects do not intertwine; the
-neighbors table of hom.HomCalculator), but the
-converse fails once d >= 3: the graph has maximal cliques strictly
-smaller than the tilting size, e.g. three of them at (n, d) = (2, 3).
-Those are surfaced as anomalies rather than silently dropped.  A clique
-larger than C(n+d-1, d) would falsify the model; none has ever appeared.
+neighbors table of hom.HomCalculator), but from d = 3 on the graph also
+has maximal cliques below the tilting size, e.g. three at (2, 3): these
+anomalies are surfaced, not dropped.  A clique above C(n+d-1, d) would
+falsify the model; none has ever appeared.
 
 Two enumerations, one per need.  maximal_families lists every maximal
 clique by Bron-Kerbosch, anomalies included.  enumerate_tilting lists
-only the tilting objects.  From d = 3 on it finds them by mutation: a
-breadth-first search from the vertex-1 fan that exchanges one summand
-at a time, and never meets an anomaly.  Oppermann and Thomas
-(Higher-dimensional cluster combinatorics and representation theory,
-JEMS 2012) identify the tilting objects with the triangulations of the
-cyclic polytope C(n+2d+1, 2d) and mutation with bistellar flips, and
-Rambau (Triangulations of cyclic polytopes and higher Bruhat orders,
-Mathematika 1997) shows the flip graph is connected, so the search
-reaches every tilting object.  At d <= 2, where no anomaly has ever
-appeared, Bron-Kerbosch is the faster of the two and enumerate_tilting
-takes its tilting objects.  Either way one PackedTiltings per
-ModelParams is kept, shared by both functions: a read-only sequence of
-tilting objects (TiltingObject: a ModelParams and the int mask of the
-summands' ids) that holds all their masks in one bytes.  It is kept in
+the tilting objects, from d = 3 on by mutation: a breadth-first search
+from the vertex-1 fan that exchanges one summand at a time, bit-sliced
+over batches of families, and never meets an anomaly.  Oppermann and
+Thomas (Higher-dimensional cluster combinatorics and representation
+theory, JEMS 2012) identify the tilting objects with the triangulations
+of the cyclic polytope C(n+2d+1, 2d) and mutation with bistellar flips,
+and Rambau (Triangulations of cyclic polytopes and higher Bruhat
+orders, Mathematika 1997) shows the flip graph is connected, so the
+search reaches every tilting object.  At d <= 2, where no anomaly has
+ever appeared, Bron-Kerbosch is as fast and serves both.  One
+PackedTiltings per ModelParams, shared by both functions, is kept in
 _families, never evicted, beside the anomalies once maximal_families
-has listed them.
+has listed them: a read-only sequence of TiltingObjects (a ModelParams
+and the int mask of the summands' ids), all masks in one bytes.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from itertools import repeat
+from functools import reduce
+from itertools import compress, repeat
 
 from .errors import InvalidInputError, InvariantError, TiltingError
 from .hom import calculator_for, transpose
@@ -103,21 +101,23 @@ def _id_order(families, m):
     reversed is the larger number.  The key reverses all 8k bits of the
     k bytes that hold m bits, by reversing the byte order and each byte
     through a table; for every mask it is the m-bit reversal times the
-    same power of two, so the order is the same."""
+    same power of two, so the order is the same.  The keys are sorted and
+    turned back into masks in C, in place a slice at a time, so no more
+    ints are alive at once than with a key function per mask."""
     k = (m + 7) // 8
-    return sorted(
-        families,
-        key=lambda f: int.from_bytes(f.to_bytes(k, "big").translate(_REVERSED_BITS), "little"),
-        reverse=True,
-    )
+    flip = repeat(_REVERSED_BITS)
+    keys = map(bytes.translate, map(int.to_bytes, families, repeat(k), repeat("big")), flip)
+    keys = sorted(map(int.from_bytes, keys, repeat("little")), reverse=True)
+    for at in range(0, len(keys), 4096):
+        raw = map(int.to_bytes, keys[at : at + 4096], repeat(k), repeat("little"))
+        keys[at : at + 4096] = map(int.from_bytes, map(bytes.translate, raw, flip), repeat("big"))
+    return keys
 
 
 def _maximal_cliques(neighbors):
     """Bron-Kerbosch with the pivot of Tomita, Tanaka and Takahashi
-    (Theor. Comput. Sci. 2006) on the bitmask neighbourhoods.
-
-    Returns every maximal clique as an int mask of ids, ordered as their
-    sorted id tuples.
+    (Theor. Comput. Sci. 2006) on the bitmask neighbourhoods: every
+    maximal clique as an int mask of ids, in _id_order.
 
     A node extends its clique by candidates compatible with all of it;
     the excluded vertices are compatible too, but every maximal clique
@@ -133,9 +133,8 @@ def _maximal_cliques(neighbors):
     - a branch left with no candidate, or with one, is settled where
       it is, with no call for it: its clique, grown by that candidate,
       is maximal unless an excluded vertex extends it.
-    The pivot decides how the search splits, never what it finds: the
-    maximal cliques are the same whichever vertex is picked, and
-    _id_order fixes their order, so no tie rule reaches the output.
+    The pivot decides how the search splits, never what it finds, and
+    _id_order fixes the order, so no tie rule reaches the output.
     """
     found = []
     append = found.append
@@ -178,6 +177,7 @@ def _maximal_cliques(neighbors):
         expand(0, everything, 0)
     else:
         append(0)  # no vertex: the empty clique is the one maximal clique
+    del expand  # it calls itself: a cycle that would keep found alive
     return _id_order(found, len(neighbors))
 
 
@@ -259,19 +259,14 @@ def _census(params: ModelParams) -> tuple[PackedTiltings, bytes]:
     An anomaly is kept as the ceil(m / 8) bytes of its id mask, as a
     tilting object is: 7 bytes at (4, 3), against 175 for its decoded
     tuple of object tuples.  Tilting objects the mutation search filed
-    are kept, not packed again.
-    """
+    are kept, not packed again."""
     filed = _families.get(params)
     if filed is not None and filed[1] is not None:
         return filed
     size = expected_tilting_size(params)
-    tilting = []
-    anomalies = []
-    for clique in _maximal_cliques(calculator_for(params).neighbors):
-        if clique.bit_count() == size:
-            tilting.append(clique)
-        else:
-            anomalies.append(clique)
+    cliques = _maximal_cliques(calculator_for(params).neighbors)
+    tilting = list(compress(cliques, map(size.__eq__, map(int.bit_count, cliques))))
+    anomalies = list(compress(cliques, map(size.__ne__, map(int.bit_count, cliques))))
     packed = filed[0] if filed is not None else PackedTiltings(params, tilting)
     filed = _families[params] = packed, _pack(anomalies, packed.k)
     return filed
@@ -294,13 +289,45 @@ def maximal_families(params: ModelParams):
 
 
 def vertex_fan(params: ModelParams) -> tuple[IndObj, ...]:
-    """The vertex-1 fan: every object containing vertex 1, a tilting object.
-
-    Enumeration is lexicographic, so these are the first objects, ids 0
-    to r - 1.  There are r = C(n+d-1, d) of them: their other d members
-    are pairwise non-adjacent vertices of the path 3, ..., N - 1.
-    """
+    """The vertex-1 fan, a tilting object: the r = C(n+d-1, d) objects
+    containing vertex 1, ids 0 to r - 1 as enumeration is lexicographic.
+    Their other d members are pairwise non-adjacent vertices of the path
+    3, ..., N - 1."""
     return enumerate_indecomposables(params)[: expected_tilting_size(params)]
+
+
+_BATCH = 1024  # families per batch of the exchange search
+
+
+def _columns(masks, width: int) -> list[int]:
+    """Bit f of entry i is bit i of masks[f], for masks below 2**width:
+    one row of width digits per mask, the last first, joined, and every
+    width-th character of the text read as one column."""
+    text = "".join(map(format, reversed(masks), repeat(f"0{width}b")))
+    return [int(text[width - 1 - i :: width], 2) for i in range(width)]
+
+
+def _exchanges(batch, neighbors, conflicts) -> set[int]:
+    """The families one exchange step from a family of batch, a list of
+    maximal cliques, bit-sliced as _tilting_masks says; conflicts[u]: the
+    ids outside neighbors[u], u included.  Refuses a family that extends."""
+    cols = _columns(batch, len(neighbors))
+    everything = (1 << len(batch)) - 1
+    found = set()
+    for u, near in enumerate(neighbors):
+        ones = twos = 0
+        for i in conflicts[u]:
+            twos |= ones & cols[i]
+            ones |= cols[i]
+        free = everything & ~cols[u]
+        if free & ~ones:
+            family = batch[(free & ~ones & -(free & ~ones)).bit_length() - 1]
+            raise InvariantError(f"the family {list(bit_ids(family))} extends by object {u}")
+        hits = free & ~twos
+        if hits:
+            kept = map(operator.and_, select(batch, hits), repeat(near))
+            found.update(map(operator.or_, kept, repeat(1 << u)))
+    return found
 
 
 def _tilting_masks(neighbors, start, size):
@@ -308,45 +335,39 @@ def _tilting_masks(neighbors, start, size):
 
     Families are int masks over ids.  An exchange step replaces summand t
     of T by an object u outside T compatible with all of T without t.
-    With pre[k] and suf[k] the ANDs of the neighbourhoods of the summands
-    before and from position k, those u are the bits of
-    pre[k] & suf[k + 1] & ~T, so each step costs O(r) ANDs.
+    _exchanges takes the steps of up to _BATCH families at once.  Bit f
+    of cols[i] is set iff family f holds object i; for each u the columns
+    of the objects conflicting with u, u included, fold into ones
+    (families with at least one such member) and twos (at least two),
+    and free marks the families without u.  Then:
+    - free & ~ones: u is compatible with every summand, T extends;
+    - free & ~twos: u conflicts with exactly one summand t, and
+      (T & neighbors[u]) | 1 << u is T with t exchanged for u.
+    These are exactly the exchanges: u may replace t iff u is outside T
+    and compatible with every summand but t, and as T does not extend, u
+    then conflicts with t, i.e. with exactly one summand.  So the search
+    finds what the per-family loop of tests/oracles.py finds, at O(m^2)
+    big-int operations per batch and none per family.
 
     Raises InvariantError unless start is a clique of the given size and
-    every family reached is maximal, i.e. its all-summand AND is 0: an
-    extension would be a clique above tilting size.  Returns the families
-    as masks, ordered as their sorted id tuples, as _maximal_cliques does.
+    every family reached is maximal (an extension would be a clique
+    above tilting size).  Returns the masks in the order of their sorted
+    id tuples, as _maximal_cliques does.
     """
     if start.bit_count() != size or any(
         start & ~neighbors[i] & ~(1 << i) for i in bit_ids(start)
     ):
         raise InvariantError(f"the start family is not a clique of size {size}")
     everything = (1 << len(neighbors)) - 1
-    seen = {start}
-    order = [start]
-    for family in order:  # grows while it is walked: a queue
-        ids = tuple(bit_ids(family))
-        pre = [everything]
-        for i in ids:
-            pre.append(pre[-1] & neighbors[i])
-        if pre[-1]:
-            raise InvariantError(
-                f"the family {list(ids)} extends by object "
-                f"{(pre[-1] & -pre[-1]).bit_length() - 1}"
-            )
-        suf = everything
-        for k in range(size - 1, -1, -1):
-            i = ids[k]
-            swaps = pre[k] & suf & ~family
-            suf &= neighbors[i]
-            rest = family ^ (1 << i)
-            while swaps:
-                low = swaps & -swaps
-                swaps ^= low
-                mutated = rest | low
-                if mutated not in seen:
-                    seen.add(mutated)
-                    order.append(mutated)
+    conflicts = [tuple(bit_ids(everything & ~near | 1 << u)) for u, near in enumerate(neighbors)]
+    order, seen = [start], {start}
+    done = 0
+    while done < len(order):  # order grows while it is walked: a queue
+        batch = order[done : done + _BATCH]
+        done += len(batch)
+        fresh = _exchanges(batch, neighbors, conflicts) - seen
+        seen |= fresh
+        order.extend(fresh)
     return _id_order(order, len(neighbors))
 
 
@@ -354,23 +375,17 @@ def _tilting_by_mutation(params: ModelParams) -> PackedTiltings:
     """Every tilting object, by the mutation search from the vertex-1 fan."""
     size = expected_tilting_size(params)
     fan = (1 << size) - 1  # the vertex-1 fan is ids 0 to size - 1
-    masks = _tilting_masks(calculator_for(params).neighbors, fan, size)
-    return PackedTiltings(params, masks)
+    return PackedTiltings(params, _tilting_masks(calculator_for(params).neighbors, fan, size))
 
 
 def enumerate_tilting(params: ModelParams) -> PackedTiltings:
     """Every tilting object, in the order of their sorted id tuples.
 
-    From d = 3 on, a breadth-first search over mutations from the
-    vertex-1 fan, which Oppermann-Thomas (JEMS 2012) and Rambau
-    (Mathematika 1997) show reaches every tilting object (see the module
-    docstring).  It never lists the anomalies, which can outnumber the
-    tilting objects seven to one (23100 against 3278 at (4, 3)).  At
-    d <= 2, where no anomaly has ever appeared, Bron-Kerbosch is faster,
-    so the tilting objects of maximal_families are taken; they are also
-    taken whenever maximal_families has already run.  Both orders are the
-    clique order, so the result always equals maximal_families(params)[0].
-    The result is a read-only sequence of TiltingObjects (PackedTiltings),
+    From d = 3 on by the mutation search from the vertex-1 fan, complete
+    by Oppermann-Thomas and Rambau (module docstring), which never meets
+    the anomalies (23100 against 3278 tilting objects at (4, 3)); at
+    d <= 2, or once maximal_families has run, the tilting objects of
+    maximal_families, which the result always equals.  A PackedTiltings,
     cached per ModelParams in _families, never evicted.
     """
     filed = _families.get(params)
@@ -464,10 +479,7 @@ def validate_family(family: int, params: ModelParams) -> None:
 
 def _holding(columns, ids) -> int:
     """The families that hold some object of ids: the OR of their columns."""
-    held = 0
-    for i in ids:
-        held |= columns[i]
-    return held
+    return reduce(operator.or_, map(columns.__getitem__, ids), 0)
 
 
 def failing_families(families, params: ModelParams) -> int:
@@ -475,10 +487,10 @@ def failing_families(families, params: ModelParams) -> int:
 
     families is a sequence of masks of ids; bit f of the result is set
     iff validate_family rejects families[f].  The masks are transposed
-    into one column per object: bit f of columns[i] is set iff family f
-    holds object i.  The checks of validate_family are then ORs and ANDs
-    of whole columns, one per object or pair of objects (1,100 at
-    (5, 2), whatever the number of families):
+    into one column per object (_columns): bit f of columns[i] is set
+    iff family f holds object i.  The checks of validate_family are then
+    ORs and ANDs of whole columns, one per object or pair of objects
+    (1,100 at (5, 2), whatever the number of families):
     - size-mismatch: the popcount of each family;
     - intertwining-pair: families holding i and a later j outside
       neighbors[i];
@@ -489,8 +501,9 @@ def failing_families(families, params: ModelParams) -> int:
       that lack o in neighbors[i].  No object neighbours itself, so o
       is among those, and an extension lies outside the family.
     A mask with a bit at or above the object count is left out of the
-    columns and marked failing, for validate_family to judge.  A family
-    fails iff it fails one of the checks, so the result is exact.
+    columns and marked failing, for validate_family to judge, as is one
+    of the wrong size: bit m of its row, the column popped first.  A
+    family fails iff it fails one of the checks, so the result is exact.
     """
     if not families:
         return 0
@@ -498,21 +511,9 @@ def failing_families(families, params: ModelParams) -> int:
     neighbors = calc.neighbors
     m = len(neighbors)
     size = expected_tilting_size(params)
-    # one row of m + 1 digits per family, the last family first: bit m
-    # marks a failing size, and family f is digit f from the right of
-    # each column, every (m + 1)-th character of the text
-    width = f"0{m + 1}b"
-    rows = []
-    for mask in reversed(families):
-        if mask >> m:
-            mask = 1 << m
-        elif mask.bit_count() != size:
-            mask |= 1 << m
-        rows.append(format(mask, width))
-    text = "".join(rows)
+    rows = [1 << m if mask >> m else mask | (mask.bit_count() != size) << m for mask in families]
+    columns = _columns(rows, m + 1)
     del rows
-    columns = [int(text[m - i :: m + 1], 2) for i in range(m + 1)]
-    del text
     flagged = columns.pop()
     everything = (1 << len(families)) - 1
     objects = (1 << m) - 1
@@ -523,8 +524,7 @@ def failing_families(families, params: ModelParams) -> int:
             flagged |= held & _holding(columns, bit_ids(clashes))
             hits = calc.hom_rows[i]
             flagged |= held & _holding(columns, (back[k] for k in bit_ids(hits)))
-    # lacking[o]: the objects i without o in neighbors[i]
-    lacking = [objects & ~column for column in transpose(neighbors)]
-    for outside in lacking:
-        flagged |= everything & ~_holding(columns, bit_ids(outside))
+    # per object o, the families holding none of the i without o in neighbors[i]
+    for column in transpose(neighbors):
+        flagged |= everything & ~_holding(columns, bit_ids(objects & ~column))
     return flagged

@@ -1,13 +1,14 @@
 """Independent oracles the tests compare the engine against.
 
 Everything here is deliberately naive: brute-force filters, literal
-walk-the-circle predicates, unpivoted clique search, and linear algebra
-over the rationals with `fractions.Fraction`.  None of it shares code
-with the package; the Fraction resolution and the dense direct sum of
-projectives take an endomorphism algebra built by the package as their
-input data.  The exception is the last
-section: the per-pair and per-family loops that verify's sweeps
-replaced, which run the package's own evaluators on every instance.
+walk-the-circle predicates, unpivoted clique search, the mutation search
+with one exchange step per family, and linear algebra over the rationals
+with `fractions.Fraction`.  None of it shares code with the package; the
+Fraction resolution and the dense direct sum of projectives take an
+endomorphism algebra built by the package as their input data.  The
+exception is the last section: the per-pair and per-family loops that
+verify's sweeps replaced, which run the package's own evaluators on
+every instance.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
+from higher_cluster.errors import InvariantError
 from higher_cluster.hom import calculator_for
 from higher_cluster.model import bit_ids
 from higher_cluster.tilting import maximal_families, require_case, validate_family
@@ -114,6 +116,51 @@ def maximal_cliques_simple(neighbors):
 
     grow(frozenset(), set(vertices))
     return sorted(found)
+
+
+def exchange_swaps(neighbors, family):
+    """The per-family step of the mutation search, as it was before the
+    bit-sliced one: for each summand t of family, ascending, the pair
+    (t, mask of the u that may replace it), i.e. the u outside the family
+    compatible with every summand but t.  With pre[k] and suf the ANDs
+    of the neighbourhoods of the summands before and after position k,
+    those u are pre[k] & suf & ~family.  Raises InvariantError if the
+    family extends: its all-summand AND is not 0."""
+    ids = tuple(bit_ids(family))
+    everything = (1 << len(neighbors)) - 1
+    pre = [everything]
+    for i in ids:
+        pre.append(pre[-1] & neighbors[i])
+    if pre[-1]:
+        raise InvariantError(
+            f"the family {list(ids)} extends by object {(pre[-1] & -pre[-1]).bit_length() - 1}"
+        )
+    swaps = []
+    suf = everything
+    for k in range(len(ids) - 1, -1, -1):
+        swaps.append((ids[k], pre[k] & suf & ~family))
+        suf &= neighbors[ids[k]]
+    return swaps[::-1]
+
+
+def tilting_masks_oracle(neighbors, start, size):
+    """The mutation search with one exchange_swaps per family: every
+    family reached from start, breadth first, sorted as id tuples.
+    Raises InvariantError as tilting._tilting_masks does."""
+    if start.bit_count() != size or any(
+        start & ~neighbors[i] & ~(1 << i) for i in bit_ids(start)
+    ):
+        raise InvariantError(f"the start family is not a clique of size {size}")
+    seen = {start}
+    order = [start]
+    for family in order:  # grows while it is walked: a queue
+        for t, swaps in exchange_swaps(neighbors, family):
+            for u in bit_ids(swaps):
+                mutated = family ^ (1 << t) | 1 << u
+                if mutated not in seen:
+                    seen.add(mutated)
+                    order.append(mutated)
+    return sorted(order, key=lambda mask: tuple(bit_ids(mask)))
 
 
 def validate_tilting_oracle(candidate, n, d, expected=None):

@@ -166,6 +166,15 @@ def test_system_route_refuses_a_non_integral_solution(monkeypatch):
         index_via_system((1, 3, 6), FAN22, P22)
 
 
+def test_system_route_refusal_prints_every_coordinate(monkeypatch):
+    # the candidate sums the adjugate's columns only where b is nonzero,
+    # but the refusal prints the whole solution, zeros included
+    _tamper_system(monkeypatch, lambda s: s._replace(det=3 * s.det))
+    whole = re.escape("(Fraction(0, 1), Fraction(1, 3), Fraction(0, 1))")
+    with pytest.raises(InvariantError, match=f"non-integer solution {whole}$"):
+        index_via_system((1, 3, 6), FAN22, P22)
+
+
 def _flip_rows(rows):
     """Flip bit x of every summand's hom row for each x in rows: G[x, j]
     becomes 1 - G[x, j], so row x changes by 1 - 2 G[x, j] on a unit index."""

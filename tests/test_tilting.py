@@ -1,7 +1,10 @@
 """Tilting enumeration against brute-force clique search and counting formulas."""
 
+import gc
 import json
 import math
+import tracemalloc
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +23,7 @@ from higher_cluster.model import (
 from higher_cluster.tilting import (
     PackedTiltings,
     TiltingObject,
+    _exchanges,
     _id_order,
     _maximal_cliques,
     _tilting_masks,
@@ -35,8 +39,10 @@ from higher_cluster.tilting import (
 from oracles import (
     brute_force_objects,
     catalan,
+    exchange_swaps,
     intertwines_oracle,
     maximal_cliques_simple,
+    tilting_masks_oracle,
     validate_tilting_oracle,
 )
 
@@ -285,15 +291,16 @@ def test_fan_tilting_always_present():
 
 
 # the criterion-2 cases, more d = 1 and d = 2, the d = 5 case with most
-# anomalies, and the corner r = 1; the mutation search reaching every
-# tilting object that Bron-Kerbosch lists is its connectivity check
-@pytest.mark.parametrize(
-    "n,d",
-    [
-        (2, 1), (3, 1), (4, 1), (5, 1), (2, 3), (3, 3), (4, 3), (2, 5),
-        (6, 1), (7, 1), (3, 5), (5, 2), (6, 2), (1, 1),
-    ],
-)
+# anomalies, and the corner r = 1
+SEARCH_CASES = [
+    (2, 1), (3, 1), (4, 1), (5, 1), (2, 3), (3, 3), (4, 3), (2, 5),
+    (6, 1), (7, 1), (3, 5), (5, 2), (6, 2), (1, 1),
+]
+
+
+# the mutation search reaching every tilting object that Bron-Kerbosch
+# lists is its connectivity check
+@pytest.mark.parametrize("n,d", SEARCH_CASES)
 def test_mutation_search_matches_bron_kerbosch(n, d, fresh_tilting_caches):
     # with empty caches the census is Bron-Kerbosch's own, not a tuple the
     # search filed earlier; they are restored after, so (6, 2) does not
@@ -306,6 +313,116 @@ def test_mutation_search_matches_bron_kerbosch(n, d, fresh_tilting_caches):
     ids = [t.ids for t in tiltings]
     assert ids == sorted(ids)
     assert list(anomalies) == sorted(anomalies)
+
+
+# (3, 4) and (4, 4) beside them, with no census: Bron-Kerbosch's memory
+# at (4, 4) is unmeasured, and a script holding it was once killed for
+# lack of it.  The search takes up to _BATCH families at once, and
+# (4, 3) and (4, 4) span several batches
+@pytest.mark.parametrize("n,d", SEARCH_CASES + [(3, 4), (4, 4)])
+def test_mutation_search_matches_the_per_family_oracle(n, d):
+    params = ModelParams(n, d)
+    neighbors = calculator_for(params).neighbors
+    size = expected_tilting_size(params)
+    fan = (1 << size) - 1
+    found = _tilting_masks(neighbors, fan, size)
+    assert found == tilting_masks_oracle(neighbors, fan, size)
+    if (n, d) in ((4, 3), (4, 4)):
+        assert len(found) > 3 * tilting_mod._BATCH
+
+
+def conflicts_of(neighbors):
+    """conflicts[u]: the ids outside neighbors[u], u included."""
+    everything = (1 << len(neighbors)) - 1
+    return [tuple(bit_ids(everything & ~near | 1 << u)) for u, near in enumerate(neighbors)]
+
+
+def exchanges_oracle(neighbors, batch):
+    """The families one exchange_swaps step from a family of batch."""
+    return {
+        family ^ 1 << t | 1 << u
+        for family in batch
+        for t, swaps in exchange_swaps(neighbors, family)
+        for u in bit_ids(swaps)
+    }
+
+
+def assert_exchanges_match(neighbors, families):
+    """_exchanges equals the per-family step on each family alone, where
+    a family that counted as its own exchange would show, and on batches
+    of up to _BATCH consecutive families."""
+    conflicts = conflicts_of(neighbors)
+    for family in families[:40] + families[-5:]:
+        assert _exchanges([family], neighbors, conflicts) == exchanges_oracle(neighbors, [family])
+    for at in range(0, len(families), tilting_mod._BATCH):
+        batch = families[at : at + tilting_mod._BATCH]
+        assert _exchanges(batch, neighbors, conflicts) == exchanges_oracle(neighbors, batch)
+
+
+@pytest.mark.parametrize("n,d", [(3, 1), (3, 2), (2, 3), (3, 3), (4, 3), (2, 5)])
+def test_exchanges_of_a_batch_match_the_per_family_step(n, d):
+    params = ModelParams(n, d)
+    tiltings = list(enumerate_tilting(params).masks())
+    assert_exchanges_match(calculator_for(params).neighbors, tiltings)
+
+
+@given(graphs())
+@settings(max_examples=200, deadline=None)
+def test_exchanges_match_the_per_family_step_on_random_graphs(neighbors):
+    # every maximal clique of the graph, whatever its size, as the batch
+    cliques = maximal_cliques_simple([set(bit_ids(near)) for near in neighbors])
+    assert_exchanges_match(neighbors, [_mask(clique) for clique in cliques])
+
+
+@st.composite
+def searches(draw):
+    """A graph, a clique of it to start from (grown in a drawn order up to
+    a drawn size, so maximal or not) and a batch size for the search."""
+    neighbors = draw(graphs())
+    cap = draw(st.integers(0, len(neighbors)), label="start size cap")
+    start = 0
+    for v in draw(st.permutations(range(len(neighbors))), label="growth order"):
+        if start.bit_count() < cap and not start & ~neighbors[v]:
+            start |= 1 << v
+    return neighbors, start, draw(st.sampled_from((1, 2, 3, 7, 1024)), label="batch")
+
+
+def outcome(search, neighbors, start):
+    """The families the search lists from start, or InvariantError."""
+    try:
+        return search(neighbors, start, start.bit_count())
+    except InvariantError:
+        return InvariantError
+
+
+@given(searches())
+@settings(max_examples=300, deadline=None)
+def test_mutation_search_matches_the_per_family_oracle_on_random_graphs(case):
+    # random graphs are not the model's: families that extend, and cliques
+    # of one size that no exchange joins, are common there
+    neighbors, start, batch = case
+    with patch.object(tilting_mod, "_BATCH", batch):
+        found = outcome(_tilting_masks, neighbors, start)
+    assert found == outcome(tilting_masks_oracle, neighbors, start)
+
+
+# a pinned finding (ROADMAP item 6), computed here and not checked by the
+# search: on every tilting object each summand has at most one exchange
+# partner, and the vertex-1 fan is the only tilting object with no
+# exchange to a lower id, the unique minimum of Rambau's order
+@pytest.mark.parametrize(
+    "n,d", [(3, 1), (5, 1), (2, 3), (3, 3), (2, 5), (3, 5), (5, 2), (4, 3)]
+)
+def test_exchange_partners_are_unique_and_only_the_fan_has_no_down_exchange(n, d):
+    params = ModelParams(n, d)
+    neighbors = calculator_for(params).neighbors
+    no_down = []
+    for family in enumerate_tilting(params).masks():
+        swaps = exchange_swaps(neighbors, family)
+        assert all(partners.bit_count() <= 1 for _, partners in swaps)
+        if not any(partners & ((1 << t) - 1) for t, partners in swaps):
+            no_down.append(family)
+    assert no_down == [(1 << expected_tilting_size(params)) - 1]
 
 
 def _mask(ids):
@@ -352,6 +469,23 @@ def test_a_tilting_object_keeps_its_mask_only(fresh_tilting_caches):
     kept = kept_after(enumerate_tilting, [params])
     assert len(enumerate_tilting(params)) == 3278
     assert kept <= 12 * 3278
+
+
+def test_bron_kerbosch_leaves_no_cycle_behind():
+    # its recursive closure refers to itself; left as it is, that cycle
+    # keeps every clique found (158 KB at (3, 4), 3,872 of them) until the
+    # cyclic collector runs, so the memory is measured with it off
+    neighbors = calculator_for(ModelParams(3, 4)).neighbors
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        _maximal_cliques(neighbors)
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert left < 5_000
 
 
 def test_bron_kerbosch_tilting_objects_are_packed(fresh_tilting_caches, monkeypatch):
