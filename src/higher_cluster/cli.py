@@ -515,10 +515,11 @@ def _cmd_verify(args) -> int:
         explicit = _family_arg(args.tilting, "--tilting")
     else:
         explicit = _family_arg(file_conf.get("tilting"), "config key 'tilting'")
+    scope = args.tilting_scope
     config = verify_mod.SweepConfig(
         cases=cases,
         checks=tuple(checks),
-        tilting_scope=args.tilting_scope or file_conf.get("tilting_scope", "all"),
+        tilting_scope=scope if scope is not None else file_conf.get("tilting_scope", "all"),
         explicit_tilting=(explicit,) if explicit is not None else None,
         cap=args.cap if args.cap is not None else file_conf.get("cap", DEFAULT_CAP),
     )

@@ -49,15 +49,16 @@ its intertwining-pair check.
 A family is a mask as well, so "x -> y factors through add(F)" is one
 AND of factor_rows[x][y] with the mask of F.  The queries hom, ideal,
 quotient and composes take ids and masks only; objects given as
-vertices are decoded by model.object_id before they get here.  Their
-row forms ideal_row and quotient_row answer for every target at once,
-and transpose turns rows into columns; the sweeps of verify run on
-these, which build their masks on each call and keep none.  Per
-ModelParams with m objects the calculator holds m hom rows, m^2 factor
-masks, m hom columns (hom_columns) and m neighbourhoods, each of m bits,
-and the translate permutation of ids with its inverse; all are tuples,
-built once by the constructor and never changed.  calculator_for keeps
-one calculator per ModelParams, never evicted.
+vertices are decoded by model.object_id before they get here.  modulo
+answers quotient and ideal for every pair at once, the ideal rows pulled
+back through the translate, and transpose turns rows into columns; the
+system route and the sweeps of verify build their rows on each call and
+keep none.  Per ModelParams with m objects the calculator holds m hom
+rows, m^2 factor masks, m hom columns (hom_columns) and m
+neighbourhoods, each of m bits, and the translate permutation of ids
+with its inverse; all are tuples, built once by the constructor and
+never changed.  calculator_for keeps one calculator per ModelParams,
+never evicted.
 """
 
 from __future__ import annotations
@@ -133,18 +134,21 @@ class HomCalculator:
             return 0
         return self.hom_rows[i] >> j & 1
 
-    def ideal_row(self, i: int, mask: int) -> int:
-        """Bit j is set iff ideal(i, j, mask) = 1: one AND per nonzero map."""
-        factors = self.factor_rows[i]
-        row = 0
-        for j in bit_ids(self.hom_rows[i]):
-            if factors[j] & mask:
-                row |= 1 << j
-        return row
-
-    def quotient_row(self, i: int, mask: int) -> int:
-        """Bit j is set iff quotient(i, j, mask) = 1."""
-        return self.hom_rows[i] & ~self.ideal_row(i, mask)
+    def modulo(self, mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Bit x of quotients[c] is quotient(c, x, mask), bit x of ideals[c]
+        is ideal(c, translate[x], mask): one walk of each hom row, one AND
+        per nonzero map, sets both."""
+        back = self.translate_back
+        quotients, ideals = [], []
+        for row, factors in zip(self.hom_rows, self.factor_rows):
+            ideal = pulled = 0
+            for j in bit_ids(row):
+                if factors[j] & mask:
+                    ideal |= 1 << j
+                    pulled |= 1 << back[j]
+            quotients.append(row & ~ideal)
+            ideals.append(pulled)
+        return tuple(quotients), tuple(ideals)
 
     def composes(self, i: int, j: int, k: int) -> int:
         """Structure constant of the basis morphisms i -> j then j -> k.

@@ -17,8 +17,9 @@ summand order.  Two independent computation routes are implemented:
   rows, which must divide exactly by the determinant, and every row of
   G a = b must then hold as an integer identity.  G is kept as the
   summands' hom rows, so G a is summed as sparsely, one hom row per
-  nonzero coefficient.  b is filled from the ideal row of c, read once,
-  and the quotient row that it leaves of the hom row of c.
+  nonzero coefficient.  b is filled from the quotient row of c and its
+  ideal row pulled back through the translate, both from
+  HomCalculator.modulo, built once per table.
 
 Neither route leaves the integers; both run on the one fraction-free
 elimination of `linalg`, which also gives the integer rank that names a
@@ -66,7 +67,8 @@ def index_by_resolution(c: int, algebra) -> IndexVector:
 class _System(NamedTuple):
     """Everything the system route needs that does not depend on c."""
 
-    shifted_mask: int  # the mask of the translated summands
+    quotients: tuple  # of calc.modulo at the mask of the translated summands
+    ideals: tuple  # the ideal rows it pulls back through the translate
     t_rows: tuple  # the summands' hom rows: bit x of t_rows[j] is G[x, j]
     positions: tuple  # the rows of the summands: the square subsystem
     adj_columns: tuple  # the columns of the adjugate of the square subsystem
@@ -91,7 +93,8 @@ def _build_system(tilting: TiltingObject, params: ModelParams) -> _System:
             f"Cartan system of tilting object {tilting.summands} is singular over the rationals"
         )
     adj, det = square_inv
-    return _System(calc.translated_mask(positions), t_rows, positions, tuple(zip(*adj)), det)
+    quotients, ideals = calc.modulo(calc.translated_mask(positions))
+    return _System(quotients, ideals, t_rows, positions, tuple(zip(*adj)), det)
 
 
 def index_via_system(
@@ -109,18 +112,16 @@ def index_via_system(
 
 def _index_by_system(c: int, system: _System, calc: HomCalculator) -> IndexVector:
     """The system route at the object with id c."""
-    shifted, det = system.shifted_mask, system.det
+    det = system.det
     sign = -1 if calc.params.d % 2 else 1
-    # b[x] = dim of Hom(c, x) modulo add(shifted) plus sign times the dim
-    # of Hom(c, shift(x, 1)) through add(shifted), nonzero only on the hom
-    # row of c and its pull-back by the translate
+    # b[x] = dim of Hom(c, x) modulo the translated summands plus sign
+    # times the dim of Hom(c, shift(x, 1)) through them, nonzero only on
+    # the hom row of c and its pull-back by the translate
     b = [0] * len(calc.objects)
-    ideal = calc.ideal_row(c, shifted)
-    for x in bit_ids(calc.hom_rows[c] & ~ideal):  # the quotient row of c
+    for x in bit_ids(system.quotients[c]):
         b[x] = 1
-    back = calc.translate_back
-    for x1 in bit_ids(ideal):
-        b[back[x1]] += sign
+    for x in bit_ids(system.ideals[c]):
+        b[x] += sign
     b_square = [b[p] for p in system.positions]
     scaled = [0] * len(b_square)
     for column, v in compress(zip(system.adj_columns, b_square), b_square):

@@ -10,20 +10,19 @@ falsify the model; none has ever appeared.
 
 Two enumerations, one per need.  maximal_families lists every maximal
 clique by Bron-Kerbosch, anomalies included.  enumerate_tilting lists
-the tilting objects, from d = 3 on by mutation: a breadth-first search
-from the vertex-1 fan that exchanges one summand at a time, bit-sliced
-over batches of families, and never meets an anomaly.  Oppermann and
+the tilting objects by mutation: a breadth-first search from the
+vertex-1 fan that exchanges one summand at a time, bit-sliced over
+batches of families, and never meets an anomaly.  Oppermann and
 Thomas (Higher-dimensional cluster combinatorics and representation
 theory, JEMS 2012) identify the tilting objects with the triangulations
 of the cyclic polytope C(n+2d+1, 2d) and mutation with bistellar flips,
 and Rambau (Triangulations of cyclic polytopes and higher Bruhat
 orders, Mathematika 1997) shows the flip graph is connected, so the
-search reaches every tilting object.  At d <= 2, where no anomaly has
-ever appeared, Bron-Kerbosch is as fast and serves both.  One
-PackedTiltings per ModelParams, shared by both functions, is kept in
-_families, never evicted, beside the anomalies once maximal_families
-has listed them: a read-only sequence of TiltingObjects (a ModelParams
-and the int mask of the summands' ids), all masks in one bytes.
+search reaches every tilting object.  One PackedTiltings per
+ModelParams, shared by both functions, is kept in _families, never
+evicted, beside the anomalies once maximal_families has listed them: a
+read-only sequence of TiltingObjects (a ModelParams and the int mask of
+the summands' ids), all masks in one bytes.
 """
 
 from __future__ import annotations
@@ -381,18 +380,16 @@ def _tilting_by_mutation(params: ModelParams) -> PackedTiltings:
 def enumerate_tilting(params: ModelParams) -> PackedTiltings:
     """Every tilting object, in the order of their sorted id tuples.
 
-    From d = 3 on by the mutation search from the vertex-1 fan, complete
-    by Oppermann-Thomas and Rambau (module docstring), which never meets
-    the anomalies (23100 against 3278 tilting objects at (4, 3)); at
-    d <= 2, or once maximal_families has run, the tilting objects of
-    maximal_families, which the result always equals.  A PackedTiltings,
-    cached per ModelParams in _families, never evicted.
+    By the mutation search from the vertex-1 fan, complete by
+    Oppermann-Thomas and Rambau (module docstring), which never meets the
+    anomalies (23100 against 3278 tilting objects at (4, 3)); once
+    maximal_families has run, its tilting objects, which the result
+    always equals.  A PackedTiltings, cached per ModelParams in
+    _families, never evicted.
     """
     filed = _families.get(params)
     if filed is not None:
         return filed[0]
-    if params.d <= 2:
-        return _census(params)[0]
     found = _tilting_by_mutation(params)
     _families[params] = found, None
     return found

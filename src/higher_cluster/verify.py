@@ -346,12 +346,6 @@ def _flagged(check, params, summands, result, **instance):
     return _witness(check, params, summands, **instance, **values)
 
 
-def _pulled_back(back, mask: int) -> int:
-    """The mask whose bit x is bit translate[x] of mask; back is
-    calc.translate_back."""
-    return sum(1 << back[j] for j in bit_ids(mask))
-
-
 def check_associativity(params: ModelParams) -> CheckResult:
     """Both bracketings agree on every composable triple of basis morphisms.
 
@@ -389,15 +383,20 @@ def check_associativity(params: ModelParams) -> CheckResult:
     return _result("associativity", params, None, witnesses, {"triples": triples})
 
 
-def hom_symmetry_witnesses(params: ModelParams) -> tuple:
-    """The witnesses of check_serre's plain form, which no tilting object
-    changes: every pair with dim Hom(x, y) != dim Hom(y, x shifted
-    twice), found by comparing each hom row with a hom column."""
+def check_serre(params: ModelParams, tilting: TiltingObject | None = None) -> CheckResult:
+    """Hom symmetry under the double translate, and its relative form.
+
+    Plain form, every pair: dim Hom(x, y) = dim Hom(y, x shifted twice);
+    its witnesses name no tilting object.  Relative form, given a
+    tilting object: the morphisms c -> translate(x) through the
+    translated summands match the quotient morphisms x -> translate(c)
+    modulo them, dimension for dimension.  Each form compares a row with
+    a column of the hom or quotient table.
+    """
     calc = calculator_for(params)
     objects, translate = calc.objects, calc.translate
-    ids = range(len(objects))
     rows, columns = calc.hom_rows, calc.hom_columns
-    return tuple(
+    witnesses = [
         _flagged(
             "serre",
             params,
@@ -407,39 +406,20 @@ def hom_symmetry_witnesses(params: ModelParams) -> tuple:
             x=objects[x],
             y=objects[y],
         )
-        for x in ids
+        for x in range(len(objects))
         for y in bit_ids(rows[x] ^ columns[translate[translate[x]]])
-    )
-
-
-def check_serre(
-    params: ModelParams, tilting: TiltingObject | None = None, plain: tuple | None = None
-) -> CheckResult:
-    """Hom symmetry under the double translate, and its relative form.
-
-    Plain form, every pair: dim Hom(x, y) = dim Hom(y, x shifted twice).
-    Relative form, given a tilting object: the morphisms c -> translate(x)
-    through the translated summands match the quotient morphisms
-    x -> translate(c) modulo them, dimension for dimension.  Each form
-    compares a row with a column of the hom or quotient table.  plain is
-    hom_symmetry_witnesses(params), computed here when not given: a sweep
-    over many tilting objects computes it once per case and passes it.
-    """
-    calc = calculator_for(params)
-    objects, translate = calc.objects, calc.translate
-    ids = range(len(objects))
-    witnesses = list(hom_symmetry_witnesses(params) if plain is None else plain)
+    ]
     pairs = len(objects) ** 2
     summands = None
     if tilting is not None:
         require_case(tilting, params)
         summands = tilting.summands
         shifted = calc.translated_mask(tilting.ids)
-        quotient_columns = transpose([calc.quotient_row(x, shifted) for x in ids])
-        for c in ids:
+        quotients, ideals = calc.modulo(shifted)
+        quotient_columns = transpose(quotients)
+        for c, ideal in enumerate(ideals):
             # bit x: the ideal at (c, translate(x)), the quotient at
             # (x, translate(c))
-            ideal = _pulled_back(calc.translate_back, calc.ideal_row(c, shifted))
             for x in bit_ids(ideal ^ quotient_columns[translate[c]]):
                 witnesses.append(
                     _flagged(
@@ -469,13 +449,12 @@ def check_dimension_formula(table: IndexTable) -> CheckResult:
     params, tilting = table.params, table.tilting
     calc = calculator_for(params)
     objects, translate = calc.objects, calc.translate
-    ids = range(len(objects))
     summands = tilting.summands
     t_ids = tilting.ids
     shifted = calc.translated_mask(t_ids)
     sign = -1 if params.d % 2 else 1
     t_rows = [calc.hom_rows[t] for t in t_ids]
-    quotients = [calc.quotient_row(x, shifted) for x in ids]
+    quotients, ideals = calc.modulo(shifted)
     quotient_columns = transpose(quotients)
     witnesses = []
     for c, row in enumerate(table.rows):
@@ -491,8 +470,7 @@ def check_dimension_formula(table: IndexTable) -> CheckResult:
         # bit x: the quotient at (c, x), the ideal at (c, translate(x)) and
         # the quotient at (x, translate(c)); off these bits and the
         # support every term is 0
-        quot = quotients[c]
-        ideal = _pulled_back(calc.translate_back, calc.ideal_row(c, shifted))
+        quot, ideal = quotients[c], ideals[c]
         quot_back = quotient_columns[translate[c]]
         for x in bit_ids(support | quot | ideal | quot_back):
             q = quot >> x & 1
@@ -527,7 +505,7 @@ def check_disjointness(tilting: TiltingObject, params: ModelParams) -> CheckResu
     objects, translate = calc.objects, calc.translate
     ids = range(len(objects))
     shifted = calc.translated_mask(tilting.ids)
-    quotients = [calc.quotient_row(x, shifted) for x in ids]
+    quotients, _ = calc.modulo(shifted)
     quotient_columns = transpose(quotients)
     summands = tilting.summands
     witnesses = [
@@ -607,7 +585,7 @@ class SweepConfig(Record):
             "cases": self.cases,
             "checks": self.checks,
             "tilting_scope": self.tilting_scope,
-            "explicit_tilting": self.explicit_tilting or None,
+            "explicit_tilting": self.explicit_tilting,
             "cap": self.cap,
             # verify runs serially; the schema-1 payload (and its pinned bytes) keeps this key
             "workers": 1,
@@ -672,6 +650,9 @@ def _scope_tiltings(config: SweepConfig, params: ModelParams):
 
 
 def _run_case(config: SweepConfig, case):
+    """The selected checks of one case, in CHECK_NAMES order.  Tilting-sanity
+    runs first: its census fills enumerate_tilting's cache.  The rest run
+    in one pass over the tilting objects, which keeps no table."""
     n, d = case
     params = ModelParams(n, d)
     check_cap(params, config.cap)
@@ -679,42 +660,51 @@ def _run_case(config: SweepConfig, case):
     tiltings = _scope_tiltings(config, params) if explicit else None
     results = []
     if "tilting-sanity" in config.checks:
-        # first: its census fills enumerate_tilting's cache on the way
-        results.append(check_tilting_sanity(params, tiltings or None))
+        results.append(check_tilting_sanity(params, tiltings))
     if not explicit:
         tiltings = _scope_tiltings(config, params)
     if "associativity" in config.checks:
         results.append(check_associativity(params))
-    # the three index checks read one double-route table per tilting
-    # object, built once
-    tables = ()
-    if any(name in config.checks for name in TABLE_CHECKS):
-        tables = [index_table(t, params, route="both") for t in tiltings]
-    # the plain Serre form does not depend on the tilting object: once
-    plain = hom_symmetry_witnesses(params) if "serre" in config.checks else None
-    per_tilting = [
-        ("serre", lambda t: check_serre(params, t, plain), tiltings),
-        ("dimension-formula", check_dimension_formula, tables),
-        ("disjointness", lambda t: check_disjointness(t, params), tiltings),
-        ("injectivity", check_injectivity, tables),
-        ("collisions", find_collisions, tables),
-    ]
-    for name, fn, inputs in per_tilting:
-        if name in config.checks:
-            results.extend(map(fn, inputs))
+    # one row per tilting object, read out one column per check
+    rows = [_tilting_checks(config.checks, t, params) for t in tiltings]
+    results.extend(res for column in zip(*rows) for res in column)
+    return results
+
+
+def _tilting_checks(checks, tilting: TiltingObject, params: ModelParams) -> list:
+    """The selected checks on one tilting object, in CHECK_NAMES order;
+    its double-route table, if one is read, is dropped on return."""
+    table = None
+    if any(name in checks for name in TABLE_CHECKS):
+        table = index_table(tilting, params, route="both")
+    results = []
+    if "serre" in checks:
+        results.append(check_serre(params, tilting))
+    if "dimension-formula" in checks:
+        results.append(check_dimension_formula(table))
+    if "disjointness" in checks:
+        results.append(check_disjointness(tilting, params))
+    if "injectivity" in checks:
+        results.append(check_injectivity(table))
+    if "collisions" in checks:
+        results.append(find_collisions(table))
     return results
 
 
 def run(config: SweepConfig) -> VerificationReport:
     """Run the configured sweep, one case after another.
 
-    An empty selection of cases or checks would pass having checked
-    nothing, so it is refused.
+    An empty selection of cases, checks or explicit tilting objects
+    would pass having checked nothing, so it is refused.
     """
     if not config.cases:
         raise InvalidInputError("'cases' is empty; verify needs at least one case")
     if not config.checks:
         raise InvalidInputError("'checks' is empty; verify needs at least one check")
+    if config.explicit_tilting is not None and not config.explicit_tilting:
+        raise InvalidInputError(
+            "'explicit_tilting' is empty; verify needs at least one tilting object"
+        )
     for name in config.checks:
         if name not in CHECK_NAMES:
             raise InvalidInputError(f"unknown check {name!r}")

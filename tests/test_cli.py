@@ -776,6 +776,16 @@ def test_verify_tilting_scope_must_be_all_or_first_k(capsys, scope):
     assert "with K a positive integer" in err
 
 
+def test_verify_refuses_an_empty_tilting_scope(capsys):
+    # an empty --tilting-scope is refused as first:0 is, not read as "all"
+    code, out, err = run_cli(
+        capsys, "verify", "--n", "2", "--d", "2", "--checks", "serre", "--tilting-scope", ""
+    )
+    assert code == 2
+    assert out == ""
+    assert "tilting scope must be" in err
+
+
 @pytest.mark.parametrize(
     "conf, message",
     [

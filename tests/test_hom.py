@@ -338,11 +338,14 @@ def test_row_queries_match_the_pair_queries(n, d):
     masks = [0, everything, everything // 3, everything // 5]
     masks += [calc.translated_mask(t.ids) for t in enumerate_tilting(p)[:4]]
     for family in masks:
+        quotients, ideals = calc.modulo(family)
+        assert len(quotients) == len(ideals) == len(objs)
         for i in objs:
-            ideal, quotient = calc.ideal_row(i, family), calc.quotient_row(i, family)
+            # the ideal row is pulled back: bit j is the ideal at
+            # (i, translate(j))
             for j in objs:
-                assert ideal >> j & 1 == calc.ideal(i, j, family)
-                assert quotient >> j & 1 == calc.quotient(i, j, family)
+                assert quotients[i] >> j & 1 == calc.quotient(i, j, family)
+                assert ideals[i] >> j & 1 == calc.ideal(i, calc.translate[j], family)
     columns = transpose(calc.hom_rows)
     for v in objs:
         through = transpose(calc.factor_rows[v])
@@ -380,9 +383,8 @@ def test_a_calculator_holds_every_table_whole(n, d):
         assert type(table) is tuple and len(table) == m
     assert all(type(row) is tuple and len(row) == m for row in calc.factor_rows)
     everything = (1 << m) - 1
-    for i in range(m):
-        calc.ideal_row(i, everything)
-        calc.quotient_row(i, everything)
+    calc.modulo(everything)
+    calc.modulo(0)
     assert vars(calc) == {"params": p, "objects": calc.objects, **before}
     assert all(getattr(calc, name) is table for name, table in before.items())
 

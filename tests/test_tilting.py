@@ -489,17 +489,18 @@ def test_bron_kerbosch_leaves_no_cycle_behind():
 
 
 def test_bron_kerbosch_tilting_objects_are_packed(fresh_tilting_caches, monkeypatch):
-    # at (6, 2) the 96,426 tilting objects come from Bron-Kerbosch and keep
-    # 10 B each, the bytes of a mask of 77 bits; as a tuple of
-    # TiltingObjects they kept 96 B each.  The search runs before tracing
-    # (traced, it takes 13 s): traced, its cliques are parsed afresh from
-    # text, so the cache cannot hold objects allocated untraced
+    # at (6, 2) the 96,426 tilting objects of the census come from
+    # Bron-Kerbosch and keep 10 B each, the bytes of a mask of 77 bits; as
+    # a tuple of TiltingObjects they kept 96 B each.  The search runs
+    # before tracing (traced, it takes 13 s): traced, its cliques are
+    # parsed afresh from text, so the cache cannot hold objects allocated
+    # untraced
     params = ModelParams(6, 2)
     cliques = [format(m, "x") for m in _maximal_cliques(calculator_for(params).neighbors)]
     monkeypatch.setattr(
         tilting_mod, "_maximal_cliques", lambda neighbors: [int(h, 16) for h in cliques]
     )
-    kept = kept_after(enumerate_tilting, [params])
+    kept = kept_after(tilting_mod.maximal_families, [params])
     assert len(enumerate_tilting(params)) == 96426
     assert kept <= 12 * 96426
 
@@ -595,11 +596,9 @@ def test_packed_tiltings_read_as_a_tuple(fresh_tilting_caches, reference_tilting
 
 def test_enumerations_share_one_tuple(fresh_tilting_caches):
     searched = fresh_tilting_caches
-    # at d <= 2 there are no anomalies: the tilting objects come from
-    # Bron-Kerbosch, never from the search
+    # at every d the search runs once, and the census hands out its tuple
     flat = ModelParams(3, 2)
     assert enumerate_tilting(flat) is tilting_mod.maximal_families(flat)[0]
-    # from d = 3 on the search runs once, and the census hands out its tuple
     steep = ModelParams(3, 3)
     tiltings = enumerate_tilting(steep)
     assert tilting_mod.maximal_families(steep)[0] is tiltings
@@ -607,7 +606,7 @@ def test_enumerations_share_one_tuple(fresh_tilting_caches):
     # after the census, enumerate_tilting takes its tilting objects
     census = tilting_mod.maximal_families(ModelParams(2, 3))
     assert enumerate_tilting(ModelParams(2, 3)) is census[0]
-    assert searched == [steep]
+    assert searched == [flat, steep]
 
 
 def test_tilting_masks_refuses_a_start_that_is_no_tilting_clique():

@@ -1,6 +1,7 @@
 """The check battery and sweep runner."""
 
 import json
+import weakref
 from contextlib import contextmanager
 from unittest import mock
 
@@ -165,20 +166,13 @@ def test_serre_with_and_without_tilting():
     assert rel.stats["pairs"] == 49 + 49
 
 
-def test_the_sweep_runs_the_plain_serre_form_once_per_case(monkeypatch):
+def test_the_sweep_runs_the_plain_serre_form_once_per_case():
     # a hom row edited so that the plain form fails: each tilting object's
-    # result lists its witnesses, as check_serre alone does, but the sweep
-    # finds them once for the case
-    calls = []
-    plain = verify.hom_symmetry_witnesses
-    monkeypatch.setattr(
-        verify, "hom_symmetry_witnesses", lambda params: calls.append(params) or plain(params)
-    )
+    # result lists its witnesses, as check_serre alone does
     config = SweepConfig(cases=((2, 1),), checks=("serre",), tilting_scope="first:3")
     with mock.patch.dict(hom._calculators, clear=True):
         _flip_hom(P21, *_ids(P21, (1, 3), (2, 4)))
         report = run(config)
-        assert calls == [P21]
         expected = [check_serre(P21, t).to_payload() for t in enumerate_tilting(P21)[:3]]
     assert [r.to_payload() for r in report.results] == expected
     for result in report.results:
@@ -301,6 +295,54 @@ def test_tilting_sanity_spares_the_mutation_search(fresh_tilting_caches):
     assert both[0].check == "tilting-sanity"
     scoped = [t.summands for t in enumerate_tilting(ModelParams(*case))[:5]]
     assert [r.tilting for r in both[1:]] == [r.tilting for r in alone] == scoped
+
+
+def test_no_table_outlives_its_tilting_object(monkeypatch):
+    # the sweep builds each tilting object's double-route table, runs its
+    # checks on it and drops it before the next one is built
+    refs = []
+
+    def spy(tilting, params, route="both"):
+        assert [ref() for ref in refs] == [None] * len(refs)
+        table = index_table(tilting, params, route)
+        refs.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(verify, "index_table", spy)
+    run(SweepConfig(cases=((3, 3),)))
+    assert len(refs) == len(enumerate_tilting(ModelParams(3, 3)))
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+def test_modulo_runs_once_per_relative_check_and_once_per_system(monkeypatch):
+    # per tilting object: the system route of its table, then serre,
+    # dimension-formula and disjointness, each at the translated summands
+    calls = []
+    modulo = HomCalculator.modulo
+    monkeypatch.setattr(
+        HomCalculator, "modulo", lambda calc, mask: calls.append(mask) or modulo(calc, mask)
+    )
+    params = ModelParams(3, 3)
+    run(SweepConfig(cases=((3, 3),), tilting_scope="first:4"))
+    calc = hom.calculator_for(params)
+    shifted = [calc.translated_mask(t.ids) for t in enumerate_tilting(params)[:4]]
+    assert calls == [mask for mask in shifted for _ in range(4)]
+    calls.clear()
+    tilting = enumerate_tilting(params)[0]
+    check_serre(params)
+    index_table(tilting, params, route="resolution")
+    assert calls == []
+    index_table(tilting, params, route="system")
+    assert calls == shifted[:1]
+
+
+def test_an_empty_explicit_tilting_is_refused():
+    # no tilting object would be checked, and tilting-sanity would check
+    # the whole census instead while the payload named none
+    for checks in (("serre", "injectivity"), CHECK_NAMES):
+        config = SweepConfig(cases=((3, 2),), checks=checks, explicit_tilting=())
+        with pytest.raises(InvalidInputError, match="'explicit_tilting' is empty"):
+            run(config)
 
 
 def test_payload_shape():
