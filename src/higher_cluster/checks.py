@@ -12,5 +12,3 @@ CHECK_NAMES = (
     "injectivity",
     "collisions",
 )
-# the checks that read the index table of each tilting object
-TABLE_CHECKS = ("dimension-formula", "injectivity", "collisions")

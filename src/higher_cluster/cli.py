@@ -42,7 +42,6 @@ from .model import (
 from .tilting import (
     TiltingObject,
     bit_ids,
-    enumerate_tilting,
     expected_tilting_size,
     maximal_families,
     validate_tilting,
@@ -438,14 +437,17 @@ def _cmd_collisions(args) -> int:
 
     params = _params(args)
     family = _family_arg(args.tilting, "--tilting")
-    if family is not None:
-        tiltings = (validate_tilting(family, params),)
-    else:
-        tiltings = enumerate_tilting(params)
-    results = [verify_mod.find_collisions(index_table(t, params)) for t in tiltings]
+    report = verify_mod.run(
+        verify_mod.SweepConfig(
+            cases=((args.n, args.d),),
+            checks=("collisions",),
+            explicit_tilting=(family,) if family is not None else None,
+            cap=args.cap,
+        )
+    )
     payload = {
         **_header("collisions", params),
-        "results": [r.to_payload() for r in results],
+        "results": [r.to_payload() for r in report.results],
     }
     def rows():
         return [
@@ -455,7 +457,7 @@ def _cmd_collisions(args) -> int:
                 _fmt_obj(w["pair"][1]),
                 _fmt_vec(w["index"]),
             ]
-            for res in results
+            for res in report.results
             for w in res.witnesses
         ]
 
@@ -463,9 +465,7 @@ def _cmd_collisions(args) -> int:
         _render(payload, ["tilting", "object_a", "object_b", "index"], rows, args.format),
         args.out,
     )
-    if any(r.status == verify_mod.FAIL for r in results):
-        return 1
-    return 0
+    return report.exit_code()
 
 
 def _cmd_verify(args) -> int:
@@ -492,7 +492,9 @@ def _cmd_verify(args) -> int:
                 raise InvalidInputError(
                     f"config key {key!r} must be {kind}, got {value!r}"
                 )
-    if args.n is not None and args.d is not None:
+    if (args.n is None) != (args.d is None):
+        raise InvalidInputError("--n and --d go together")
+    if args.n is not None:
         cases = ((args.n, args.d),)
     elif "cases" in file_conf:
         cases = tuple(map(tuple, file_conf["cases"]))
@@ -506,11 +508,6 @@ def _cmd_verify(args) -> int:
         checks = CHECK_NAMES
     elif isinstance(checks, str):
         checks = tuple(c.strip() for c in checks.split(",") if c.strip())
-    for c in checks:
-        if c not in CHECK_NAMES:
-            raise InvalidInputError(
-                f"unknown check {c!r}; pick from {', '.join(CHECK_NAMES)}"
-            )
     if args.tilting is not None:
         explicit = _family_arg(args.tilting, "--tilting")
     else:

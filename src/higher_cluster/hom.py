@@ -52,8 +52,8 @@ quotient and composes take ids and masks only; objects given as
 vertices are decoded by model.object_id before they get here.  modulo
 answers quotient and ideal for every pair at once, the ideal rows pulled
 back through the translate, and transpose turns rows into columns; the
-system route and the sweeps of verify build their rows on each call and
-keep none.  Per ModelParams with m objects the calculator holds m hom
+system route builds its rows per table and verify per tilting object,
+keeping none.  Per ModelParams with m objects the calculator holds m hom
 rows, m^2 factor masks, m hom columns (hom_columns) and m
 neighbourhoods, each of m bits, and the translate permutation of ids
 with its inverse; all are tuples, built once by the constructor and

@@ -5,8 +5,9 @@ self-contained: a witness carries the check name, the parameters, the
 tilting object and the failing instance, which is exactly what replay()
 needs to re-run that one instance through the evaluator the check used.
 
-Every check but the three that read index tables checks every instance
-with bit operations on whole rows, and only the instances a row flags go
+The per-tilting checks, serre to collisions, share one TiltingView.
+All but the two collision checks test every instance with bit
+operations on whole rows, and only the instances a row flags go
 to their per-instance evaluator, which writes the witness values:
 - the pair sweeps (associativity, serre, dimension-formula,
   disjointness) compare hom, factor, ideal or quotient rows and columns
@@ -30,12 +31,13 @@ code.
 from __future__ import annotations
 
 import time
+from functools import cached_property
 
 from .algebra import build_algebra
-from .checks import CHECK_NAMES, TABLE_CHECKS
+from .checks import CHECK_NAMES
 from .errors import InvalidInputError, InvariantError, TiltingError
 from .hom import calculator_for, transpose
-from .index import IndexTable, index_by_resolution, index_table
+from .index import index_by_resolution, index_table
 from .model import DEFAULT_CAP, ModelParams, check_cap, object_id
 from .record import Record
 from .tilting import (
@@ -195,22 +197,18 @@ def replay(witness) -> tuple[bool, dict]:
         raise InvalidInputError(
             f"witness tilting is not a tilting object ({err.reason}): {err}"
         ) from None
+    view = TiltingView(tilting, params)
     if check in ("injectivity", "collisions"):
-        # rebuild the check's double-route table and its witnesses; its
+        # rebuild the check's double-route table and its collisions; its
         # rows are in id order
-        table = index_table(tilting, params)
-        a, b = (table.rows[i] for i in _objects(witness, "pair", 2, params))
+        a, b = (view.table.rows[i] for i in _objects(witness, "pair", 2, params))
         pair = sorted([a.obj, b.obj])
-        reproduced = any(
-            sorted(w["pair"]) == pair for w in collision_witnesses(table, check)
-        )
-        return reproduced, {
+        return any(sorted(p) == pair for p, _ in view.collisions), {
             "pair": (a.obj, b.obj),
             "via_resolution": (a.via_resolution, b.via_resolution),
             "via_system": (a.via_system, b.via_system),
         }
-    summands = tilting.ids
-    shifted = calc.translated_mask(summands)
+    shifted = view.shifted
     c, x = _object(witness, "c", params), _object(witness, "x", params)
     if check == "serre":
         return _ideal_quotient_duality(calc, shifted, c, x)
@@ -219,7 +217,7 @@ def replay(witness) -> tuple[bool, dict]:
     # the resolution route alone: a fault the dimension formula sees can
     # also break the route agreement of a double-route table
     index = index_by_resolution(c, build_algebra(tilting, params))
-    return _dimension_formula(calc, summands, shifted, index, c, x)
+    return _dimension_formula(calc, tilting.ids, shifted, index, c, x)
 
 
 # One evaluator per kind of check instance.  Each returns (failed,
@@ -383,17 +381,53 @@ def check_associativity(params: ModelParams) -> CheckResult:
     return _result("associativity", params, None, witnesses, {"triples": triples})
 
 
-def check_serre(params: ModelParams, tilting: TiltingObject | None = None) -> CheckResult:
+class TiltingView:
+    """One tilting object of one case, as the per-tilting checks read it.
+
+    shifted is the mask of the translated summands, relative calc.modulo
+    at shifted with the quotient rows transposed, and table the
+    double-route index table.  Each attribute past calc is built on its
+    first read, once, and only if a check reads it.
+    """
+
+    def __init__(self, tilting: TiltingObject, params: ModelParams):
+        require_case(tilting, params)
+        self.tilting = tilting
+        self.params = params
+        self.calc = calculator_for(params)
+
+    @cached_property
+    def summands(self) -> tuple:
+        return self.tilting.summands
+
+    @cached_property
+    def shifted(self) -> int:
+        return self.calc.translated_mask(self.tilting.ids)
+
+    @cached_property
+    def relative(self) -> tuple:
+        quotients, ideals = self.calc.modulo(self.shifted)
+        return quotients, ideals, transpose(quotients)
+
+    @cached_property
+    def table(self):
+        return index_table(self.tilting, self.params, route="both")
+
+    @cached_property
+    def collisions(self) -> list:
+        return self.table.collisions()
+
+
+def check_serre(view: TiltingView) -> CheckResult:
     """Hom symmetry under the double translate, and its relative form.
 
     Plain form, every pair: dim Hom(x, y) = dim Hom(y, x shifted twice);
-    its witnesses name no tilting object.  Relative form, given a
-    tilting object: the morphisms c -> translate(x) through the
-    translated summands match the quotient morphisms x -> translate(c)
-    modulo them, dimension for dimension.  Each form compares a row with
-    a column of the hom or quotient table.
+    its witnesses name no tilting object.  Relative form: the morphisms
+    c -> translate(x) through the translated summands match the quotient
+    morphisms x -> translate(c) modulo them, dimension for dimension.
+    Each form compares a row with a column of the hom or quotient table.
     """
-    calc = calculator_for(params)
+    params, calc, summands = view.params, view.calc, view.summands
     objects, translate = calc.objects, calc.translate
     rows, columns = calc.hom_rows, calc.hom_columns
     witnesses = [
@@ -409,55 +443,43 @@ def check_serre(params: ModelParams, tilting: TiltingObject | None = None) -> Ch
         for x in range(len(objects))
         for y in bit_ids(rows[x] ^ columns[translate[translate[x]]])
     ]
-    pairs = len(objects) ** 2
-    summands = None
-    if tilting is not None:
-        require_case(tilting, params)
-        summands = tilting.summands
-        shifted = calc.translated_mask(tilting.ids)
-        quotients, ideals = calc.modulo(shifted)
-        quotient_columns = transpose(quotients)
-        for c, ideal in enumerate(ideals):
-            # bit x: the ideal at (c, translate(x)), the quotient at
-            # (x, translate(c))
-            for x in bit_ids(ideal ^ quotient_columns[translate[c]]):
-                witnesses.append(
-                    _flagged(
-                        "serre",
-                        params,
-                        summands,
-                        _ideal_quotient_duality(calc, shifted, c, x),
-                        kind="ideal-quotient-duality",
-                        c=objects[c],
-                        x=objects[x],
-                    )
+    _, ideals, quotient_columns = view.relative
+    for c, ideal in enumerate(ideals):
+        # bit x: the ideal at (c, translate(x)), the quotient at
+        # (x, translate(c))
+        for x in bit_ids(ideal ^ quotient_columns[translate[c]]):
+            witnesses.append(
+                _flagged(
+                    "serre",
+                    params,
+                    summands,
+                    _ideal_quotient_duality(calc, view.shifted, c, x),
+                    kind="ideal-quotient-duality",
+                    c=objects[c],
+                    x=objects[x],
                 )
-        pairs += len(objects) ** 2
-    return _result("serre", params, summands, witnesses, {"pairs": pairs})
+            )
+    return _result("serre", params, summands, witnesses, {"pairs": 2 * len(objects) ** 2})
 
 
-def check_dimension_formula(table: IndexTable) -> CheckResult:
-    """Alternating hom-count identity against the index of c in table.
+def check_dimension_formula(view: TiltingView) -> CheckResult:
+    """Alternating hom-count identity against the index of c in view.table.
 
     For every pair (c, x), the quotient dimension at (c, x) plus the
     signed ideal dimension at (c, translate(x)) must equal the alternating
     sum over the resolution of c of dim Hom(t_i, x), which is the index of
     c paired with the hom counts of the summands; the variant replacing
     the ideal term by the quotient dimension at (x, translate(c)) must
-    give the same number.  The rows of table are in id order.
+    give the same number.  The rows of the table are in id order.
     """
-    params, tilting = table.params, table.tilting
-    calc = calculator_for(params)
+    params, calc, summands = view.params, view.calc, view.summands
     objects, translate = calc.objects, calc.translate
-    summands = tilting.summands
-    t_ids = tilting.ids
-    shifted = calc.translated_mask(t_ids)
+    t_ids = view.tilting.ids
     sign = -1 if params.d % 2 else 1
     t_rows = [calc.hom_rows[t] for t in t_ids]
-    quotients, ideals = calc.modulo(shifted)
-    quotient_columns = transpose(quotients)
+    quotients, ideals, quotient_columns = view.relative
     witnesses = []
-    for c, row in enumerate(table.rows):
+    for c, row in enumerate(view.table.rows):
         ind = row.index
         # the resolution side, summed sparsely along the summands' hom rows
         rhs = [0] * len(objects)
@@ -483,41 +505,36 @@ def check_dimension_formula(table: IndexTable) -> CheckResult:
                         "dimension-formula",
                         params,
                         summands,
-                        _dimension_formula(calc, t_ids, shifted, ind, c, x),
+                        _dimension_formula(calc, t_ids, view.shifted, ind, c, x),
                         c=objects[c],
                         x=objects[x],
                     )
                 )
     return _result(
-        "dimension-formula", params, summands, witnesses, {"pairs": len(table.rows) * len(objects)}
+        "dimension-formula", params, summands, witnesses, {"pairs": len(objects) ** 2}
     )
 
 
-def check_disjointness(tilting: TiltingObject, params: ModelParams) -> CheckResult:
+def check_disjointness(view: TiltingView) -> CheckResult:
     """No pair supports both quotient dimensions at once (odd d).
 
     At odd d a simultaneous nonzero pair falsifies the model and fails;
     at even d the sweep only reports what it finds.  The pairs with c
     fixed are the AND of a quotient row and a quotient column.
     """
-    require_case(tilting, params)
-    calc = calculator_for(params)
+    params, calc, summands = view.params, view.calc, view.summands
     objects, translate = calc.objects, calc.translate
-    ids = range(len(objects))
-    shifted = calc.translated_mask(tilting.ids)
-    quotients, _ = calc.modulo(shifted)
-    quotient_columns = transpose(quotients)
-    summands = tilting.summands
+    quotients, _, quotient_columns = view.relative
     witnesses = [
         _flagged(
             "disjointness",
             params,
             summands,
-            _disjointness(calc, shifted, c, x),
+            _disjointness(calc, view.shifted, c, x),
             c=objects[c],
             x=objects[x],
         )
-        for c in ids
+        for c in range(len(objects))
         for x in bit_ids(quotients[c] & quotient_columns[translate[c]])
     ]
     return _result(
@@ -530,35 +547,33 @@ def check_disjointness(tilting: TiltingObject, params: ModelParams) -> CheckResu
     )
 
 
-def collision_witnesses(table: IndexTable, check: str) -> tuple:
-    """One witness per unordered pair of objects sharing an index in table."""
-    summands = table.tilting.summands
-    return tuple(
-        _witness(check, table.params, summands, pair=pair, index=vec)
-        for pair, vec in table.collisions()
-    )
-
-
-def check_injectivity(table: IndexTable) -> CheckResult:
+def check_injectivity(view: TiltingView) -> CheckResult:
     """The index table is injective; collisions fail only at odd d."""
-    return _collisions(table, "injectivity")
+    return _collision_result(view, "injectivity", {"objects": len(view.table.rows)})
 
 
-def find_collisions(table: IndexTable) -> CheckResult:
+def find_collisions(view: TiltingView) -> CheckResult:
     """All unordered pairs with equal index; the expected positive at even d."""
-    return _collisions(table, "collisions")
+    return _collision_result(view, "collisions", {"collision_count": len(view.collisions)})
 
 
-def _collisions(table: IndexTable, check: str) -> CheckResult:
-    """The body of check_injectivity and find_collisions, which differ in
-    their name and their stats."""
-    witnesses = collision_witnesses(table, check)
-    if check == "injectivity":
-        stats = {"objects": len(table.rows)}
-    else:
-        stats = {"collision_count": len(witnesses)}
-    params = table.params
-    return _result(check, params, table.tilting.summands, witnesses, stats, _odd_d_failure(params))
+def _collision_result(view: TiltingView, check: str, stats: dict) -> CheckResult:
+    """One witness per unordered pair of objects sharing an index."""
+    params, summands = view.params, view.summands
+    witnesses = [
+        _witness(check, params, summands, pair=pair, index=vec) for pair, vec in view.collisions
+    ]
+    return _result(check, params, summands, witnesses, stats, _odd_d_failure(params))
+
+
+# the per-tilting checks, in CHECK_NAMES order
+_PER_TILTING = (
+    ("serre", check_serre),
+    ("dimension-formula", check_dimension_formula),
+    ("disjointness", check_disjointness),
+    ("injectivity", check_injectivity),
+    ("collisions", find_collisions),
+)
 
 
 class SweepConfig(Record):
@@ -672,23 +687,10 @@ def _run_case(config: SweepConfig, case):
 
 
 def _tilting_checks(checks, tilting: TiltingObject, params: ModelParams) -> list:
-    """The selected checks on one tilting object, in CHECK_NAMES order;
-    its double-route table, if one is read, is dropped on return."""
-    table = None
-    if any(name in checks for name in TABLE_CHECKS):
-        table = index_table(tilting, params, route="both")
-    results = []
-    if "serre" in checks:
-        results.append(check_serre(params, tilting))
-    if "dimension-formula" in checks:
-        results.append(check_dimension_formula(table))
-    if "disjointness" in checks:
-        results.append(check_disjointness(tilting, params))
-    if "injectivity" in checks:
-        results.append(check_injectivity(table))
-    if "collisions" in checks:
-        results.append(find_collisions(table))
-    return results
+    """The selected checks on one tilting object, in CHECK_NAMES order,
+    all on one view, which is dropped on return with its table."""
+    view = TiltingView(tilting, params)
+    return [check(view) for name, check in _PER_TILTING if name in checks]
 
 
 def run(config: SweepConfig) -> VerificationReport:
@@ -707,7 +709,9 @@ def run(config: SweepConfig) -> VerificationReport:
         )
     for name in config.checks:
         if name not in CHECK_NAMES:
-            raise InvalidInputError(f"unknown check {name!r}")
+            raise InvalidInputError(
+                f"unknown check {name!r}; pick from {', '.join(CHECK_NAMES)}"
+            )
     _scope_limit(config.tilting_scope)
     start = time.perf_counter()
     results = tuple(res for case in config.cases for res in _run_case(config, case))

@@ -488,7 +488,7 @@ def test_verify_unknown_check(capsys):
         capsys, "verify", "--n", "2", "--d", "1", "--checks", "speed"
     )
     assert code == 2
-    assert "unknown check" in err
+    assert "unknown check 'speed'; pick from tilting-sanity, associativity," in err
 
 
 def test_verify_config_file_and_flag_override(capsys, tmp_path):
@@ -564,6 +564,22 @@ def test_verify_needs_some_case(capsys):
     code, _, err = run_cli(capsys, "verify", "--checks", "serre")
     assert code == 2
     assert "verify needs" in err
+
+
+@pytest.mark.parametrize("conf", [None, {"cases": [[2, 1]], "checks": "serre"}, {"d": 2}])
+@pytest.mark.parametrize("flag", [("--n", "3"), ("--d", "1")])
+def test_verify_n_and_d_go_together(capsys, tmp_path, conf, flag):
+    # a lone --n or --d would otherwise be ignored for the file's cases,
+    # or refused as if no case were given
+    argv = ["verify", *flag, "--checks", "serre"]
+    if conf is not None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(conf))
+        argv += ["--config", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--n and --d go together" in err
 
 
 def test_verify_table_format(capsys):

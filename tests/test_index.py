@@ -15,7 +15,7 @@ from higher_cluster.index import (
 )
 from higher_cluster.model import ModelParams, enumerate_indecomposables, object_id, shift
 from higher_cluster.tilting import TiltingObject, enumerate_tilting, validate_tilting
-from higher_cluster.verify import check_disjointness, check_serre, replay
+from higher_cluster.verify import TiltingView, replay
 
 P21 = ModelParams(2, 1)
 T21 = validate_tilting(((1, 3), (1, 4)), P21)
@@ -230,8 +230,7 @@ def test_a_tilting_object_of_another_case_is_refused():
         lambda: index_of((1, 3, 5), T21, P22),
         lambda: index_via_system((1, 3, 5), T21, P22),
         lambda: index_table(T21, P22),
-        lambda: check_serre(P22, T21),
-        lambda: check_disjointness(T21, P22),
+        lambda: TiltingView(T21, P22),
         lambda: T21.shifted(1, P22),
     ]
     for call in entry_points:

@@ -25,6 +25,7 @@ from higher_cluster.tilting import TiltingObject, enumerate_tilting
 from higher_cluster.verify import (
     CheckResult,
     SweepConfig,
+    TiltingView,
     VerificationReport,
     check_serre,
     find_collisions,
@@ -68,7 +69,8 @@ def instances():
     assert report_violations(res) == []
     config = SweepConfig(cases=((2, 1),), checks=("serre", "collisions"))
     report = run(config)
-    serre = check_serre(p21, tiltings[0])
+    view = TiltingView(tiltings[0], p21)
+    serre = check_serre(view)
     return {
         ModelParams: [p21, ModelParams(2, 1), p22, ModelParams(n=1, d=2)],
         TiltingObject: tiltings + [TiltingObject(p21, tiltings[0].mask)],
@@ -77,7 +79,7 @@ def instances():
         ResolutionReport: [res, minimal_resolution(1, alg), res.replace(tail_kernel_dims=(1, 0))],
         IndexRow: list(table.rows) + [IndexRow(row.obj, row.via_resolution, row.via_system)],
         IndexTable: [table, index_table(tiltings[0], p21), index_table(tiltings[1], p21)],
-        CheckResult: [serre, check_serre(p21, tiltings[0]), find_collisions(table)],
+        CheckResult: [serre, check_serre(TiltingView(tiltings[0], p21)), find_collisions(view)],
         SweepConfig: [config, SweepConfig(((2, 1),), ("serre", "collisions")), SweepConfig(((2, 2),))],
         VerificationReport: [report, report.replace(), report.replace(elapsed=0.0)],
     }

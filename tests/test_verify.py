@@ -37,6 +37,7 @@ from higher_cluster.verify import (
     FINDINGS,
     PASS,
     SweepConfig,
+    TiltingView,
     VerificationReport,
     check_associativity,
     check_dimension_formula,
@@ -96,7 +97,7 @@ def test_even_d_reports_findings_not_failures():
 
 
 def test_collision_witnesses_are_replayable():
-    res = find_collisions(index_table(FAN22, P22))
+    res = find_collisions(TiltingView(FAN22, P22))
     assert res.status == FINDINGS
     assert len(res.witnesses) == 3
     objects, ids = hom.calculator_for(P22).objects, object_ids(P22)
@@ -146,7 +147,7 @@ def _failing_result():
 
 
 def test_dimension_formula_direct():
-    res = check_dimension_formula(index_table(T21, P21))
+    res = check_dimension_formula(TiltingView(T21, P21))
     assert res.status == PASS
     assert res.stats["pairs"] == 25
     assert res.tilting == T21.summands
@@ -155,14 +156,16 @@ def test_dimension_formula_direct():
 def test_disjointness_holds_even_at_even_d():
     # the quotient pair can never be simultaneously nonzero regardless of
     # parity; at even d a violation would only be reported, not failed
-    assert check_disjointness(FAN22, P22).status == PASS
-    assert check_disjointness(T21, P21).status == PASS
+    assert check_disjointness(TiltingView(FAN22, P22)).status == PASS
+    assert check_disjointness(TiltingView(T21, P21)).status == PASS
 
 
 def test_serre_with_and_without_tilting():
-    assert check_serre(P21).status == PASS
-    rel = check_serre(P22, FAN22)
+    # the plain form names no tilting object, the relative form FAN22
+    assert check_serre(TiltingView(T21, P21)).status == PASS
+    rel = check_serre(TiltingView(FAN22, P22))
     assert rel.status == PASS
+    assert rel.tilting == FAN22.summands
     assert rel.stats["pairs"] == 49 + 49
 
 
@@ -173,7 +176,9 @@ def test_the_sweep_runs_the_plain_serre_form_once_per_case():
     with mock.patch.dict(hom._calculators, clear=True):
         _flip_hom(P21, *_ids(P21, (1, 3), (2, 4)))
         report = run(config)
-        expected = [check_serre(P21, t).to_payload() for t in enumerate_tilting(P21)[:3]]
+        expected = [
+            check_serre(TiltingView(t, P21)).to_payload() for t in enumerate_tilting(P21)[:3]
+        ]
     assert [r.to_payload() for r in report.results] == expected
     for result in report.results:
         assert result.status == FAIL
@@ -252,8 +257,7 @@ def test_collision_checks_share_one_table_per_tilting(monkeypatch):
         resolutions.append(args)
         return minimal_resolution(*args, **kwargs)
 
-    three = verify.TABLE_CHECKS
-    assert three == tuple(name for name in CHECK_NAMES if name in three)
+    three = ("dimension-formula", "injectivity", "collisions")
     for case in ((2, 2), (4, 1)):
         params = ModelParams(*case)
         tables.clear()
@@ -314,26 +318,74 @@ def test_no_table_outlives_its_tilting_object(monkeypatch):
     assert [ref() for ref in refs] == [None] * len(refs)
 
 
-def test_modulo_runs_once_per_relative_check_and_once_per_system(monkeypatch):
-    # per tilting object: the system route of its table, then serre,
-    # dimension-formula and disjointness, each at the translated summands
-    calls = []
-    modulo = HomCalculator.modulo
+def test_per_tilting_checks_run_in_check_names_order():
+    # _run_case runs tilting-sanity and associativity itself, then the
+    # per-tilting checks in the order _tilting_checks lists them
+    names = [name for name, _ in verify._PER_TILTING]
+    assert ("tilting-sanity", "associativity", *names) == CHECK_NAMES
+
+
+def test_modulo_runs_once_per_view_and_once_per_system(monkeypatch):
+    # per tilting object: the system route of its table, then the view's
+    # relative rows, which serre, dimension-formula and disjointness all
+    # read; one translated mask each, and one transpose of quotient rows
+    calls, masks, transposes = [], [], []
+    modulo, translated_mask = HomCalculator.modulo, HomCalculator.translated_mask
     monkeypatch.setattr(
         HomCalculator, "modulo", lambda calc, mask: calls.append(mask) or modulo(calc, mask)
     )
+    monkeypatch.setattr(
+        HomCalculator,
+        "translated_mask",
+        lambda calc, family: masks.append(family) or translated_mask(calc, family),
+    )
+    monkeypatch.setattr(
+        verify, "transpose", lambda rows: transposes.append(rows) or hom.transpose(rows)
+    )
     params = ModelParams(3, 3)
-    run(SweepConfig(cases=((3, 3),), tilting_scope="first:4"))
+    checks = CHECK_NAMES[2:]
+    run(SweepConfig(cases=((3, 3),), checks=checks, tilting_scope="first:4"))
     calc = hom.calculator_for(params)
-    shifted = [calc.translated_mask(t.ids) for t in enumerate_tilting(params)[:4]]
-    assert calls == [mask for mask in shifted for _ in range(4)]
+    tiltings = enumerate_tilting(params)[:4]
+    shifted = [translated_mask(calc, t.ids) for t in tiltings]
+    assert calls == [mask for mask in shifted for _ in range(2)]
+    assert masks == [t.ids for t in tiltings for _ in range(2)]
+    assert len(transposes) == len(tiltings)
     calls.clear()
-    tilting = enumerate_tilting(params)[0]
-    check_serre(params)
+    tilting = tiltings[0]
+    view = TiltingView(tilting, params)
+    check_associativity(params)
     index_table(tilting, params, route="resolution")
     assert calls == []
     index_table(tilting, params, route="system")
     assert calls == shifted[:1]
+    calls.clear()
+    assert view.relative is view.relative
+    assert calls == shifted[:1]
+
+
+def test_collisions_run_once_per_tilting_object(monkeypatch):
+    # injectivity and collisions read one list of collisions off the view
+    calls = []
+    collisions = index.IndexTable.collisions
+    monkeypatch.setattr(
+        index.IndexTable, "collisions", lambda table: calls.append(table) or collisions(table)
+    )
+    report = run(SweepConfig(cases=((2, 2),), checks=("injectivity", "collisions")))
+    tiltings = enumerate_tilting(P22)
+    assert [table.tilting for table in calls] == list(tiltings)
+    assert len(report.results) == 2 * len(tiltings)
+
+
+def test_serre_and_disjointness_build_no_index_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an index table was built")
+
+    monkeypatch.setattr(verify, "index_table", refuse)
+    for checks in (("serre",), ("disjointness",), ("serre", "disjointness")):
+        report = run(SweepConfig(cases=((3, 2),), checks=checks, tilting_scope="first:3"))
+        assert len(report.results) == 3 * len(checks)
+        assert report.exit_code() == 0
 
 
 def test_an_empty_explicit_tilting_is_refused():
@@ -425,7 +477,7 @@ def _broken_associativity():
 
 def _broken_hom_symmetry():
     _flip_hom(P21, *_ids(P21, (1, 3), (2, 4)))
-    return check_serre(P21)
+    return check_serre(TiltingView(T21, P21))
 
 
 def _broken_ideal_quotient_duality():
@@ -436,17 +488,18 @@ def _broken_ideal_quotient_duality():
     i, tc = _ids(P22, x, shift(c, 1, P22))
     assert i == tc
     _flip_factor(P22, i, tc, i)
-    return check_serre(P22, FAN22)
+    return check_serre(TiltingView(FAN22, P22))
 
 
 def _broken_dimension_formula():
-    table = index_table(T21, P21)  # on the clean tables
+    view = TiltingView(T21, P21)
+    view.table  # on the clean tables
     # (2,4) -> (2,5) factors through the translated summand (2,5):
     # clearing that bit turns the quotient at ((2,4), (2,5)) from 0 to 1
     # and the ideal there from 1 to 0
     a, b = _ids(P21, (2, 4), (2, 5))
     _flip_factor(P21, a, b, b)
-    return check_dimension_formula(table)
+    return check_dimension_formula(view)
 
 
 def _broken_tilting_sanity():
@@ -460,7 +513,7 @@ def _broken_disjointness():
     # quotient nonzero too
     c, x = (1, 4), (2, 4)
     _flip_hom(P21, *_ids(P21, x, shift(c, 1, P21)))
-    return check_disjointness(T21, P21)
+    return check_disjointness(TiltingView(T21, P21))
 
 
 def test_replay_reruns_associativity(private_caches):
@@ -469,7 +522,14 @@ def test_replay_reruns_associativity(private_caches):
 
 def test_replay_reruns_hom_symmetry(private_caches):
     res = _broken_hom_symmetry()
-    assert {w["kind"] for w in res.witnesses} == {"hom-symmetry"}
+    # the flipped bit Hom((1,3), (2,4)) is the left side at ((1,3), (2,4))
+    # and the right side at ((1,4), (1,3)); the relative form reads it
+    # too, in the quotient rows modulo the translated summands of T21
+    assert [(w["x"], w["y"]) for w in res.witnesses if w["kind"] == "hom-symmetry"] == [
+        ((1, 3), (2, 4)),
+        ((1, 4), (1, 3)),
+    ]
+    assert {w["kind"] for w in res.witnesses} == {"hom-symmetry", "ideal-quotient-duality"}
     _assert_replays(res, ("lhs", "rhs"))
 
 
@@ -555,16 +615,17 @@ def sweep_case(draw):
 def test_row_sweeps_match_the_per_pair_oracles(case):
     params, tilting, flip = case
     with mock.patch.dict(hom._calculators, clear=True):
-        table = index_table(tilting, params)  # on the clean tables
+        view = TiltingView(tilting, params)
+        view.table  # on the clean tables
         if len(flip) == 2:
             _flip_hom(params, *flip)
         elif flip:
             _flip_factor(params, *flip)
         for sweep, oracle in (
             (check_associativity(params), associativity_oracle(params)),
-            (check_serre(params, tilting), serre_oracle(params, tilting)),
-            (check_dimension_formula(table), dimension_formula_oracle(table)),
-            (check_disjointness(tilting, params), disjointness_oracle(tilting, params)),
+            (check_serre(view), serre_oracle(params, tilting)),
+            (check_dimension_formula(view), dimension_formula_oracle(view.table)),
+            (check_disjointness(view), disjointness_oracle(tilting, params)),
         ):
             assert sweep.to_payload() == oracle.to_payload()
 
