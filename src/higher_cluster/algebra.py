@@ -26,9 +26,9 @@ Conventions, fixed once and used everywhere:
   in at their offset in each component, and shared, read-only, by every
   cover with that vector (`direct_sums`).
 - Every stage walks only its support, the components of nonzero
-  dimension (`CoordRep.support`): covers, kernels, the closure check,
-  the representation check and the units skip every other component,
-  which holds no vector.  The representation check walks only the
+  dimension (`CoordRep.support`): covers, kernels, the closure check
+  and the representation check skip every other component, which holds
+  no vector.  The representation check walks only the
   arrows into components that hold vectors (`arrows_to`), and takes
   each arrow's images of the vectors once; the closure check and the
   next cover read those images.
@@ -38,14 +38,22 @@ Conventions, fixed once and used everywhere:
   tables once (`calc`).
 
 Every hom space is 0- or 1-dimensional (Oppermann-Thomas), so Hom(T, c)
-is thin: every component has dimension at most one.  So its cover, stage
-0 of its resolution, is read off its matchings with no elimination
-(`_thin_cover`); the later stages are not thin and are covered by
-elimination (`projective_cover`).  The projective at t_j is Hom(T, t_j)
-itself, so its dimension vector is the j-th column of the Cartan matrix.
-So a summand's module is not covered and kerneled: it is checked equal
-to the projective at t_j, matching by matching, and resolved by it
-(`_summand_resolution`, whose docstring has the proof).
+is thin: every component has dimension at most one.  A thin module is
+held in r-bit masks: acts[j] holds the i whose arrow (i, j) acts nonzero.
+Its representation check is one AND per arrow (`_check_thin`), and its
+cover is read off the masks with no elimination (`_mask_cover`): so is
+stage 0 of every resolution (`_thin_acts`, `_thin_cover`).  The
+projective at t_j is Hom(T, t_j) itself, so its dimension vector is the
+j-th column of the Cartan matrix, and it is thin too.  So a summand's
+module is not covered and kerneled: it is checked equal to the
+projective at t_j, matching by matching, and resolved by it
+(`_summand_resolution`, whose docstring has the proof).  A stage that is
+one projective P_a, multiplicity one, has a thin syzygy, fixed by its
+support: its kernel, closure check and cover are AND and OR on the masks
+of P_a, read off `moved_by` and checked once per algebra and summand
+(`_reach`, `_chain_syzygy`, `_chain_cover`; `resolve_by_covers` has the
+proof).  Only the other stages are kerneled and covered by elimination
+(`syzygy`, `projective_cover`).
 """
 
 from __future__ import annotations
@@ -165,9 +173,39 @@ class AlgebraPresentation(Record):
         return tuple(map(tuple, moved_by))
 
     @cached_property
+    def composing(self):
+        """composing[q]: for each arrow q = (l, k), the mask of the i with
+        an arrow (i, l) whose product with q is nonzero, mult[((i, l), q)]
+        = 1."""
+        masks = dict.fromkeys(self.arrows, 0)
+        for p, q in self.composable:
+            if self.mult[(p, q)]:
+                masks[q] |= 1 << p[0]
+        return masks
+
+    @cached_property
+    def unit_terms(self):
+        """unit_terms[a]: the multiplicities and layouts of the projective
+        at t_a alone, as projective_module gives them: one coordinate
+        (a, 0) at each component of columns[a]."""
+        r, terms = self.r, []
+        for a, column in enumerate(self.columns):
+            layouts = [()] * r
+            for k in column:
+                layouts[k] = ((a, 0),)
+            terms.append(((0,) * a + (1,) + (0,) * (r - a - 1), tuple(layouts)))
+        return tuple(terms)
+
+    @cached_property
     def direct_sums(self):
         """projective_module's memo: multiplicity vector -> (dims, arrows,
         layouts, support) of that direct sum."""
+        return {}
+
+    @cached_property
+    def reach(self):
+        """_reach's memo: summand a -> the masks reach[a][j] of the
+        projective at t_a, once its representation check has passed."""
         return {}
 
 
@@ -280,17 +318,6 @@ class CoordRep(Record):
         if support is None:
             support = tuple(k for k, n in enumerate(dims) if n)
         object.__setattr__(self, "support", support)
-
-    def units(self):
-        """The coordinate vectors of every component: the whole module.
-
-        Only the support is walked; every other component holds none.
-        """
-        out = [()] * len(self.dims)
-        for k in self.support:
-            n = self.dims[k]
-            out[k] = tuple([tuple([int(x == y) for x in range(n)]) for y in range(n)])
-        return tuple(out)
 
     def check_representation(self, vectors):
         """Composites of arrows must act as the multiplication table says,
@@ -471,7 +498,9 @@ def projective_cover(module: CoordRep, vectors, images):
     from i.  One elimination of [those images | vectors[i], last first]
     keeps the vectors outside the radical plus the span of the later
     ones: they lift a basis of the top, at the positions of the non-pivot
-    columns of the radical in vector coordinates.  Each lift at component a
+    columns of the radical in vector coordinates.  At a component of
+    dimension one a nonzero image spans it all, and no vector is lifted
+    there, as the elimination would find.  Each lift at component a
     generates one copy of the projective at t_a, and the cover sends the
     coordinate (a, cp) of component k to the arrow (k, a) applied to
     lift cp, in the coordinates of the module.
@@ -495,7 +524,9 @@ def projective_cover(module: CoordRep, vectors, images):
             continue
         lifts[i] = range(len(own))
         radical = [w for p in alg.arrows_from[i] for w in images.get(p, ()) if any(w)]
-        if radical:
+        if radical and dims[i] == 1:
+            lifts[i] = ()  # the radical spans the one coordinate
+        elif radical:
             cols = radical + list(own[::-1])
             _, pivots, _, _ = eliminate(zip(*cols), len(cols))
             lifts[i] = [len(cols) - 1 - c for c in reversed(pivots) if c >= len(radical)]
@@ -513,31 +544,158 @@ def projective_cover(module: CoordRep, vectors, images):
     return multiplicities, layouts, projective, tuple(matrices)
 
 
-def _thin_cover(module: CoordRep, images):
-    """projective_cover on all of a thin module, read off its matchings
-    with no elimination; InvariantError if the module is not thin.
+def _thin_acts(module: CoordRep):
+    """check_representation on the units of a thin module, in masks;
+    InvariantError if the module is not thin.
 
-    images are module.check_representation(module.units()).  With every
-    dimension at most one, each matching it checked is ((0, 0),) or
-    empty, and images holds the arrows (i, j) that act nonzero, j in the
-    support.  The top is the support minus their sources i, where the
-    elimination keeps no vector.  Each top component a is lifted by its
-    unit, multiplicity one, and the cover at a component k of the
-    support is one row: 1 at the coordinate (a, 0) when k = a or (k, a)
-    acts nonzero.
+    With every dimension at most one, the only matchings of an arrow
+    (i, j) into a component j of the support are () and, when i is in
+    the support too, ((0, 0),); anything else is refused as
+    check_representation refuses it.  Returns acts: acts[j], for j in
+    the support, is the mask of the i whose arrow (i, j) acts nonzero,
+    checked by _check_thin.
     """
-    alg, dims = module.algebra, module.dims
+    alg, dims, arrows = module.algebra, module.dims, module.arrows
     if max(dims) > 1:
         raise InvariantError(f"module with dims {dims} is not thin")
-    multiplicities = [0] * alg.r
-    for i in module.support:
-        multiplicities[i] = int(not any(map(images.__contains__, alg.arrows_from[i])))
-    multiplicities = tuple(multiplicities)
-    projective, layouts = projective_module(multiplicities, alg)
-    matrices = [()] * alg.r
-    for k in module.support:
-        matrices[k] = (tuple([int(k == a or (k, a) in images) for a, _ in layouts[k]]),)
-    return multiplicities, layouts, projective, tuple(matrices)
+    acts = [0] * alg.r
+    for j in module.support:
+        for p in alg.arrows_to[j]:
+            i = p[0]
+            # a left-out arrow into an empty component is the empty matching
+            pairs = arrows.get(p, None if dims[i] else ())
+            if pairs == ((0, 0),) and dims[i]:
+                acts[j] |= 1 << i
+            elif pairs != ():
+                raise InvariantError(f"arrow {p} does not match 1 coordinates into {dims[i]}")
+    _check_thin(alg, module.support, acts)
+    return acts
+
+
+def _check_thin(algebra: AlgebraPresentation, support, acts):
+    """The representation property of a thin module on its units, in
+    masks: acts[j] is the mask of the i whose arrow (i, j) acts nonzero,
+    for j in the support, and lies in the support.
+
+    The composite of q = (l, k), then p = (i, l), carries the unit at k
+    to the unit at i when l is in acts[k] and i in acts[l], and to zero
+    otherwise.  What it must be, mult[(p, q)] times the action of (i, k)
+    (the identity for i = k), is nonzero when i is in composing[q] and
+    in acts[k] or equal to k.  So, over the i of the support, the two
+    masks acts[l] (or 0) and composing[q] & (acts[k] | k) must agree, for
+    every arrow q into every k of the support: the composites that
+    check_representation walks on the units, one AND per arrow.
+    """
+    composing, arrows_to = algebra.composing, algebra.arrows_to
+    held = 0
+    for k in support:
+        held |= 1 << k
+    for k in support:
+        outside = acts[k] & ~held
+        if outside:
+            i = (outside & -outside).bit_length() - 1
+            raise InvariantError(f"arrow {(i, k)} does not match 1 coordinates into 0")
+    for k in support:
+        own = acts[k] | 1 << k
+        for q in arrows_to[k]:
+            l = q[0]
+            got = acts[l] if acts[k] >> l & 1 else 0
+            wrong = got ^ composing[q] & own & held
+            if wrong:
+                i = (wrong & -wrong).bit_length() - 1
+                raise InvariantError(f"representation property fails composing {(i, l)} then {q}")
+
+
+def _mask_cover(top: int, acts, components, algebra: AlgebraPresentation):
+    """The cover of a thin module with the given components, lifted by
+    the unit at each component of the mask top, one copy each, with no
+    elimination.  The cover at a component k is one row: 1 at the
+    coordinate (b, 0) when k = b or the arrow (k, b) acts nonzero, k in
+    acts[b].  The layouts of one projective alone are unit_terms, the
+    others projective_module's.  Returns (multiplicities, layouts,
+    matrices).
+    """
+    if top and not top & (top - 1):
+        multiplicities, layouts = algebra.unit_terms[top.bit_length() - 1]
+    else:
+        multiplicities = tuple([top >> b & 1 for b in range(algebra.r)])
+        layouts = projective_module(multiplicities, algebra)[1]
+    matrices = [()] * algebra.r
+    for k in components:
+        matrices[k] = (tuple([int(k == b or acts[b] >> k & 1) for b, _ in layouts[k]]),)
+    return multiplicities, layouts, tuple(matrices)
+
+
+def _thin_cover(module: CoordRep, acts):
+    """projective_cover on all of a thin module, read off its masks with
+    no elimination (_mask_cover).
+
+    acts are _thin_acts(module).  The arrows (i, j) that act nonzero, j in
+    the support, have their sources in the OR of acts[j]: the radical,
+    where the elimination keeps no vector.  The top is the support less
+    the radical, each top component lifted by its unit.
+    """
+    held = radical = 0
+    for j in module.support:
+        held |= 1 << j
+        radical |= acts[j]
+    return _mask_cover(held & ~radical, acts, module.support, module.algebra)
+
+
+def _reach(a: int, algebra: AlgebraPresentation):
+    """reach[j]: the mask of the components i to which the arrow (i, j)
+    carries the coordinate at j of the projective at t_a, i.e. with a in
+    moves[(i, j)].
+
+    Read off moved_by[a], the pairs projective_module matches in that
+    projective, and checked there to be a representation on its units
+    (_check_thin), once per algebra and summand a; memoised in
+    algebra.reach.  Every i in reach[j] is a component of the
+    projective: mult[((i, j), (j, a))] = 1 puts (i, a) in the basis
+    (_assert_closed).
+    """
+    memo = algebra.reach
+    if a not in memo:
+        reach = [0] * algebra.r
+        for i, j in algebra.moved_by[a]:
+            reach[j] |= 1 << i
+        _check_thin(algebra, algebra.columns[a], reach)
+        memo[a] = tuple(reach)
+    return memo[a]
+
+
+def _chain_syzygy(a: int, matrices, algebra: AlgebraPresentation):
+    """syzygy of a cover map from the projective at t_a alone, as the
+    support mask of its kernel, with no elimination.
+
+    Each component k of that projective has one coordinate, so the cover
+    at k is one column, and its kernel is (1,) where the column is zero
+    and nothing elsewhere: the syzygy is the thin submodule with support
+    kept.  It is closed under the action when every arrow (i, j) with j
+    in kept that acts nonzero lands in kept: the reach of kept, the OR
+    of reach[j] over j in kept, lies in kept; else InvariantError, as
+    syzygy raises.  Returns (kept, hit), hit that reach, which the next
+    cover reads.
+    """
+    reach = _reach(a, algebra)
+    kept = hit = 0
+    for k in algebra.columns[a]:
+        if not any(map(any, matrices[k])):
+            kept |= 1 << k
+            hit |= reach[k]
+    if hit & ~kept:
+        raise InvariantError("kernel of a cover map is not closed under the action")
+    return kept, hit
+
+
+def _chain_cover(a: int, kept: int, hit: int, algebra: AlgebraPresentation):
+    """projective_cover of the syzygy of _chain_syzygy, read off its masks
+    with no elimination, as _thin_cover reads a thin module: the arrows
+    that act nonzero on the syzygy are those from a component in hit, so
+    the top is kept less hit; the acts are reach, on the components of
+    the projective at t_a.
+    """
+    return _mask_cover(kept & ~hit, algebra.reach[a], algebra.columns[a], algebra)
 
 
 def syzygy(projective: CoordRep, matrices):
@@ -739,23 +897,80 @@ def resolve_by_covers(module: CoordRep, target: IndObj) -> ResolutionReport:
     and some endomorphism algebras (oriented cycles among summands)
     admit no finite resolution at all.  Each syzygy stays inside the
     projective it sits in, so every connecting map comes out in that
-    projective's coordinates.  The module Hom(T, c) is thin: stage 0 is
-    read off its matchings (_thin_cover).
+    projective's coordinates.  The module Hom(T, c) is thin: it is
+    checked and covered in masks (_thin_acts, _thin_cover).
+
+    A chain stage, whose projective is P_a alone with multiplicity one,
+    is kerneled and covered on masks (_chain_syzygy, _chain_cover), and
+    its report is the one syzygy and projective_cover build:
+
+    - P_a is thin: one coordinate at each component of columns[a], and
+      the arrow (i, j) carries the one at j to the one at i exactly when
+      it is in moved_by[a] (projective_module's matching): i is in
+      reach[a][j].  The cover map at a component k is one column, whose
+      kernel is (1,) when the column is zero (linalg.kernel on a zero
+      column) and nothing otherwise.  So the syzygy K is thin, spanned by
+      the units of P_a at the components of its support mask kept.
+    - The representation check on K walks the composites whose outer
+      components are in kept, on the units there.  The check of P_a on
+      all its units (_reach, by _check_thin) walked those same
+      composites on those same vectors, and more: a submodule inherits
+      the representation property, so P_a's check, once per algebra and
+      a, covers every syzygy inside P_a.
+    - The arrow (i, j), j in kept, carries the unit at j to the unit at
+      i when i is in reach[a][j], and to zero otherwise.  So K is closed
+      exactly when the OR of reach[a][j] over j in kept, hit, lies in
+      kept: one AND, refused with the InvariantError of syzygy.
+    - The nonzero images of arrows on K are the units at hit, so the
+      radical of K is hit and its top is kept less hit, one unit lift
+      per top component b; the cover sends (b, 0) at k to the arrow
+      (k, b) applied to the unit at b: 1 when k = b or k is in
+      reach[a][b].  That is what projective_cover's elimination keeps,
+      read off the masks as _thin_cover reads stage 0 (_mask_cover).
+
+    The supports of the stages' multiplicity vectors must be pairwise
+    disjoint, one AND per stage against the earlier ones; else
+    InvariantError.  At d = 1 this is Dehy and Keller's lemma that the
+    two terms of a minimal presentation share no summand; at higher d it
+    held on every row tried, and the tests pin it on small cases.
     """
     algebra = module.algebra
+    r, d = algebra.r, algebra.params.d
     # with the representation property on the vectors it lifts, each
     # cover is a module map; syzygy checks it on every kernel vector
-    cover = _thin_cover(module, module.check_representation(module.units()))
+    mults, lay, matrices = _thin_cover(module, _thin_acts(module))
     multiplicities, maps, layouts = [], [], []
+    seen = 0  # the summands of the stages so far
     while True:
-        mults, lay, projective, matrices = cover
+        # a chain stage: the projective at one t_a, multiplicity one
+        chain = sum(mults) == 1
+        if chain:
+            a = mults.index(1)
+            support = 1 << a
+        else:
+            support = sum(1 << b for b, m in enumerate(mults) if m)
+        if support & seen:
+            raise InvariantError(
+                f"stage {len(multiplicities)} of the resolution of {target} shares "
+                f"a summand with an earlier stage"
+            )
+        seen |= support
         multiplicities.append(mults)
         layouts.append(lay)
         maps.append(matrices)
-        vectors, images = syzygy(projective, matrices)
-        if not any(vectors) or len(multiplicities) > algebra.params.d:
-            break
-        cover = projective_cover(projective, vectors, images)
+        if chain:
+            kept, hit = _chain_syzygy(a, matrices, algebra)
+            if not kept or len(multiplicities) > d:
+                tail = tuple([kept >> k & 1 for k in range(r)])
+                break
+            mults, lay, matrices = _chain_cover(a, kept, hit, algebra)
+        else:
+            projective, _ = projective_module(mults, algebra)
+            vectors, images = syzygy(projective, matrices)
+            if not any(vectors) or len(multiplicities) > d:
+                tail = tuple(map(len, vectors))
+                break
+            mults, lay, _, matrices = projective_cover(projective, vectors, images)
     return ResolutionReport(
         algebra,
         target,
@@ -763,5 +978,5 @@ def resolve_by_covers(module: CoordRep, target: IndObj) -> ResolutionReport:
         tuple(multiplicities),
         tuple(maps),
         tuple(layouts),
-        tuple(map(len, vectors)),
+        tail,
     )

@@ -65,6 +65,9 @@ def kernel(rows, ncols):
     -reduced[i][f] at the i-th pivot column, divided by its gcd and
     signed to be positive at f.
     """
+    if ncols == 1:
+        # one column: (1,) when it is zero, as the elimination gives it
+        return [] if any(map(any, rows)) else [(1,)]
     reduced, pivots, last, _ = eliminate(rows, ncols)
     basis = []
     for f in range(ncols):

@@ -17,7 +17,7 @@ are each d+1 ANDs of its entries per object.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 
 from .errors import InvalidInputError, ResourceCapError
@@ -49,6 +49,14 @@ class ModelParams(Record):
     @property
     def object_size(self) -> int:
         return self.d + 1
+
+    @cached_property
+    def objects(self) -> tuple[IndObj, ...]:
+        """enumerate_indecomposables(self), looked up once per instance
+        and then read like a field: the lookup hashes the instance in
+        Python (Record.__hash__), and every tilting object of a case
+        shares one instance, whose summands are decoded on each read."""
+        return enumerate_indecomposables(self)
 
 
 def shift(obj: IndObj, steps: int, params: ModelParams) -> IndObj:
@@ -210,4 +218,4 @@ def select(items, mask: int) -> tuple:
 
 def objects_of(mask: int, params: ModelParams) -> tuple[IndObj, ...]:
     """The objects whose ids are the set bits of mask, in id order."""
-    return select(enumerate_indecomposables(params), mask)
+    return select(params.objects, mask)

@@ -6,9 +6,10 @@ with one exchange step per family, and linear algebra over the rationals
 with `fractions.Fraction`.  None of it shares code with the package; the
 Fraction resolution and the dense direct sum of projectives take an
 endomorphism algebra built by the package as their input data.  The
-exception is the last section: the per-pair and per-family loops that
-verify's sweeps replaced, which run the package's own evaluators on
-every instance.
+exceptions are the resolution route by elimination alone, which runs
+the package's own covers and kernels on every stage, and the last
+section: the per-pair and per-family loops that verify's sweeps
+replaced, which run the package's own evaluators on every instance.
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
+from higher_cluster.algebra import ResolutionReport, projective_cover, syzygy
 from higher_cluster.errors import InvariantError
 from higher_cluster.hom import calculator_for
 from higher_cluster.model import bit_ids
@@ -651,6 +653,49 @@ def report_violations(report):
         if total != (-1) ** (stages - 1) * tail[k]:
             violations.append(f"Euler characteristic off at component {k}")
     return violations
+
+
+# --- the resolution route by elimination alone -------------------------------
+
+
+def units(module):
+    """The coordinate vectors of every component of a CoordRep: the whole
+    module, walked on its support; every other component holds none."""
+    out = [()] * len(module.dims)
+    for k in module.support:
+        n = module.dims[k]
+        out[k] = tuple(tuple(int(x == y) for x in range(n)) for y in range(n))
+    return tuple(out)
+
+
+def resolve_by_elimination(module, target):
+    """The resolution route with every stage covered by projective_cover's
+    elimination and kerneled by syzygy, stage 0 and the syzygies inside
+    one projective P_a included, which the package reads off bits and
+    support masks.  Its report must equal minimal_resolution's field by
+    field."""
+    algebra = module.algebra
+    vectors = units(module)
+    cover = projective_cover(module, vectors, module.check_representation(vectors))
+    multiplicities, maps, layouts = [], [], []
+    while True:
+        mults, lay, projective, matrices = cover
+        multiplicities.append(mults)
+        layouts.append(lay)
+        maps.append(matrices)
+        vectors, images = syzygy(projective, matrices)
+        if not any(vectors) or len(multiplicities) > algebra.params.d:
+            break
+        cover = projective_cover(projective, vectors, images)
+    return ResolutionReport(
+        algebra,
+        target,
+        module.dims,
+        tuple(multiplicities),
+        tuple(maps),
+        tuple(layouts),
+        tuple(map(len, vectors)),
+    )
 
 
 # --- the verify sweeps, one evaluator call per instance ------------------------

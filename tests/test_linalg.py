@@ -8,6 +8,7 @@ themselves checked against sympy here.
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -101,6 +102,19 @@ def test_kernel_matches_fraction_oracle_and_sympy(case):
         # the same space as sympy's null space: stacking adds no rank
         both = sympy.Matrix([list(v) for v in basis] + [list(v) for v in nullspace])
         assert both.rank() == len(basis)
+
+
+@pytest.mark.parametrize("nrows", range(4))
+def test_a_one_column_kernel_is_the_one_elimination_gives(nrows):
+    # kernel reads a matrix of one column off the column, with no
+    # elimination: (1,) when it is zero, as the free column gives it
+    for column in product(range(-2, 3), repeat=nrows):
+        rows = [(v,) for v in column]
+        reduced, pivots, last, _ = eliminate(rows, 1)
+        by_elimination = [] if pivots else [(1,)]
+        assert kernel(rows, 1) == by_elimination == [
+            tuple(int(v) for v in vec) for vec in kernel_basis(Mat.from_int_rows(rows, 1))
+        ]
 
 
 def test_kernel_of_shapes_without_rows_or_columns():

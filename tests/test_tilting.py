@@ -609,6 +609,30 @@ def test_enumerations_share_one_tuple(fresh_tilting_caches):
     assert searched == [flat, steep]
 
 
+def test_summands_are_decoded_without_hashing_the_params(monkeypatch):
+    # TiltingObject.summands reads the objects off its ModelParams, which
+    # the tilting objects of a case share, and not through the lru_cache
+    # of enumerate_indecomposables, whose lookup hashes the params in
+    # Python on every call
+    params = ModelParams(4, 3)
+    tiltings = enumerate_tilting(params)
+    objects = enumerate_indecomposables(params)
+    hashed = []
+    record_hash = ModelParams.__hash__
+    monkeypatch.setattr(
+        ModelParams, "__hash__", lambda self: hashed.append(self) or record_hash(self)
+    )
+    tiltings[0].summands  # at most one lookup per instance
+    before = len(hashed)
+    summands = [t.summands for t in tiltings[:300]]
+    assert len(hashed) == before <= 1
+    assert summands == [tuple(objects[i] for i in t.ids) for t in tiltings[:300]]
+    # equality and hash of the params are those of its fields alone
+    monkeypatch.undo()
+    assert params.objects is objects and ModelParams(4, 3) == params
+    assert hash(params) == hash(ModelParams(4, 3)) == hash((4, 3))
+
+
 def test_tilting_masks_refuses_a_start_that_is_no_tilting_clique():
     params = ModelParams(3, 1)
     neighbors = calculator_for(params).neighbors
