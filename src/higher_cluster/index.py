@@ -12,14 +12,19 @@ summand order.  Two independent computation routes are implemented:
   every indecomposable x and b packs the quotient and ideal hom
   dimensions relative to the translated tilting object.  The square
   subsystem on the summand rows is inverted once per table as an
-  integer adjugate over its determinant, each candidate is the sum of
-  the adjugate's columns at the few nonzero entries of b on the summand
-  rows, which must divide exactly by the determinant, and every row of
-  G a = b must then hold as an integer identity.  G is kept as the
-  summands' hom rows, so G a is summed as sparsely, one hom row per
-  nonzero coefficient.  b is filled from the quotient row of c and its
-  ideal row pulled back through the translate, both from
-  HomCalculator.modulo, built once per table.
+  integer adjugate over its determinant, kept as sparse columns: the
+  nonzero entries of each column, keyed by its summand row.  b is the
+  quotient row Q of c plus (-1)^d times its ideal row I pulled back
+  through the translate, both masks from HomCalculator.modulo, built
+  once per table, so b is never spread into a vector.  Each candidate
+  sums the sparse columns at the nonzero entries of b on the summand
+  rows; every nonzero sum must divide exactly by the determinant.
+  Every row of G a = b must then hold as an integer identity: G is
+  kept as the summands' hom rows, both sides are moved to sums of
+  masks with nonnegative multiplicities, and the two sums are added up
+  bit-sliced (plane k holds bit k of the count at every row) and
+  compared plane by plane; the lowest bit where they differ is the
+  first failing row.  Only a refusal spells out the dense solution.
 
 Neither route leaves the integers; both run on the one fraction-free
 elimination of `linalg`, which also gives the integer rank that names a
@@ -32,8 +37,7 @@ as a hard failure, never a warning.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from operator import add, mul
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .algebra import build_algebra, minimal_resolution
@@ -70,9 +74,11 @@ class _System(NamedTuple):
     quotients: tuple  # of calc.modulo at the mask of the translated summands
     ideals: tuple  # the ideal rows it pulls back through the translate
     t_rows: tuple  # the summands' hom rows: bit x of t_rows[j] is G[x, j]
-    positions: tuple  # the rows of the summands: the square subsystem
-    adj_columns: tuple  # the columns of the adjugate of the square subsystem
-    det: int  # its determinant
+    summands: int  # the mask of the summand rows: the square subsystem
+    columns: dict  # x -> the pairs (j, adj[j][i]) with a nonzero entry,
+    # where x is the row of the i-th summand: the adjugate's sparse columns
+    sign: int  # (-1)^d, the sign of the ideal part of b
+    det: int  # the determinant of the square subsystem
 
 
 def _build_system(tilting: TiltingObject, params: ModelParams) -> _System:
@@ -93,8 +99,13 @@ def _build_system(tilting: TiltingObject, params: ModelParams) -> _System:
             f"Cartan system of tilting object {tilting.summands} is singular over the rationals"
         )
     adj, det = square_inv
+    columns = {
+        x: tuple((j, v) for j, v in enumerate(column) if v)
+        for x, column in zip(positions, zip(*adj))
+    }
     quotients, ideals = calc.modulo(calc.translated_mask(positions))
-    return _System(quotients, ideals, t_rows, positions, tuple(zip(*adj)), det)
+    sign = -1 if params.d % 2 else 1
+    return _System(quotients, ideals, t_rows, tilting.mask, columns, sign, det)
 
 
 def index_via_system(
@@ -112,43 +123,74 @@ def index_via_system(
 
 def _index_by_system(c: int, system: _System, calc: HomCalculator) -> IndexVector:
     """The system route at the object with id c."""
-    det = system.det
-    sign = -1 if calc.params.d % 2 else 1
     # b[x] = dim of Hom(c, x) modulo the translated summands plus sign
-    # times the dim of Hom(c, shift(x, 1)) through them, nonzero only on
-    # the hom row of c and its pull-back by the translate
-    b = [0] * len(calc.objects)
-    for x in bit_ids(system.quotients[c]):
-        b[x] = 1
-    for x in bit_ids(system.ideals[c]):
-        b[x] += sign
-    b_square = [b[p] for p in system.positions]
-    scaled = [0] * len(b_square)
-    for column, v in compress(zip(system.adj_columns, b_square), b_square):
-        scaled = list(map(add, scaled, column if v == 1 else map(mul, column, repeat(v))))
-    coeffs = []
-    for v in scaled:
-        q, rem = divmod(v, det)
-        if rem:
-            from fractions import Fraction
+    # times the dim of Hom(c, shift(x, 1)) through them: b = Q + sign I
+    # with Q the quotient row of c and I its pulled-back ideal row
+    quotient, ideal, sign = system.quotients[c], system.ideals[c], system.sign
+    scaled = [0] * len(system.t_rows)
+    columns = system.columns
+    for x in bit_ids((quotient | ideal) & system.summands):
+        v = (quotient >> x & 1) + sign * (ideal >> x & 1)
+        if v:
+            for j, entry in columns[x]:
+                scaled[j] += v * entry
+    # G a = b is checked below as an integer identity with both sides
+    # moved to nonnegative sums of masks: b's side holds Q, and I at even
+    # d, G a's side I at odd d; each summand's hom row goes to the side
+    # its coefficient makes nonnegative
+    b_side, ga_side = [(quotient, 1)], []
+    (b_side if sign > 0 else ga_side).append((ideal, 1))
+    det, t_rows = system.det, system.t_rows
+    coeffs = scaled[:]
+    for j, v in enumerate(scaled):
+        if v:
+            a, rem = divmod(v, det)
+            if rem:
+                from fractions import Fraction
 
-            sol = tuple(Fraction(u, det) for u in scaled)
-            raise InvariantError(
-                f"index system for {calc.objects[c]} has a non-integer solution {sol}"
-            )
-        coeffs.append(q)
-    # every row of G a = b: subtract G a from b one summand's hom row per
-    # nonzero coefficient, and any entry left over is a failing row
-    for a, row in zip(coeffs, system.t_rows):
-        if a:
-            for x in bit_ids(row):
-                b[x] -= a
-    if any(b):
-        x = next(x for x, left in enumerate(b) if left)
+                sol = tuple(Fraction(u, det) for u in scaled)
+                raise InvariantError(
+                    f"index system for {calc.objects[c]} has a non-integer solution {sol}"
+                )
+            coeffs[j] = a
+            if a > 0:
+                ga_side.append((t_rows[j], a))
+            else:
+                b_side.append((t_rows[j], -a))
+    # added up bit-sliced, a bit where the two sums differ is a failing row
+    failing = 0
+    for left, right in zip_longest(_sliced(b_side), _sliced(ga_side), fillvalue=0):
+        failing |= left ^ right
+    if failing:
+        x = (failing & -failing).bit_length() - 1
         raise InvariantError(
             f"index system for {calc.objects[c]} is inconsistent at row {calc.objects[x]}"
         )
     return tuple(coeffs)
+
+
+def _sliced(terms) -> list[int]:
+    """The sum of times over the masks of terms that hold bit x, at every
+    x, bit-sliced: bit x of planes[k] is bit k of that sum."""
+    planes = []
+    for mask, times in terms:
+        k = 0
+        while times:
+            if times & 1:
+                carry, i = mask, k
+                while carry:
+                    if i == len(planes):
+                        planes.append(carry)
+                        break
+                    low = planes[i]
+                    planes[i] = low ^ carry
+                    carry &= low
+                    i += 1
+            times >>= 1
+            k += 1
+            if times and k > len(planes):
+                planes.append(0)
+    return planes
 
 
 class IndexRow(Record):

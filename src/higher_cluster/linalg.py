@@ -1,7 +1,9 @@
-"""Exact dense linear algebra over the integers.
+"""Exact linear algebra over the integers.
 
 Deliberately small and dependency-free: one fraction-free elimination
-and the three things read off it.  Matrices are sequences of int rows;
+and the three things read off it.  Matrices are sequences of int rows,
+dense, but an update with equal pivots touches only the pivot row's
+nonzero entries, so sparse rows are cheap to eliminate;
 where a matrix may have no rows, its column count is passed explicitly
 (zero-dimensional components are everywhere in the module machinery,
 so shapes are never inferred from row data there).  No function
@@ -25,6 +27,14 @@ def eliminate(rows, ncols):
     pivot rows is skipped.  At the end every
     pivot row holds `last` at its own pivot column and zero at the
     others, and the rows below the pivot rows are zero.
+
+    A row with f in the pivot column becomes (piv a - f b) / prev at
+    each column, a its entry and b the pivot row's.  When piv equals
+    prev, as most pivots of a Cartan square do, that is a - f b / prev,
+    and f b / prev is an integer: prev a - f b is prev times an entry
+    of the new row, an integer minor, and prev divides prev a, so it
+    divides f b.  Such a row then moves only where b is nonzero, and a
+    row with f = 0 not at all; every other pivot rewrites every row.
     """
     m = list(rows)
     pivots, prev, sign = [], 1, 1
@@ -42,12 +52,21 @@ def eliminate(rows, ncols):
             sign = -sign
         pivot_row = m[top]
         piv = pivot_row[c]
-        for r, row in enumerate(m):
-            f = row[c]
-            # a row with nothing in this column changes only by the
-            # factor piv / prev, so with equal pivots it stays as it is
-            if r != top and (f or piv != prev):
-                m[r] = [(piv * a - f * b) // prev for a, b in zip(row, pivot_row)]
+        if piv == prev:
+            # (piv a - f b) / prev is a - f b / prev: only the pivot row's
+            # nonzero entries move a row, and a row with f = 0 stays
+            support = [(j, b) for j, b in enumerate(pivot_row) if b]
+            for r, row in enumerate(m):
+                f = row[c]
+                if f and r != top:
+                    row = m[r] = list(row)
+                    for j, b in support:
+                        row[j] -= f * b // prev
+        else:
+            for r, row in enumerate(m):
+                if r != top:
+                    f = row[c]
+                    m[r] = [(piv * a - f * b) // prev for a, b in zip(row, pivot_row)]
         pivots.append(c)
         prev = piv
     return m, pivots, prev, sign

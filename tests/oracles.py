@@ -7,19 +7,24 @@ with `fractions.Fraction`.  None of it shares code with the package; the
 Fraction resolution and the dense direct sum of projectives take an
 endomorphism algebra built by the package as their input data.  The
 exceptions are the resolution route by elimination alone, which runs
-the package's own covers and kernels on every stage, and the last
-section: the per-pair and per-family loops that verify's sweeps
-replaced, which run the package's own evaluators on every instance.
+the package's own covers and kernels on every stage, the system route
+on dense vectors, which reads the package's hom tables and adjugate,
+and the last section: the per-pair and per-family loops that verify's
+sweeps replaced, which run the package's own evaluators on every
+instance.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, product, repeat
 from math import comb
+from operator import add, mul
+from typing import NamedTuple
 
 from higher_cluster.algebra import ResolutionReport, projective_cover, syzygy
 from higher_cluster.errors import InvariantError
 from higher_cluster.hom import calculator_for
+from higher_cluster.linalg import adjugate
 from higher_cluster.model import bit_ids
 from higher_cluster.tilting import maximal_families, require_case, validate_family
 from higher_cluster.verify import (
@@ -696,6 +701,68 @@ def resolve_by_elimination(module, target):
         tuple(layouts),
         tuple(map(len, vectors)),
     )
+
+
+# --- the system route on dense vectors -----------------------------------------
+
+
+class DenseSystem(NamedTuple):
+    """The inputs of the dense system route that do not depend on c."""
+
+    quotients: tuple  # of calc.modulo at the mask of the translated summands
+    ideals: tuple  # the ideal rows it pulls back through the translate
+    t_rows: tuple  # the summands' hom rows: bit x of t_rows[j] is G[x, j]
+    positions: tuple  # the rows of the summands: the square subsystem
+    adj_columns: tuple  # the dense columns of the adjugate of the square subsystem
+    det: int  # its determinant
+
+
+def dense_system(tilting, params):
+    """The dense system of a tilting object, its adjugate from the package."""
+    require_case(tilting, params)
+    calc = calculator_for(params)
+    positions = tilting.ids
+    t_rows = tuple(calc.hom_rows[p] for p in positions)
+    adj, det = adjugate([[row >> p & 1 for row in t_rows] for p in positions])
+    quotients, ideals = calc.modulo(calc.translated_mask(positions))
+    return DenseSystem(quotients, ideals, t_rows, positions, tuple(zip(*adj)), det)
+
+
+def index_by_dense_system(c, system, calc):
+    """The system route at the object with id c on dense vectors: b over
+    every object, the candidate as a sum of whole adjugate columns with one
+    divmod per coordinate, and every row of G a = b walked bit by bit.
+    Refuses with the package's messages."""
+    det = system.det
+    sign = -1 if calc.params.d % 2 else 1
+    b = [0] * len(calc.objects)
+    for x in bit_ids(system.quotients[c]):
+        b[x] = 1
+    for x in bit_ids(system.ideals[c]):
+        b[x] += sign
+    b_square = [b[p] for p in system.positions]
+    scaled = [0] * len(b_square)
+    for column, v in compress(zip(system.adj_columns, b_square), b_square):
+        scaled = list(map(add, scaled, column if v == 1 else map(mul, column, repeat(v))))
+    coeffs = []
+    for v in scaled:
+        q, rem = divmod(v, det)
+        if rem:
+            sol = tuple(Fraction(u, det) for u in scaled)
+            raise InvariantError(
+                f"index system for {calc.objects[c]} has a non-integer solution {sol}"
+            )
+        coeffs.append(q)
+    for a, row in zip(coeffs, system.t_rows):
+        if a:
+            for x in bit_ids(row):
+                b[x] -= a
+    if any(b):
+        x = next(x for x, left in enumerate(b) if left)
+        raise InvariantError(
+            f"index system for {calc.objects[c]} is inconsistent at row {calc.objects[x]}"
+        )
+    return tuple(coeffs)
 
 
 # --- the verify sweeps, one evaluator call per instance ------------------------

@@ -1,20 +1,25 @@
 """Index vectors: closed forms, route agreement, and the even-d collisions."""
 
 import re
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import kept_after
+from oracles import dense_system, index_by_dense_system
 
 from higher_cluster import index
 from higher_cluster.errors import InvalidInputError, InvariantError
+from higher_cluster.hom import calculator_for
 from higher_cluster.index import (
     index_of,
     index_table,
     index_via_system,
 )
 from higher_cluster.model import ModelParams, enumerate_indecomposables, object_id, shift
-from higher_cluster.tilting import TiltingObject, enumerate_tilting, validate_tilting
+from higher_cluster.linalg import adjugate
+from higher_cluster.tilting import TiltingObject, enumerate_tilting, validate_tilting, vertex_fan
 from higher_cluster.verify import TiltingView, replay
 
 P21 = ModelParams(2, 1)
@@ -209,6 +214,124 @@ def test_system_route_names_the_first_failing_row(monkeypatch, rows):
     _tamper_system(monkeypatch, _flip_rows(rows))
     with pytest.raises(InvariantError, match=re.escape(f"inconsistent at row {first}")):
         index_via_system((1, 3, 6), FAN22, P22)
+
+
+def _tiltings(n, d, count):
+    params = ModelParams(n, d)
+    if count == "fan":
+        return params, [validate_tilting(vertex_fan(params), params)]
+    return params, enumerate_tilting(params)[:count]
+
+
+@pytest.mark.parametrize("n,d,count", [
+    (2, 1, None), (3, 1, None), (4, 1, None), (5, 1, None), (2, 2, None),
+    (3, 2, None), (2, 3, None), (3, 3, None), (2, 5, None),
+    (4, 3, 20), (5, 2, 20), (5, 3, "fan"), (4, 4, "fan"),
+])
+def test_system_route_matches_the_dense_oracle(n, d, count):
+    # the sparse candidate and the bit-sliced row check give the index
+    # of the dense route, whole adjugate columns and a walk of every row,
+    # on every object
+    params, tiltings = _tiltings(n, d, count)
+    calc = calculator_for(params)
+    for tilting in tiltings:
+        system = index._build_system(tilting, params)
+        dense = dense_system(tilting, params)
+        for c in range(len(calc.objects)):
+            assert index._index_by_system(c, system, calc) == index_by_dense_system(
+                c, dense, calc
+            ), (tilting.summands, c)
+
+
+@pytest.mark.parametrize("n,d,count", [(3, 3, None), (4, 3, 20)])
+def test_sparse_columns_are_the_nonzero_entries_of_the_adjugate(n, d, count, monkeypatch):
+    params, tiltings = _tiltings(n, d, count)
+    calls = []
+    monkeypatch.setattr(index, "adjugate", lambda rows: calls.append(rows) or adjugate(rows))
+    for tilting in tiltings:
+        calls.clear()
+        system = index._build_system(tilting, params)
+        assert len(calls) == 1  # one adjugate per table
+        adj, det = adjugate(calls[0])
+        assert system.det == det
+        positions = tilting.ids
+        assert set(system.columns) == set(positions)
+        for i, x in enumerate(positions):
+            assert system.columns[x] == tuple((j, row[i]) for j, row in enumerate(adj) if row[i])
+
+
+def _set_entry(system, x, k, pair):
+    """The system with the k-th pair of column x replaced by pair, or
+    dropped when pair is None."""
+    pairs = list(system.columns[x])
+    pairs[k:k + 1] = [] if pair is None else [pair]
+    return system._replace(columns={**system.columns, x: tuple(pairs)})
+
+
+@pytest.mark.parametrize("n,d,position", [(2, 2, 0), (3, 3, -1), (4, 3, 7)])
+def test_a_changed_or_dropped_adjugate_entry_is_refused(n, d, position):
+    # every column of the adjugate is read by the row of its own summand,
+    # so a wrong or missing entry gives a candidate that fails some row
+    params = ModelParams(n, d)
+    tilting = enumerate_tilting(params)[position]
+    calc = calculator_for(params)
+    system = index._build_system(tilting, params)
+    for x, pairs in system.columns.items():
+        for k, (j, v) in enumerate(pairs):
+            for tampered in (
+                _set_entry(system, x, k, (j, v + 1 or v - 1)),
+                _set_entry(system, x, k, None),
+            ):
+                with pytest.raises(InvariantError, match="non-integer solution|inconsistent at"):
+                    for c in range(len(calc.objects)):
+                        index._index_by_system(c, tampered, calc)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**12 - 1), st.integers(1, 9)), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_sliced_sums_count_every_bit(terms):
+    planes = index._sliced(terms)
+    for x in range(12):
+        count = sum(times for mask, times in terms if mask >> x & 1)
+        assert sum((plane >> x & 1) << k for k, plane in enumerate(planes)) == count
+
+
+def test_a_row_off_by_an_even_amount_is_refused():
+    # two equal coefficients both gain row x outside the square subsystem:
+    # the candidate stays, and row x of G a moves by twice the coefficient,
+    # which keeps its parity, so only the carries of the sums refuse it
+    params = ModelParams(3, 3)
+    calc = calculator_for(params)
+    tilting = enumerate_tilting(params)[0]
+    system = index._build_system(tilting, params)
+    outside = [x for x in range(len(calc.objects)) if not system.summands >> x & 1]
+    for c in range(len(calc.objects)):
+        coeffs = index._index_by_system(c, system, calc)
+        for j1, j2 in combinations(range(len(coeffs)), 2):
+            if coeffs[j1] and coeffs[j1] == coeffs[j2]:
+                rows = system.t_rows
+                free = [x for x in outside if not (rows[j1] | rows[j2]) >> x & 1]
+                if free:
+                    x = free[0]
+                    t_rows = tuple(
+                        row | 1 << x if j in (j1, j2) else row for j, row in enumerate(rows)
+                    )
+                    first = re.escape(f"inconsistent at row {calc.objects[x]}")
+                    with pytest.raises(InvariantError, match=first):
+                        index._index_by_system(c, system._replace(t_rows=t_rows), calc)
+                    return
+    raise AssertionError("no two equal coefficients with a free row")
+
+
+def test_a_tripled_determinant_is_refused_on_every_table_at_3_3():
+    params = ModelParams(3, 3)
+    calc = calculator_for(params)
+    for tilting in enumerate_tilting(params):
+        system = index._build_system(tilting, params)
+        tripled = system._replace(det=3 * system.det)
+        with pytest.raises(InvariantError, match="non-integer solution"):
+            for c in range(len(calc.objects)):
+                index._index_by_system(c, tripled, calc)
 
 
 def test_system_route_refuses_a_rank_deficient_family():

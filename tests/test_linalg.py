@@ -62,10 +62,28 @@ def int_matrices(draw, max_rows=6, max_cols=7, square=False):
     return rows, ncols
 
 
-@given(int_matrices())
-@settings(max_examples=300, deadline=None)
-def test_elimination_matches_fraction_oracle_and_sympy(case):
-    rows, ncols = case
+@st.composite
+def cartan_matrices(draw, max_size=7):
+    """Sparse 0/+-1 squares with a unit diagonal, the shape of a Cartan
+    square, whose pivots mostly equal the one before; some get one
+    diagonal entry of 0, 2 or 3 partway through, which forces a row swap
+    or a pivot that differs from the one before it, and some get extra
+    columns that combine two earlier ones, so the kernel is not zero."""
+    k = draw(st.integers(0, max_size))
+    entries = st.sampled_from((0, 0, 0, 1, -1))
+    rows = [[1 if i == j else draw(entries) for j in range(k)] for i in range(k)]
+    if k > 1 and draw(st.booleans()):
+        p = draw(st.integers(1, k - 1))
+        rows[p][p] = draw(st.sampled_from((0, 2, 3)))
+    for _ in range(draw(st.integers(0, 2)) if k else 0):
+        a, b = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        f = draw(st.sampled_from((1, -1)))
+        for row in rows:
+            row.append(row[a] + f * row[b])
+    return rows, len(rows[0]) if rows else 0
+
+
+def _check_elimination(rows, ncols):
     reduced, pivots, last, _ = eliminate(rows, ncols)
     oracle_reduced, oracle_pivots = rref(Mat.from_int_rows(rows, ncols))
     assert tuple(pivots) == oracle_pivots
@@ -83,8 +101,11 @@ def test_elimination_matches_fraction_oracle_and_sympy(case):
 
 @given(int_matrices())
 @settings(max_examples=300, deadline=None)
-def test_kernel_matches_fraction_oracle_and_sympy(case):
-    rows, ncols = case
+def test_elimination_matches_fraction_oracle_and_sympy(case):
+    _check_elimination(*case)
+
+
+def _check_kernel(rows, ncols):
     basis = kernel(rows, ncols)
     oracle = kernel_basis(Mat.from_int_rows(rows, ncols))
     nullspace = to_sympy(rows, ncols).nullspace()
@@ -102,6 +123,52 @@ def test_kernel_matches_fraction_oracle_and_sympy(case):
         # the same space as sympy's null space: stacking adds no rank
         both = sympy.Matrix([list(v) for v in basis] + [list(v) for v in nullspace])
         assert both.rank() == len(basis)
+
+
+@given(int_matrices())
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_fraction_oracle_and_sympy(case):
+    _check_kernel(*case)
+
+
+@given(cartan_matrices())
+@settings(max_examples=300, deadline=None)
+def test_cartan_shapes_match_fraction_oracle_and_sympy(case):
+    # the equal-pivot update, which moves only the pivot row's nonzero
+    # columns, through eliminate, kernel and adjugate
+    rows, ncols = case
+    _check_elimination(rows, ncols)
+    _check_kernel(rows, ncols)
+    _check_adjugate([row[:len(rows)] for row in rows])
+
+
+def test_a_non_unit_pivot_partway_through():
+    # the leading minors are 1, 2, 2, 2, so the pivots are too: the first
+    # update is sparse, the second dense, and the last two sparse again
+    # with a division by the previous pivot 2
+    rows = [[1, -1, -1, 0], [-1, 3, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
+    reduced, pivots, last, _ = eliminate(rows, 4)
+    assert pivots == [0, 1, 2, 3] and last == 2 == sympy.Matrix(rows).det()
+    _check_elimination(rows, 4)
+    assert _check_adjugate(rows) == 2
+    wide = [row + [row[0] - row[2]] for row in rows]
+    _check_elimination(wide, 5)
+    _check_kernel(wide, 5)
+
+
+@given(st.one_of(int_matrices(), cartan_matrices()))
+@settings(max_examples=200, deadline=None)
+def test_eliminate_never_writes_an_input_row(case):
+    # list rows keep their entries and the outer list its rows; tuple
+    # rows give the same result as list rows
+    rows, ncols = case
+    snapshot = [list(row) for row in rows]
+    outer = list(rows)
+    reduced, pivots, last, sign = eliminate(rows, ncols)
+    assert rows == snapshot and all(a is b for a, b in zip(rows, outer))
+    as_tuples = eliminate([tuple(row) for row in rows], ncols)
+    assert [list(row) for row in as_tuples[0]] == [list(row) for row in reduced]
+    assert as_tuples[1:] == (pivots, last, sign)
 
 
 @pytest.mark.parametrize("nrows", range(4))
