@@ -1,17 +1,17 @@
 """Independent oracles the tests compare the engine against.
 
 Everything here is deliberately naive: brute-force filters, literal
-walk-the-circle predicates, unpivoted clique search, the mutation search
-with one exchange step per family, and linear algebra over the rationals
-with `fractions.Fraction`.  None of it shares code with the package; the
-Fraction resolution and the dense direct sum of projectives take an
-endomorphism algebra built by the package as their input data.  The
-exceptions are the resolution route by elimination alone, which runs
-the package's own covers and kernels on every stage, the system route
-on dense vectors, which reads the package's hom tables and adjugate,
-and the last section: the per-pair and per-family loops that verify's
-sweeps replaced, which run the package's own evaluators on every
-instance.
+walk-the-circle predicates, unpivoted clique search, the pivoted one
+with a call per node, the mutation search with one exchange step per
+family, and linear algebra over the rationals with `fractions.Fraction`.
+None of it shares code with the package; the Fraction resolution and the
+dense direct sum of projectives take an endomorphism algebra built by
+the package as their input data.  The exceptions are the resolution route
+by elimination alone, which runs the package's own covers and kernels on
+every stage, the system route on dense vectors, which reads the
+package's hom tables and adjugate, and the last section: the per-pair
+and per-family loops that verify's sweeps replaced, which run the
+package's own evaluators on every instance.
 """
 
 from dataclasses import dataclass
@@ -123,6 +123,55 @@ def maximal_cliques_simple(neighbors):
 
     grow(frozenset(), set(vertices))
     return sorted(found)
+
+
+def maximal_cliques_unmemoised(neighbors):
+    """Every maximal clique as an int mask, in the order of the sorted id
+    tuples: the pivoted Bron-Kerbosch of tilting._maximal_cliques as it
+    was before it memoised its small sub-searches, one call per node."""
+    m = len(neighbors)
+    found = []
+
+    def expand(clique, candidates, excluded):
+        most = candidates.bit_count() - 1
+        best = -1
+        rest = candidates | excluded
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            cover = (candidates & neighbors[u]).bit_count()
+            if cover > best:
+                if cover >= most:
+                    if cover > most:
+                        return
+                    pivot = u
+                    break
+                pivot, best = u, cover
+            rest ^= low
+        branch = candidates & ~neighbors[pivot]
+        while branch:
+            low = branch & -branch
+            near = neighbors[low.bit_length() - 1]
+            below = candidates & near
+            if below & (below - 1):
+                expand(clique | low, below, excluded & near)
+            elif not below:
+                if not excluded & near:
+                    found.append(clique | low)
+            elif not excluded & near & neighbors[below.bit_length() - 1]:
+                found.append(clique | low | below)
+            candidates ^= low
+            excluded |= low
+            branch ^= low
+
+    if m:
+        expand(0, (1 << m) - 1, 0)
+    else:
+        found.append(0)
+    # no maximal clique holds another, so A's id tuple sorts first iff
+    # the lowest bit of A ^ B is in A: iff A's bits, lowest first, read
+    # as the larger string
+    return sorted(found, key=lambda mask: format(mask, f"0{m}b")[::-1], reverse=True)
 
 
 def exchange_swaps(neighbors, family):

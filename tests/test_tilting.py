@@ -42,6 +42,7 @@ from oracles import (
     exchange_swaps,
     intertwines_oracle,
     maximal_cliques_simple,
+    maximal_cliques_unmemoised,
     tilting_masks_oracle,
     validate_tilting_oracle,
 )
@@ -131,11 +132,11 @@ def test_maximal_cliques_match_unpivoted_search(n, d):
 
 
 @st.composite
-def graphs(draw):
-    """Neighbourhood masks of a graph on 0 to 16 vertices, each pair an
-    edge with a drawn chance from 0 to 1 in eighths: empty graphs,
-    complete ones and everything between."""
-    m = draw(st.integers(0, 16), label="vertices")
+def graphs(draw, fewest=0, most=16):
+    """Neighbourhood masks of a graph on fewest to most vertices, each
+    pair an edge with a drawn chance from 0 to 1 in eighths: empty
+    graphs, complete ones and everything between."""
+    m = draw(st.integers(fewest, most), label="vertices")
     keep = draw(st.integers(0, 8), label="edge chance in eighths")
     pairs = [(i, j) for j in range(m) for i in range(j)]
     rolls = draw(st.lists(st.integers(0, 7), min_size=len(pairs), max_size=len(pairs)))
@@ -156,6 +157,23 @@ def test_maximal_cliques_match_unpivoted_search_on_random_graphs(neighbors):
     got = [tuple(bit_ids(clique)) for clique in _maximal_cliques(neighbors)]
     assert set(got) == set(expected)
     assert got == expected  # each clique once, in the order of the id tuples
+
+
+@given(graphs(13, 28))
+@settings(max_examples=150, deadline=None)
+def test_memoised_search_matches_the_unmemoised_one_on_large_random_graphs(neighbors):
+    # past the 12 candidates up to which a sub-search is memoised, so
+    # the calls above the memo run too, and the memo is met from many
+    # cliques
+    assert _maximal_cliques(neighbors) == maximal_cliques_unmemoised(neighbors)
+
+
+# the census cases; never (4, 4), where a script that ran maximal_families
+# was killed for lack of memory
+@pytest.mark.parametrize("n,d", [(5, 2), (4, 3), (3, 5), (6, 2)])
+def test_memoised_search_matches_the_unmemoised_one(n, d):
+    neighbors = calculator_for(ModelParams(n, d)).neighbors
+    assert _maximal_cliques(neighbors) == maximal_cliques_unmemoised(neighbors)
 
 
 @pytest.mark.parametrize(
@@ -492,7 +510,7 @@ def test_bron_kerbosch_tilting_objects_are_packed(fresh_tilting_caches, monkeypa
     # at (6, 2) the 96,426 tilting objects of the census come from
     # Bron-Kerbosch and keep 10 B each, the bytes of a mask of 77 bits; as
     # a tuple of TiltingObjects they kept 96 B each.  The search runs
-    # before tracing (traced, it takes 13 s): traced, its cliques are
+    # before tracing (traced, it takes about 3.6 s): traced, its cliques are
     # parsed afresh from text, so the cache cannot hold objects allocated
     # untraced
     params = ModelParams(6, 2)
