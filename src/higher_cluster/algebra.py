@@ -11,30 +11,24 @@ Conventions, fixed once and used everywhere:
 - Modules are the right modules Hom(T, c): the component at t_j is
   Hom(t_j, c), and a basis morphism t_i -> t_j acts by precomposition,
   carrying the t_j-component into the t_i-component.
-- All linear algebra is exact and stays in the integers.  Hom(T, c) and
-  every direct sum of projectives are coordinate representations whose
-  arrows are partial matchings of coordinates, read from the Cartan
-  matrix and the multiplication table.  A syzygy is held as primitive
-  integer kernel vectors inside the projective it sits in, so arrows act
-  on it by that projective's own matchings and no induced action is
-  ever solved.
-- Each algebra reads those two tables once into per-summand ones: the
-  components of each projective (`columns`), the summands whose
-  projective each arrow moves (`moves`) and its inverse, the arrows that
-  move each summand's projective (`moved_by`).  A direct sum is built
-  from them once per multiplicity vector, each summand's copies spliced
-  in at their offset in each component, and shared, read-only, by every
-  cover with that vector (`direct_sums`).
-- Every stage walks only its support, the components of nonzero
-  dimension (`CoordRep.support`): covers, kernels, the closure check
-  and the representation check skip every other component, which holds
-  no vector.  The representation check walks only the
-  arrows into components that hold vectors (`arrows_to`), and takes
-  each arrow's images of the vectors once; the closure check and the
-  next cover read those images.
-- Hom(T, c) is read off the hom tables of c: its dimensions from one hom
-  column of c, and each arrow's matching from one bit of a summand's
-  factor mask at c (`module_of`).  The algebra looks up the case's hom
+- All linear algebra is exact and stays in the integers.  Every module
+  the resolution route meets is Hom(T, c) or a submodule of a direct sum
+  of projectives, and each is held in bit masks.  In a direct sum, copy
+  cp of the projective P_b at t_b has one coordinate (b, cp) at each
+  component k of columns[b], the k with Cartan[k][b] = 1, and that
+  coordinate is bit b + r cp of every mask over the sum.  The arrow
+  (i, j) carries (b, cp) at j to (b, cp) at i exactly when b is in the
+  mask moves[(i, j)], i.e. the composite t_i -> t_j -> t_b is nonzero:
+  on a mask it acts by one AND.  No coordinate matching is built and no
+  induced action is ever solved.
+- Each algebra reads the Cartan matrix and the multiplication table once
+  into per-summand tables: the components of each projective (`columns`
+  and `column_masks`), the mask of the summands whose projective each
+  arrow moves (`moves`), and the masks of each projective read off it
+  (`reaches`).
+- Hom(T, c) is read off the hom tables of c: its support from one hom
+  column of c, and its action from one factor mask of each support
+  component at c (`_hom_acts`).  The algebra looks up the case's hom
   tables once (`calc`).
 
 Every hom space is 0- or 1-dimensional (Oppermann-Thomas), so Hom(T, c)
@@ -42,31 +36,37 @@ is thin: every component has dimension at most one.  A thin module is
 held in r-bit masks: acts[j] holds the i whose arrow (i, j) acts nonzero.
 Its representation check is one AND per arrow (`_check_thin`), and its
 cover is read off the masks with no elimination (`_mask_cover`): so is
-stage 0 of every resolution (`_thin_acts`, `_thin_cover`).  The
-projective at t_j is Hom(T, t_j) itself, so its dimension vector is the
-j-th column of the Cartan matrix, and it is thin too.  So a summand's
-module is not covered and kerneled: it is checked equal to the
-projective at t_j, matching by matching, and resolved by it
-(`_summand_resolution`, whose docstring has the proof).  A stage that is
-one projective P_a, multiplicity one, has a thin syzygy, fixed by its
-support: its kernel, closure check and cover are AND and OR on the masks
-of P_a, read off `moved_by` and checked once per algebra and summand
-(`_reach`, `_chain_syzygy`, `_chain_cover`; `resolve_by_covers` has the
-proof).  Only the other stages are kerneled and covered by elimination
-(`syzygy`, `projective_cover`).
+stage 0 of every resolution (`_thin_cover`).  The projective at t_j is
+Hom(T, t_j) itself, thin too, with dimension vector the j-th column of
+the Cartan matrix.  So a summand's module is not covered and kerneled:
+it is checked equal to the projective at t_j, mask by mask, and resolved
+by it (`_summand_resolution`, whose docstring has the proof).  A stage
+that is one projective P_a, multiplicity one, has a thin syzygy, fixed
+by its support: its kernel, closure check and cover are AND and OR on
+the masks of P_a, checked once per algebra and summand (`_reach`,
+`_chain_syzygy`, `_chain_cover`).  Every other stage holds each kernel
+vector as signed bit planes over its coordinates (`_planes`): one pair
+of masks, plus and minus, while every entry is in {-1, 0, 1}, and one
+more pair per further binary digit of an entry.  Its kernels at
+components of two or more coordinates are exact eliminations
+(`linalg.kernel`); its representation check rests on the checks of its
+projectives, and its closure check and cover are AND and signed
+popcounts on the planes (`_syzygy`, `_cover`).  `resolve_by_covers`
+has the proofs.  The coordinate representation this replaced, with a
+matching per arrow and an elimination at every stage, is the slow path
+of tests/oracles.py that the tests compare this one with.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import chain
-from operator import add, mul, sub
-from types import MappingProxyType
+from functools import cached_property, reduce
+from itertools import chain, compress
+from operator import add, or_, sub
 
 from .errors import ContractError, InvariantError
 from .hom import calculator_for
 from .linalg import eliminate, kernel
-from .model import IndObj, ModelParams
+from .model import IndObj, ModelParams, bit_ids
 from .record import Record
 from .tilting import TiltingObject, require_case
 
@@ -98,13 +98,13 @@ class AlgebraPresentation(Record):
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "cartan", cartan)
 
-    @property
-    def r(self) -> int:
-        return len(self.summands)
-
     # The views and tables below are computed once per algebra and then
     # read from the instance like fields; modules consult them on every
     # cover and kernel step.
+
+    @cached_property
+    def r(self) -> int:
+        return len(self.summands)
 
     @cached_property
     def calc(self):
@@ -148,29 +148,44 @@ class AlgebraPresentation(Record):
     @cached_property
     def columns(self):
         """columns[a]: the components of the projective at t_a, the k with
-        Cartan[k][a] = 1."""
-        return tuple(
-            tuple(k for k in range(self.r) if self.cartan[k][a]) for a in range(self.r)
-        )
+        Cartan[k][a] = 1, read off the basis pairs (k, a)."""
+        return tuple(tuple(p[0] for p in into) for into in _by_end(self.basis, self.r, 1))
+
+    @cached_property
+    def column_masks(self):
+        """column_masks[a]: columns[a] as a mask."""
+        masks = [0] * self.r
+        for k, a in self.basis:
+            masks[a] |= 1 << k
+        return tuple(masks)
+
+    @cached_property
+    def id_mask(self):
+        """The mask of the summands' object ids."""
+        return sum(1 << t for t in self.ids)
 
     @cached_property
     def moves(self):
-        """moves[(i, j)]: the summands a whose projective the arrow (i, j)
-        moves, i.e. with mult[((i, j), (j, a))] = 1."""
-        basis_from = _by_end(self.basis, self.r, 0)
-        return {
-            p: frozenset(q[1] for q in basis_from[p[1]] if self.mult[(p, q)])
-            for p in self.arrows
-        }
+        """moves[(i, j)]: the mask of the summands a whose projective the
+        arrow (i, j) moves, i.e. with mult[((i, j), (j, a))] = 1."""
+        moves = dict.fromkeys(self.arrows, 0)
+        for ((i, j), (_, a)), c in self.mult.items():
+            if c and i != j:
+                moves[(i, j)] |= 1 << a
+        return moves
 
     @cached_property
-    def moved_by(self):
-        """moved_by[a]: the arrows p with a in moves[p], in basis order."""
-        moved_by = [[] for _ in range(self.r)]
-        for p in self.arrows:
-            for a in self.moves[p]:
-                moved_by[a].append(p)
-        return tuple(map(tuple, moved_by))
+    def reaches(self):
+        """reaches[a][j]: the mask of the components i to which the arrow
+        (i, j) carries the coordinate at j of the projective at t_a, the i
+        with a in moves[(i, j)]; unchecked (see _reach)."""
+        out = [[0] * self.r for _ in range(self.r)]
+        for (i, j), moved in self.moves.items():
+            while moved:
+                low = moved & -moved
+                moved ^= low
+                out[low.bit_length() - 1][j] |= 1 << i
+        return tuple(map(tuple, out))
 
     @cached_property
     def composing(self):
@@ -178,16 +193,16 @@ class AlgebraPresentation(Record):
         an arrow (i, l) whose product with q is nonzero, mult[((i, l), q)]
         = 1."""
         masks = dict.fromkeys(self.arrows, 0)
-        for p, q in self.composable:
-            if self.mult[(p, q)]:
-                masks[q] |= 1 << p[0]
+        for ((i, l), q), c in self.mult.items():
+            if c and i != l and q[0] != q[1]:
+                masks[q] |= 1 << i
         return masks
 
     @cached_property
     def unit_terms(self):
         """unit_terms[a]: the multiplicities and layouts of the projective
-        at t_a alone, as projective_module gives them: one coordinate
-        (a, 0) at each component of columns[a]."""
+        at t_a alone, as _layouts gives them: one coordinate (a, 0) at
+        each component of columns[a]."""
         r, terms = self.r, []
         for a, column in enumerate(self.columns):
             layouts = [()] * r
@@ -195,12 +210,6 @@ class AlgebraPresentation(Record):
                 layouts[k] = ((a, 0),)
             terms.append(((0,) * a + (1,) + (0,) * (r - a - 1), tuple(layouts)))
         return tuple(terms)
-
-    @cached_property
-    def direct_sums(self):
-        """projective_module's memo: multiplicity vector -> (dims, arrows,
-        layouts, support) of that direct sum."""
-        return {}
 
     @cached_property
     def reach(self):
@@ -284,298 +293,41 @@ def _assert_associative(algebra: AlgebraPresentation):
                         )
 
 
-class CoordRep(Record):
-    """A right module on coordinates, every arrow acting by a partial matching.
+def _hom_acts(k: int, algebra: AlgebraPresentation):
+    """The thin module Hom(T, c) of the object c with id k, in masks.
 
-    Component k has dims[k] coordinates.  arrows[(i, j)] lists the pairs
-    (y, x) along which the arrow (i, j) carries coordinate y of component
-    j to coordinate x of component i with coefficient 1; it sends every
-    other coordinate to zero.  An arrow into or out of an empty component
-    may be left out of arrows: it is the empty matching.  Hom(T, c) and
-    every direct sum of projectives have this form.  A submodule is held as
-    integer vectors per component, and arrows act on those by the
-    matchings.  arrows is a read-only mapping: the matchings of a direct
-    sum of projectives are shared by every cover of its algebra with its
-    multiplicities.  support lists the nonzero components in order; it is
-    read off dims, or handed in with a memoised direct sum, and it is not
-    a field.  Frozen, and compared by identity.
+    Returns (held, acts): held is the mask of its support, the i with
+    Hom(t_i, c) = K (bit ids[i] of the hom column of c), and acts[j],
+    for j in the support, the mask of the i in the support whose arrow
+    (i, j) acts nonzero: exactly when t_i -> c factors through t_j, i.e.
+    bit ids[j] of the factor mask of t_i at c, j != i.  Such a bit is a
+    nonzero t_i -> t_j (an arrow) followed by a nonzero t_j -> c (j in
+    the support), which is what composes guards, so its structure
+    constant is that bit and no query is made.  Unchecked: the caller
+    checks it.
     """
-
-    _fields = ("algebra", "dims", "arrows")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        algebra: AlgebraPresentation,
-        dims: tuple[int, ...],
-        arrows: MappingProxyType,
-        support: tuple[int, ...] | None = None,
-    ):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "arrows", arrows)
-        if support is None:
-            support = tuple(k for k, n in enumerate(dims) if n)
-        object.__setattr__(self, "support", support)
-
-    def check_representation(self, vectors):
-        """Composites of arrows must act as the multiplication table says,
-        zero composites included, on every vector of vectors[k].
-
-        Only the support is walked: a component of dimension zero holds
-        no vector.  Every arrow that acts on a given vector is first
-        checked to be a partial matching of the coordinates of its two
-        components, and its images of those vectors are taken once.
-        Only the composable pairs whose outer components i and k both
-        hold vectors are then walked, grouped by that outer pair.  The
-        others are skipped: on the whole module the composite and what
-        it must equal (zero, the identity on component i, or the action
-        of (i, k)) are one and the same empty map, and on a submodule
-        closure under the arrows, checked apart, makes both zero.  Returns
-        the images: images[p] lists the arrow p applied to each vector of
-        vectors[p[1]], for every arrow p with a nonempty matching.
-        """
-        alg, dims, arrows = self.algebra, self.dims, self.arrows
-        populated = [k for k in self.support if vectors[k]]
-        images = {}
-        for j in populated:
-            for p in alg.arrows_to[j]:
-                i = p[0]
-                # a left-out arrow into an empty component is the empty matching
-                pairs = arrows.get(p, None if dims[i] else ())
-                if pairs is None or pairs and not _is_matching(pairs, dims[j], dims[i]):
-                    raise InvariantError(
-                        f"arrow {p} does not match {dims[j]} coordinates into {dims[i]}"
-                    )
-                if pairs:
-                    images[p] = out = []
-                    for vec in vectors[j]:
-                        w = [0] * dims[i]
-                        for y, x in pairs:
-                            w[x] = vec[y]
-                        out.append(w)
-        by_ends, mult = alg.composable_by_ends, alg.mult
-        for i in populated:
-            ends = by_ends.get(i, {})
-            for k in populated:
-                for p, q in ends.get(k, ()):
-                    coeff = mult[(p, q)]
-                    moved = images.get(q)  # q applied to vectors[k]
-                    through = arrows.get(p, ()) if moved else ()
-                    if not (coeff or through):
-                        continue  # zero, as it must be, on every vector
-                    direct = images.get((i, k)) if coeff and i != k else None
-                    for t, vec in enumerate(vectors[k]):
-                        got = [0] * dims[i]
-                        for y, x in through:
-                            got[x] = moved[t][y]
-                        if coeff == 0:
-                            ok = not any(got)
-                        elif i == k:
-                            ok = got == list(vec)
-                        else:
-                            ok = got == (direct[t] if direct else [0] * dims[i])
-                        if not ok:
-                            raise InvariantError(
-                                f"representation property fails composing {p} then {q}"
-                            )
-        return images
+    calc, position = algebra.calc, algebra.summand_of
+    column = rest = calc.hom_columns[k] & algebra.id_mask
+    held, acts, factor_rows = 0, [0] * len(position), calc.factor_rows
+    while rest:  # the set bits walked inline: no generator per row
+        low = rest & -rest
+        rest ^= low
+        t = low.bit_length() - 1
+        bit = 1 << position[t]
+        held |= bit
+        through = factor_rows[t][k] & column & ~low
+        while through:
+            u = through & -through
+            through ^= u
+            acts[position[u.bit_length() - 1]] |= bit
+    return held, acts
 
 
-def _is_matching(pairs, sources, targets) -> bool:
-    """Whether the pairs (y, x) match coordinates y < sources one to one
-    with coordinates x < targets."""
-    # nearly every matching has no pair or one, and those have nothing
-    # to collide
-    if not pairs:
-        return True
-    if len(pairs) == 1:
-        ((y, x),) = pairs
-        return 0 <= y < sources and 0 <= x < targets
-    ys = {y for y, _ in pairs}
-    xs = {x for _, x in pairs}
-    return (
-        len(ys) == len(xs) == len(pairs)
-        and all(0 <= y < sources for y in ys)
-        and all(0 <= x < targets for x in xs)
-    )
-
-
-def module_of(k: int, algebra: AlgebraPresentation) -> CoordRep:
-    """The right module Hom(T, c) of the object c with id k.
-
-    It is zero exactly when c is a translate of a summand of T.  Its
-    dimensions are the bits of the hom column of c at the summands' ids,
-    and the arrow (i, j) between two nonzero components acts by the
-    matching ((0, 0),) exactly when t_i -> c factors through t_j: bit
-    ids[j] of the factor mask of t_i at c.
-    """
-    calc = algebra.calc
-    ids = algebra.ids
-    column = calc.hom_columns[k]
-    dims = tuple([column >> t & 1 for t in ids])
-    support = tuple([i for i, n in enumerate(dims) if n])
-    arrows_from = algebra.arrows_from
-    # only arrows between support components: the others are left out.
-    # Each one read is a nonzero t_i -> t_j (an arrow) followed by a
-    # nonzero t_j -> c (j in the support), which is what composes
-    # guards, so its structure constant is that bit and no query is made
-    arrows = {}
-    for i in support:
-        through = calc.factor_rows[ids[i]][k]
-        for p in arrows_from[i]:
-            j = p[1]
-            if dims[j]:
-                arrows[p] = ((0, 0),) if through >> ids[j] & 1 else ()
-    return CoordRep(algebra, dims, MappingProxyType(arrows), support)
-
-
-def projective_module(multiplicities, algebra):
-    """Direct sum of projectives with the given multiplicities.
-
-    Returns (module, layouts) where layouts[k] lists the coordinates of
-    component k as (summand a, copy) pairs: copy cp of the projective at
-    t_a contributes one coordinate to each component in algebra.columns[a],
-    the k with Cartan[k][a] = 1.  The arrow (i, j) carries (a, cp) at j to
-    (a, cp) at i exactly when a is in algebra.moves[(i, j)], i.e. the
-    composite t_i -> t_j -> t_a is nonzero.  Then t_i -> t_a is nonzero
-    too, so (a, cp) is a coordinate at i: an arrow into an empty
-    component i has the empty matching and is left out.
-
-    Built once per multiplicity vector and kept in algebra.direct_sums,
-    so every cover of the algebra with that vector shares its read-only
-    matchings, its layouts and its support, dropped with the algebra.
-    The memo holds no module: a module refers to its algebra, and that
-    cycle would keep a dropped algebra alive until the cyclic garbage
-    collector ran.
-    """
-    key = tuple(multiplicities)
-    memo = algebra.direct_sums
-    if key not in memo:
-        memo[key] = _direct_sum(key, algebra)
-    dims, arrows, layouts, support = memo[key]
-    return CoordRep(algebra, dims, arrows, support), layouts
-
-
-def _direct_sum(multiplicities, algebra):
-    """dims, read-only matchings, layouts and support of projective_module.
-
-    The copies of each summand a with a nonzero multiplicity are appended
-    to every component k of algebra.columns[a], and starts[a][k] records
-    where they begin.  Every arrow from a nonzero component starts with
-    the empty matching; then, summand by summand in order, each arrow
-    (i, j) in algebra.moved_by[a] gains the pairs that carry copy cp of a
-    from starts[a][j] + cp to starts[a][i] + cp.
-    """
-    summed = [a for a, m in enumerate(multiplicities) if m]
-    grown, starts = {}, {}
-    for a in summed:
-        copies = [(a, cp) for cp in range(multiplicities[a])]
-        starts[a] = here = {}
-        for k in algebra.columns[a]:
-            lay = grown.setdefault(k, [])
-            here[k] = len(lay)
-            lay += copies
-    support = tuple(sorted(grown))
-    layouts = [()] * algebra.r
-    for k in support:
-        layouts[k] = tuple(grown[k])
-    arrows = dict.fromkeys(chain.from_iterable(map(algebra.arrows_from.__getitem__, support)), ())
-    for a in summed:
-        m, here = multiplicities[a], starts[a]
-        for p in algebra.moved_by[a]:
-            y, x = here[p[1]], here[p[0]]
-            arrows[p] += ((y, x),) if m == 1 else tuple(zip(range(y, y + m), range(x, x + m)))
-    # a representation by associativity of mult, asserted by build_algebra
-    return tuple(map(len, layouts)), MappingProxyType(arrows), tuple(layouts), support
-
-
-def projective_cover(module: CoordRep, vectors, images):
-    """Projective cover of the submodule spanned by vectors[k] at each k.
-
-    The radical at component i is the span of the images of the arrows
-    from i.  One elimination of [those images | vectors[i], last first]
-    keeps the vectors outside the radical plus the span of the later
-    ones: they lift a basis of the top, at the positions of the non-pivot
-    columns of the radical in vector coordinates.  At a component of
-    dimension one a nonzero image spans it all, and no vector is lifted
-    there, as the elimination would find.  Each lift at component a
-    generates one copy of the projective at t_a, and the cover sends the
-    coordinate (a, cp) of component k to the arrow (k, a) applied to
-    lift cp, in the coordinates of the module.
-
-    images are module.check_representation(vectors).  Each stage walks
-    only its support: the lifts are read at the components of the module
-    that hold vectors, and the cover is built at the components of the
-    projective.  Elsewhere it is the zero map, with no columns and one
-    empty row per coordinate of the module.
-
-    Returns (multiplicities, layouts, projective, matrices) with
-    matrices[k] the cover at component k as int rows, module.dims[k] by
-    projective.dims[k].
-    """
-    alg, dims = module.algebra, module.dims
-    # lifts[i]: the positions in vectors[i] of the lifts at component i
-    lifts = [()] * alg.r
-    for i in module.support:
-        own = vectors[i]
-        if not own:
-            continue
-        lifts[i] = range(len(own))
-        radical = [w for p in alg.arrows_from[i] for w in images.get(p, ()) if any(w)]
-        if radical and dims[i] == 1:
-            lifts[i] = ()  # the radical spans the one coordinate
-        elif radical:
-            cols = radical + list(own[::-1])
-            _, pivots, _, _ = eliminate(zip(*cols), len(cols))
-            lifts[i] = [len(cols) - 1 - c for c in reversed(pivots) if c >= len(radical)]
-    multiplicities = tuple(map(len, lifts))
-    projective, layouts = projective_module(multiplicities, alg)
-    matrices = [()] * alg.r
-    for k in module.support:
-        matrices[k] = ((),) * dims[k]
-    for k in projective.support:
-        cols = []
-        for a, cp in layouts[k]:
-            moved = vectors[a] if k == a else images.get((k, a))
-            cols.append(moved[lifts[a][cp]] if moved else [0] * dims[k])
-        matrices[k] = tuple(zip(*cols))
-    return multiplicities, layouts, projective, tuple(matrices)
-
-
-def _thin_acts(module: CoordRep):
-    """check_representation on the units of a thin module, in masks;
-    InvariantError if the module is not thin.
-
-    With every dimension at most one, the only matchings of an arrow
-    (i, j) into a component j of the support are () and, when i is in
-    the support too, ((0, 0),); anything else is refused as
-    check_representation refuses it.  Returns acts: acts[j], for j in
-    the support, is the mask of the i whose arrow (i, j) acts nonzero,
-    checked by _check_thin.
-    """
-    alg, dims, arrows = module.algebra, module.dims, module.arrows
-    if max(dims) > 1:
-        raise InvariantError(f"module with dims {dims} is not thin")
-    acts = [0] * alg.r
-    for j in module.support:
-        for p in alg.arrows_to[j]:
-            i = p[0]
-            # a left-out arrow into an empty component is the empty matching
-            pairs = arrows.get(p, None if dims[i] else ())
-            if pairs == ((0, 0),) and dims[i]:
-                acts[j] |= 1 << i
-            elif pairs != ():
-                raise InvariantError(f"arrow {p} does not match 1 coordinates into {dims[i]}")
-    _check_thin(alg, module.support, acts)
-    return acts
-
-
-def _check_thin(algebra: AlgebraPresentation, support, acts):
+def _check_thin(algebra: AlgebraPresentation, held: int, acts):
     """The representation property of a thin module on its units, in
-    masks: acts[j] is the mask of the i whose arrow (i, j) acts nonzero,
-    for j in the support, and lies in the support.
+    masks: held is the mask of its support, and acts[j], for j in the
+    support, is the mask of the i whose arrow (i, j) acts nonzero, and
+    lies in the support.
 
     The composite of q = (l, k), then p = (i, l), carries the unit at k
     to the unit at i when l is in acts[k] and i in acts[l], and to zero
@@ -583,13 +335,11 @@ def _check_thin(algebra: AlgebraPresentation, support, acts):
     (the identity for i = k), is nonzero when i is in composing[q] and
     in acts[k] or equal to k.  So, over the i of the support, the two
     masks acts[l] (or 0) and composing[q] & (acts[k] | k) must agree, for
-    every arrow q into every k of the support: the composites that
-    check_representation walks on the units, one AND per arrow.
+    every arrow q into every k of the support: every composite on the
+    units, one AND per arrow.
     """
     composing, arrows_to = algebra.composing, algebra.arrows_to
-    held = 0
-    for k in support:
-        held |= 1 << k
+    support = list(bit_ids(held))
     for k in support:
         outside = acts[k] & ~held
         if outside:
@@ -606,66 +356,80 @@ def _check_thin(algebra: AlgebraPresentation, support, acts):
                 raise InvariantError(f"representation property fails composing {(i, l)} then {q}")
 
 
+def _layouts(multiplicities, algebra: AlgebraPresentation):
+    """layouts[k] of the direct sum of projectives with the given
+    multiplicities: the coordinates (b, cp) at component k, b ascending
+    with k in columns[b], then cp below the multiplicity of b."""
+    grown, columns = {}, algebra.columns
+    for b, m in enumerate(multiplicities):
+        if m:
+            coords = tuple([(b, cp) for cp in range(m)])
+            for k in columns[b]:
+                grown[k] = grown[k] + coords if k in grown else coords
+    layouts = [()] * algebra.r
+    for k, coords in grown.items():
+        layouts[k] = coords
+    return tuple(layouts)
+
+
 def _mask_cover(top: int, acts, components, algebra: AlgebraPresentation):
     """The cover of a thin module with the given components, lifted by
     the unit at each component of the mask top, one copy each, with no
     elimination.  The cover at a component k is one row: 1 at the
     coordinate (b, 0) when k = b or the arrow (k, b) acts nonzero, k in
-    acts[b].  The layouts of one projective alone are unit_terms, the
-    others projective_module's.  Returns (multiplicities, layouts,
-    matrices).
+    acts[b].  The layouts of one projective alone are unit_terms.
+    Returns (multiplicities, layouts, matrices).
     """
-    if top and not top & (top - 1):
-        multiplicities, layouts = algebra.unit_terms[top.bit_length() - 1]
-    else:
-        multiplicities = tuple([top >> b & 1 for b in range(algebra.r)])
-        layouts = projective_module(multiplicities, algebra)[1]
     matrices = [()] * algebra.r
+    if top and not top & (top - 1):
+        b = top.bit_length() - 1
+        multiplicities, layouts = algebra.unit_terms[b]
+        # one coordinate (b, 0) at the components of columns[b]: the rows
+        # are shared constants
+        ones, column = acts[b] | top, algebra.column_masks[b]
+        for k in components:
+            matrices[k] = ((((1,),) if ones >> k & 1 else ((0,),)) if column >> k & 1 else ((),))
+        return multiplicities, layouts, tuple(matrices)
+    multiplicities = tuple([top >> b & 1 for b in range(algebra.r)])
+    layouts = _layouts(multiplicities, algebra)
     for k in components:
         matrices[k] = (tuple([int(k == b or acts[b] >> k & 1) for b, _ in layouts[k]]),)
     return multiplicities, layouts, tuple(matrices)
 
 
-def _thin_cover(module: CoordRep, acts):
-    """projective_cover on all of a thin module, read off its masks with
-    no elimination (_mask_cover).
+def _thin_cover(held: int, acts, algebra: AlgebraPresentation):
+    """The cover of a thin module, checked by _check_thin, read off its
+    masks with no elimination (_mask_cover).
 
-    acts are _thin_acts(module).  The arrows (i, j) that act nonzero, j in
-    the support, have their sources in the OR of acts[j]: the radical,
-    where the elimination keeps no vector.  The top is the support less
-    the radical, each top component lifted by its unit.
+    The arrows (i, j) that act nonzero, j in the support, have their
+    sources in the OR of acts[j]: the radical, which spans every
+    component it meets, each of dimension one.  The top is the support
+    less the radical, each top component lifted by its unit.
     """
-    held = radical = 0
-    for j in module.support:
-        held |= 1 << j
+    radical = 0
+    support = tuple(bit_ids(held))
+    for j in support:
         radical |= acts[j]
-    return _mask_cover(held & ~radical, acts, module.support, module.algebra)
+    return _mask_cover(held & ~radical, acts, support, algebra)
 
 
 def _reach(a: int, algebra: AlgebraPresentation):
-    """reach[j]: the mask of the components i to which the arrow (i, j)
-    carries the coordinate at j of the projective at t_a, i.e. with a in
-    moves[(i, j)].
-
-    Read off moved_by[a], the pairs projective_module matches in that
-    projective, and checked there to be a representation on its units
-    (_check_thin), once per algebra and summand a; memoised in
-    algebra.reach.  Every i in reach[j] is a component of the
-    projective: mult[((i, j), (j, a))] = 1 puts (i, a) in the basis
+    """reaches[a], once checked to be a representation on the units of
+    the projective at t_a (_check_thin), once per algebra and summand a;
+    memoised in algebra.reach.  Every i in reach[j] is a component of
+    the projective: mult[((i, j), (j, a))] = 1 puts (i, a) in the basis
     (_assert_closed).
     """
     memo = algebra.reach
     if a not in memo:
-        reach = [0] * algebra.r
-        for i, j in algebra.moved_by[a]:
-            reach[j] |= 1 << i
-        _check_thin(algebra, algebra.columns[a], reach)
-        memo[a] = tuple(reach)
+        reach = algebra.reaches[a]
+        _check_thin(algebra, algebra.column_masks[a], reach)
+        memo[a] = reach
     return memo[a]
 
 
 def _chain_syzygy(a: int, matrices, algebra: AlgebraPresentation):
-    """syzygy of a cover map from the projective at t_a alone, as the
+    """The syzygy of a cover map from the projective at t_a alone, as the
     support mask of its kernel, with no elimination.
 
     Each component k of that projective has one coordinate, so the cover
@@ -674,7 +438,7 @@ def _chain_syzygy(a: int, matrices, algebra: AlgebraPresentation):
     kept.  It is closed under the action when every arrow (i, j) with j
     in kept that acts nonzero lands in kept: the reach of kept, the OR
     of reach[j] over j in kept, lies in kept; else InvariantError, as
-    syzygy raises.  Returns (kept, hit), hit that reach, which the next
+    _syzygy raises.  Returns (kept, hit), hit that reach, which the next
     cover reads.
     """
     reach = _reach(a, algebra)
@@ -689,41 +453,217 @@ def _chain_syzygy(a: int, matrices, algebra: AlgebraPresentation):
 
 
 def _chain_cover(a: int, kept: int, hit: int, algebra: AlgebraPresentation):
-    """projective_cover of the syzygy of _chain_syzygy, read off its masks
-    with no elimination, as _thin_cover reads a thin module: the arrows
-    that act nonzero on the syzygy are those from a component in hit, so
-    the top is kept less hit; the acts are reach, on the components of
-    the projective at t_a.
+    """The cover of the syzygy of _chain_syzygy, read off its masks with
+    no elimination, as _thin_cover reads a thin module: the arrows that
+    act nonzero on the syzygy are those from a component in hit, so the
+    top is kept less hit; the acts are reach, on the components of the
+    projective at t_a.
     """
     return _mask_cover(kept & ~hit, algebra.reach[a], algebra.columns[a], algebra)
 
 
-def syzygy(projective: CoordRep, matrices):
-    """Kernel of a cover map, as primitive integer vectors in its projective.
+def _spread(copies: int, r: int) -> int:
+    """The multiplier that copies an r-bit mask over summands into every
+    copy plane below copies: bit b goes to bits b + r cp."""
+    return ((1 << r * copies) - 1) // ((1 << r) - 1)
 
-    Arrows act on the kernel by the projective's own matchings, so no
-    induced action is solved; closure under every arrow and the
-    representation property are checked on every kernel vector.
 
-    Each stage walks only its support: a kernel is taken at each nonzero
-    component of the projective, and every other component holds no
-    vector.  Closure is checked along every arrow into a component that
-    holds vectors, wherever it lands; the arrows the projective leaves
-    out land in components of dimension zero.  Returns (vectors, images),
-    the images of check_representation, which the next cover reads.
+def _planes(vec, bits):
+    """The signed bit planes of an integer vector whose coordinate x is
+    the bit bits[x]: planes 2l and 2l + 1 hold the coordinates whose
+    entry is positive, or negative, with bit l of its absolute value
+    set.  One pair while every entry is in {-1, 0, 1}."""
+    plus = minus = 0
+    deep = None
+    for v, bit in zip(vec, bits):
+        if v == 1:
+            plus |= bit
+        elif v == -1:
+            minus |= bit
+        elif v:
+            deep = deep or [0, 0]
+            side, v = (1, -v) if v < 0 else (0, v)
+            level = 0
+            while v:
+                if v & 1:
+                    if level >= len(deep):
+                        deep += (0, 0)
+                    deep[level + side] |= bit
+                v >>= 1
+                level += 2
+    if deep is None:
+        return plus, minus
+    deep[0] |= plus
+    deep[1] |= minus
+    return tuple(deep)
+
+
+def _dense(planes, bits, mask=-1):
+    """The integer vector of the planes ANDed with mask, at the
+    coordinates bits, as a list."""
+    if len(planes) == 2:
+        plus, minus = planes[0] & mask, planes[1] & mask
+        if not (plus or minus):
+            return [0] * len(bits)
+        return [(plus & bit != 0) - (minus & bit != 0) for bit in bits]
+    return [
+        sum(((planes[l] & mask & bit != 0) - (planes[l + 1] & mask & bit != 0)) << l // 2
+            for l in range(0, len(planes), 2))
+        for bit in bits
+    ]
+
+
+def _dot(row, vec) -> int:
+    """The sum over coordinates of the products of two vectors' entries,
+    both as planes: a signed popcount per pair of plane pairs."""
+    if len(row) == len(vec) == 2:
+        (rp, rm), (vp, vm) = row, vec
+        return ((rp & vp) | (rm & vm)).bit_count() - ((rp & vm) | (rm & vp)).bit_count()
+    total = 0
+    for l in range(0, len(row), 2):
+        rp, rm = row[l], row[l + 1]
+        for m in range(0, len(vec), 2):
+            vp, vm = vec[m], vec[m + 1]
+            agree = ((rp & vp) | (rm & vm)).bit_count()
+            total += (agree - ((rp & vm) | (rm & vp)).bit_count()) << (l + m) // 2
+    return total
+
+
+def _syzygy(multiplicities, layouts, matrices, algebra: AlgebraPresentation):
+    """The kernel of a cover map from the direct sum P of projectives with
+    the given multiplicities and layouts, as integer vectors in P, each
+    also in planes over its coordinates (_planes).
+
+    At a component of P with one coordinate the kernel is (1,) when the
+    cover's column there is zero and nothing otherwise, with no
+    elimination; at a component with two or more it is linalg.kernel on
+    the cover's rows.  That is the basis the elimination route takes at
+    every component (linalg.kernel on one column gives the same), so
+    the reports agree field by field.  The arrow p = (i, j) acts on a
+    vector at j by one AND per plane with moves[p], spread over the copy
+    planes, so it carries some vector at j to a nonzero image exactly
+    when some b with a nonzero entry at j is in moves[p]: the arrows
+    that do are those from the OR of reach[b][j] over those b, with no
+    walk over the others.  Where the cover has rows at the source i of
+    one, each image must lie in the kernel there, a signed popcount per
+    row; else InvariantError.  Each P_b whose masks are read so is
+    checked on its units, once per algebra (_reach).
+
+    Returns (vectors, planes, bits, hit): dicts by component of the
+    kernel vectors and their planes where there are any, and of the
+    coordinate bits of P in layout order wherever P has a coordinate;
+    and the mask of the components to which some arrow carries a
+    nonzero image, which the next cover reads.
     """
-    vectors = [()] * len(projective.dims)
-    for k in projective.support:
-        vectors[k] = kernel(matrices[k], projective.dims[k])
-    vectors = tuple(vectors)
-    images = projective.check_representation(vectors)
-    for p, moved in images.items():
-        for row in matrices[p[0]]:
-            for w in moved:
-                # the image lies in the kernel at component p[0]
-                if sum(map(mul, row, w)):
-                    raise InvariantError("kernel of a cover map is not closed under the action")
-    return vectors, images
+    r, moves, reach = algebra.r, algebra.moves, algebra.reach
+    copies = max(multiplicities)
+    spread = _spread(copies, r) if copies > 1 else 1
+    vectors, planes, bits, targets = {}, {}, {}, {}
+    ruled = hit = 0  # the components where the cover has rows, where images land
+    for k, coords in enumerate(layouts):
+        if not coords:
+            continue
+        rows = matrices[k]
+        if rows:
+            ruled |= 1 << k
+        if len(coords) == 1:
+            b = coords[0][0]
+            bits[k] = (bit,) = (1 << b + r * coords[0][1],)
+            if rows.count((0,)) == len(rows):
+                vectors[k], planes[k] = ((1,),), ((bit, 0),)
+                targets[k] = reached = (reach[b] if b in reach else _reach(b, algebra))[k]
+                hit |= reached
+        else:
+            bits[k] = here = [1 << b + r * cp for b, cp in coords]
+            found = kernel(rows, len(here))
+            if found:
+                vectors[k] = found
+                planes[k] = [_planes(v, here) for v in found]
+                reached, nonzero = 0, [any(entries) for entries in zip(*found)]
+                for (b, _), v in zip(coords, nonzero):
+                    if v:
+                        reached |= (reach[b] if b in reach else _reach(b, algebra))[k]
+                targets[k] = reached
+                hit |= reached
+    checked = {}  # the cover's rows at a component, in planes, once read
+    for j, reached in targets.items():
+        for i in bit_ids(reached & ruled) if reached & ruled else ():
+            if len(vectors.get(i, ())) == len(bits[i]):
+                continue  # the kernel at i is all of P there
+            if i not in checked:
+                checked[i] = [_planes(row, bits[i]) for row in matrices[i]]
+            moved = moves[(i, j)] * spread
+            for vec in planes[j]:
+                image = [plane & moved for plane in vec]
+                for row in checked[i]:
+                    if _dot(row, image):
+                        raise InvariantError(
+                            "kernel of a cover map is not closed under the action"
+                        )
+    return vectors, planes, bits, hit
+
+
+def _cover(multiplicities, syzygy, algebra: AlgebraPresentation):
+    """The projective cover of the syzygy (vectors, planes, bits, hit)
+    that _syzygy took in the direct sum P with the given multiplicities.
+
+    The radical at component i is the span of the images there, the
+    nonzero ones exactly when i is in hit.  The lifts are the kernel
+    vectors at i outside the span of the radical and of the vectors
+    after them, as one elimination of [radical | vectors, last first]
+    keeps them.  With no image every vector is kept, the kernel basis
+    being independent; one vector and an image keep nothing, the image
+    lying in the kernel there, which that one vector spans; only two or
+    more vectors and an image are eliminated, on the images that the
+    arrows from i carry there.  Each lift at component a generates one
+    copy of the projective at t_a, and the cover sends the coordinate
+    (a, cp) of component k to the arrow (k, a) applied to lift cp, in
+    P's coordinates: one AND per plane.  Lifts are taken component by
+    component in order, so each component's coordinates come out in
+    layout order.
+
+    Returns (multiplicities, layouts, matrices) with matrices[k] the
+    cover at component k as int rows, one per coordinate of P there;
+    where the cover has no coordinate it has no columns.
+    """
+    vectors, planes, bits, hit = syzygy
+    r, moves, arrows_to = algebra.r, algebra.moves, algebra.arrows_to
+    copies = max(multiplicities)
+    spread = _spread(copies, r) if copies > 1 else 1
+    counts, layouts, matrices = [0] * r, [()] * r, [()] * r
+    for k, here in bits.items():
+        matrices[k] = ((),) * len(here)
+    cols, coords_at = {}, {}
+    for a, own in vectors.items():
+        if not hit >> a & 1:
+            kept, lifted = own, planes[a]
+        elif len(own) > 1:
+            radical = [
+                _dense(vec, bits[a], moves[p] * spread)
+                for p in algebra.arrows_from[a] if p[1] in planes
+                for vec in planes[p[1]]
+            ]
+            stack = radical + own[::-1]
+            _, pivots, _, _ = eliminate(zip(*stack), len(stack))
+            chosen = [len(stack) - 1 - c for c in reversed(pivots) if c >= len(radical)]
+            if not chosen:
+                continue
+            kept, lifted = [own[x] for x in chosen], [planes[a][x] for x in chosen]
+        else:
+            continue
+        counts[a] = len(kept)
+        coords = [(a, cp) for cp in range(len(kept))]
+        for p in ((a, a),) + arrows_to[a]:
+            k = p[0]
+            if k == a:
+                new = kept
+            else:
+                new = [_dense(vec, bits.get(k, ()), moves[p] * spread) for vec in lifted]
+            coords_at.setdefault(k, []).extend(coords)
+            cols.setdefault(k, []).extend(new)
+    for k, columns in cols.items():
+        layouts[k], matrices[k] = tuple(coords_at[k]), tuple(zip(*columns))
+    return tuple(counts), tuple(layouts), tuple(matrices)
 
 
 class ResolutionReport(Record):
@@ -803,30 +743,39 @@ def minimal_resolution(k: int, algebra: AlgebraPresentation) -> ResolutionReport
     A summand c = t_a has Hom(T, t_a) = P_a, the projective at t_a, and
     its resolution is P_a itself: the module is checked equal to P_a (see
     _summand_resolution), and no cover or kernel is taken.  Every other
-    module is resolved by iterated covers (resolve_by_covers).
+    module is checked (_check_thin) and resolved by iterated covers
+    (resolve_by_covers).
     """
     c = algebra.calc.objects[k]
-    module = module_of(k, algebra)
-    if not any(module.dims):
+    held, acts = _hom_acts(k, algebra)
+    if not held:
         raise ContractError(
             f"Hom(T, {c}) = 0: {c} is a translate of a summand, no resolution"
         )
     a = algebra.summand_of.get(k)
     if a is not None:
-        return _summand_resolution(a, module, c)
-    return resolve_by_covers(module, c)
+        return _summand_resolution(a, held, acts, algebra, c)
+    _check_thin(algebra, held, acts)
+    return resolve_by_covers(held, acts, algebra, c)
 
 
-def _summand_resolution(a: int, module: CoordRep, target: IndObj) -> ResolutionReport:
+def _dims(held: int, r: int) -> tuple[int, ...]:
+    return tuple([held >> i & 1 for i in range(r)])
+
+
+def _summand_resolution(
+    a: int, held: int, acts, algebra: AlgebraPresentation, target: IndObj
+) -> ResolutionReport:
     """The resolution 0 -> P_a -> M -> 0 of the module M of the summand
-    target = t_a, once M is checked equal to P_a.
+    target = t_a, held and acts as _hom_acts reads them, once M is
+    checked equal to P_a.
 
-    M equals P_a when both have the same dims and the same matching on
-    every arrow between nonzero components, P_a read off columns and
-    moves (_same_module); an arrow with an end outside the support acts
-    on no coordinate in either.  Otherwise InvariantError.
-    This equality stands in for the representation check on M, and the
-    report is the one resolve_by_covers builds on M, field by field:
+    M equals P_a when its support is columns[a] and its acts are P_a's
+    masks reaches[a], component by component: both are thin, and an
+    arrow with an end outside the support acts on no coordinate in
+    either.  Otherwise InvariantError.  This equality stands in for the
+    representation check on M, and the report is the one
+    resolve_by_covers builds on M, field by field:
 
     - M is a representation.  Each arrow (i, l) of P_a carries its one
       coordinate at l to its one at i exactly when mult[((i, l), (l, a))]
@@ -838,8 +787,7 @@ def _summand_resolution(a: int, module: CoordRep, target: IndObj) -> ResolutionR
       and mult[((i, k), (k, a))].  These are the two sides of
       associativity on the triple p, q, (k, a), which _assert_associative
       asserted; for i = k the action of (i, i) is the identity, and
-      mult[((i, i), (i, a))] = 1 by _assert_units.  Every matching has at
-      most one pair, between components of dimension one.
+      mult[((i, i), (i, a))] = 1 by _assert_units.
     - Its cover is the identity of P_a, with top at t_a alone.  At a
       component i != a of the support, the arrow (i, a) carries the
       coordinate at a onto the one at i (mult[((i, a), (a, a))] = 1 by
@@ -853,8 +801,7 @@ def _summand_resolution(a: int, module: CoordRep, target: IndObj) -> ResolutionR
     - Its kernel is zero, so the tail is zero and the report has one
       stage.
     """
-    algebra = module.algebra
-    if not _same_module(module, a):
+    if held != algebra.column_masks[a] or tuple(acts) != algebra.reaches[a]:
         raise InvariantError(
             f"Hom(T, {target}) is not the projective at its summand {a}"
         )
@@ -864,7 +811,7 @@ def _summand_resolution(a: int, module: CoordRep, target: IndObj) -> ResolutionR
     return ResolutionReport(
         algebra,
         target,
-        module.dims,
+        _dims(held, algebra.r),
         ((0,) * a + (1,) + (0,) * (algebra.r - a - 1),),
         (tuple(matrices),),
         (tuple(layouts),),
@@ -872,23 +819,11 @@ def _summand_resolution(a: int, module: CoordRep, target: IndObj) -> ResolutionR
     )
 
 
-def _same_module(module: CoordRep, a: int) -> bool:
-    """Whether the module is P_a as projective_module builds it: dims the
-    Cartan column of a, and ((0, 0),) on an arrow p between nonzero
-    components exactly when a is in moves[p], else (), never left out."""
-    algebra = module.algebra
-    dims, own, moves = module.dims, module.arrows, algebra.moves
-    if module.support != algebra.columns[a] or max(dims) > 1:
-        return False
-    for i in algebra.columns[a]:
-        for p in algebra.arrows_from[i]:
-            if dims[p[1]] and own.get(p) != (((0, 0),) if a in moves[p] else ()):
-                return False
-    return True
-
-
-def resolve_by_covers(module: CoordRep, target: IndObj) -> ResolutionReport:
-    """Minimal bounded presentation of the module, by iterated covers.
+def resolve_by_covers(
+    held: int, acts, algebra: AlgebraPresentation, target: IndObj
+) -> ResolutionReport:
+    """Minimal bounded presentation of the thin module with support held
+    and action acts, checked by _check_thin, by iterated covers.
 
     The iteration runs until the kernel vanishes or d + 1 projective
     terms are built, whichever comes first; a kernel surviving past
@@ -897,36 +832,45 @@ def resolve_by_covers(module: CoordRep, target: IndObj) -> ResolutionReport:
     and some endomorphism algebras (oriented cycles among summands)
     admit no finite resolution at all.  Each syzygy stays inside the
     projective it sits in, so every connecting map comes out in that
-    projective's coordinates.  The module Hom(T, c) is thin: it is
-    checked and covered in masks (_thin_acts, _thin_cover).
+    projective's coordinates.  Stage 0 is read off the masks
+    (_thin_cover).  Each stage's report is the one that the route by
+    elimination (tests/oracles.py) builds, field by field:
 
-    A chain stage, whose projective is P_a alone with multiplicity one,
-    is kerneled and covered on masks (_chain_syzygy, _chain_cover), and
-    its report is the one syzygy and projective_cover build:
-
-    - P_a is thin: one coordinate at each component of columns[a], and
-      the arrow (i, j) carries the one at j to the one at i exactly when
-      it is in moved_by[a] (projective_module's matching): i is in
-      reach[a][j].  The cover map at a component k is one column, whose
-      kernel is (1,) when the column is zero (linalg.kernel on a zero
-      column) and nothing otherwise.  So the syzygy K is thin, spanned by
-      the units of P_a at the components of its support mask kept.
-    - The representation check on K walks the composites whose outer
-      components are in kept, on the units there.  The check of P_a on
-      all its units (_reach, by _check_thin) walked those same
-      composites on those same vectors, and more: a submodule inherits
-      the representation property, so P_a's check, once per algebra and
-      a, covers every syzygy inside P_a.
-    - The arrow (i, j), j in kept, carries the unit at j to the unit at
-      i when i is in reach[a][j], and to zero otherwise.  So K is closed
-      exactly when the OR of reach[a][j] over j in kept, hit, lies in
-      kept: one AND, refused with the InvariantError of syzygy.
-    - The nonzero images of arrows on K are the units at hit, so the
-      radical of K is hit and its top is kept less hit, one unit lift
-      per top component b; the cover sends (b, 0) at k to the arrow
-      (k, b) applied to the unit at b: 1 when k = b or k is in
-      reach[a][b].  That is what projective_cover's elimination keeps,
-      read off the masks as _thin_cover reads stage 0 (_mask_cover).
+    - A chain stage, whose projective is P_a alone with multiplicity
+      one, is thin: one coordinate at each component of columns[a], and
+      the arrow (i, j) carries the one at j to the one at i exactly
+      when i is in reach[a][j].  The cover map at a component k is one
+      column, whose kernel is (1,) when the column is zero and nothing
+      otherwise, so the syzygy K is thin, spanned by the units of P_a
+      at the components of its support mask kept (_chain_syzygy).  K
+      is closed exactly when the OR of reach[a][j] over j in kept, hit,
+      lies in kept.  The nonzero images of arrows on K are the units at
+      hit, so its top is kept less hit, one unit lift per top component
+      b, and the cover sends (b, 0) at k to 1 when k = b or k is in
+      reach[a][b] (_chain_cover).
+    - Any other stage is a direct sum P of projectives P_b, with
+      coordinates and action on bit masks as the module docstring sets
+      them out (_syzygy, _cover).  Its kernels are linalg.kernel's, or
+      the one-column case of it, and the arrow (i, j) carries a kernel
+      vector at j to the vector at i with the same entries at the
+      coordinates (b, cp) with b in moves[(i, j)] and zero elsewhere:
+      the AND of each of its planes with that mask, spread over the
+      copies.  Lifts and cover columns follow the elimination's rule
+      (_cover has why the shortcuts agree with it).
+    - The representation property needs no walk over the kernel
+      vectors.  A sum of copies of P_b is a direct sum of modules, and
+      an arrow acts on each summand's coordinates alone, so a composite
+      of arrows and what mult says it must equal agree on the sum when
+      they agree on each P_b, on its units by linearity: that is
+      _reach's check of P_b, once per algebra and b, the check of P_a
+      for a chain stage.  K lies in the sum of the copies of the P_b in
+      which some kernel vector has a nonzero entry, and _syzygy checks
+      each of those as it reads its masks; a submodule closed under the
+      arrows inherits the property, so those checks and the closure
+      check of K cover K.
+    - Closure: every image of a kernel vector, at the component the
+      arrow carries it to, is multiplied by the cover's rows there, on
+      the planes; a nonzero product raises InvariantError.
 
     The supports of the stages' multiplicity vectors must be pairwise
     disjoint, one AND per stage against the earlier ones; else
@@ -934,11 +878,8 @@ def resolve_by_covers(module: CoordRep, target: IndObj) -> ResolutionReport:
     two terms of a minimal presentation share no summand; at higher d it
     held on every row tried, and the tests pin it on small cases.
     """
-    algebra = module.algebra
     r, d = algebra.r, algebra.params.d
-    # with the representation property on the vectors it lifts, each
-    # cover is a module map; syzygy checks it on every kernel vector
-    mults, lay, matrices = _thin_cover(module, _thin_acts(module))
+    mults, lay, matrices = _thin_cover(held, acts, algebra)
     multiplicities, maps, layouts = [], [], []
     seen = 0  # the summands of the stages so far
     while True:
@@ -948,7 +889,9 @@ def resolve_by_covers(module: CoordRep, target: IndObj) -> ResolutionReport:
             a = mults.index(1)
             support = 1 << a
         else:
-            support = sum(1 << b for b, m in enumerate(mults) if m)
+            support = 0
+            for b in compress(range(r), mults):
+                support |= 1 << b
         if support & seen:
             raise InvariantError(
                 f"stage {len(multiplicities)} of the resolution of {target} shares "
@@ -961,20 +904,20 @@ def resolve_by_covers(module: CoordRep, target: IndObj) -> ResolutionReport:
         if chain:
             kept, hit = _chain_syzygy(a, matrices, algebra)
             if not kept or len(multiplicities) > d:
-                tail = tuple([kept >> k & 1 for k in range(r)])
+                tail = _dims(kept, r)
                 break
             mults, lay, matrices = _chain_cover(a, kept, hit, algebra)
         else:
-            projective, _ = projective_module(mults, algebra)
-            vectors, images = syzygy(projective, matrices)
-            if not any(vectors) or len(multiplicities) > d:
-                tail = tuple(map(len, vectors))
+            syzygy = _syzygy(mults, lay, matrices, algebra)
+            vectors = syzygy[0]
+            if not vectors or len(multiplicities) > d:
+                tail = tuple([len(vectors.get(k, ())) for k in range(r)])
                 break
-            mults, lay, _, matrices = projective_cover(projective, vectors, images)
+            mults, lay, matrices = _cover(mults, syzygy, algebra)
     return ResolutionReport(
         algebra,
         target,
-        module.dims,
+        _dims(held, r),
         tuple(multiplicities),
         tuple(maps),
         tuple(layouts),

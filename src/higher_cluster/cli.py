@@ -30,7 +30,6 @@ from .errors import (
     TiltingError,
 )
 from .hom import calculator_for
-from .index import index_table
 from .model import (
     DEFAULT_CAP,
     ModelParams,
@@ -390,6 +389,10 @@ def _pick_tilting(args, params: ModelParams) -> TiltingObject:
 
 
 def _cmd_index(args) -> int:
+    # the resolution and system routes, with algebra and linalg under
+    # them, load only for the command that runs them
+    from .index import index_table
+
     params = _params(args)
     tilting = _pick_tilting(args, params)
     table = index_table(tilting, params, route=args.route)

@@ -81,7 +81,10 @@ class _System(NamedTuple):
     det: int  # the determinant of the square subsystem
 
 
-def _build_system(tilting: TiltingObject, params: ModelParams) -> _System:
+def _build_system(tilting: TiltingObject, params: ModelParams, relative=None) -> _System:
+    """The system of a tilting object; relative, when given, is what
+    calc.modulo returns at the mask of its translated summands, which
+    is then not taken again."""
     require_case(tilting, params)
     calc = calculator_for(params)
     positions = tilting.ids
@@ -103,7 +106,7 @@ def _build_system(tilting: TiltingObject, params: ModelParams) -> _System:
         x: tuple((j, v) for j, v in enumerate(column) if v)
         for x, column in zip(positions, zip(*adj))
     }
-    quotients, ideals = calc.modulo(calc.translated_mask(positions))
+    quotients, ideals = relative or calc.modulo(calc.translated_mask(positions))
     sign = -1 if params.d % 2 else 1
     return _System(quotients, ideals, t_rows, tilting.mask, columns, sign, det)
 
@@ -245,18 +248,21 @@ def index_table(
     tilting: TiltingObject,
     params: ModelParams,
     route: str = "both",
+    relative=None,
 ) -> IndexTable:
     """Indices of every indecomposable, in enumeration order.
 
     route "both" (the default in verification) computes each index twice
     and aborts on any disagreement; "resolution" and "system" are
     single-route modes for speed, and their rows report as unverified.
+    relative, when the caller holds it, is calc.modulo at the mask of
+    the translated summands, which the system route then reads.
     """
     if route not in ("both", "resolution", "system"):
         raise InvalidInputError(f"unknown route {route!r}")
     calc = calculator_for(params)
     algebra = build_algebra(tilting, params) if route != "system" else None
-    system = _build_system(tilting, params) if route != "resolution" else None
+    system = _build_system(tilting, params, relative) if route != "resolution" else None
     rows = []
     for c, obj in enumerate(calc.objects):
         via_res = index_by_resolution(c, algebra) if algebra is not None else None

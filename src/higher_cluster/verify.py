@@ -384,10 +384,11 @@ def check_associativity(params: ModelParams) -> CheckResult:
 class TiltingView:
     """One tilting object of one case, as the per-tilting checks read it.
 
-    shifted is the mask of the translated summands, relative calc.modulo
-    at shifted with the quotient rows transposed, and table the
-    double-route index table.  Each attribute past calc is built on its
-    first read, once, and only if a check reads it.
+    shifted is the mask of the translated summands, relative the
+    quotient and ideal rows of calc.modulo at shifted, quotient_columns
+    the quotient rows transposed, and table the double-route index
+    table, whose system route reads relative.  Each attribute past calc
+    is built on its first read, once, and only if a check reads it.
     """
 
     def __init__(self, tilting: TiltingObject, params: ModelParams):
@@ -406,12 +407,15 @@ class TiltingView:
 
     @cached_property
     def relative(self) -> tuple:
-        quotients, ideals = self.calc.modulo(self.shifted)
-        return quotients, ideals, transpose(quotients)
+        return self.calc.modulo(self.shifted)
+
+    @cached_property
+    def quotient_columns(self) -> tuple:
+        return transpose(self.relative[0])
 
     @cached_property
     def table(self):
-        return index_table(self.tilting, self.params, route="both")
+        return index_table(self.tilting, self.params, route="both", relative=self.relative)
 
     @cached_property
     def collisions(self) -> list:
@@ -443,7 +447,7 @@ def check_serre(view: TiltingView) -> CheckResult:
         for x in range(len(objects))
         for y in bit_ids(rows[x] ^ columns[translate[translate[x]]])
     ]
-    _, ideals, quotient_columns = view.relative
+    ideals, quotient_columns = view.relative[1], view.quotient_columns
     for c, ideal in enumerate(ideals):
         # bit x: the ideal at (c, translate(x)), the quotient at
         # (x, translate(c))
@@ -477,7 +481,7 @@ def check_dimension_formula(view: TiltingView) -> CheckResult:
     t_ids = view.tilting.ids
     sign = -1 if params.d % 2 else 1
     t_rows = [calc.hom_rows[t] for t in t_ids]
-    quotients, ideals, quotient_columns = view.relative
+    (quotients, ideals), quotient_columns = view.relative, view.quotient_columns
     witnesses = []
     for c, row in enumerate(view.table.rows):
         ind = row.index
@@ -524,7 +528,7 @@ def check_disjointness(view: TiltingView) -> CheckResult:
     """
     params, calc, summands = view.params, view.calc, view.summands
     objects, translate = calc.objects, calc.translate
-    quotients, _, quotient_columns = view.relative
+    quotients, quotient_columns = view.relative[0], view.quotient_columns
     witnesses = [
         _flagged(
             "disjointness",

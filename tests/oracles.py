@@ -6,26 +6,30 @@ with a call per node, the mutation search with one exchange step per
 family, and linear algebra over the rationals with `fractions.Fraction`.
 None of it shares code with the package; the Fraction resolution and the
 dense direct sum of projectives take an endomorphism algebra built by
-the package as their input data.  The exceptions are the resolution route
-by elimination alone, which runs the package's own covers and kernels on
-every stage, the system route on dense vectors, which reads the
-package's hom tables and adjugate, and the last section: the per-pair
-and per-family loops that verify's sweeps replaced, which run the
-package's own evaluators on every instance.
+the package as their input data.  The exceptions are the coordinate
+representation and the resolution route by elimination alone, the
+package's resolution route before it moved onto masks, which run the
+package's integer kernel and elimination and its thin check; the system
+route on dense vectors, which reads the package's hom tables and
+adjugate; and the last section: the per-pair and per-family loops that
+verify's sweeps replaced, which run the package's own evaluators on
+every instance.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, product, repeat
+from itertools import chain, combinations, compress, product, repeat
 from math import comb
 from operator import add, mul
+from types import MappingProxyType
 from typing import NamedTuple
 
-from higher_cluster.algebra import ResolutionReport, projective_cover, syzygy
+from higher_cluster.algebra import AlgebraPresentation, ResolutionReport, _check_thin
 from higher_cluster.errors import InvariantError
 from higher_cluster.hom import calculator_for
-from higher_cluster.linalg import adjugate
+from higher_cluster.linalg import adjugate, eliminate, kernel
 from higher_cluster.model import bit_ids
+from higher_cluster.record import Record
 from higher_cluster.tilting import maximal_families, require_case, validate_family
 from higher_cluster.verify import (
     ANOMALY,
@@ -709,6 +713,348 @@ def report_violations(report):
     return violations
 
 
+# --- the coordinate representation ------------------------------------------
+#
+# Hom(T, c) and every direct sum of projectives as coordinate modules whose
+# arrows are partial matchings, each syzygy as integer kernel vectors inside
+# its projective, covered and kerneled by elimination at every stage: the
+# package's resolution route before its stages moved onto masks.
+
+
+class CoordRep(Record):
+    """A right module on coordinates, every arrow acting by a partial matching.
+
+    Component k has dims[k] coordinates.  arrows[(i, j)] lists the pairs
+    (y, x) along which the arrow (i, j) carries coordinate y of component
+    j to coordinate x of component i with coefficient 1; it sends every
+    other coordinate to zero.  An arrow into or out of an empty component
+    may be left out of arrows: it is the empty matching.  Hom(T, c) and
+    every direct sum of projectives have this form.  A submodule is held as
+    integer vectors per component, and arrows act on those by the
+    matchings.  arrows is a read-only mapping: the matchings of a direct
+    sum of projectives are shared by every cover of its algebra with its
+    multiplicities.  support lists the nonzero components in order; it is
+    read off dims, or handed in with a memoised direct sum, and it is not
+    a field.  Frozen, and compared by identity.
+    """
+
+    _fields = ("algebra", "dims", "arrows")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        algebra: AlgebraPresentation,
+        dims: tuple[int, ...],
+        arrows: MappingProxyType,
+        support: tuple[int, ...] | None = None,
+    ):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "arrows", arrows)
+        if support is None:
+            support = tuple(k for k, n in enumerate(dims) if n)
+        object.__setattr__(self, "support", support)
+
+    def check_representation(self, vectors):
+        """Composites of arrows must act as the multiplication table says,
+        zero composites included, on every vector of vectors[k].
+
+        Only the support is walked: a component of dimension zero holds
+        no vector.  Every arrow that acts on a given vector is first
+        checked to be a partial matching of the coordinates of its two
+        components, and its images of those vectors are taken once.
+        Only the composable pairs whose outer components i and k both
+        hold vectors are then walked, grouped by that outer pair.  The
+        others are skipped: on the whole module the composite and what
+        it must equal (zero, the identity on component i, or the action
+        of (i, k)) are one and the same empty map, and on a submodule
+        closure under the arrows, checked apart, makes both zero.  Returns
+        the images: images[p] lists the arrow p applied to each vector of
+        vectors[p[1]], for every arrow p with a nonempty matching.
+        """
+        alg, dims, arrows = self.algebra, self.dims, self.arrows
+        populated = [k for k in self.support if vectors[k]]
+        images = {}
+        for j in populated:
+            for p in alg.arrows_to[j]:
+                i = p[0]
+                # a left-out arrow into an empty component is the empty matching
+                pairs = arrows.get(p, None if dims[i] else ())
+                if pairs is None or pairs and not _is_matching(pairs, dims[j], dims[i]):
+                    raise InvariantError(
+                        f"arrow {p} does not match {dims[j]} coordinates into {dims[i]}"
+                    )
+                if pairs:
+                    images[p] = out = []
+                    for vec in vectors[j]:
+                        w = [0] * dims[i]
+                        for y, x in pairs:
+                            w[x] = vec[y]
+                        out.append(w)
+        by_ends, mult = alg.composable_by_ends, alg.mult
+        for i in populated:
+            ends = by_ends.get(i, {})
+            for k in populated:
+                for p, q in ends.get(k, ()):
+                    coeff = mult[(p, q)]
+                    moved = images.get(q)  # q applied to vectors[k]
+                    through = arrows.get(p, ()) if moved else ()
+                    if not (coeff or through):
+                        continue  # zero, as it must be, on every vector
+                    direct = images.get((i, k)) if coeff and i != k else None
+                    for t, vec in enumerate(vectors[k]):
+                        got = [0] * dims[i]
+                        for y, x in through:
+                            got[x] = moved[t][y]
+                        if coeff == 0:
+                            ok = not any(got)
+                        elif i == k:
+                            ok = got == list(vec)
+                        else:
+                            ok = got == (direct[t] if direct else [0] * dims[i])
+                        if not ok:
+                            raise InvariantError(
+                                f"representation property fails composing {p} then {q}"
+                            )
+        return images
+
+
+def _is_matching(pairs, sources, targets) -> bool:
+    """Whether the pairs (y, x) match coordinates y < sources one to one
+    with coordinates x < targets."""
+    # nearly every matching has no pair or one, and those have nothing
+    # to collide
+    if not pairs:
+        return True
+    if len(pairs) == 1:
+        ((y, x),) = pairs
+        return 0 <= y < sources and 0 <= x < targets
+    ys = {y for y, _ in pairs}
+    xs = {x for _, x in pairs}
+    return (
+        len(ys) == len(xs) == len(pairs)
+        and all(0 <= y < sources for y in ys)
+        and all(0 <= x < targets for x in xs)
+    )
+
+
+def module_of(k: int, algebra: AlgebraPresentation) -> CoordRep:
+    """The right module Hom(T, c) of the object c with id k.
+
+    It is zero exactly when c is a translate of a summand of T.  Its
+    dimensions are the bits of the hom column of c at the summands' ids,
+    and the arrow (i, j) between two nonzero components acts by the
+    matching ((0, 0),) exactly when t_i -> c factors through t_j: bit
+    ids[j] of the factor mask of t_i at c.
+    """
+    calc = algebra.calc
+    ids = algebra.ids
+    column = calc.hom_columns[k]
+    dims = tuple([column >> t & 1 for t in ids])
+    support = tuple([i for i, n in enumerate(dims) if n])
+    arrows_from = algebra.arrows_from
+    # only arrows between support components: the others are left out.
+    # Each one read is a nonzero t_i -> t_j (an arrow) followed by a
+    # nonzero t_j -> c (j in the support), which is what composes
+    # guards, so its structure constant is that bit and no query is made
+    arrows = {}
+    for i in support:
+        through = calc.factor_rows[ids[i]][k]
+        for p in arrows_from[i]:
+            j = p[1]
+            if dims[j]:
+                arrows[p] = ((0, 0),) if through >> ids[j] & 1 else ()
+    return CoordRep(algebra, dims, MappingProxyType(arrows), support)
+
+
+def projective_module(multiplicities, algebra):
+    """Direct sum of projectives with the given multiplicities.
+
+    Returns (module, layouts) where layouts[k] lists the coordinates of
+    component k as (summand a, copy) pairs: copy cp of the projective at
+    t_a contributes one coordinate to each component in algebra.columns[a],
+    the k with Cartan[k][a] = 1.  The arrow (i, j) carries (a, cp) at j to
+    (a, cp) at i exactly when a is in algebra.moves[(i, j)], i.e. the
+    composite t_i -> t_j -> t_a is nonzero.  Then t_i -> t_a is nonzero
+    too, so (a, cp) is a coordinate at i: an arrow into an empty
+    component i has the empty matching and is left out.
+
+    Built once per multiplicity vector and kept in the algebra's
+    instance dict under direct_sums, so every cover of the algebra with
+    that vector shares its read-only matchings, its layouts and its
+    support, dropped with the algebra.
+    The memo holds no module: a module refers to its algebra, and that
+    cycle would keep a dropped algebra alive until the cyclic garbage
+    collector ran.
+    """
+    key = tuple(multiplicities)
+    memo = vars(algebra).setdefault("direct_sums", {})
+    if key not in memo:
+        memo[key] = _direct_sum(key, algebra)
+    dims, arrows, layouts, support = memo[key]
+    return CoordRep(algebra, dims, arrows, support), layouts
+
+
+def _direct_sum(multiplicities, algebra):
+    """dims, read-only matchings, layouts and support of projective_module.
+
+    The copies of each summand a with a nonzero multiplicity are appended
+    to every component k of algebra.columns[a], and starts[a][k] records
+    where they begin.  Every arrow from a nonzero component starts with
+    the empty matching; then, summand by summand in order, each arrow
+    (i, j) that moves the projective at t_a, a in algebra.moves[(i, j)],
+    gains the pairs that carry copy cp of a from starts[a][j] + cp to
+    starts[a][i] + cp.
+    """
+    summed = [a for a, m in enumerate(multiplicities) if m]
+    grown, starts = {}, {}
+    for a in summed:
+        copies = [(a, cp) for cp in range(multiplicities[a])]
+        starts[a] = here = {}
+        for k in algebra.columns[a]:
+            lay = grown.setdefault(k, [])
+            here[k] = len(lay)
+            lay += copies
+    support = tuple(sorted(grown))
+    layouts = [()] * algebra.r
+    for k in support:
+        layouts[k] = tuple(grown[k])
+    arrows = dict.fromkeys(chain.from_iterable(map(algebra.arrows_from.__getitem__, support)), ())
+    for a in summed:
+        m, here = multiplicities[a], starts[a]
+        for p in (p for p, moved in algebra.moves.items() if moved >> a & 1):
+            y, x = here[p[1]], here[p[0]]
+            arrows[p] += ((y, x),) if m == 1 else tuple(zip(range(y, y + m), range(x, x + m)))
+    # a representation by associativity of mult, asserted by build_algebra
+    return tuple(map(len, layouts)), MappingProxyType(arrows), tuple(layouts), support
+
+
+def projective_cover(module: CoordRep, vectors, images):
+    """Projective cover of the submodule spanned by vectors[k] at each k.
+
+    The radical at component i is the span of the images of the arrows
+    from i.  One elimination of [those images | vectors[i], last first]
+    keeps the vectors outside the radical plus the span of the later
+    ones: they lift a basis of the top, at the positions of the non-pivot
+    columns of the radical in vector coordinates.  At a component of
+    dimension one a nonzero image spans it all, and no vector is lifted
+    there, as the elimination would find.  Each lift at component a
+    generates one copy of the projective at t_a, and the cover sends the
+    coordinate (a, cp) of component k to the arrow (k, a) applied to
+    lift cp, in the coordinates of the module.
+
+    images are module.check_representation(vectors).  Each stage walks
+    only its support: the lifts are read at the components of the module
+    that hold vectors, and the cover is built at the components of the
+    projective.  Elsewhere it is the zero map, with no columns and one
+    empty row per coordinate of the module.
+
+    Returns (multiplicities, layouts, projective, matrices) with
+    matrices[k] the cover at component k as int rows, module.dims[k] by
+    projective.dims[k].
+    """
+    alg, dims = module.algebra, module.dims
+    # lifts[i]: the positions in vectors[i] of the lifts at component i
+    lifts = [()] * alg.r
+    for i in module.support:
+        own = vectors[i]
+        if not own:
+            continue
+        lifts[i] = range(len(own))
+        radical = [w for p in alg.arrows_from[i] for w in images.get(p, ()) if any(w)]
+        if radical and dims[i] == 1:
+            lifts[i] = ()  # the radical spans the one coordinate
+        elif radical:
+            cols = radical + list(own[::-1])
+            _, pivots, _, _ = eliminate(zip(*cols), len(cols))
+            lifts[i] = [len(cols) - 1 - c for c in reversed(pivots) if c >= len(radical)]
+    multiplicities = tuple(map(len, lifts))
+    projective, layouts = projective_module(multiplicities, alg)
+    matrices = [()] * alg.r
+    for k in module.support:
+        matrices[k] = ((),) * dims[k]
+    for k in projective.support:
+        cols = []
+        for a, cp in layouts[k]:
+            moved = vectors[a] if k == a else images.get((k, a))
+            cols.append(moved[lifts[a][cp]] if moved else [0] * dims[k])
+        matrices[k] = tuple(zip(*cols))
+    return multiplicities, layouts, projective, tuple(matrices)
+
+
+def _thin_acts(module: CoordRep):
+    """check_representation on the units of a thin module, in masks, by
+    the package's _check_thin; InvariantError if the module is not thin.
+
+    With every dimension at most one, the only matchings of an arrow
+    (i, j) into a component j of the support are () and, when i is in
+    the support too, ((0, 0),); anything else is refused as
+    check_representation refuses it.  Returns acts: acts[j], for j in
+    the support, is the mask of the i whose arrow (i, j) acts nonzero,
+    checked by _check_thin.
+    """
+    alg, dims, arrows = module.algebra, module.dims, module.arrows
+    if max(dims) > 1:
+        raise InvariantError(f"module with dims {dims} is not thin")
+    acts = [0] * alg.r
+    for j in module.support:
+        for p in alg.arrows_to[j]:
+            i = p[0]
+            # a left-out arrow into an empty component is the empty matching
+            pairs = arrows.get(p, None if dims[i] else ())
+            if pairs == ((0, 0),) and dims[i]:
+                acts[j] |= 1 << i
+            elif pairs != ():
+                raise InvariantError(f"arrow {p} does not match 1 coordinates into {dims[i]}")
+    _check_thin(alg, sum(1 << k for k in module.support), acts)
+    return acts
+
+
+def syzygy(projective: CoordRep, matrices):
+    """Kernel of a cover map, as primitive integer vectors in its projective.
+
+    Arrows act on the kernel by the projective's own matchings, so no
+    induced action is solved; closure under every arrow and the
+    representation property are checked on every kernel vector.
+
+    Each stage walks only its support: a kernel is taken at each nonzero
+    component of the projective, and every other component holds no
+    vector.  Closure is checked along every arrow into a component that
+    holds vectors, wherever it lands; the arrows the projective leaves
+    out land in components of dimension zero.  Returns (vectors, images),
+    the images of check_representation, which the next cover reads.
+    """
+    vectors = [()] * len(projective.dims)
+    for k in projective.support:
+        vectors[k] = kernel(matrices[k], projective.dims[k])
+    vectors = tuple(vectors)
+    images = projective.check_representation(vectors)
+    for p, moved in images.items():
+        for row in matrices[p[0]]:
+            for w in moved:
+                # the image lies in the kernel at component p[0]
+                if sum(map(mul, row, w)):
+                    raise InvariantError("kernel of a cover map is not closed under the action")
+    return vectors, images
+
+
+def _same_module(module: CoordRep, a: int) -> bool:
+    """Whether the module is P_a as projective_module builds it: dims the
+    Cartan column of a, and ((0, 0),) on an arrow p between nonzero
+    components exactly when a is in moves[p], else (), never left out:
+    the summand check as the package made it on matchings."""
+    algebra = module.algebra
+    dims, own, moves = module.dims, module.arrows, algebra.moves
+    if module.support != algebra.columns[a] or max(dims) > 1:
+        return False
+    for i in algebra.columns[a]:
+        for p in algebra.arrows_from[i]:
+            if dims[p[1]] and own.get(p) != (((0, 0),) if moves[p] >> a & 1 else ()):
+                return False
+    return True
+
+
 # --- the resolution route by elimination alone -------------------------------
 
 
@@ -723,10 +1069,10 @@ def units(module):
 
 
 def resolve_by_elimination(module, target):
-    """The resolution route with every stage covered by projective_cover's
-    elimination and kerneled by syzygy, stage 0 and the syzygies inside
-    one projective P_a included, which the package reads off bits and
-    support masks.  Its report must equal minimal_resolution's field by
+    """The resolution route on the coordinate representation, every stage
+    covered by projective_cover's elimination and kerneled by syzygy,
+    where the package reads stage 0, the summand rows and every stage
+    off masks.  Its report must equal minimal_resolution's field by
     field."""
     algebra = module.algebra
     vectors = units(module)

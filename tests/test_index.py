@@ -158,9 +158,7 @@ def test_agreed_routes_share_one_tuple():
 def _tamper_system(monkeypatch, change):
     """Make the system route read change(system) for every system it builds."""
     build = index._build_system
-    monkeypatch.setattr(
-        index, "_build_system", lambda tilting, params: change(build(tilting, params))
-    )
+    monkeypatch.setattr(index, "_build_system", lambda *args: change(build(*args)))
 
 
 def test_system_route_refuses_a_non_integral_solution(monkeypatch):

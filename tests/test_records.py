@@ -9,15 +9,13 @@ ModelParams and TiltingObject key every cache.
 import dataclasses
 
 import pytest
-from oracles import report_violations
+from oracles import CoordRep, module_of, report_violations
 
 from higher_cluster.algebra import (
     AlgebraPresentation,
-    CoordRep,
     ResolutionReport,
     build_algebra,
     minimal_resolution,
-    module_of,
 )
 from higher_cluster.index import IndexRow, IndexTable, index_table
 from higher_cluster.model import ModelParams

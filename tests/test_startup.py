@@ -5,7 +5,10 @@ everything.  The package root resolves its re-exports on first use and
 the command line imports verify only in the commands that run it, so
 importing the package and running index never load verify, dataclasses
 (and with it inspect, ast, dis and tokenize) or fractions.  The verify
-command loads verify, and still neither of the other two.
+command loads verify, and still neither of the other two.  The index
+routes (index, with algebra and linalg under it) load only for the
+commands that compute indices: importing the command line and running
+tilting load none of them.
 """
 
 import json
@@ -18,7 +21,9 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 HEAVY = ("higher_cluster.verify", "dataclasses", "fractions")
+ROUTES = ("higher_cluster.index", "higher_cluster.algebra", "higher_cluster.linalg")
 INDEX_ARGV = ["index", "--n", "2", "--d", "2", "--format", "json"]
+TILTING_ARGV = ["tilting", "--n", "2", "--d", "2", "--format", "json"]
 
 
 def child(code: str, *argv: str) -> subprocess.CompletedProcess:
@@ -33,12 +38,17 @@ def child(code: str, *argv: str) -> subprocess.CompletedProcess:
     )
 
 
-# prints, on the last line of stderr, which of HEAVY are loaded at exit
-REPORT = (
-    "import atexit, json, sys\n"
-    f"atexit.register(lambda: print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]),"
-    " file=sys.stderr))\n"
-)
+def report(names) -> str:
+    """Code that prints, on the last line of stderr, which of names are
+    loaded at exit."""
+    return (
+        "import atexit, json, sys\n"
+        f"atexit.register(lambda: print(json.dumps([m for m in {names!r} if m in sys.modules]),"
+        " file=sys.stderr))\n"
+    )
+
+
+REPORT = report(HEAVY)
 # what `python -m higher_cluster ...` runs
 RUN_MODULE = (
     "import runpy, sys\n"
@@ -63,6 +73,16 @@ def test_the_index_command_loads_nothing_heavy():
     payload = json.loads(proc.stdout)
     assert payload["command"] == "index"
     assert all(row["verified"] for row in payload["rows"])
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [((), []), (TILTING_ARGV, []), (INDEX_ARGV, list(ROUTES))],
+    ids=["import", "tilting", "index"],
+)
+def test_the_index_routes_load_only_for_the_commands_that_run_them(argv, loaded):
+    code = report(ROUTES) + (RUN_MODULE if argv else "import higher_cluster.cli\n")
+    assert loaded_heavy(child(code, *argv)) == loaded
 
 
 def test_the_root_reexports_resolve_on_first_use():

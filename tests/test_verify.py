@@ -306,9 +306,9 @@ def test_no_table_outlives_its_tilting_object(monkeypatch):
     # checks on it and drops it before the next one is built
     refs = []
 
-    def spy(tilting, params, route="both"):
+    def spy(tilting, params, route="both", relative=None):
         assert [ref() for ref in refs] == [None] * len(refs)
-        table = index_table(tilting, params, route)
+        table = index_table(tilting, params, route, relative)
         refs.append(weakref.ref(table))
         return table
 
@@ -326,9 +326,10 @@ def test_per_tilting_checks_run_in_check_names_order():
 
 
 def test_modulo_runs_once_per_view_and_once_per_system(monkeypatch):
-    # per tilting object: the system route of its table, then the view's
-    # relative rows, which serre, dimension-formula and disjointness all
-    # read; one translated mask each, and one transpose of quotient rows
+    # per tilting object: the view's relative rows, which serre,
+    # dimension-formula and disjointness read and the system route of its
+    # table too; one translated mask and one transpose of quotient rows.
+    # A table built outside a view takes its own
     calls, masks, transposes = [], [], []
     modulo, translated_mask = HomCalculator.modulo, HomCalculator.translated_mask
     monkeypatch.setattr(
@@ -348,8 +349,8 @@ def test_modulo_runs_once_per_view_and_once_per_system(monkeypatch):
     calc = hom.calculator_for(params)
     tiltings = enumerate_tilting(params)[:4]
     shifted = [translated_mask(calc, t.ids) for t in tiltings]
-    assert calls == [mask for mask in shifted for _ in range(2)]
-    assert masks == [t.ids for t in tiltings for _ in range(2)]
+    assert calls == shifted
+    assert masks == [t.ids for t in tiltings]
     assert len(transposes) == len(tiltings)
     calls.clear()
     tilting = tiltings[0]
@@ -491,9 +492,16 @@ def _broken_ideal_quotient_duality():
     return check_serre(TiltingView(FAN22, P22))
 
 
+def _clean_table(view):
+    """The view's table on the clean tables, its relative rows left to be
+    read after an edit: the table is built as a caller outside a view
+    builds it, and handed to the view."""
+    vars(view)["table"] = index_table(view.tilting, view.params)
+
+
 def _broken_dimension_formula():
     view = TiltingView(T21, P21)
-    view.table  # on the clean tables
+    _clean_table(view)
     # (2,4) -> (2,5) factors through the translated summand (2,5):
     # clearing that bit turns the quotient at ((2,4), (2,5)) from 0 to 1
     # and the ideal there from 1 to 0
@@ -616,7 +624,7 @@ def test_row_sweeps_match_the_per_pair_oracles(case):
     params, tilting, flip = case
     with mock.patch.dict(hom._calculators, clear=True):
         view = TiltingView(tilting, params)
-        view.table  # on the clean tables
+        _clean_table(view)
         if len(flip) == 2:
             _flip_hom(params, *flip)
         elif flip:
